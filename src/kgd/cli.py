@@ -8,9 +8,9 @@ Verbs:
     kgd experiment --preset NAME [--seed S] [--set k=v ...] [--output DIR]
     kgd self-check                          fast internal cross-checks
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (divergence
-or a failed self-check). Output CSVs are deterministic for a fixed config
-and seed except for the wall_time_s column.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (divergence,
+a non-finite Stein Gram or a failed self-check). Output CSVs are
+deterministic for a fixed config and seed except for the wall_time_s column.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import clt_scaling_study, kgd_u_squared, kgd_v_squared
+from .discrepancy import ScalingStudy, clt_scaling_study, kgd_u_squared, kgd_v_squared
 from .kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from .losses import (
     InteractionLoss,
@@ -439,11 +439,19 @@ def _apply_overrides(knobs: dict, overrides: Sequence[str]) -> dict:
     return result
 
 
+def _scaling_study(*args) -> ScalingStudy:
+    """``clt_scaling_study`` with its size and replicate checks as config errors."""
+    try:
+        return clt_scaling_study(*args)
+    except ValueError as exc:
+        raise ConfigError(f"scaling study: {exc}") from None
+
+
 def _preset_gauss_identity(seed: int, knobs: dict, out: Path) -> dict:
     sizes = [int(v) for v in knobs["sizes"]]
     kernel = IMQ(float(knobs["lengthscale"]))
     ref = DiagonalGaussian.standard(int(knobs["dimension"]))
-    study = clt_scaling_study(
+    study = _scaling_study(
         kernel,
         ref,
         ZeroLoss(),
@@ -476,7 +484,7 @@ def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
     last_sample = None
     for d in [int(v) for v in knobs["dimensions"]]:
         ref = DiagonalGaussian.standard(d)
-        study = clt_scaling_study(
+        study = _scaling_study(
             kernel,
             ref,
             InteractionLoss.quadratic(),
@@ -833,6 +841,20 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     ok = sym < 1e-12 and min_eig > -1e-10 * scale
     report("gram-spectrum", ok, f"asym {sym:.2e}, min eig {min_eig:.2e}")
 
+    # Radial Gram route on a translated cloud against the classical form.
+    worst = 0.0
+    atoms = 1e3 + rng.normal(size=(12, 3))
+    ref = DiagonalGaussian.standard(3)
+    for kern in (IMQ(0.8), Gaussian(1.5)):
+        mine = kgd_v_squared(
+            kern, ref, InteractionLoss.quadratic(), EmpiricalMeasure(atoms)
+        ).value2
+        orc = reference_ksd_squared(
+            lambda X: -X - 2.0 * (X - X.mean(axis=0)), kern, atoms
+        )
+        worst = max(worst, abs(mine - orc) / abs(orc))
+    report("radial-gram", worst < 1e-12, f"worst rel {worst:.2e}")
+
     # Forward ODE sensitivities against central differences of the solver.
     x = np.array([-0.8, -1.2])
     times = np.array([5.0, 20.0])
@@ -905,7 +927,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SamplerDivergence as exc:
+    except (SamplerDivergence, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

@@ -10,8 +10,24 @@ and the Stein kernel built from a scalar kernel k is
     h(x, y) = trace12 k + grad1 k . b(y) + grad2 k . b(x) + k b(x) . b(y).
 
 Averaging h over all atom pairs (V-statistic) or off-diagonal pairs
-(U-statistic) gives the squared discrepancy estimates. Matrix kernels
-K enter through the divergence-form assembly in
+(U-statistic) gives the squared discrepancy estimates.
+
+``stein_gram`` assembles the Gram matrix on one of two routes, chosen by
+``kernel.is_radial``. Radial kernels k = phi(||x - y||^2), mixtures of them
+included, reduce every term to n x n arrays: with X the centred atoms, B the
+scores, s_ij = ||x_i - x_j||^2 and G = X B^T,
+
+    h = -2 d phi'(s) - 4 s phi''(s) + 2 phi'(s) (G + G^T - G_ii - G_jj)
+        + phi(s) B B^T,
+
+so s and G come from matrix products and no (n, n, d) tensor is built. The
+atoms are centred first because every term is translation-invariant but the
+product form of s and G is not: on a cloud far from the origin it subtracts
+large, nearly equal numbers. Every other kernel goes through ``pairwise``
+and the einsum assembly, which also serves ``stein_kernel_eval`` and the
+tests as the reference.
+
+Matrix kernels K enter through the divergence-form assembly in
 ``matrix_stein_kernel_eval``; for K = kappa I it coincides with the scalar
 assembly applied to kappa, which the tests pin down.
 """
@@ -54,16 +70,61 @@ def _assemble(pw: PairwiseDerivatives, bx: np.ndarray, by: np.ndarray) -> np.nda
     )
 
 
+def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Stein Gram of a radial kernel from n x n products (see module docstring).
+
+    The n x n arrays are updated in place where the formula allows: at large
+    n each temporary costs about as much as the arithmetic that fills it.
+    Each update keeps a symmetric array bitwise symmetric (c_i + c_j is one
+    outer sum, not two updates), so h is as symmetric as x x^T and B B^T.
+    """
+    x = atoms - atoms.mean(axis=0)
+    norms = np.einsum("id,id->i", x, x)
+    sq = -2.0 * (x @ x.T)
+    sq += np.add.outer(norms, norms)
+    np.maximum(sq, 0.0, out=sq)
+    np.fill_diagonal(sq, 0.0)
+    phi, dphi, d2phi, _ = kernel.profile(sq)
+    g = x @ scores.T
+    c = np.diagonal(g)
+    # h = 2 phi' (G + G^T - c_i - c_j - d) - 4 s phi'' + phi B B^T
+    h = g + g.T
+    h -= np.add.outer(c, c)
+    h -= x.shape[1]
+    h *= 2.0 * dphi
+    sq *= d2phi
+    sq *= 4.0
+    h -= sq
+    bb = scores @ scores.T
+    bb *= phi
+    h += bb
+    return h
+
+
 def stein_gram(
     kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
 ) -> np.ndarray:
-    """Stein kernel Gram matrix over the atoms of the measure, shape (n, n)."""
-    scores = gen_score(ref, loss, measure, measure.atoms)
-    pw = _pairwise(kernel, measure.atoms, measure.atoms)
-    return _assemble(pw, scores, scores)
+    """Stein kernel Gram matrix over the atoms of the measure, shape (n, n).
+
+    Raises FloatingPointError, naming the first offending pair, when an
+    entry is not finite.
+    """
+    atoms = measure.atoms
+    scores = gen_score(ref, loss, measure, atoms)
+    if kernel.is_radial:
+        gram = _radial_gram(kernel, atoms, scores)
+    else:
+        gram = _assemble(_pairwise(kernel, atoms, atoms), scores, scores)
+    if not np.isfinite(gram).all():
+        i, j = np.argwhere(~np.isfinite(gram))[0]
+        raise FloatingPointError(
+            f"non-finite Stein Gram entry ({i}, {j}) = {gram[i, j]}; "
+            "the kernel or the scores overflow at these atoms"
+        )
+    return gram
 
 
 def stein_kernel_eval(
@@ -198,8 +259,15 @@ def clt_scaling_study(
     substream addressed by (seed, n, r) and must return an (n, d) array of
     iid draws; both estimators are then computed from one Gram matrix. The
     replicate streams are independent of evaluation order.
+
+    Raises ValueError, before any work, for a size below 2 (no U-statistic)
+    or fewer than 2 replicates (no spread).
     """
     sizes_arr = np.asarray(sorted(int(n) for n in sizes))
+    if sizes_arr.size == 0 or sizes_arr[0] < 2:
+        raise ValueError(f"every size must be at least 2, got {list(sizes)}")
+    if n_reps < 2:
+        raise ValueError(f"need at least 2 replicates, got {n_reps}")
     v_values = np.empty((sizes_arr.size, n_reps))
     u_values = np.empty((sizes_arr.size, n_reps))
     for i, n in enumerate(sizes_arr):

@@ -245,6 +245,7 @@ class WeightedMatrixKernel:
     c: float = 1.0
     exponent: float = 0.0
     base: ScalarKernel = IMQ()
+    is_radial = False
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -323,17 +324,3 @@ class WeightedMatrixKernel:
         """Double divergence sum_ij d^2/dx_i dy_j K_ij(x, y)."""
         return self.scalar_bundle(x, y).trace12
 
-
-def kernel_eval(kernel: ScalarKernel, x: np.ndarray, y: np.ndarray) -> float:
-    """Scalar kernel value at one pair of points."""
-    return kernel.value(x, y)
-
-
-def kernel_derivatives(kernel: ScalarKernel, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
-    """Value, both gradients, and the mixed-trace at one pair of points."""
-    return kernel.bundle(x, y)
-
-
-def matrix_kernel_eval(kernel: WeightedMatrixKernel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix value of the weighted kernel at one pair of points, shape (d, d)."""
-    return kernel.matrix_value(x, y)

@@ -160,7 +160,7 @@ class InteractionLoss(VariationalLoss):
             d = x.shape[-1]
             return np.broadcast_to(-np.eye(d), (x.shape[0], y.shape[0], d, d))
 
-        return cls(value, grad1, grad11, grad12)
+        return _QuadraticInteraction(value, grad1, grad11, grad12)
 
     def value(self, measure: EmpiricalMeasure) -> float:
         w = self.pair_value(measure.atoms, measure.atoms)
@@ -182,6 +182,15 @@ class InteractionLoss(VariationalLoss):
         diag = 2.0 * np.mean(w11, axis=1)
         cross = (2.0 / n) * w12
         return diag, cross
+
+
+@dataclass(frozen=True)
+class _QuadraticInteraction(InteractionLoss):
+    """The quadratic interaction, whose score has the closed form
+    (2/n) sum_j (x - x_j) = 2 (x - mean of the atoms)."""
+
+    def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
+        return 2.0 * (np.asarray(x, dtype=float) - measure.atoms.mean(axis=0))
 
 
 @dataclass(frozen=True)

@@ -357,6 +357,17 @@ class TestEvalVerb:
         assert main(["eval", "--config", cfg, "--particles", str(p)]) == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gram_maps_to_exit_code_three(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        write_particles(p, np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        cfg = _write_config(tmp_path, {})
+        assert main(["eval", "--config", cfg, "--particles", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert "non-finite Stein Gram entry (0, 0)" in captured.err
+        assert "kgd_v2" not in captured.out
+
     def test_missing_config_file(self, tmp_path, capsys):
         p = tmp_path / "p.csv"
         write_particles(p, np.zeros((1, 2)))
@@ -375,6 +386,15 @@ class TestExperimentVerb:
              str(tmp_path / "o"), "--set", "szies=10"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("preset", ["gauss-identity", "clt-study"])
+    @pytest.mark.parametrize("item", ["sizes=1;25", "replicates=1"])
+    def test_degenerate_scaling_study_is_a_config_error(self, tmp_path, capsys, preset, item):
+        out = tmp_path / "o"
+        argv = ["experiment", "--preset", preset, "--output", str(out), "--set", item]
+        assert main(argv) == 2
+        assert "scaling study" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
 
     def _run(self, tmp_path, preset: str, *sets: str, seed: str = "0") -> Path:
         out = tmp_path / preset
@@ -460,6 +480,7 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 7
+        assert len(lines) == 8
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
+        assert any(l.startswith("PASS radial-gram ") for l in lines)

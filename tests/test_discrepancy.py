@@ -13,6 +13,7 @@ import pytest
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, make_empirical
 from kgd.discrepancy import (
     KGDEstimate,
+    _assemble,
     clt_scaling_study,
     gen_score,
     kgd_u_squared,
@@ -28,6 +29,7 @@ from kgd.oracles import fd_gradient, reference_ksd_squared
 ORACLE_RTOL = 1e-12  # analytic Gram assembly vs closed-form oracle
 FD_TOL = 5e-6  # assembled Stein values vs nested finite differences
 EXACT_RTOL = 1e-13  # pure reorderings of the same sums
+RADIAL_TOL = 1e-12  # radial product route vs pairwise assembly, scaled by max|gram|
 
 
 def _random_setup(seed: int, n: int = 8, d: int = 3):
@@ -84,6 +86,21 @@ class TestSteinAssembly:
         for kernel in [IMQ(1.0), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0)))]:
             gram = stein_gram(kernel, ref, loss, measure)
             np.testing.assert_allclose(gram, gram.T, atol=1e-13 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_radial_route_matches_pairwise_assembly(self, offset):
+        # The translated cloud is the case that needs the atoms centred: the
+        # uncentred product form is off by about 5e-10 of max|gram| there.
+        _, ref, loss, measure = _random_setup(6, n=30, d=3)
+        measure = EmpiricalMeasure(offset + measure.atoms)
+        atoms = measure.atoms
+        scores = gen_score(ref, loss, measure, atoms)
+        for kernel in [IMQ(0.8), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0)))]:
+            assert kernel.is_radial
+            gram = stein_gram(kernel, ref, loss, measure)
+            direct = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
+            err = np.max(np.abs(gram - direct)) / np.max(np.abs(gram))
+            assert err <= RADIAL_TOL, (kernel.family, err)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -236,6 +253,18 @@ class TestScalingStudy:
         np.testing.assert_array_equal(joint.v_values[1], alone.v_values[0])
         np.testing.assert_array_equal(joint.u_values[1], alone.u_values[0])
         assert np.isnan(alone.slope_v_mean)  # one size fixes no slope
+
+    @pytest.mark.parametrize("sizes, reps", [([1, 25], 4), ([25, 50], 1)])
+    def test_rejects_degenerate_shapes_before_sampling(self, sizes, reps):
+        drawn = []
+
+        def sampler(rng, n):
+            drawn.append(n)
+            return _standard_sampler(rng, n)
+
+        with pytest.raises(ValueError):
+            clt_scaling_study(self.KERNEL, self.REF, ZeroLoss(), sampler, sizes, reps, 0)
+        assert drawn == []
 
     def test_sizes_are_sorted(self):
         study = clt_scaling_study(

@@ -9,9 +9,6 @@ from kgd.kernels import (
     Mixture,
     NormalizedLinear,
     WeightedMatrixKernel,
-    kernel_derivatives,
-    kernel_eval,
-    matrix_kernel_eval,
 )
 from kgd.oracles import fd_gradient
 
@@ -229,7 +226,6 @@ class TestWeightedMatrixKernel:
         K = k.matrix_value(x, y)
         assert K.shape == (2, 2)
         np.testing.assert_allclose(K, k.scalar_bundle(x, y).value * np.eye(2))
-        np.testing.assert_allclose(matrix_kernel_eval(k, x, y), K)
 
     def test_divergences_match_fd_of_matrix_entries(self):
         k = WeightedMatrixKernel(c=0.9, exponent=0.6, base=IMQ(1.1))
@@ -282,11 +278,3 @@ class TestWeightedMatrixKernel:
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
             WeightedMatrixKernel(c=-1.0)
-
-
-def test_free_function_wrappers():
-    k = IMQ(1.0)
-    x, y = np.array([1.0]), np.array([0.0])
-    assert kernel_eval(k, x, y) == k.value(x, y)
-    b = kernel_derivatives(k, x, y)
-    np.testing.assert_allclose(b.grad1, k.bundle(x, y).grad1)

@@ -148,6 +148,21 @@ class TestInteractionLoss:
             loss.var_grad(measure, x), 2.0 * (x - atoms.mean(axis=0)), rtol=1e-13
         )
 
+    def test_closed_form_score_matches_generic_route(self):
+        quad = InteractionLoss.quadratic()
+        generic = InteractionLoss(
+            quad.pair_value, quad.pair_grad1, quad.pair_grad11, quad.pair_grad12
+        )
+        rng = np.random.default_rng(7)
+        atoms = rng.standard_normal((9, 3))
+        measure = EmpiricalMeasure(atoms)
+        off_atom = 3.0 * rng.standard_normal((5, 3))
+        for x in (atoms, off_atom, off_atom[0]):
+            fast = quad.var_grad(measure, x)
+            slow = generic.var_grad(measure, x)
+            assert fast.shape == slow.shape
+            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
+
     def test_jacobian_blocks_by_hand(self):
         loss = InteractionLoss.quadratic()
         atoms = np.random.default_rng(4).standard_normal((4, 2))
