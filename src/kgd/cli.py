@@ -193,13 +193,27 @@ def build_kernel(cfg: Mapping[str, Any]):
     raise ConfigError(f"unknown kernel.family '{family}'")
 
 
+def _per_axis(cfg: Mapping[str, Any], key: str, default: float, dim: int, path: str) -> np.ndarray:
+    """``cfg[key]`` as a fresh (dim,) array, given as one finite number for
+    all axes or as a list of one per axis."""
+    raw = cfg.get(key, default)
+    try:
+        values = np.atleast_1d(np.asarray(raw, dtype=float))
+        ok = values.ndim == 1 and values.size in (1, dim) and bool(np.all(np.isfinite(values)))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"{path}.{key} must be a finite number or a list of {dim} of them, got {raw!r}"
+        )
+    return np.broadcast_to(values, (dim,)).copy()
+
+
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
     dim = int(cfg.get("dimension", 2))
-    mean = np.broadcast_to(np.atleast_1d(np.asarray(cfg.get("mean", 0.0), dtype=float)), (dim,))
-    var = np.broadcast_to(
-        np.atleast_1d(np.asarray(cfg.get("variance", 1.0), dtype=float)), (dim,)
-    )
-    return DiagonalGaussian(mean.copy(), var.copy())
+    mean = _per_axis(cfg, "mean", 0.0, dim, "reference")
+    var = _per_axis(cfg, "variance", 1.0, dim, "reference")
+    return DiagonalGaussian(mean, var)
 
 
 def build_loss(cfg: Mapping[str, Any], dim: int):
@@ -207,13 +221,9 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
     if family == "zero":
         return ZeroLoss()
     if family == "linear-quadratic":
-        center = np.broadcast_to(
-            np.atleast_1d(np.asarray(cfg.get("center", 0.0), dtype=float)), (dim,)
-        )
-        weights = np.broadcast_to(
-            np.atleast_1d(np.asarray(cfg.get("weights", 1.0), dtype=float)), (dim,)
-        )
-        return LinearLoss.quadratic(center.copy(), weights.copy())
+        center = _per_axis(cfg, "center", 0.0, dim, "loss")
+        weights = _per_axis(cfg, "weights", 1.0, dim, "loss")
+        return LinearLoss.quadratic(center, weights)
     if family == "interaction-quadratic":
         return InteractionLoss.quadratic()
     if family == "mean-field-regression":
@@ -244,14 +254,9 @@ def build_init(
     if kind == "reference":
         return ref.sample(rng, n)
     if kind == "gaussian":
-        dim = ref.dim
-        mean = np.broadcast_to(
-            np.atleast_1d(np.asarray(cfg.get("mean", 0.0), dtype=float)), (dim,)
-        )
-        var = np.broadcast_to(
-            np.atleast_1d(np.asarray(cfg.get("variance", 1.0), dtype=float)), (dim,)
-        )
-        return mean + np.sqrt(var) * rng.standard_normal((n, dim))
+        mean = _per_axis(cfg, "mean", 0.0, ref.dim, "sampler.init")
+        var = _per_axis(cfg, "variance", 1.0, ref.dim, "sampler.init")
+        return mean + np.sqrt(var) * rng.standard_normal((n, ref.dim))
     raise ConfigError(f"unknown sampler.init.kind '{kind}'")
 
 
@@ -350,10 +355,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if algorithm == "greedy":
         search = SearchSpec(
-            proposal_mean=np.broadcast_to(
-                np.atleast_1d(np.asarray(s_cfg.get("proposal_mean", 0.0), dtype=float)),
-                (ref.dim,),
-            ).copy(),
+            proposal_mean=_per_axis(s_cfg, "proposal_mean", 0.0, ref.dim, "sampler"),
             proposal_scale=float(s_cfg["proposal_scale"]),
             n_candidates=int(s_cfg["n_candidates"]),
             refine_rounds=int(s_cfg["refine_rounds"]),
@@ -420,10 +422,8 @@ def _apply_overrides(knobs: dict, overrides: Sequence[str]) -> dict:
             )
         current = result[key]
         try:
-            if isinstance(current, bool):
-                value: Any = text.strip().lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                value = int(text)
+            if isinstance(current, int):
+                value: Any = int(text)
             elif isinstance(current, float):
                 value = float(text)
             elif isinstance(current, (list, tuple)):
@@ -796,7 +796,8 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     # Kernel derivative bundles against central differences.
     worst = 0.0
     kernels = [IMQ(0.7), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0))),
-               Mixture((IMQ(1.0), NormalizedLinear(1.2)), weights=(1.0, 1.0))]
+               Mixture((IMQ(1.0), NormalizedLinear(1.2)), weights=(1.0, 1.0)),
+               WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9))]
     for kern in kernels:
         for _ in range(5):
             x, y = rng.normal(size=3), rng.normal(size=3)

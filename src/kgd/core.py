@@ -1,11 +1,11 @@
-"""Shared types: empirical measures, the diagonal-Gaussian reference, seeded
-random streams, and the resolved run configuration."""
+"""Shared types: empirical measures, the diagonal-Gaussian reference, and
+seeded random streams."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -94,11 +94,6 @@ class DiagonalGaussian:
         return self.mean + np.sqrt(self.variances) * rng.standard_normal((n, self.dim))
 
 
-def ref_log_grad(ref: DiagonalGaussian, x: np.ndarray) -> np.ndarray:
-    """Log-density gradient of the reference at x; shape follows x."""
-    return ref.log_grad(x)
-
-
 def _label_words(label: Any) -> list[int]:
     # Stable across processes: hash the repr bytes, not id-based Python hash.
     digest = hashlib.sha256(repr(label).encode("utf8")).digest()
@@ -116,43 +111,3 @@ def seeded_stream(seed: int, *labels: Any) -> np.random.Generator:
     for label in labels:
         entropy.extend(_label_words(label))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-_SAMPLERS = ("mfld", "vgd", "kgdd", "greedy")
-_OPTIMIZERS = ("euler", "adam")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration for one sampler run or experiment arm.
-
-    The kernel / loss / reference mappings hold already-validated settings in
-    plain dict form so the configuration survives round trips to disk
-    unchanged.
-    """
-
-    seed: int
-    dimension: int
-    n_particles: int
-    step_size: float
-    n_steps: int
-    sampler: str = "mfld"
-    optimizer: str = "euler"
-    kernel: Mapping[str, Any] = field(default_factory=dict)
-    loss: Mapping[str, Any] = field(default_factory=dict)
-    reference: Mapping[str, Any] = field(default_factory=dict)
-    output_dir: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be >= 0")
-        if not np.isfinite(self.step_size) or self.step_size <= 0.0:
-            raise ValueError("step_size must be positive and finite")
-        if self.sampler not in _SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}; choose from {_SAMPLERS}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}; choose from {_OPTIMIZERS}")

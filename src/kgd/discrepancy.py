@@ -27,9 +27,9 @@ large, nearly equal numbers. Every other kernel goes through ``pairwise``
 and the einsum assembly, which also serves ``stein_kernel_eval`` and the
 tests as the reference.
 
-Matrix kernels K enter through the divergence-form assembly in
-``matrix_stein_kernel_eval``; for K = kappa I it coincides with the scalar
-assembly applied to kappa, which the tests pin down.
+Every kernel, the weighted matrix kernel K = kappa I included, enters
+through the one ``ScalarKernel`` interface: the Stein kernel of K is the
+scalar Stein kernel of kappa, which is what its ``pairwise`` returns.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .kernels import PairwiseDerivatives, ScalarKernel, WeightedMatrixKernel
+from .kernels import PairwiseDerivatives
 from .losses import VariationalLoss
 
 
@@ -52,12 +52,6 @@ def gen_score(
 ) -> np.ndarray:
     """Generalised score b(x); accepts (d,) or (m, d) and matches the shape."""
     return ref.log_grad(x) - loss.var_grad(measure, x)
-
-
-def _pairwise(kernel, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-    if isinstance(kernel, WeightedMatrixKernel):
-        return kernel.scalar_pairwise(x, y)
-    return kernel.pairwise(x, y)
 
 
 def _assemble(pw: PairwiseDerivatives, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -117,7 +111,7 @@ def stein_gram(
     if kernel.is_radial:
         gram = _radial_gram(kernel, atoms, scores)
     else:
-        gram = _assemble(_pairwise(kernel, atoms, atoms), scores, scores)
+        gram = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
     if not np.isfinite(gram).all():
         i, j = np.argwhere(~np.isfinite(gram))[0]
         raise FloatingPointError(
@@ -139,33 +133,8 @@ def stein_kernel_eval(
     pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
                     np.atleast_1d(np.asarray(y, dtype=float))])
     scores = gen_score(ref, loss, measure, pts)
-    pw = _pairwise(kernel, pts[:1], pts[1:2])
+    pw = kernel.pairwise(pts[:1], pts[1:2])
     return float(_assemble(pw, scores[:1], scores[1:2])[0, 0])
-
-
-def matrix_stein_kernel_eval(
-    kernel: WeightedMatrixKernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    measure: EmpiricalMeasure,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Divergence-form Stein kernel for a matrix kernel K:
-
-    b(x).K(x,y) b(y) + b(y).div1 K + b(x).div2 K + divdiv K.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    pts = np.stack([x, y])
-    scores = gen_score(ref, loss, measure, pts)
-    bx, by = scores[0], scores[1]
-    return float(
-        bx @ kernel.matrix_value(x, y) @ by
-        + by @ kernel.div1(x, y)
-        + bx @ kernel.div2(x, y)
-        + kernel.divdiv(x, y)
-    )
 
 
 @dataclass(frozen=True)
@@ -238,8 +207,6 @@ class ScalingStudy:
 
 
 def _loglog_slope(ns: np.ndarray, ys: np.ndarray) -> float:
-    if np.asarray(ns).size < 2:
-        return float("nan")
     safe = np.maximum(np.asarray(ys, dtype=float), 1e-300)
     return float(np.polyfit(np.log(ns), np.log(safe), 1)[0])
 
@@ -260,12 +227,15 @@ def clt_scaling_study(
     iid draws; both estimators are then computed from one Gram matrix. The
     replicate streams are independent of evaluation order.
 
-    Raises ValueError, before any work, for a size below 2 (no U-statistic)
-    or fewer than 2 replicates (no spread).
+    Raises ValueError, before any work, for a size below 2 (no U-statistic),
+    fewer than 2 distinct sizes (no slope) or fewer than 2 replicates (no
+    spread).
     """
     sizes_arr = np.asarray(sorted(int(n) for n in sizes))
     if sizes_arr.size == 0 or sizes_arr[0] < 2:
         raise ValueError(f"every size must be at least 2, got {list(sizes)}")
+    if sizes_arr[0] == sizes_arr[-1]:
+        raise ValueError(f"need at least 2 distinct sizes, got {list(sizes)}")
     if n_reps < 2:
         raise ValueError(f"need at least 2 replicates, got {n_reps}")
     v_values = np.empty((sizes_arr.size, n_reps))

@@ -1,23 +1,27 @@
-"""Scalar kernels with analytic first and mixed second derivatives, plus the
-weighted matrix kernel built from a scalar base and a normalised linear part.
+"""Kernels with analytic first and mixed second derivatives: IMQ, Gaussian,
+mixtures, a normalised linear kernel, and the weighted matrix kernel built
+from a scalar base and the normalised linear part.
 
-Every kernel exposes the same derivative bundle:
+There is one interface. Every kernel is a ``ScalarKernel`` whose
+``pairwise`` returns the same derivative bundle over all pairs of two point
+sets:
 
     value    k(x, y)
-    grad1    d/dx k(x, y)            (d,)
-    grad2    d/dy k(x, y)            (d,)
-    trace12  sum_i d^2/dx_i dy_i k   scalar
+    grad1    d/dx k(x, y)            (n, m, d)
+    grad2    d/dy k(x, y)            (n, m, d)
+    trace12  sum_i d^2/dx_i dy_i k   (n, m)
 
-which is exactly what the Stein-kernel assembly downstream consumes. Radial
-kernels k(x, y) = phi(||x - y||^2) share one code path driven by the profile
-derivatives phi', phi'', phi''' (the third derivative only feeds the analytic
-particle-gradient route, never the estimators themselves).
+which is exactly what the Stein-kernel assembly downstream consumes. The
+weighted matrix kernel K = kappa I is no exception: its Stein kernel is the
+scalar Stein kernel of kappa, so its ``pairwise`` is the bundle of kappa.
+Radial kernels k(x, y) = phi(||x - y||^2) share one code path driven by the
+profile derivatives phi', phi'', phi''' (the third derivative only feeds the
+analytic particle-gradient route, never the estimators themselves).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -64,9 +68,6 @@ class ScalarKernel:
 
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.bundle(x, y).value
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.value(x, y)
 
     def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
         """(phi, phi', phi'', phi''') at squared distances; radial kernels only."""
@@ -232,20 +233,21 @@ class NormalizedLinear(ScalarKernel):
 
 
 @dataclass(frozen=True)
-class WeightedMatrixKernel:
-    """Matrix kernel K(x, y) = w(x) (base(x, y) + nlin(x, y)) w(y) I_d.
+class WeightedMatrixKernel(ScalarKernel):
+    """Matrix kernel K(x, y) = kappa(x, y) I_d with the scalar part
+    kappa(x, y) = w(x) (base(x, y) + nlin(x, y)) w(y).
 
     The scalar weight is w(x) = (c^2 + ||x||^2)^(exponent / 2); growing weights
     (positive exponent) strengthen the kernel in the tails. Because the matrix
-    part is a multiple of the identity, the kernel also has a faithful scalar
-    reduction, exposed through ``scalar_pairwise`` and used by the scalar
-    Stein assembly; the divergence fields below feed the matrix assembly.
+    part is a multiple of the identity, its Stein kernel is the scalar Stein
+    kernel of kappa, so ``pairwise`` returns the derivatives of kappa and the
+    kernel is used like any other scalar kernel.
     """
 
     c: float = 1.0
     exponent: float = 0.0
     base: ScalarKernel = IMQ()
-    is_radial = False
+    family = "weighted-matrix"
 
     def __post_init__(self) -> None:
         if not self.c > 0.0:
@@ -269,8 +271,8 @@ class WeightedMatrixKernel:
         )
         return scale[..., None] * x
 
-    def scalar_pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        """Derivative bundle of the scalar reduction kappa = w(x) g(x,y) w(y)."""
+    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
+        """Derivative bundle of the scalar part kappa = w(x) g(x,y) w(y)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         g = self.combined.pairwise(x, y)
@@ -295,32 +297,3 @@ class WeightedMatrixKernel:
             + np.einsum("nmd,md->nm", g.grad1, dwy) * wx[:, None]
         )
         return PairwiseDerivatives(value=value, grad1=grad1, grad2=grad2, trace12=trace12)
-
-    def scalar_bundle(self, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        pw = self.scalar_pairwise(x[None, :], y[None, :])
-        return DerivativeBundle(
-            value=float(pw.value[0, 0]),
-            grad1=pw.grad1[0, 0],
-            grad2=pw.grad2[0, 0],
-            trace12=float(pw.trace12[0, 0]),
-        )
-
-    def matrix_value(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """K(x, y) as a dense (d, d) matrix."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.scalar_bundle(x, y).value * np.eye(x.shape[-1])
-
-    def div1(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Column divergence (div_x K)(x, y), component j = sum_i d/dx_i K_ij."""
-        return self.scalar_bundle(x, y).grad1
-
-    def div2(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row divergence (div_y K)(x, y), component i = sum_j d/dy_j K_ij."""
-        return self.scalar_bundle(x, y).grad2
-
-    def divdiv(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Double divergence sum_ij d^2/dx_i dy_j K_ij(x, y)."""
-        return self.scalar_bundle(x, y).trace12
-

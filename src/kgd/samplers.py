@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import _pairwise, gen_score, kgd_u_squared, kgd_v_squared
+from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
@@ -190,7 +190,7 @@ def vgd_drift(
     """Flow velocity at each atom, shape (n, d)."""
     atoms = measure.atoms
     scores = gen_score(ref, loss, measure, atoms)
-    pw = _pairwise(kernel, atoms, atoms)
+    pw = kernel.pairwise(atoms, atoms)
     # sum_j grad_1 k(x_j, x_i) is the column sum of the grad1 table.
     return (pw.value @ scores + np.sum(pw.grad1, axis=0)) / measure.n
 
@@ -268,7 +268,7 @@ def _kgdd_grad_analytic(
     and a score channel (every score reacts to the move through the loss).
     Radial kernels only; the loss must provide its second-order blocks.
     """
-    if not getattr(kernel, "is_radial", False):
+    if not kernel.is_radial:
         raise NotImplementedError("analytic route requires a radial scalar kernel")
     if not loss.has_second_order:
         raise NotImplementedError("analytic route requires second-order loss blocks")

@@ -17,7 +17,6 @@ from kgd.discrepancy import (
     clt_scaling_study,
     gen_score,
     kgd_v_squared,
-    matrix_stein_kernel_eval,
     stein_gram,
     stein_kernel_eval,
     )
@@ -193,7 +192,7 @@ def test_ode_sensitivities_match_solver_differences():
 
 def test_kernel_derivatives_match_finite_differences():
     # Analytic gradients and mixed traces for every kernel family on 100
-    # random inputs, including the matrix kernel's divergence bundle.
+    # random inputs, the weighted matrix kernel's scalar part included.
     start = time.perf_counter()
     rng = np.random.default_rng(6)
     families = [
@@ -207,20 +206,15 @@ def test_kernel_derivatives_match_finite_differences():
     for trial in range(100):
         kernel = families[trial % len(families)]
         x, y = rng.standard_normal((2, 3))
-        if isinstance(kernel, WeightedMatrixKernel):
-            bundle = kernel.scalar_bundle(x, y)
-            value_fn = lambda a, b: kernel.scalar_bundle(a, b).value
-        else:
-            bundle = kernel.bundle(x, y)
-            value_fn = kernel.value
-        fd1 = fd_gradient(lambda a: value_fn(a, y), x)
-        fd2 = fd_gradient(lambda b: value_fn(x, b), y)
+        bundle = kernel.bundle(x, y)
+        fd1 = fd_gradient(lambda a: kernel.value(a, y), x)
+        fd2 = fd_gradient(lambda b: kernel.value(x, b), y)
         trace = 0.0
         for i in range(3):
             step = np.zeros(3)
             step[i] = 1e-4
-            gp = fd_gradient(lambda a: value_fn(a, y + step), x)[i]
-            gm = fd_gradient(lambda a: value_fn(a, y - step), x)[i]
+            gp = fd_gradient(lambda a: kernel.value(a, y + step), x)[i]
+            gm = fd_gradient(lambda a: kernel.value(a, y - step), x)[i]
             trace += (gp - gm) / 2e-4
         for got, ref_val in [
             (bundle.grad1, fd1),
@@ -229,18 +223,6 @@ def test_kernel_derivatives_match_finite_differences():
         ]:
             scale = max(1.0, float(np.max(np.abs(ref_val))))
             worst = max(worst, float(np.max(np.abs(got - ref_val))) / scale)
-        if isinstance(kernel, WeightedMatrixKernel):
-            # div1[j] = sum_i d/dx_i K_ij; K is diagonal so only i = j acts.
-            fd_div1 = np.array(
-                [
-                    fd_gradient(lambda a: float(kernel.matrix_value(a, y)[j, j]), x)[j]
-                    for j in range(3)
-                ]
-            )
-            scale = max(1.0, float(np.max(np.abs(fd_div1))))
-            worst = max(
-                worst, float(np.max(np.abs(kernel.div1(x, y) - fd_div1))) / scale
-            )
     assert worst <= 1e-5, f"worst relative error {worst:.2e}"
     _elapsed_under(start, 15.0, "kernel derivative check")
 
@@ -305,8 +287,9 @@ def test_greedy_first_point_and_growth():
 
 
 def test_stein_gram_algebra():
-    # Matrix and scalar assemblies agree when the weight exponent vanishes,
-    # and every Gram is symmetric with a near-nonnegative spectrum.
+    # The weighted kernel with a vanishing weight exponent has the Stein
+    # kernel of its unweighted part, and every Gram is symmetric with a
+    # near-nonnegative spectrum.
     start = time.perf_counter()
     rng = np.random.default_rng(8)
     losses = [
@@ -328,7 +311,7 @@ def test_stein_gram_algebra():
         flat = WeightedMatrixKernel(c=c, exponent=0.0, base=base)
         summed = Mixture((base, NormalizedLinear(c)), weights=(1.0, 1.0))
         x, y = rng.standard_normal((2, d))
-        a = matrix_stein_kernel_eval(flat, ref, loss, measure, x, y)
+        a = stein_kernel_eval(flat, ref, loss, measure, x, y)
         b = stein_kernel_eval(summed, ref, loss, measure, x, y)
         worst_pair = max(worst_pair, abs(a - b) / max(1.0, abs(b)))
 
@@ -337,7 +320,7 @@ def test_stein_gram_algebra():
         min_eig = float(np.linalg.eigvalsh((gram + gram.T) / 2.0).min())
         scale = float(np.linalg.norm(gram, 2))
         worst_eig = min(worst_eig, min_eig / scale)
-    assert worst_pair <= 1e-12, f"matrix/scalar mismatch {worst_pair:.2e}"
+    assert worst_pair <= 1e-12, f"weighted/unweighted mismatch {worst_pair:.2e}"
     assert worst_asym <= 1e-12, f"asymmetry {worst_asym:.2e}"
     assert worst_eig >= -1e-10, f"min eig over norm {worst_eig:.2e}"
     _elapsed_under(start, 30.0, "gram algebra")

@@ -179,20 +179,13 @@ class TestParticleFiles:
 
 
 class TestOverrides:
-    KNOBS = {"steps": 10, "step_size": 0.5, "sizes": [25, 50], "tag": "x", "on": True}
+    KNOBS = {"steps": 10, "step_size": 0.5, "sizes": [25, 50], "tag": "x"}
 
     def test_typed_parsing(self):
         out = _apply_overrides(
-            self.KNOBS,
-            ["steps=20", "step_size=1e-3", "sizes=10;20;40", "tag=y", "on=false"],
+            self.KNOBS, ["steps=20", "step_size=1e-3", "sizes=10;20;40", "tag=y"]
         )
-        assert out == {
-            "steps": 20,
-            "step_size": 1e-3,
-            "sizes": [10, 20, 40],
-            "tag": "y",
-            "on": False,
-        }
+        assert out == {"steps": 20, "step_size": 1e-3, "sizes": [10, 20, 40], "tag": "y"}
 
     def test_unknown_key_lists_available(self):
         with pytest.raises(ConfigError, match="available"):
@@ -316,6 +309,25 @@ class TestSampleVerb:
         cfg = _write_config(tmp_path, {"sampler": {"algorithm": "hmc"}})
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"reference": {"dimension": 3, "mean": [0.0, 1.0]}}, "reference.mean"),
+            ({"loss": {"family": "linear-quadratic", "center": [1.0, 2.0, 3.0]}},
+             "loss.center"),
+            ({"loss": {"family": "linear-quadratic", "center": "north"}}, "loss.center"),
+            ({"sampler": {"init": {"kind": "gaussian", "mean": [0.0, 1.0, 2.0]}}},
+             "sampler.init.mean"),
+            ({"sampler": {"algorithm": "greedy", "proposal_mean": [[0.0, 1.0]]}},
+             "sampler.proposal_mean"),
+        ],
+        ids=["reference-length", "loss-length", "loss-text", "init-length", "proposal-shape"],
+    )
+    def test_per_axis_value_of_wrong_shape_is_a_config_error(self, tmp_path, capsys, body, key):
+        cfg = _write_config(tmp_path, body)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
+
 
 class TestEvalVerb:
     def test_round_trips_a_sampled_file(self, tmp_path, capsys):
@@ -388,7 +400,7 @@ class TestExperimentVerb:
         assert rc == 2
 
     @pytest.mark.parametrize("preset", ["gauss-identity", "clt-study"])
-    @pytest.mark.parametrize("item", ["sizes=1;25", "replicates=1"])
+    @pytest.mark.parametrize("item", ["sizes=1;25", "replicates=1", "sizes=10", "sizes=10;10"])
     def test_degenerate_scaling_study_is_a_config_error(self, tmp_path, capsys, preset, item):
         out = tmp_path / "o"
         argv = ["experiment", "--preset", preset, "--output", str(out), "--set", item]
@@ -470,7 +482,7 @@ class TestExperimentVerb:
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
     def test_seed_is_recorded_and_respected(self, tmp_path):
-        out_a = self._run(tmp_path, "gauss-identity", "sizes=10", "replicates=2")
+        out_a = self._run(tmp_path, "gauss-identity", "sizes=10;20", "replicates=2")
         meta = self._meta(out_a)
         assert meta["seed"] == 0 and meta["preset"] == "gauss-identity"
 

@@ -6,7 +6,6 @@ import pytest
 from kgd.core import (
     DiagonalGaussian,
     EmpiricalMeasure,
-    RunConfig,
     make_empirical,
     seeded_stream,
 )
@@ -109,27 +108,3 @@ class TestSeededStream:
         other.standard_normal(100)
         again = seeded_stream(5, "a").standard_normal(4)
         np.testing.assert_array_equal(first, again)
-
-
-class TestRunConfig:
-    def test_accepts_valid(self):
-        cfg = RunConfig(seed=0, dimension=2, n_particles=10, step_size=0.1, n_steps=5)
-        assert cfg.sampler == "mfld"
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"dimension": 0},
-            {"n_particles": 0},
-            {"n_steps": -1},
-            {"step_size": 0.0},
-            {"step_size": np.inf},
-            {"sampler": "annealed"},
-            {"optimizer": "sgd"},
-        ],
-    )
-    def test_rejects_invalid(self, kwargs):
-        base = dict(seed=0, dimension=2, n_particles=10, step_size=0.1, n_steps=5)
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            RunConfig(**base)

@@ -22,6 +22,7 @@ ALL_SCALAR = [
     NormalizedLinear(1.0),
     NormalizedLinear(0.3),
     Mixture((IMQ(0.8), NormalizedLinear(1.2)), weights=(1.0, 1.0)),
+    WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(1.0)),
 ]
 
 
@@ -200,80 +201,11 @@ class TestWeightedMatrixKernel:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2))
         y = rng.normal(size=(4, 2))
-        ours = k.scalar_pairwise(x, y)
+        ours = k.pairwise(x, y)
         plain = k.combined.pairwise(x, y)
         np.testing.assert_allclose(ours.value, plain.value, rtol=1e-14)
         np.testing.assert_allclose(ours.grad1, plain.grad1, atol=1e-14)
         np.testing.assert_allclose(ours.trace12, plain.trace12, atol=1e-13)
-
-    def test_scalar_bundle_matches_fd(self):
-        k = WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(1.0))
-        val = lambda a, b: k.scalar_bundle(a, b).value
-        rng = np.random.default_rng(7)
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        b = k.scalar_bundle(x, y)
-        np.testing.assert_allclose(
-            b.grad1, fd_gradient(lambda t: val(t, y), x), atol=1e-6
-        )
-        np.testing.assert_allclose(
-            b.grad2, fd_gradient(lambda t: val(x, t), y), atol=1e-6
-        )
-        np.testing.assert_allclose(b.trace12, _fd_trace12(val, x, y), atol=1e-5)
-
-    def test_matrix_value_is_scaled_identity(self):
-        k = WeightedMatrixKernel(c=1.0, exponent=1.0, base=Gaussian(1.0))
-        x, y = np.array([0.5, -0.2]), np.array([1.0, 0.3])
-        K = k.matrix_value(x, y)
-        assert K.shape == (2, 2)
-        np.testing.assert_allclose(K, k.scalar_bundle(x, y).value * np.eye(2))
-
-    def test_divergences_match_fd_of_matrix_entries(self):
-        k = WeightedMatrixKernel(c=0.9, exponent=0.6, base=IMQ(1.1))
-        rng = np.random.default_rng(8)
-        x, y = rng.normal(size=2), rng.normal(size=2)
-        h = 1e-5
-
-        def col_div(j):
-            total = 0.0
-            for i in range(2):
-                step = h * (1.0 + abs(x[i]))
-                xp, xm = x.copy(), x.copy()
-                xp[i] += step
-                xm[i] -= step
-                total += (
-                    k.matrix_value(xp, y)[i, j] - k.matrix_value(xm, y)[i, j]
-                ) / (2.0 * step)
-            return total
-
-        np.testing.assert_allclose(
-            k.div1(x, y), [col_div(0), col_div(1)], atol=1e-6
-        )
-
-        def row_div(i):
-            total = 0.0
-            for j in range(2):
-                step = h * (1.0 + abs(y[j]))
-                yp, ym = y.copy(), y.copy()
-                yp[j] += step
-                ym[j] -= step
-                total += (
-                    k.matrix_value(x, yp)[i, j] - k.matrix_value(x, ym)[i, j]
-                ) / (2.0 * step)
-            return total
-
-        np.testing.assert_allclose(
-            k.div2(x, y), [row_div(0), row_div(1)], atol=1e-6
-        )
-
-        # divdiv = sum_i d/dx_i (div_y K)_i
-        dd = 0.0
-        for i in range(2):
-            step = h * (1.0 + abs(x[i]))
-            xp, xm = x.copy(), x.copy()
-            xp[i] += step
-            xm[i] -= step
-            dd += (k.div2(xp, y)[i] - k.div2(xm, y)[i]) / (2.0 * step)
-        np.testing.assert_allclose(k.divdiv(x, y), dd, atol=1e-5)
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
