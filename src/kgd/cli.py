@@ -27,7 +27,13 @@ import yaml
 
 from . import __version__
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import ScalingStudy, clt_scaling_study, kgd_u_squared, kgd_v_squared
+from .discrepancy import (
+    ScalingStudy,
+    clt_scaling_study,
+    gen_score,
+    kgd_u_squared,
+    kgd_v_squared,
+)
 from .kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from .losses import (
     InteractionLoss,
@@ -48,6 +54,7 @@ from .samplers import (
     kgdd_run,
     mfld_run,
     param_vi_objective,
+    vgd_drift,
     vgd_run,
 )
 
@@ -171,26 +178,49 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     return resolved
 
 
-def build_kernel(cfg: Mapping[str, Any]):
+def build_kernel(cfg: Mapping[str, Any], path: str = "kernel"):
+    """Kernel from its config section; a value the kernel rejects is a
+    config error naming the section."""
     family = cfg.get("family", "imq")
-    if family == "imq":
-        return IMQ(float(cfg.get("lengthscale", 1.0)))
-    if family == "gaussian":
-        return Gaussian(float(cfg.get("lengthscale", 1.0)))
-    if family == "mixture":
-        members = tuple(build_kernel(member) for member in cfg.get("members") or ())
-        if not members:
-            raise ConfigError("kernel.members must be a non-empty list")
-        weights = cfg.get("weights")
-        return Mixture(members, None if weights is None else tuple(weights))
-    if family == "weighted-matrix":
-        base = build_kernel(cfg.get("base") or {"family": "imq"})
-        return WeightedMatrixKernel(
-            c=float(cfg.get("c", 1.0)),
-            exponent=float(cfg.get("exponent", 0.0)),
-            base=base,
-        )
-    raise ConfigError(f"unknown kernel.family '{family}'")
+    try:
+        if family == "imq":
+            return IMQ(float(cfg.get("lengthscale", 1.0)))
+        if family == "gaussian":
+            return Gaussian(float(cfg.get("lengthscale", 1.0)))
+        if family == "mixture":
+            members = tuple(
+                build_kernel(member, f"{path}.members[{i}]")
+                for i, member in enumerate(cfg.get("members") or ())
+            )
+            if not members:
+                raise ConfigError(f"{path}.members must be a non-empty list")
+            weights = cfg.get("weights")
+            return Mixture(members, None if weights is None else tuple(weights))
+        if family == "weighted-matrix":
+            base = build_kernel(cfg.get("base") or {"family": "imq"}, f"{path}.base")
+            return WeightedMatrixKernel(
+                c=float(cfg.get("c", 1.0)),
+                exponent=float(cfg.get("exponent", 0.0)),
+                base=base,
+            )
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    raise ConfigError(f"unknown {path}.family '{family}'")
+
+
+def _count(cfg: Mapping[str, Any], key: str, default: int, path: str) -> int:
+    """``cfg[key]`` as a whole number of at least 1."""
+    raw = cfg.get(key, default)
+    try:
+        value = int(raw)
+        ok = not isinstance(raw, bool) and value == raw and value >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"{path}.{key} must be a whole number of at least 1, got {raw!r}")
+    return value
 
 
 def _per_axis(cfg: Mapping[str, Any], key: str, default: float, dim: int, path: str) -> np.ndarray:
@@ -210,7 +240,7 @@ def _per_axis(cfg: Mapping[str, Any], key: str, default: float, dim: int, path: 
 
 
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
-    dim = int(cfg.get("dimension", 2))
+    dim = _count(cfg, "dimension", 2, "reference")
     mean = _per_axis(cfg, "mean", 0.0, dim, "reference")
     var = _per_axis(cfg, "variance", 1.0, dim, "reference")
     return DiagonalGaussian(mean, var)
@@ -334,6 +364,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _step_size(raw: Any) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"sampler.step_size must be a finite positive number, got {raw!r}")
+    return value
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     if args.output is not None:
@@ -349,30 +389,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
     s_cfg = cfg["sampler"]
     seed = cfg["run"]["seed"]
     algorithm = s_cfg["algorithm"]
-    n = int(s_cfg["particles"])
-    trace_every = int(s_cfg["trace_every"])
+    trace_every = _count(s_cfg, "trace_every", 1, "sampler")
 
     start = time.perf_counter()
     if algorithm == "greedy":
         search = SearchSpec(
             proposal_mean=_per_axis(s_cfg, "proposal_mean", 0.0, ref.dim, "sampler"),
             proposal_scale=float(s_cfg["proposal_scale"]),
-            n_candidates=int(s_cfg["n_candidates"]),
+            n_candidates=_count(s_cfg, "n_candidates", 200, "sampler"),
             refine_rounds=int(s_cfg["refine_rounds"]),
         )
         run = greedy_extend(
-            kernel, ref, loss, search, int(s_cfg["points"]), seed=seed
+            kernel, ref, loss, search, _count(s_cfg, "points", 10, "sampler"), seed=seed
         )
     else:
+        n = _count(s_cfg, "particles", 50, "sampler")
+        step_size = _step_size(s_cfg["step_size"])
         init_rng = seeded_stream(seed, "init")
         atoms0 = build_init(s_cfg["init"], ref, n, init_rng)
-        spec = OptimizerSpec(
-            method=s_cfg["optimizer"], step_size=float(s_cfg["step_size"])
-        )
+        spec = OptimizerSpec(method=s_cfg["optimizer"], step_size=step_size)
         n_steps = int(s_cfg["steps"])
         if algorithm == "mfld":
             run = mfld_run(
-                atoms0, ref, loss, float(s_cfg["step_size"]), n_steps,
+                atoms0, ref, loss, step_size, n_steps,
                 seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=trace_every,
             )
         elif algorithm == "vgd":
@@ -855,6 +894,25 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         )
         worst = max(worst, abs(mine - orc) / abs(orc))
     report("radial-gram", worst < 1e-12, f"worst rel {worst:.2e}")
+
+    # Tilted kernels' product route against the einsum assembly over the
+    # derivative bundle: V-statistic and flow velocity.
+    worst = 0.0
+    atoms = rng.normal(size=(12, 3))
+    mea = EmpiricalMeasure(atoms)
+    loss = InteractionLoss.quadratic()
+    scores = gen_score(ref, loss, mea, atoms)
+    for kern in (WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
+                 Mixture((IMQ(1.0), NormalizedLinear(1.2)))):
+        pw = kern.pairwise(atoms, atoms)
+        h = (pw.trace12 + np.einsum("ijd,jd->ij", pw.grad1, scores)
+             + np.einsum("ijd,id->ij", pw.grad2, scores) + pw.value * (scores @ scores.T))
+        mine = kgd_v_squared(kern, ref, loss, mea).value2
+        worst = max(worst, abs(mine - h.mean()) / abs(h.mean()))
+        drift = (pw.value @ scores + pw.grad1.sum(axis=0)) / 12
+        err = np.max(np.abs(vgd_drift(kern, ref, loss, mea) - drift))
+        worst = max(worst, float(err / np.max(np.abs(drift))))
+    report("tilted-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Forward ODE sensitivities against central differences of the solver.
     x = np.array([-0.8, -1.2])

@@ -12,24 +12,36 @@ and the Stein kernel built from a scalar kernel k is
 Averaging h over all atom pairs (V-statistic) or off-diagonal pairs
 (U-statistic) gives the squared discrepancy estimates.
 
-``stein_gram`` assembles the Gram matrix on one of two routes, chosen by
-``kernel.is_radial``. Radial kernels k = phi(||x - y||^2), mixtures of them
-included, reduce every term to n x n arrays: with X the centred atoms, B the
-scores, s_ij = ||x_i - x_j||^2 and G = X B^T,
+``stein_gram`` (the Gram matrix of h over the atoms) and ``stein_drift``
+(the flow velocity (1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)])
+are built from n x n and (n, d) arrays only, for every kernel, through the
+tilt identity. ``kernel.terms()`` writes k as a sum of terms
+coef * w(x) g(x, y) w(y) with g radial or linear; for each, with
+b~ = b + grad log w,
+
+    h_k^b(x_i, x_j) = w_i w_j h_g^{b~}(x_i, x_j),
+    drift_k(x_i)    = w_i (1/n) sum_j w_j [g(x_j, x_i) b~_j + grad_1 g(x_j, x_i)],
+
+and both are linear in k, so the terms add. For a radial g = phi(s), with X
+the centred atoms, B the (shifted) scores, s_ij = ||x_i - x_j||^2 and
+G = X B^T, the Stein Gram and n times the weighted drift of g are
 
     h = -2 d phi'(s) - 4 s phi''(s) + 2 phi'(s) (G + G^T - G_ii - G_jj)
         + phi(s) B B^T,
+    n drift = phi (w B) + 2 phi' (w X) - 2 (phi' w) X,
 
-so s and G come from matrix products and no (n, n, d) tensor is built. The
-atoms are centred first because every term is translation-invariant but the
-product form of s and G is not: on a cloud far from the origin it subtracts
-large, nearly equal numbers. Every other kernel goes through ``pairwise``
-and the einsum assembly, which also serves ``stein_kernel_eval`` and the
-tests as the reference.
+where (w B) scales row j by w_j. The atoms are centred first because every
+radial term is translation-invariant but the product form of s and G is
+not: on a cloud far from the origin it subtracts large, nearly equal
+numbers. For the linear g = c^2 + x.y, with beta the (shifted) scores,
+
+    h = d + x_i.beta_i + x_j.beta_j + (c^2 + X X^T) o beta beta^T,
+    n drift = c^2 sum_j w_j beta_j + X X^T (w beta) + (sum_j w_j) X.
 
 Every kernel, the weighted matrix kernel K = kappa I included, enters
 through the one ``ScalarKernel`` interface: the Stein kernel of K is the
-scalar Stein kernel of kappa, which is what its ``pairwise`` returns.
+scalar Stein kernel of kappa. ``kernel.pairwise``, the derivative
+definition, is not read here.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .kernels import PairwiseDerivatives
 from .losses import VariationalLoss
 
 
@@ -54,14 +65,25 @@ def gen_score(
     return ref.log_grad(x) - loss.var_grad(measure, x)
 
 
-def _assemble(pw: PairwiseDerivatives, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Stein kernel values over all pairs given scores at rows and columns."""
-    return (
-        pw.trace12
-        + np.einsum("ijd,jd->ij", pw.grad1, by)
-        + np.einsum("ijd,id->ij", pw.grad2, bx)
-        + pw.value * (bx @ by.T)
-    )
+def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):
+    """Product weight w over the atoms and the shifted scores b + grad log w."""
+    w = np.ones(atoms.shape[0])
+    shifted = scores
+    for tilt in tilts:
+        w = w * tilt.weight(atoms)
+        shifted = shifted + tilt.log_weight_grad(atoms)
+    return w, shifted
+
+
+def _radial_profile(kernel, atoms: np.ndarray):
+    """Centred atoms, squared distances and the profile derivatives."""
+    x = atoms - atoms.mean(axis=0)
+    norms = np.einsum("id,id->i", x, x)
+    sq = -2.0 * (x @ x.T)
+    sq += np.add.outer(norms, norms)
+    np.maximum(sq, 0.0, out=sq)
+    np.fill_diagonal(sq, 0.0)
+    return x, sq, kernel.profile(sq)
 
 
 def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -72,13 +94,7 @@ def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     Each update keeps a symmetric array bitwise symmetric (c_i + c_j is one
     outer sum, not two updates), so h is as symmetric as x x^T and B B^T.
     """
-    x = atoms - atoms.mean(axis=0)
-    norms = np.einsum("id,id->i", x, x)
-    sq = -2.0 * (x @ x.T)
-    sq += np.add.outer(norms, norms)
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    phi, dphi, d2phi, _ = kernel.profile(sq)
+    x, sq, (phi, dphi, d2phi, _) = _radial_profile(kernel, atoms)
     g = x @ scores.T
     c = np.diagonal(g)
     # h = 2 phi' (G + G^T - c_i - c_j - d) - 4 s phi'' + phi B B^T
@@ -95,6 +111,59 @@ def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     return h
 
 
+def _radial_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """n times the drift of a radial kernel with atom weights w."""
+    x, _, (phi, dphi, _, _) = _radial_profile(kernel, atoms)
+    return phi @ (w[:, None] * scores) + 2.0 * (
+        dphi @ (w[:, None] * x) - (dphi @ w)[:, None] * x
+    )
+
+
+def _linear_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Stein Gram of the linear kernel c^2 + x.y."""
+    xb = np.einsum("id,id->i", atoms, scores)
+    h = atoms @ atoms.T
+    h += kernel.c**2
+    h *= scores @ scores.T
+    h += np.add.outer(xb, xb)
+    h += atoms.shape[1]
+    return h
+
+
+def _linear_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """n times the drift of the linear kernel c^2 + x.y with atom weights w."""
+    wb = w[:, None] * scores
+    return kernel.c**2 * wb.sum(axis=0) + atoms @ (atoms.T @ wb) + w.sum() * atoms
+
+
+def _stein_matrix(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Stein kernel over all pairs of atoms, summed over the kernel's terms."""
+    gram = None
+    for coef, tilts, core in kernel.terms():
+        w, shifted = _tilt(tilts, atoms, scores)
+        h = (_radial_gram if core.is_radial else _linear_gram)(core, atoms, shifted)
+        if tilts:
+            h *= np.outer(w, w)
+        if coef != 1.0:
+            h *= coef
+        if gram is None:
+            gram = h
+        else:
+            gram += h
+    return gram
+
+
+def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """(1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)] at each atom x_i,
+    shape (n, d), given the scores b at the atoms."""
+    drift = np.zeros_like(atoms)
+    for coef, tilts, core in kernel.terms():
+        w, shifted = _tilt(tilts, atoms, scores)
+        part = (_radial_drift if core.is_radial else _linear_drift)(core, atoms, shifted, w)
+        drift += (coef * w)[:, None] * part
+    return drift / atoms.shape[0]
+
+
 def stein_gram(
     kernel,
     ref: DiagonalGaussian,
@@ -107,11 +176,7 @@ def stein_gram(
     entry is not finite.
     """
     atoms = measure.atoms
-    scores = gen_score(ref, loss, measure, atoms)
-    if kernel.is_radial:
-        gram = _radial_gram(kernel, atoms, scores)
-    else:
-        gram = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
+    gram = _stein_matrix(kernel, atoms, gen_score(ref, loss, measure, atoms))
     if not np.isfinite(gram).all():
         i, j = np.argwhere(~np.isfinite(gram))[0]
         raise FloatingPointError(
@@ -133,8 +198,7 @@ def stein_kernel_eval(
     pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
                     np.atleast_1d(np.asarray(y, dtype=float))])
     scores = gen_score(ref, loss, measure, pts)
-    pw = kernel.pairwise(pts[:1], pts[1:2])
-    return float(_assemble(pw, scores[:1], scores[1:2])[0, 0])
+    return float(_stein_matrix(kernel, pts, scores)[0, 1])
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Kernels with analytic first and mixed second derivatives: IMQ, Gaussian,
-mixtures, a normalised linear kernel, and the weighted matrix kernel built
-from a scalar base and the normalised linear part.
+mixtures, the linear kernel and its normalised form, and the weighted matrix
+kernel built from a scalar base and the normalised linear part.
 
 There is one interface. Every kernel is a ``ScalarKernel`` whose
 ``pairwise`` returns the same derivative bundle over all pairs of two point
@@ -11,9 +11,24 @@ sets:
     grad2    d/dy k(x, y)            (n, m, d)
     trace12  sum_i d^2/dx_i dy_i k   (n, m)
 
-which is exactly what the Stein-kernel assembly downstream consumes. The
-weighted matrix kernel K = kappa I is no exception: its Stein kernel is the
-scalar Stein kernel of kappa, so its ``pairwise`` is the bundle of kappa.
+``pairwise`` is the kernel's derivative definition; the tests and
+``kgd self-check`` hold it against finite differences and build the Stein
+kernel from it as their reference. The Stein assembly in
+``kgd.discrepancy`` reads the kernel's structure instead, through ``terms``:
+every kernel here is a positively weighted sum of tilted cores,
+
+    k(x, y) = sum_t coef_t w_t(x) core_t(x, y) w_t(y),
+
+each core radial or the linear kernel c^2 + x.y, each w_t a product of tilt
+weights. That is enough because of the tilt identity: for
+k(x, y) = w(x) g(x, y) w(y) and a score b, with b~ = b + grad log w,
+
+    h_k^b(x, y) = w(x) w(y) h_g^{b~}(x, y),
+
+where h_k^b is the Stein kernel of k under b. ``NormalizedLinear`` is the
+linear kernel tilted by u(x) = (c^2 + ||x||^2)^(-1/2); the weighted matrix
+kernel K = kappa I, whose Stein kernel is the scalar Stein kernel of kappa,
+is base + normalised linear tilted by w(x) = (c^2 + ||x||^2)^(exponent/2).
 Radial kernels k(x, y) = phi(||x - y||^2) share one code path driven by the
 profile derivatives phi', phi'', phi''' (the third derivative only feeds the
 analytic particle-gradient route, never the estimators themselves).
@@ -24,6 +39,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# One summand coef * w(x) core(x, y) w(y) of a kernel, w the product of the
+# weights of the tilts; see ``ScalarKernel.terms``.
+Term = tuple[float, tuple, "ScalarKernel"]
 
 
 @dataclass(frozen=True)
@@ -47,12 +67,18 @@ class PairwiseDerivatives:
 
 
 class ScalarKernel:
-    """Base class; concrete kernels implement ``pairwise``."""
+    """Base class; concrete kernels implement ``pairwise`` and ``terms``."""
 
     family: str = "abstract"
     is_radial: bool = False
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
+        raise NotImplementedError
+
+    def terms(self) -> tuple[Term, ...]:
+        """The kernel as a sum of (coef, tilts, core) terms, each
+        coef * w(x) core(x, y) w(y) with w the product of the tilts' weights
+        and the core radial or ``Linear``."""
         raise NotImplementedError
 
     def bundle(self, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
@@ -102,6 +128,9 @@ class _RadialKernel(ScalarKernel):
             trace12=-2.0 * d * dphi - 4.0 * sq * d2phi,
         )
 
+    def terms(self) -> tuple[Term, ...]:
+        return ((1.0, (), self),)
+
 
 @dataclass(frozen=True)
 class IMQ(_RadialKernel):
@@ -115,12 +144,18 @@ class IMQ(_RadialKernel):
             raise ValueError("lengthscale must be positive")
 
     def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
+        # With r = 1 / (1 + s / ell^2), phi = r^(1/2) and each derivative is
+        # the one before times -(k + 1/2) r / ell^2: one reciprocal and one
+        # square root instead of four fractional powers.
         ell2 = self.lengthscale**2
-        base = 1.0 + np.asarray(sq, dtype=float) / ell2
-        phi = base**-0.5
-        dphi = -0.5 / ell2 * base**-1.5
-        d2phi = 0.75 / ell2**2 * base**-2.5
-        d3phi = -1.875 / ell2**3 * base**-3.5
+        r = 1.0 / (1.0 + np.asarray(sq, dtype=float) / ell2)
+        phi = np.sqrt(r)
+        dphi = phi * r
+        dphi *= -0.5 / ell2
+        d2phi = dphi * r
+        d2phi *= -1.5 / ell2
+        d3phi = d2phi * r
+        d3phi *= -2.5 / ell2
         return phi, dphi, d2phi, d3phi
 
 
@@ -159,7 +194,7 @@ class Mixture(ScalarKernel):
             weights = tuple(float(w) for w in self.weights)
             if len(weights) != len(members):
                 raise ValueError("weights and members must have equal length")
-            if any(w <= 0.0 for w in weights):
+            if any(not w > 0.0 for w in weights):
                 raise ValueError("mixture weights must be positive")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", weights)
@@ -173,6 +208,16 @@ class Mixture(ScalarKernel):
         return tuple(
             sum(w * part[k] for w, part in zip(self.weights, parts))
             for k in range(4)
+        )
+
+    def terms(self) -> tuple[Term, ...]:
+        # A radial mixture is one radial core with the summed profile.
+        if self.is_radial:
+            return ((1.0, (), self),)
+        return tuple(
+            (w * coef, tilts, core)
+            for w, member in zip(self.weights, self.members)
+            for coef, tilts, core in member.terms()
         )
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
@@ -191,91 +236,59 @@ class Mixture(ScalarKernel):
 
 
 @dataclass(frozen=True)
-class NormalizedLinear(ScalarKernel):
-    """Linear kernel c^2 + x.y divided by its own diagonal scale.
-
-    With u(x) = (c^2 + ||x||^2)^(-1/2) this is k(x, y) = (c^2 + x.y) u(x) u(y),
-    so k(x, x) = 1 for every x. Not radial; derivatives are computed from the
-    product rule with grad u = -x u^3.
-    """
+class Linear(ScalarKernel):
+    """Linear kernel k(x, y) = c^2 + x.y, the one non-radial core."""
 
     c: float = 1.0
-    family = "normalized-linear"
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
+    family = "linear"
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        d = x.shape[-1]
-        c2 = self.c**2
-        dots = x @ y.T  # (n, m)
-        lin = c2 + dots
-        ux = (c2 + np.sum(x**2, axis=-1)) ** -0.5  # (n,)
-        uy = (c2 + np.sum(y**2, axis=-1)) ** -0.5  # (m,)
-        uxy = ux[:, None] * uy[None, :]
-        # grad1 = u(x) u(y) y - (c^2 + x.y) u(x)^3 u(y) x, and symmetrically.
-        grad1 = uxy[..., None] * y[None, :, :] - (
-            (lin * uy[None, :] * ux[:, None] ** 3)[..., None] * x[:, None, :]
+        shape = (x.shape[0], y.shape[0], x.shape[-1])
+        return PairwiseDerivatives(
+            value=self.c**2 + x @ y.T,
+            grad1=np.broadcast_to(y[None, :, :], shape),
+            grad2=np.broadcast_to(x[:, None, :], shape),
+            trace12=np.full(shape[:2], float(x.shape[-1])),
         )
-        grad2 = uxy[..., None] * x[:, None, :] - (
-            (lin * ux[:, None] * uy[None, :] ** 3)[..., None] * y[None, :, :]
-        )
-        trace12 = (
-            d * uxy
-            - uxy * uy[None, :] ** 2 * np.sum(y**2, axis=-1)[None, :]
-            - uxy * ux[:, None] ** 2 * np.sum(x**2, axis=-1)[:, None]
-            + lin * dots * (ux[:, None] * uy[None, :]) ** 3
-        )
-        return PairwiseDerivatives(value=lin * uxy, grad1=grad1, grad2=grad2, trace12=trace12)
+
+    def terms(self) -> tuple[Term, ...]:
+        return ((1.0, (), self),)
 
 
-@dataclass(frozen=True)
-class WeightedMatrixKernel(ScalarKernel):
-    """Matrix kernel K(x, y) = kappa(x, y) I_d with the scalar part
-    kappa(x, y) = w(x) (base(x, y) + nlin(x, y)) w(y).
+class _Tilted(ScalarKernel):
+    """k(x, y) = w(x) g(x, y) w(y) with w(x) = (c^2 + ||x||^2)^(power / 2).
 
-    The scalar weight is w(x) = (c^2 + ||x||^2)^(exponent / 2); growing weights
-    (positive exponent) strengthen the kernel in the tails. Because the matrix
-    part is a multiple of the identity, its Stein kernel is the scalar Stein
-    kernel of kappa, so ``pairwise`` returns the derivatives of kappa and the
-    kernel is used like any other scalar kernel.
+    Subclasses give ``c``, ``power`` and the inner kernel ``inner`` = g.
+    ``pairwise`` is the product rule over g's bundle. ``terms`` prepends this
+    tilt to each of g's terms, which is all the Stein assembly needs: by the
+    tilt identity (module docstring) it reads only w and grad log w.
     """
-
-    c: float = 1.0
-    exponent: float = 0.0
-    base: ScalarKernel = IMQ()
-    family = "weighted-matrix"
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
-
-    @property
-    def combined(self) -> Mixture:
-        """Unweighted scalar part base + normalised linear, weights one each."""
-        return Mixture((self.base, NormalizedLinear(self.c)), weights=(1.0, 1.0))
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """w(x) over the last axis of x; shape of x without the last axis."""
         x = np.asarray(x, dtype=float)
-        return (self.c**2 + np.sum(x**2, axis=-1)) ** (self.exponent / 2.0)
+        return (self.c**2 + np.sum(x**2, axis=-1)) ** (self.power / 2.0)
 
     def weight_grad(self, x: np.ndarray) -> np.ndarray:
-        """grad w(x) = exponent * x * (c^2 + ||x||^2)^(exponent/2 - 1)."""
+        """grad w(x) = w(x) grad log w(x)."""
+        return self.weight(x)[..., None] * self.log_weight_grad(x)
+
+    def log_weight_grad(self, x: np.ndarray) -> np.ndarray:
+        """grad log w(x) = power * x / (c^2 + ||x||^2)."""
         x = np.asarray(x, dtype=float)
-        scale = self.exponent * (self.c**2 + np.sum(x**2, axis=-1)) ** (
-            self.exponent / 2.0 - 1.0
+        return (self.power / (self.c**2 + np.sum(x**2, axis=-1)))[..., None] * x
+
+    def terms(self) -> tuple[Term, ...]:
+        return tuple(
+            (coef, (self,) + tilts, core) for coef, tilts, core in self.inner.terms()
         )
-        return scale[..., None] * x
 
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        """Derivative bundle of the scalar part kappa = w(x) g(x,y) w(y)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        g = self.combined.pairwise(x, y)
+        g = self.inner.pairwise(x, y)
         wx = self.weight(x)  # (n,)
         wy = self.weight(y)  # (m,)
         dwx = self.weight_grad(x)  # (n, d)
@@ -297,3 +310,55 @@ class WeightedMatrixKernel(ScalarKernel):
             + np.einsum("nmd,md->nm", g.grad1, dwy) * wx[:, None]
         )
         return PairwiseDerivatives(value=value, grad1=grad1, grad2=grad2, trace12=trace12)
+
+
+@dataclass(frozen=True)
+class NormalizedLinear(_Tilted):
+    """Linear kernel c^2 + x.y divided by its own diagonal scale.
+
+    With u(x) = (c^2 + ||x||^2)^(-1/2) this is k(x, y) = (c^2 + x.y) u(x) u(y),
+    the linear kernel tilted by u, so k(x, x) = 1 for every x. Not radial.
+    """
+
+    c: float = 1.0
+    family = "normalized-linear"
+    power = -1.0
+
+    def __post_init__(self) -> None:
+        if not self.c > 0.0:
+            raise ValueError("c must be positive")
+
+    @property
+    def inner(self) -> Linear:
+        return Linear(self.c)
+
+
+@dataclass(frozen=True)
+class WeightedMatrixKernel(_Tilted):
+    """Matrix kernel K(x, y) = kappa(x, y) I_d with the scalar part
+    kappa(x, y) = w(x) (base(x, y) + nlin(x, y)) w(y).
+
+    The scalar weight is w(x) = (c^2 + ||x||^2)^(exponent / 2); growing weights
+    (positive exponent) strengthen the kernel in the tails. Because the matrix
+    part is a multiple of the identity, its Stein kernel is the scalar Stein
+    kernel of kappa, so the kernel is kappa, the tilt by w of ``inner`` =
+    base + nlin, and is used like any other scalar kernel.
+    """
+
+    c: float = 1.0
+    exponent: float = 0.0
+    base: ScalarKernel = IMQ()
+    family = "weighted-matrix"
+
+    def __post_init__(self) -> None:
+        if not self.c > 0.0:
+            raise ValueError("c must be positive")
+
+    @property
+    def power(self) -> float:
+        return self.exponent
+
+    @property
+    def inner(self) -> Mixture:
+        """Unweighted scalar part base + normalised linear, weights one each."""
+        return Mixture((self.base, NormalizedLinear(self.c)), weights=(1.0, 1.0))

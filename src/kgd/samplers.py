@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared
+from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared, stein_drift
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
@@ -187,12 +187,10 @@ def vgd_drift(
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
 ) -> np.ndarray:
-    """Flow velocity at each atom, shape (n, d)."""
+    """Flow velocity at each atom, shape (n, d), from n x n products (see
+    ``discrepancy.stein_drift``)."""
     atoms = measure.atoms
-    scores = gen_score(ref, loss, measure, atoms)
-    pw = kernel.pairwise(atoms, atoms)
-    # sum_j grad_1 k(x_j, x_i) is the column sum of the grad1 table.
-    return (pw.value @ scores + np.sum(pw.grad1, axis=0)) / measure.n
+    return stein_drift(kernel, atoms, gen_score(ref, loss, measure, atoms))
 
 
 def vgd_step(

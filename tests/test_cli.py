@@ -328,6 +328,36 @@ class TestSampleVerb:
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"reference": {"dimension": 0}}, "reference.dimension"),
+            ({"reference": {"dimension": -1}}, "reference.dimension"),
+            ({"sampler": {"particles": 0}}, "sampler.particles"),
+            ({"sampler": {"algorithm": "greedy", "points": 0}}, "sampler.points"),
+            ({"sampler": {"algorithm": "greedy", "n_candidates": 0}}, "sampler.n_candidates"),
+            ({"sampler": {"trace_every": 0}}, "sampler.trace_every"),
+            ({"sampler": {"step_size": float("nan")}}, "sampler.step_size"),
+            ({"sampler": {"step_size": float("inf")}}, "sampler.step_size"),
+            ({"sampler": {"step_size": 0.0}}, "sampler.step_size"),
+            ({"kernel": {"family": "imq", "lengthscale": -1.0}}, "lengthscale"),
+            ({"kernel": {"family": "weighted-matrix", "c": 0.0}}, "c must be positive"),
+            ({"kernel": {"family": "mixture", "members": [{"family": "imq"}] * 2,
+                         "weights": [1.0, -1.0]}}, "weights"),
+            ({"kernel": {"family": "mixture",
+                         "members": [{"family": "gaussian", "lengthscale": 0.0}]}},
+             "kernel.members[0]"),
+        ],
+        ids=["dimension-0", "dimension-negative", "particles-0", "points-0", "candidates-0",
+             "trace-every-0", "step-nan", "step-inf", "step-0", "lengthscale", "c",
+             "weights", "member"],
+    )
+    def test_bad_numeric_value_is_a_config_error(self, tmp_path, capsys, body, key):
+        cfg = _write_config(tmp_path, body)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
 
 class TestEvalVerb:
     def test_round_trips_a_sampled_file(self, tmp_path, capsys):
@@ -492,7 +522,8 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)
+        assert any(l.startswith("PASS tilted-gram ") for l in lines)

@@ -1,10 +1,11 @@
 """Stein kernel assembly and the squared-discrepancy estimators.
 
-The assembly is pinned three ways: hand formulas at single atoms, a full
-finite-difference rebuild of h(x, y) for a nontrivial loss, and the
+The assembly is pinned four ways: hand formulas at single atoms, a full
+finite-difference rebuild of h(x, y) for a nontrivial loss, the
 closed-form classical-discrepancy oracle for potentials without
-interaction. The estimator algebra (V/U identity, permutation invariance,
-substream addressing) is checked exactly.
+interaction, and the einsum assembly over ``kernel.pairwise`` below, which
+the package's product route replaced. The estimator algebra (V/U identity,
+permutation invariance, substream addressing) is checked exactly.
 """
 
 import numpy as np
@@ -13,11 +14,11 @@ import pytest
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, make_empirical
 from kgd.discrepancy import (
     KGDEstimate,
-    _assemble,
     clt_scaling_study,
     gen_score,
     kgd_u_squared,
     kgd_v_squared,
+    stein_drift,
     stein_gram,
     stein_kernel_eval,
     )
@@ -28,7 +29,38 @@ from kgd.oracles import fd_gradient, reference_ksd_squared
 ORACLE_RTOL = 1e-12  # analytic Gram assembly vs closed-form oracle
 FD_TOL = 5e-6  # assembled Stein values vs nested finite differences
 EXACT_RTOL = 1e-13  # pure reorderings of the same sums
-RADIAL_TOL = 1e-12  # radial product route vs pairwise assembly, scaled by max|gram|
+RADIAL_TOL = 1e-12  # product route vs pairwise assembly, scaled by max|gram|
+
+# Every kernel family, tilted ones with radial and non-radial bases.
+PRODUCT_KERNELS = [
+    IMQ(0.8),
+    Gaussian(1.3),
+    Mixture((IMQ(0.5), Gaussian(2.0))),
+    NormalizedLinear(1.2),
+    Mixture((IMQ(1.0), NormalizedLinear(1.2))),
+    *(WeightedMatrixKernel(c=1.1, exponent=e, base=IMQ(0.9)) for e in (-1.0, 0.0, 0.5, 1.0)),
+    *(
+        WeightedMatrixKernel(c=0.9, exponent=e, base=Mixture((Gaussian(1.0), NormalizedLinear(0.7))))
+        for e in (-1.0, 0.0, 0.5, 1.0)
+    ),
+]
+
+
+def _assemble(pw, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Reference Stein kernel over all pairs from the derivative bundle."""
+    return (
+        pw.trace12
+        + np.einsum("ijd,jd->ij", pw.grad1, by)
+        + np.einsum("ijd,id->ij", pw.grad2, bx)
+        + pw.value * (bx @ by.T)
+    )
+
+
+def _drift_from_pairwise(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Reference flow velocity: sum_j grad_1 k(x_j, x_i) is the column sum of
+    the grad1 table."""
+    pw = kernel.pairwise(atoms, atoms)
+    return (pw.value @ scores + np.sum(pw.grad1, axis=0)) / atoms.shape[0]
 
 
 def _random_setup(seed: int, n: int = 8, d: int = 3):
@@ -87,19 +119,22 @@ class TestSteinAssembly:
             np.testing.assert_allclose(gram, gram.T, atol=1e-13 * np.abs(gram).max())
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
-    def test_radial_route_matches_pairwise_assembly(self, offset):
+    def test_product_route_matches_pairwise_assembly(self, offset):
         # The translated cloud is the case that needs the atoms centred: the
         # uncentred product form is off by about 5e-10 of max|gram| there.
         _, ref, loss, measure = _random_setup(6, n=30, d=3)
         measure = EmpiricalMeasure(offset + measure.atoms)
         atoms = measure.atoms
         scores = gen_score(ref, loss, measure, atoms)
-        for kernel in [IMQ(0.8), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0)))]:
-            assert kernel.is_radial
+        for kernel in PRODUCT_KERNELS:
             gram = stein_gram(kernel, ref, loss, measure)
             direct = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
             err = np.max(np.abs(gram - direct)) / np.max(np.abs(gram))
-            assert err <= RADIAL_TOL, (kernel.family, err)
+            assert err <= RADIAL_TOL, (kernel, err)
+            drift = stein_drift(kernel, atoms, scores)
+            direct = _drift_from_pairwise(kernel, atoms, scores)
+            err = np.max(np.abs(drift - direct)) / np.max(np.abs(drift))
+            assert err <= RADIAL_TOL, (kernel, err)
 
     @pytest.mark.parametrize(
         "kernel",
@@ -217,6 +252,15 @@ class TestMatrixConsistency:
             kernel, ref, loss, measure, measure.atoms[0], measure.atoms[3]
         )
         np.testing.assert_allclose(gram[0, 3], direct, rtol=1e-12)
+
+    def test_huge_atoms_raise_for_the_weighted_kernel(self):
+        # c^2 + ||x||^2 overflows, so the weights and the linear core do too.
+        kernel = WeightedMatrixKernel(c=1.0, exponent=0.5, base=IMQ(1.0))
+        measure = EmpiricalMeasure(np.array([[1e200, 0.0], [0.0, 1e200]]))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite Stein Gram"
+        ):
+            stein_gram(kernel, DiagonalGaussian.standard(2), ZeroLoss(), measure)
 
 
 def _standard_sampler(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import kgd_u_squared, kgd_v_squared
-from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear
+from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from kgd.losses import InteractionLoss, LinearLoss, MeanFieldRegressionLoss, ZeroLoss
 from kgd.samplers import (
     OptimizerSpec,
@@ -168,13 +168,26 @@ class TestMFLD:
 
 
 class TestVGD:
-    def test_drift_matches_hand_loops(self):
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            IMQ(0.9),
+            Gaussian(1.2),
+            Mixture((IMQ(0.5), Gaussian(2.0))),
+            NormalizedLinear(1.1),
+            Mixture((IMQ(1.0), NormalizedLinear(1.2))),
+            WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
+            WeightedMatrixKernel(c=0.8, exponent=-1.0, base=NormalizedLinear(1.3)),
+        ],
+        ids=["imq", "gaussian", "radial-mixture", "normalized-linear", "mixture",
+             "weighted-matrix", "weighted-matrix-linear-base"],
+    )
+    def test_drift_matches_hand_loops(self, kernel):
         rng = np.random.default_rng(8)
         ref = DiagonalGaussian(rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
         loss = LinearLoss.quadratic(rng.standard_normal(2), rng.uniform(0.2, 1.0, 2))
         atoms = rng.standard_normal((5, 2))
         measure = EmpiricalMeasure(atoms)
-        kernel = IMQ(0.9)
         scores = ref.log_grad(atoms) - loss.var_grad(measure, atoms)
         expected = np.zeros_like(atoms)
         for i in range(5):
