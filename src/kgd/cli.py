@@ -33,6 +33,7 @@ from .discrepancy import (
     gen_score,
     kgd_u_squared,
     kgd_v_squared,
+    particle_grad,
 )
 from .kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from .losses import (
@@ -41,11 +42,9 @@ from .losses import (
     MeanFieldRegressionLoss,
     PredictiveKernelLoss,
     ZeroLoss,
-    euclid_identity_check,
     gaussian_overlap,
 )
 from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities, lv_solve
-from .oracles import fd_gradient, gauss_hermite_2d, reference_ksd_squared
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -53,7 +52,8 @@ from .samplers import (
     greedy_extend,
     kgdd_run,
     mfld_run,
-    param_vi_objective,
+    optimizer_apply,
+    optimizer_init,
     vgd_drift,
     vgd_run,
 )
@@ -87,7 +87,6 @@ _SAMPLER_KEYS = {
     "steps",
     "step_size",
     "optimizer",
-    "grad_method",
     "trace_every",
     "init",
     "points",
@@ -165,7 +164,6 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
             "steps": 100,
             "step_size": 1e-3,
             "optimizer": "euler",
-            "grad_method": "fd",
             "trace_every": 1,
             "points": 10,
             "proposal_scale": 1.0,
@@ -407,8 +405,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
         step_size = _step_size(s_cfg["step_size"])
         init_rng = seeded_stream(seed, "init")
         atoms0 = build_init(s_cfg["init"], ref, n, init_rng)
-        spec = OptimizerSpec(method=s_cfg["optimizer"], step_size=step_size)
-        n_steps = int(s_cfg["steps"])
+        try:
+            spec = OptimizerSpec(method=s_cfg["optimizer"], step_size=step_size)
+        except ValueError as exc:
+            raise ConfigError(f"sampler.optimizer: {exc}; use 'euler' or 'adam'") from None
+        n_steps = _count(s_cfg, "steps", 100, "sampler")
         if algorithm == "mfld":
             run = mfld_run(
                 atoms0, ref, loss, step_size, n_steps,
@@ -420,9 +421,12 @@ def cmd_sample(args: argparse.Namespace) -> int:
                 trace_kernel=kernel, trace_every=trace_every,
             )
         elif algorithm == "kgdd":
+            if isinstance(loss, PredictiveKernelLoss):
+                raise ConfigError("sampler.algorithm 'kgdd' needs a loss with "
+                                  "var_grad_vjp; loss.family 'predictive-kernel' has none")
             run = kgdd_run(
                 atoms0, kernel, ref, loss, spec, n_steps,
-                method=s_cfg["grad_method"], trace_kernel=kernel, trace_every=trace_every,
+                trace_kernel=kernel, trace_every=trace_every,
             )
         else:
             raise ConfigError(f"unknown sampler.algorithm '{algorithm}'")
@@ -612,8 +616,7 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     all_atoms.append(run.atoms)
     groups.append(("mfld", n))
 
-    # Descent-on-discrepancy arm; finite differences cost 2 n d objective
-    # evaluations per step, each scoring n atoms.
+    # Descent-on-discrepancy arm; each analytic gradient scores n atoms.
     n_kgdd = int(knobs["kgdd_particles"])
     init = 3.0 * seeded_stream(seed, "init", "kgdd").standard_normal((n_kgdd, 4))
     spec = OptimizerSpec(method="adam", step_size=float(knobs["kgdd_step_size"]))
@@ -621,12 +624,13 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
         init, kernel, ref, loss, spec, int(knobs["kgdd_steps"]),
         trace_kernel=kernel, trace_every=1,
     )
-    record("kgdd", run.steps, run.kgd2, evals_per_step=2.0 * n_kgdd * 4 * n_kgdd)
+    record("kgdd", run.steps, run.kgd2, evals_per_step=n_kgdd)
     all_atoms.append(run.atoms)
     groups.append(("kgdd", n_kgdd))
 
-    # Parametric arm: affine map of a frozen base sample, tuned by central
-    # differences on the U-statistic objective.
+    # Parametric arm: affine map x = A z + c of a frozen base sample, tuned by
+    # the U-statistic's particle gradient G chained through the map:
+    # dA = G^T Z and dc = sum_i G_i.
     m = int(knobs["vi_sample"])
     base = seeded_stream(seed, "vi", "base").standard_normal((m, 4))
     theta = np.concatenate([np.eye(4).ravel() * 3.0, np.zeros(4)])
@@ -634,18 +638,14 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     def push(th: np.ndarray) -> np.ndarray:
         return base @ th[:16].reshape(4, 4).T + th[16:]
 
-    def objective(th: np.ndarray) -> float:
-        return param_vi_objective(kernel, ref, loss, push(th))
-
-    from .samplers import optimizer_apply, optimizer_init
-
     vi_spec = OptimizerSpec(method="adam", step_size=float(knobs["vi_step_size"]))
     state = optimizer_init(theta.shape)
     vi_steps = int(knobs["vi_steps"])
-    evals_per_step = 2.0 * theta.size * m
+    evals_per_step = float(m)
     record("param-vi", [0], [kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(push(theta))).value2], evals_per_step)
     for step in range(1, vi_steps + 1):
-        grad = fd_gradient(objective, theta, 1e-4)
+        g = particle_grad(kernel, ref, loss, push(theta), u_statistic=True)
+        grad = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
         delta, state = optimizer_apply(vi_spec, state, -grad)
         theta = theta + delta
         if step % int(knobs["trace_every"]) == 0 or step == vi_steps:
@@ -822,6 +822,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
     from .discrepancy import stein_gram
+    from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
+                          reference_ksd_squared)
 
     failures = 0
 
@@ -913,6 +915,21 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         err = np.max(np.abs(vgd_drift(kern, ref, loss, mea) - drift))
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("tilted-gram", worst < 1e-12, f"worst rel {worst:.2e}")
+
+    # Particle gradients of V and U against central differences.
+    worst = 0.0
+    atoms = rng.normal(size=(6, 4))
+    ref = DiagonalGaussian.standard(4)
+    data = gen_mfnn_data(0, n_data=30)
+    for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5)):
+        for loss in (LinearLoss.quadratic(np.zeros(4), np.full(4, 0.5)),
+                     MeanFieldRegressionLoss(data.covariates, data.responses)):
+            for u_stat, est in ((False, kgd_v_squared), (True, kgd_u_squared)):
+                fd = fd_gradient(lambda f: est(
+                    kern, ref, loss, EmpiricalMeasure(f.reshape(6, 4))).value2, atoms.ravel())
+                err = np.max(np.abs(particle_grad(kern, ref, loss, atoms, u_stat).ravel() - fd))
+                worst = max(worst, float(err / max(1.0, np.max(np.abs(fd)))))
+    report("particle-gradient", worst < 1e-6, f"worst scaled error {worst:.2e}")
 
     # Forward ODE sensitivities against central differences of the solver.
     x = np.array([-0.8, -1.2])

@@ -42,17 +42,6 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(atoms)
 
 
-def make_empirical(points: Any) -> EmpiricalMeasure:
-    """Build an empirical measure from array-like points.
-
-    A 1-d input of length n is treated as n scalar atoms, shape (n, 1).
-    """
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return EmpiricalMeasure(arr)
-
-
 @dataclass(frozen=True)
 class DiagonalGaussian:
     """Reference distribution N(mean, diag(variances)) on R^d."""

@@ -42,6 +42,15 @@ Every kernel, the weighted matrix kernel K = kappa I included, enters
 through the one ``ScalarKernel`` interface: the Stein kernel of K is the
 scalar Stein kernel of kappa. ``kernel.pairwise``, the derivative
 definition, is not read here.
+
+``particle_grad`` differentiates n^2 V in the atoms from the same arrays.
+The scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
+d(n^2 V)/db = 2 n ``stein_drift``. With scores fixed, each term moves through
+its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (H w)_i) and
+through b~ (Hess log w times 2 w_i times the core's drift). The U-statistic
+also drops the diagonal w_i^2 h(x_i, x_i): -2 d phi'(0) + phi(0) ||b~_i||^2
+for a radial core, d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2 for the
+linear one.
 """
 
 from __future__ import annotations
@@ -136,6 +145,31 @@ def _linear_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) 
     return kernel.c**2 * wb.sum(axis=0) + atoms @ (atoms.T @ wb) + w.sum() * atoms
 
 
+def _radial_grad(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
+    """n x the positional sum_j w_j d h_ij / d x_i of a radial Stein Gram, with
+    the derivatives of h_ii in b_i and in x_i."""
+    x, sq, (phi, dphi, d2phi, d3phi) = _radial_profile(kernel, atoms)
+    g = x @ scores.T
+    c = np.diagonal(g)
+    rb = g + g.T - np.add.outer(c, c)  # (x_i - x_j).(b_j - b_i)
+    # d h_ij / d x_i = a_ij (x_i - x_j) + 2 phi'_ij (b_j - b_i)
+    a = -(4.0 * x.shape[1] + 8.0) * d2phi - 8.0 * sq * d3phi
+    a += 4.0 * d2phi * rb + 2.0 * dphi * (scores @ scores.T)
+    a *= w
+    dw = dphi @ w
+    pos = a.sum(axis=1)[:, None] * x - a @ x
+    pos += 2.0 * (dphi @ (w[:, None] * scores) - dw[:, None] * scores)
+    return pos, 2.0 * np.diagonal(phi)[:, None] * scores, 0.0
+
+
+def _linear_grad(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
+    """As ``_radial_grad``, for the linear kernel c^2 + x.y."""
+    pos = w.sum() * scores + (scores @ scores.T) @ (w[:, None] * atoms)
+    norms = kernel.c**2 + np.einsum("id,id->i", atoms, atoms)
+    beta2 = np.einsum("id,id->i", scores, scores)
+    return pos, 2.0 * (atoms + norms[:, None] * scores), 2.0 * (scores + beta2[:, None] * atoms)
+
+
 def _stein_matrix(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Stein kernel over all pairs of atoms, summed over the kernel's terms."""
     gram = None
@@ -162,6 +196,41 @@ def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
         part = (_radial_drift if core.is_radial else _linear_drift)(core, atoms, shifted, w)
         drift += (coef * w)[:, None] * part
     return drift / atoms.shape[0]
+
+
+def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.ndarray,
+                  u_statistic: bool = False) -> np.ndarray:
+    """Gradient in the atoms, shape (n, d), of the squared discrepancy: the
+    V-statistic, or the U-statistic with ``u_statistic``. Every kernel, and
+    every loss with ``var_grad_vjp`` (see the module docstring)."""
+    measure = EmpiricalMeasure(atoms)
+    atoms = measure.atoms
+    n = measure.n
+    if u_statistic and n < 2:
+        raise ValueError("the U-statistic needs at least two atoms")
+    scores = gen_score(ref, loss, measure, atoms)
+    grad = np.zeros_like(atoms)
+    weight = np.zeros_like(atoms)  # d(n^2 V)/db, or d(n(n-1) U)/db
+    for coef, tilts, core in kernel.terms():
+        w, shifted = _tilt(tilts, atoms, scores)
+        radial = core.is_radial
+        h = (_radial_gram if radial else _linear_gram)(core, atoms, shifted)
+        tw = 2.0 * (_radial_drift if radial else _linear_drift)(core, atoms, shifted, w)
+        pos, diag_b, diag_x = (_radial_grad if radial else _linear_grad)(core, atoms, shifted, w)
+        rows = 2.0 * (h @ w)
+        pos *= 2.0
+        if u_statistic:
+            rows -= 2.0 * w * np.diagonal(h)
+            tw -= w[:, None] * diag_b
+            pos -= w[:, None] * diag_x
+        tw *= (coef * w)[:, None]
+        weight += tw
+        grad += (coef * w)[:, None] * pos
+        for tilt in tilts:
+            grad += (coef * w * rows)[:, None] * tilt.log_weight_grad(atoms)
+            grad += tilt.log_weight_hvp(atoms, tw)
+    grad += weight @ ref.log_grad_jacobian() - loss.var_grad_vjp(measure, weight)
+    return grad / (n * (n - 1) if u_statistic else n**2)
 
 
 def stein_gram(

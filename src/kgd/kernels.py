@@ -30,8 +30,8 @@ linear kernel tilted by u(x) = (c^2 + ||x||^2)^(-1/2); the weighted matrix
 kernel K = kappa I, whose Stein kernel is the scalar Stein kernel of kappa,
 is base + normalised linear tilted by w(x) = (c^2 + ||x||^2)^(exponent/2).
 Radial kernels k(x, y) = phi(||x - y||^2) share one code path driven by the
-profile derivatives phi', phi'', phi''' (the third derivative only feeds the
-analytic particle-gradient route, never the estimators themselves).
+profile derivatives phi', phi'', phi''' (the third derivative feeds only the
+particle gradient ``discrepancy.particle_grad``, never the estimators).
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ class _Tilted(ScalarKernel):
     Subclasses give ``c``, ``power`` and the inner kernel ``inner`` = g.
     ``pairwise`` is the product rule over g's bundle. ``terms`` prepends this
     tilt to each of g's terms, which is all the Stein assembly needs: by the
-    tilt identity (module docstring) it reads only w and grad log w.
+    tilt identity (module docstring) it reads only w and grad log w, and the
+    particle gradient also Hess log w.
     """
 
     def weight(self, x: np.ndarray) -> np.ndarray:
@@ -279,6 +280,13 @@ class _Tilted(ScalarKernel):
         """grad log w(x) = power * x / (c^2 + ||x||^2)."""
         x = np.asarray(x, dtype=float)
         return (self.power / (self.c**2 + np.sum(x**2, axis=-1)))[..., None] * x
+
+    def log_weight_hvp(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Hessian of log w times v, row by row for (n, d) x and v:
+        power (v / s - 2 x (x.v) / s^2) with s = c^2 + ||x||^2."""
+        s = self.c**2 + np.einsum("id,id->i", x, x)
+        xv = np.einsum("id,id->i", x, v)
+        return self.power * (v / s[:, None] - (2.0 * xv / s**2)[:, None] * x)
 
     def terms(self) -> tuple[Term, ...]:
         return tuple(

@@ -18,19 +18,17 @@ from typing import Callable
 import numpy as np
 
 from .core import EmpiricalMeasure
-from .models import lv_sensitivities, mfnn_forward, mfnn_grad
-from .oracles import fd_gradient
+from .models import lv_sensitivities, mfnn_forward, mfnn_grad, mfnn_hvp
 
 
 class VariationalLoss:
-    """Contract: a value on empirical measures (optional) and var_grad.
+    """Contract: a value on empirical measures (optional), var_grad, and
+    (optional) var_grad_vjp, which feeds the particle gradient.
 
-    ``has_value`` guards ``value``; ``has_second_order`` guards
-    ``var_grad_jacobian``, which feeds the analytic particle-gradient route.
+    ``has_value`` guards ``value``.
     """
 
     has_value: bool = False
-    has_second_order: bool = False
 
     def value(self, measure: EmpiricalMeasure) -> float:
         raise NotImplementedError
@@ -39,15 +37,10 @@ class VariationalLoss:
         """First-variation gradient at x; accepts (d,) or (m, d) inputs."""
         raise NotImplementedError
 
-    def var_grad_jacobian(
-        self, measure: EmpiricalMeasure
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Derivative blocks of the atom scores with respect to atom moves.
-
-        Returns (diag, cross) with shapes (n, d, d) and (n, n, d, d) such
-        that d var_grad(Q_n, x_i) / d x_m = 1[i == m] diag[i] + cross[i, m].
-        """
-        raise NotImplementedError
+    def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
+        """sum_i (d var_grad(Q_n, x_i) / d x_m)^T u_i at each atom x_m, shape
+        (n, d), for weights u of shape (n, d) on the atom scores."""
+        raise NotImplementedError(f"{type(self).__name__} has no var_grad_vjp")
 
 
 def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -62,7 +55,6 @@ class ZeroLoss(VariationalLoss):
     """L(Q) = 0; the objective reduces to the entropy term alone."""
 
     has_value = True
-    has_second_order = True
 
     def value(self, measure: EmpiricalMeasure) -> float:
         return 0.0
@@ -70,9 +62,8 @@ class ZeroLoss(VariationalLoss):
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def var_grad_jacobian(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-        n, d = measure.n, measure.dim
-        return np.zeros((n, d, d)), np.zeros((n, n, d, d))
+    def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
+        return np.zeros_like(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -81,7 +72,7 @@ class LinearLoss(VariationalLoss):
 
     The first variation is u itself, so var_grad is grad u and does not
     depend on Q. ``grad_u`` must map (m, d) arrays to (m, d); ``hess_u``
-    (optional, per point) enables the analytic second-order route.
+    (optional, per point) enables ``var_grad_vjp``.
     """
 
     u: Callable[[np.ndarray], np.ndarray]
@@ -89,10 +80,6 @@ class LinearLoss(VariationalLoss):
     hess_u: Callable[[np.ndarray], np.ndarray] | None = None
 
     has_value = True
-
-    @property
-    def has_second_order(self) -> bool:  # type: ignore[override]
-        return self.hess_u is not None
 
     @classmethod
     def quadratic(cls, center: np.ndarray, weights: np.ndarray) -> "LinearLoss":
@@ -113,12 +100,10 @@ class LinearLoss(VariationalLoss):
         out = np.asarray(self.grad_u(xb), dtype=float)
         return out[0] if single else out
 
-    def var_grad_jacobian(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
+    def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
         if self.hess_u is None:
-            raise NotImplementedError("no Hessian supplied for this potential")
-        n, d = measure.n, measure.dim
-        diag = np.stack([self.hess_u(a) for a in measure.atoms])
-        return diag, np.zeros((n, n, d, d))
+            raise NotImplementedError("LinearLoss has no var_grad_vjp without hess_u")
+        return np.stack([self.hess_u(a) @ ua for a, ua in zip(measure.atoms, u)])
 
 
 @dataclass(frozen=True)
@@ -126,21 +111,13 @@ class InteractionLoss(VariationalLoss):
     """Pairwise interaction energy L(Q) = double integral of w dQ dQ.
 
     ``pair_value`` must be symmetric in its two point sets. For symmetric w
-    the first-variation gradient at x is (2/n) sum_j grad_1 w(x, x_j). The
-    optional second-order blocks are the pair Hessians grad_1 grad_1 w and
-    grad_2 grad_1 w, each mapping (n, d), (m, d) to (n, m, d, d).
+    the first-variation gradient at x is (2/n) sum_j grad_1 w(x, x_j).
     """
 
     pair_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pair_grad1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pair_grad11: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    pair_grad12: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     has_value = True
-
-    @property
-    def has_second_order(self) -> bool:  # type: ignore[override]
-        return self.pair_grad11 is not None and self.pair_grad12 is not None
 
     @classmethod
     def quadratic(cls) -> "InteractionLoss":
@@ -152,15 +129,7 @@ class InteractionLoss(VariationalLoss):
         def grad1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             return x[:, None, :] - y[None, :, :]
 
-        def grad11(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            d = x.shape[-1]
-            return np.broadcast_to(np.eye(d), (x.shape[0], y.shape[0], d, d))
-
-        def grad12(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            d = x.shape[-1]
-            return np.broadcast_to(-np.eye(d), (x.shape[0], y.shape[0], d, d))
-
-        return _QuadraticInteraction(value, grad1, grad11, grad12)
+        return _QuadraticInteraction(value, grad1)
 
     def value(self, measure: EmpiricalMeasure) -> float:
         w = self.pair_value(measure.atoms, measure.atoms)
@@ -172,17 +141,6 @@ class InteractionLoss(VariationalLoss):
         out = 2.0 * np.mean(g, axis=1)
         return out[0] if single else out
 
-    def var_grad_jacobian(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-        if not self.has_second_order:
-            raise NotImplementedError("pair Hessians not supplied")
-        atoms = measure.atoms
-        n = measure.n
-        w11 = np.asarray(self.pair_grad11(atoms, atoms), dtype=float)  # (n, n, d, d)
-        w12 = np.asarray(self.pair_grad12(atoms, atoms), dtype=float)
-        diag = 2.0 * np.mean(w11, axis=1)
-        cross = (2.0 / n) * w12
-        return diag, cross
-
 
 @dataclass(frozen=True)
 class _QuadraticInteraction(InteractionLoss):
@@ -192,6 +150,9 @@ class _QuadraticInteraction(InteractionLoss):
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         return 2.0 * (np.asarray(x, dtype=float) - measure.atoms.mean(axis=0))
 
+    def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
+        return 2.0 * (u - u.mean(axis=0))
+
 
 @dataclass(frozen=True)
 class MeanFieldRegressionLoss(VariationalLoss):
@@ -199,7 +160,13 @@ class MeanFieldRegressionLoss(VariationalLoss):
 
     L(Q) = (lam / N) sum_i (y_i - E_Q[Phi(z_i, .)])^2 with Phi the two-layer
     network from the models module. The first-variation gradient at x is
-    -(2 lam / N) sum_i (y_i - E_Q[Phi(z_i, .)]) grad_x Phi(z_i, x).
+    -(2 lam / N) sum_i (y_i - E_Q[Phi(z_i, .)]) grad_x Phi(z_i, x), and its
+    vector-Jacobian product at atom x_m is
+
+        -(2 lam / N) sum_l r_l Hess Phi(z_l, x_m) u_m
+        + (2 lam / (N n)) sum_l (sum_i u_i . grad Phi(z_l, x_i)) grad Phi(z_l, x_m)
+
+    with r_l = y_l - E_Q[Phi(z_l, .)].
     """
 
     covariates: np.ndarray  # (N,)
@@ -231,6 +198,16 @@ class MeanFieldRegressionLoss(VariationalLoss):
             "i,mip->mp", resid, grads
         )
         return out[0] if single else out
+
+    def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
+        atoms = measure.atoms
+        resid = self.responses - self.predictions(measure)  # (N,)
+        grads = mfnn_grad(atoms, self.covariates)  # (n, N, 4)
+        along = np.einsum("mlp,mp->l", grads, u) / measure.n
+        hvp = mfnn_hvp(atoms, self.covariates, u)  # (n, N, 4)
+        return (2.0 * self.lam / self.covariates.size) * (
+            np.einsum("l,mlp->mp", along, grads) - np.einsum("l,mlp->mp", resid, hvp)
+        )
 
 
 def gaussian_overlap(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
@@ -269,7 +246,8 @@ class PredictiveKernelLoss(VariationalLoss):
     Solver outputs and sensitivities are cached per parameter point, so
     repeated evaluations at the same atoms (samplers, greedy search) only
     pay for the kernel algebra. ``prefetch`` fills the cache in one batched
-    solve.
+    solve. There is no ``var_grad_vjp``: it would need second-order ODE
+    sensitivities.
     """
 
     times: np.ndarray  # (N,)
@@ -383,14 +361,6 @@ class PredictiveKernelLoss(VariationalLoss):
         grads = cross_grad - gx[:, None, :]
         return values, grads
 
-    def pair_terms(self, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Pair value and its gradient in the first argument, one pair."""
-        values, grads = self.pair_block(
-            np.asarray(x, dtype=float)[None, :], np.asarray(y, dtype=float)[None, :]
-        )
-        assert grads is not None
-        return float(values[0, 0]), grads[0, 0]
-
     # -- loss contract ---------------------------------------------------------
 
     def value(self, measure: EmpiricalMeasure) -> float:
@@ -403,25 +373,3 @@ class PredictiveKernelLoss(VariationalLoss):
         assert grads is not None
         out = np.sum(grads, axis=1) / (measure.n * self.lam)
         return out[0] if single else out
-
-
-def euclid_identity_check(
-    loss: VariationalLoss,
-    measure: EmpiricalMeasure,
-    index: int,
-    base_step: float = 1e-5,
-) -> float:
-    """Max-norm residual of var_grad against n times the finite-difference
-    gradient of the particle objective in atom ``index``."""
-    if not loss.has_value:
-        raise ValueError("identity check needs a loss with a scalar value")
-    atoms = measure.atoms
-
-    def objective(xi: np.ndarray) -> float:
-        moved = atoms.copy()
-        moved[index] = xi
-        return loss.value(EmpiricalMeasure(moved))
-
-    fd = fd_gradient(objective, atoms[index], base_step)
-    vg = loss.var_grad(measure, atoms[index])
-    return float(np.max(np.abs(vg - measure.n * fd)))

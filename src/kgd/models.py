@@ -62,6 +62,29 @@ def mfnn_grad(params: np.ndarray, z: np.ndarray) -> np.ndarray:
     )
 
 
+def mfnn_hvp(params: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hessian of the network output in its parameters times a direction.
+
+    Args:
+        params: Parameter vectors, shape (..., 4).
+        z: Covariates, shape (N,).
+        v: One direction per parameter vector, shape (..., 4).
+
+    Returns:
+        Array of shape (..., N, 4): the Hessian at (z_l, params) times v.
+    """
+    params = np.asarray(params, dtype=float)
+    z = np.asarray(z, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w1, b1, w2 = (params[..., i, None] for i in range(3))
+    v1, v2, v3 = (v[..., i, None] for i in range(3))
+    t = np.tanh(w1 * z + b1)
+    sech2 = 1.0 - t**2
+    q = z * v1 + v2  # v along the pre-activation w1 z + b1
+    inner = sech2 * (v3 - 2.0 * w2 * t * q)
+    return np.stack([z * inner, inner, sech2 * q, np.zeros_like(t)], axis=-1)
+
+
 class RegressionData(NamedTuple):
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)

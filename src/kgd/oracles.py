@@ -45,6 +45,27 @@ def fd_gradient(
     return grad
 
 
+def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) -> float:
+    """Max-norm residual of ``loss.var_grad`` against n times the
+    finite-difference gradient of the particle objective in atom ``index``.
+
+    Checks the finite-particle identity
+    var_grad(Q_n, x_i) = n * d/dx_i L(x_1, ..., x_n) for a loss with a value.
+    """
+    if not loss.has_value:
+        raise ValueError("identity check needs a loss with a scalar value")
+    atoms = measure.atoms
+
+    def objective(xi: np.ndarray) -> float:
+        moved = atoms.copy()
+        moved[index] = xi
+        return loss.value(measure.with_atoms(moved))
+
+    fd = fd_gradient(objective, atoms[index], base_step)
+    vg = loss.var_grad(measure, atoms[index])
+    return float(np.max(np.abs(vg - measure.n * fd)))
+
+
 def gauss_hermite_2d(
     integrand: Callable[[float, float], float],
     means: Sequence[float],

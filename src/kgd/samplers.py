@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared, stein_drift
+from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared, particle_grad, stein_drift
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
@@ -233,90 +233,15 @@ def vgd_run(
 # ---------------------------------------------------------------------------
 
 
-def _kgdd_grad_fd(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    atoms: np.ndarray,
-    base_step: float,
-) -> np.ndarray:
-    grad = np.empty_like(atoms)
-    for i in range(atoms.shape[0]):
-        for c in range(atoms.shape[1]):
-            h = base_step * (1.0 + abs(atoms[i, c]))
-            plus = atoms.copy()
-            minus = atoms.copy()
-            plus[i, c] += h
-            minus[i, c] -= h
-            fp = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(plus)).value2
-            fm = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(minus)).value2
-            grad[i, c] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def _kgdd_grad_analytic(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    atoms: np.ndarray,
-) -> np.ndarray:
-    """Closed-form gradient of the V-statistic in the particle positions.
-
-    Splits into a positional channel (kernel arguments move, scores frozen)
-    and a score channel (every score reacts to the move through the loss).
-    Radial kernels only; the loss must provide its second-order blocks.
-    """
-    if not kernel.is_radial:
-        raise NotImplementedError("analytic route requires a radial scalar kernel")
-    if not loss.has_second_order:
-        raise NotImplementedError("analytic route requires second-order loss blocks")
-    measure = EmpiricalMeasure(atoms)
-    n, d = atoms.shape
-    scores = gen_score(ref, loss, measure, atoms)  # (n, d)
-    diffs = atoms[:, None, :] - atoms[None, :, :]
-    sq = np.sum(diffs**2, axis=-1)
-    phi, dphi, d2phi, d3phi = kernel.profile(sq)
-
-    rb_col = np.einsum("ijd,jd->ij", diffs, scores)  # diffs . b(x_j)
-    rb_row = np.einsum("ijd,id->ij", diffs, scores)  # diffs . b(x_i)
-    bxy = scores @ scores.T
-    # d/ds of the mixed trace term: -(2d + 4) phi'' - 4 s phi'''
-    tp = -(2.0 * d + 4.0) * d2phi - 4.0 * sq * d3phi
-    coeff = 2.0 * tp + 4.0 * d2phi * (rb_col - rb_row) + 2.0 * dphi * bxy
-    positional = coeff[..., None] * diffs + (2.0 * dphi)[..., None] * (
-        scores[None, :, :] - scores[:, None, :]
-    )
-    pos_grad = (2.0 / n**2) * np.sum(positional, axis=1)
-
-    # Sensitivity of the V-statistic to each score vector.
-    grad1_colsum = np.sum((2.0 * dphi)[..., None] * diffs, axis=0)  # (n, d)
-    u = (2.0 / n**2) * (grad1_colsum + phi.T @ scores)
-    diag, cross = loss.var_grad_jacobian(measure)
-    h0 = ref.log_grad_jacobian()  # (d, d), constant
-    own = np.einsum("mba,mb->ma", h0[None, :, :] - diag, u)
-    others = np.einsum("pmba,pb->ma", cross, u)
-    return pos_grad + own - others
-
-
 def kgdd_grad(
     kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     atoms: np.ndarray,
-    method: str = "fd",
-    base_step: float = 1e-5,
 ) -> np.ndarray:
-    """Gradient of the squared-discrepancy V-statistic in the positions.
-
-    The default central-difference route works for any kernel/loss pair;
-    the analytic route needs a radial kernel and second-order loss blocks.
-    """
-    atoms = np.asarray(atoms, dtype=float)
-    if method == "fd":
-        return _kgdd_grad_fd(kernel, ref, loss, atoms, base_step)
-    if method == "analytic":
-        return _kgdd_grad_analytic(kernel, ref, loss, atoms)
-    raise ValueError(f"unknown gradient method {method!r}")
+    """Gradient of the squared-discrepancy V-statistic in the positions
+    (``discrepancy.particle_grad``)."""
+    return particle_grad(kernel, ref, loss, atoms)
 
 
 def kgdd_run(
@@ -326,8 +251,6 @@ def kgdd_run(
     loss: VariationalLoss,
     spec: OptimizerSpec,
     n_steps: int,
-    method: str = "fd",
-    base_step: float = 1e-5,
     trace_kernel=None,
     trace_every: int = 1,
 ) -> SamplerRun:
@@ -335,7 +258,7 @@ def kgdd_run(
 
     def advance(current: np.ndarray, _step: int) -> np.ndarray:
         nonlocal state
-        grad = kgdd_grad(kernel, ref, loss, current, method, base_step)
+        grad = kgdd_grad(kernel, ref, loss, current)
         delta, state = optimizer_apply(spec, state, -grad)
         return current + delta
 

@@ -33,7 +33,6 @@ from kgd.losses import (
     MeanFieldRegressionLoss,
     PredictiveKernelLoss,
     ZeroLoss,
-    euclid_identity_check,
     gaussian_overlap,
     )
 from kgd.models import (
@@ -46,7 +45,7 @@ from kgd.models import (
     lv_sensitivities,
     lv_solve,
     )
-from kgd.oracles import fd_gradient, gauss_hermite_2d, reference_ksd_squared
+from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d, reference_ksd_squared
 from kgd.samplers import OptimizerSpec, SearchSpec, greedy_extend, vgd_run
 
 

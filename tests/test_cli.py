@@ -279,16 +279,59 @@ class TestSampleVerb:
         assert read_particles(out / "particles.csv").shape == (3, 1)
 
     def test_vgd_and_kgdd_algorithms(self, tmp_path):
-        for algo, extra in [("vgd", {}), ("kgdd", {"grad_method": "analytic"})]:
+        for algo in ("vgd", "kgdd"):
             body = {
                 "loss": {"family": "linear-quadratic"},
                 "sampler": {"algorithm": algo, "particles": 4, "steps": 3,
-                            "step_size": 0.1, "trace_every": 1} | extra,
+                            "step_size": 0.1, "trace_every": 1},
             }
             cfg = _write_config(tmp_path, body, name=f"{algo}.yaml")
             out = tmp_path / algo
             assert main(["sample", "--config", cfg, "--output", str(out)]) == 0
             assert read_particles(out / "particles.csv").shape == (4, 2)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"kernel": {"family": "weighted-matrix", "exponent": 0.5, "c": 1.2}},
+            {"reference": {"dimension": 4},
+             "loss": {"family": "mean-field-regression", "n_data": 20, "lam": 3.0}},
+        ],
+        ids=["weighted-matrix", "mean-field-regression"],
+    )
+    def test_kgdd_runs_with_every_kernel_and_vjp_loss(self, tmp_path, body):
+        body = body | {"sampler": {"algorithm": "kgdd", "particles": 4, "steps": 3,
+                                   "step_size": 0.01, "optimizer": "adam"}}
+        cfg = _write_config(tmp_path, body)
+        out = tmp_path / "kgdd"
+        assert main(["sample", "--config", cfg, "--output", str(out)]) == 0
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert [int(l.split(",")[0]) for l in trace[1:]] == [0, 1, 2, 3]
+
+    def test_kgdd_with_the_predictive_loss_is_a_config_error(self, tmp_path, capsys):
+        body = {"loss": {"family": "predictive-kernel"},
+                "sampler": {"algorithm": "kgdd", "particles": 2, "steps": 1}}
+        cfg = _write_config(tmp_path, body)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "kgdd" in err and "predictive-kernel" in err
+
+    @pytest.mark.parametrize(
+        "sampler, key",
+        [
+            ({"steps": -3}, "sampler.steps"),
+            ({"steps": 2.5}, "sampler.steps"),
+            ({"steps": True}, "sampler.steps"),
+            ({"optimizer": "sgd"}, "sampler.optimizer"),
+            ({"algorithm": "kgdd", "grad_method": "fd"}, "sampler.grad_method"),
+        ],
+        ids=["negative-steps", "fractional-steps", "boolean-steps", "optimizer", "grad-method"],
+    )
+    def test_bad_sampler_setting_is_a_config_error(self, tmp_path, capsys, sampler, key):
+        body = {"sampler": {"algorithm": "vgd", "particles": 3} | sampler}
+        cfg = _write_config(tmp_path, body)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        assert key in capsys.readouterr().err
 
     def test_missing_output_is_a_config_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
@@ -522,8 +565,9 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 9
+        assert len(lines) == 10
         assert all(l.startswith("PASS ") for l in lines)
+        assert any(l.startswith("PASS particle-gradient ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)
         assert any(l.startswith("PASS tilted-gram ") for l in lines)

@@ -6,7 +6,6 @@ import pytest
 from kgd.core import (
     DiagonalGaussian,
     EmpiricalMeasure,
-    make_empirical,
     seeded_stream,
 )
 from kgd.oracles import fd_gradient
@@ -33,10 +32,6 @@ class TestEmpiricalMeasure:
         m = EmpiricalMeasure(np.zeros((2, 2)))
         m2 = m.with_atoms(np.ones((3, 2)))
         assert m2.n == 3 and m.n == 2
-
-    def test_make_empirical_promotes_1d(self):
-        m = make_empirical([1.0, 2.0, 3.0])
-        assert m.atoms.shape == (3, 1)
 
 
 class TestDiagonalGaussian:

@@ -11,7 +11,7 @@ permutation invariance, substream addressing) is checked exactly.
 import numpy as np
 import pytest
 
-from kgd.core import DiagonalGaussian, EmpiricalMeasure, make_empirical
+from kgd.core import DiagonalGaussian, EmpiricalMeasure
 from kgd.discrepancy import (
     KGDEstimate,
     clt_scaling_study,
@@ -100,7 +100,7 @@ class TestSteinAssembly:
         kernel = IMQ(lengthscale=1.0)
         ref = DiagonalGaussian.standard(1)
         for x, expected in [(0.0, 1.0), (2.0, 5.0), (-1.5, 3.25)]:
-            est = kgd_v_squared(kernel, ref, ZeroLoss(), make_empirical([x]))
+            est = kgd_v_squared(kernel, ref, ZeroLoss(), EmpiricalMeasure(np.array([[x]])))
             np.testing.assert_allclose(est.value2, expected, rtol=1e-15)
 
     def test_eval_matches_gram_entries(self):
@@ -228,7 +228,7 @@ class TestEstimators:
     def test_u_statistic_needs_two_atoms(self):
         with pytest.raises(ValueError, match="two atoms"):
             kgd_u_squared(
-                IMQ(1.0), DiagonalGaussian.standard(1), ZeroLoss(), make_empirical([0.0])
+                IMQ(1.0), DiagonalGaussian.standard(1), ZeroLoss(), EmpiricalMeasure(np.zeros((1, 1)))
             )
 
     def test_v_statistic_is_nonnegative(self):

@@ -1,4 +1,4 @@
-"""Loss values, first-variation gradients, and second-order blocks.
+"""Loss values, first-variation gradients, and their vector-Jacobian products.
 
 Every analytic route is checked against an independent assembly: hand
 formulas for the closed-form losses, explicit pair loops for the predictive
@@ -17,15 +17,14 @@ from kgd.losses import (
     PredictiveKernelLoss,
     VariationalLoss,
     ZeroLoss,
-    euclid_identity_check,
     gaussian_overlap,
     gaussian_smooth,
     )
 from kgd.models import gen_mfnn_data
-from kgd.oracles import fd_gradient, gauss_hermite_2d
+from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d
 
 IDENTITY_TOL = 1e-4  # var_grad vs n * FD gradient of the particle objective
-JAC_TOL = 1e-6  # analytic jacobian blocks vs central differences
+JAC_TOL = 1e-6  # var_grad_vjp vs the central-difference jacobian
 QUAD_TOL = 1e-8  # closed-form kernel expectations vs quadrature
 
 
@@ -44,12 +43,9 @@ def _fd_jacobian(loss: VariationalLoss, atoms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _assembled_jacobian(loss: VariationalLoss, measure: EmpiricalMeasure) -> np.ndarray:
-    diag, cross = loss.var_grad_jacobian(measure)
-    full = cross.copy()
-    idx = np.arange(measure.n)
-    full[idx, idx] += diag
-    return full
+def _fd_vjp(loss: VariationalLoss, atoms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sum_i (d var_grad(Q, x_i) / d x_m)^T u_i from the central-difference jacobian."""
+    return np.einsum("imac,ia->mc", _fd_jacobian(loss, atoms), u)
 
 
 class TestZeroLoss:
@@ -62,14 +58,14 @@ class TestZeroLoss:
         np.testing.assert_array_equal(loss.var_grad(measure, atoms[0]), np.zeros(2))
 
     def test_jacobian_blocks_are_zero(self):
+        # The scores never move, so every vector-jacobian product vanishes.
         loss = ZeroLoss()
         measure = EmpiricalMeasure(np.ones((4, 3)))
-        diag, cross = loss.var_grad_jacobian(measure)
-        assert diag.shape == (4, 3, 3) and not diag.any()
-        assert cross.shape == (4, 4, 3, 3) and not cross.any()
+        vjp = loss.var_grad_vjp(measure, np.random.default_rng(0).standard_normal((4, 3)))
+        assert vjp.shape == (4, 3) and not vjp.any()
 
     def test_flags(self):
-        assert ZeroLoss().has_value and ZeroLoss().has_second_order
+        assert ZeroLoss().has_value
 
 
 class TestLinearLoss:
@@ -112,22 +108,20 @@ class TestLinearLoss:
         np.testing.assert_array_equal(batch, singles)
 
     def test_jacobian_blocks(self):
+        # Each score moves with its own atom only, through the Hessian of u.
         weights = np.array([2.0, 0.5])
         loss = LinearLoss.quadratic(np.zeros(2), weights)
-        atoms = np.random.default_rng(1).standard_normal((3, 2))
-        measure = EmpiricalMeasure(atoms)
-        diag, cross = loss.var_grad_jacobian(measure)
-        np.testing.assert_array_equal(diag, np.stack([np.diag(weights)] * 3))
-        assert not cross.any()
-        np.testing.assert_allclose(
-            _assembled_jacobian(loss, measure), _fd_jacobian(loss, atoms), atol=JAC_TOL
-        )
+        rng = np.random.default_rng(1)
+        atoms = rng.standard_normal((3, 2))
+        u = rng.standard_normal((3, 2))
+        vjp = loss.var_grad_vjp(EmpiricalMeasure(atoms), u)
+        np.testing.assert_array_equal(vjp, weights * u)
+        np.testing.assert_allclose(vjp, _fd_vjp(loss, atoms, u), atol=JAC_TOL)
 
     def test_second_order_requires_hessian(self):
         loss = LinearLoss(u=lambda x: np.sum(x, axis=-1), grad_u=np.ones_like)
-        assert not loss.has_second_order
-        with pytest.raises(NotImplementedError):
-            loss.var_grad_jacobian(EmpiricalMeasure(np.zeros((2, 2))))
+        with pytest.raises(NotImplementedError, match="hess_u"):
+            loss.var_grad_vjp(EmpiricalMeasure(np.zeros((2, 2))), np.ones((2, 2)))
 
 
 class TestInteractionLoss:
@@ -150,9 +144,7 @@ class TestInteractionLoss:
 
     def test_closed_form_score_matches_generic_route(self):
         quad = InteractionLoss.quadratic()
-        generic = InteractionLoss(
-            quad.pair_value, quad.pair_grad1, quad.pair_grad11, quad.pair_grad12
-        )
+        generic = InteractionLoss(quad.pair_value, quad.pair_grad1)
         rng = np.random.default_rng(7)
         atoms = rng.standard_normal((9, 3))
         measure = EmpiricalMeasure(atoms)
@@ -164,17 +156,15 @@ class TestInteractionLoss:
             assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
 
     def test_jacobian_blocks_by_hand(self):
+        # d var_grad_i / d x_m = 2 (1[i == m] - 1/n) I, so with n = 4 the
+        # product is 2 u_m - (1/2) sum_i u_i.
         loss = InteractionLoss.quadratic()
-        atoms = np.random.default_rng(4).standard_normal((4, 2))
-        measure = EmpiricalMeasure(atoms)
-        diag, cross = loss.var_grad_jacobian(measure)
-        np.testing.assert_allclose(diag, np.stack([2.0 * np.eye(2)] * 4), rtol=1e-15)
-        np.testing.assert_allclose(
-            cross, np.broadcast_to(-0.5 * np.eye(2), (4, 4, 2, 2)), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            _assembled_jacobian(loss, measure), _fd_jacobian(loss, atoms), atol=JAC_TOL
-        )
+        rng = np.random.default_rng(4)
+        atoms = rng.standard_normal((4, 2))
+        u = rng.standard_normal((4, 2))
+        vjp = loss.var_grad_vjp(EmpiricalMeasure(atoms), u)
+        np.testing.assert_allclose(vjp, 2.0 * u - 0.5 * u.sum(axis=0), rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(vjp, _fd_vjp(loss, atoms, u), atol=JAC_TOL)
 
     def test_generic_pair_function(self):
         # A non-quadratic interaction exercises the generic assembly.
@@ -186,12 +176,11 @@ class TestInteractionLoss:
             return -value(x, y)[..., None] * diff
 
         loss = InteractionLoss(value, grad1)
-        assert not loss.has_second_order
         atoms = np.random.default_rng(5).standard_normal((5, 2))
         measure = EmpiricalMeasure(atoms)
         assert euclid_identity_check(loss, measure, 2) < IDENTITY_TOL
-        with pytest.raises(NotImplementedError):
-            loss.var_grad_jacobian(measure)
+        with pytest.raises(NotImplementedError, match="InteractionLoss"):
+            loss.var_grad_vjp(measure, atoms)
 
 
 class TestMeanFieldRegression:
@@ -243,6 +232,17 @@ class TestMeanFieldRegression:
         batch = loss.var_grad(measure, xs)
         singles = np.stack([loss.var_grad(measure, x) for x in xs])
         np.testing.assert_array_equal(batch, singles)
+
+    def test_vjp_against_finite_differences(self):
+        data = gen_mfnn_data(0, n_data=20)
+        loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=3.0)
+        rng = np.random.default_rng(20)
+        atoms = rng.standard_normal((4, 4))
+        u = rng.standard_normal((4, 4))
+        np.testing.assert_allclose(
+            loss.var_grad_vjp(EmpiricalMeasure(atoms), u), _fd_vjp(loss, atoms, u),
+            atol=JAC_TOL,
+        )
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matching"):
@@ -360,16 +360,16 @@ class TestPredictiveKernelLoss:
         rng = np.random.default_rng(12)
         for _ in range(4):
             x, y = rng.standard_normal((2, 2))
-            value, _ = loss.pair_terms(x, y)
-            np.testing.assert_allclose(value, _brute_pair(loss, x, y), rtol=1e-12)
+            values, _ = loss.pair_block(x[None, :], y[None, :])
+            np.testing.assert_allclose(values[0, 0], _brute_pair(loss, x, y), rtol=1e-12)
 
     def test_pair_gradient_against_finite_differences(self):
         loss = _wave_loss()
         rng = np.random.default_rng(13)
         x, y = rng.standard_normal((2, 2))
-        _, grad = loss.pair_terms(x, y)
+        _, grads = loss.pair_block(x[None, :], y[None, :])
         fd = fd_gradient(lambda xx: _brute_pair(loss, xx, y), x)
-        np.testing.assert_allclose(grad, fd, atol=1e-8)
+        np.testing.assert_allclose(grads[0, 0], fd, atol=1e-8)
 
     def test_value_against_loops(self):
         loss = _wave_loss()
@@ -387,7 +387,7 @@ class TestPredictiveKernelLoss:
         atoms = rng.standard_normal((4, 2))
         measure = EmpiricalMeasure(atoms)
         x = rng.standard_normal(2)
-        expected = sum(loss.pair_terms(x, a)[1] for a in atoms) / (
+        expected = sum(loss.pair_block(x[None, :], a[None, :])[1][0, 0] for a in atoms) / (
             measure.n * loss.lam
         )
         np.testing.assert_allclose(loss.var_grad(measure, x), expected, rtol=1e-12)
@@ -397,6 +397,11 @@ class TestPredictiveKernelLoss:
         atoms = np.random.default_rng(16).standard_normal((3, 2))
         measure = EmpiricalMeasure(atoms)
         assert euclid_identity_check(loss, measure, 1) < IDENTITY_TOL
+
+    def test_has_no_vjp(self):
+        # It would need second-order ODE sensitivities.
+        with pytest.raises(NotImplementedError, match="PredictiveKernelLoss"):
+            _wave_loss().var_grad_vjp(EmpiricalMeasure(np.zeros((2, 2))), np.ones((2, 2)))
 
     def test_default_regularisation_scales_with_data(self):
         times = np.linspace(0.5, 2.0, 8)

@@ -15,6 +15,7 @@ from kgd.models import (
     lv_solve,
     mfnn_forward,
     mfnn_grad,
+    mfnn_hvp,
     sigmoid,
 )
 from kgd.oracles import fd_gradient
@@ -60,6 +61,19 @@ class TestNetwork:
             for i in range(z.size):
                 fd = fd_gradient(lambda q: float(mfnn_forward(q, z[i : i + 1])[0]), p)
                 np.testing.assert_allclose(got[i], fd, atol=1e-7)
+
+    def test_hessian_vector_product_matches_finite_differences(self):
+        # The Hessian is symmetric, so H v is the derivative of the gradient
+        # along v: one central difference of mfnn_grad per direction.
+        rng = np.random.default_rng(10)
+        z = rng.uniform(0.0, 1.0, size=6)
+        params = rng.normal(size=(4, 4))
+        v = rng.normal(size=(4, 4))
+        h = 1e-6
+        fd = (mfnn_grad(params + h * v, z) - mfnn_grad(params - h * v, z)) / (2.0 * h)
+        got = mfnn_hvp(params, z, v)
+        assert got.shape == (4, 6, 4)
+        np.testing.assert_allclose(got, fd, atol=1e-7)
 
 
 class TestRegressionData:

@@ -1,8 +1,8 @@
 """Sampler updates, traces, and the greedy search.
 
 The single-step maps are pinned against hand-rolled updates sharing the
-same random stream, the two discrepancy-gradient routes are checked against
-each other, and the trace bookkeeping (row placement, recomputed values,
+same random stream, the particle gradient is checked against finite
+differences of the estimators, and the trace bookkeeping (row placement, recomputed values,
 wall times) is verified on short runs.
 """
 
@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from kgd.discrepancy import kgd_u_squared, kgd_v_squared
+from kgd.discrepancy import kgd_u_squared, kgd_v_squared, particle_grad
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from kgd.losses import InteractionLoss, LinearLoss, MeanFieldRegressionLoss, ZeroLoss
+from kgd.models import gen_mfnn_data
+from kgd.oracles import fd_gradient
 from kgd.samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -30,7 +32,7 @@ from kgd.samplers import (
     vgd_run,
     )
 
-GRAD_TOL = 1e-6  # finite-difference vs analytic discrepancy gradients
+GRAD_TOL = 1e-6  # analytic discrepancy gradients vs central differences
 
 
 class TestOptimizers:
@@ -226,50 +228,102 @@ class TestVGD:
         assert run.kgd2[-1] < 0.2 * run.kgd2[0]
 
 
-class TestKGDDGradient:
-    @pytest.mark.parametrize(
-        "kernel",
-        [IMQ(0.8), Gaussian(1.2), Mixture((IMQ(1.0), Gaussian(0.7)))],
-        ids=["imq", "gaussian", "mixture"],
-    )
-    @pytest.mark.parametrize(
-        "loss",
-        [
-            ZeroLoss(),
-            LinearLoss.quadratic(np.array([0.5, -0.5]), np.array([1.0, 2.0])),
-            InteractionLoss.quadratic(),
-        ],
-        ids=["zero", "linear", "interaction"],
-    )
-    def test_analytic_matches_finite_differences(self, kernel, loss):
-        rng = np.random.default_rng(11)
-        ref = DiagonalGaussian(np.array([0.2, -0.1]), np.array([1.5, 0.8]))
-        atoms = rng.standard_normal((6, 2))
-        fd = kgdd_grad(kernel, ref, loss, atoms, method="fd")
-        analytic = kgdd_grad(kernel, ref, loss, atoms, method="analytic")
-        np.testing.assert_allclose(analytic, fd, atol=GRAD_TOL)
+KGDD_KERNELS = {
+    "imq": IMQ(0.8),
+    "gaussian": Gaussian(1.2),
+    "mixture": Mixture((IMQ(1.0), Gaussian(0.7))),
+    "normalized-linear": NormalizedLinear(1.1),
+    "imq+normalized-linear": Mixture((IMQ(1.0), NormalizedLinear(1.2))),
+    "weighted-exp-1": WeightedMatrixKernel(c=1.2, exponent=-1.0, base=IMQ(0.9)),
+    "weighted-exp0.5": WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
+}
 
-    def test_analytic_needs_a_radial_kernel(self):
-        with pytest.raises(NotImplementedError, match="radial"):
-            kgdd_grad(
-                NormalizedLinear(1.0), DiagonalGaussian.standard(2), ZeroLoss(),
-                np.zeros((2, 2)), method="analytic",
+
+def _kgdd_loss(name: str, offset: float):
+    """A loss of each family with a var_grad_vjp, on 4-d atoms; the linear
+    potential's centre moves with the cloud."""
+    if name == "zero":
+        return ZeroLoss()
+    if name == "linear":
+        return LinearLoss.quadratic(
+            offset + np.array([0.5, -0.5, 0.2, 0.0]), np.array([1.0, 2.0, 0.5, 1.5])
+        )
+    if name == "interaction":
+        return InteractionLoss.quadratic()
+    data = gen_mfnn_data(0, n_data=30)
+    return MeanFieldRegressionLoss(data.covariates, data.responses, lam=3.0)
+
+
+class TestKGDDGradient:
+    @pytest.mark.parametrize("kernel", list(KGDD_KERNELS.values()), ids=list(KGDD_KERNELS))
+    @pytest.mark.parametrize("loss_name", ["zero", "linear", "interaction", "mean-field"])
+    def test_analytic_matches_finite_differences(self, kernel, loss_name):
+        # V- and U-statistic gradients against central differences of the
+        # estimators on the flattened atoms, near the origin and on the same
+        # cloud offset by 1e3. There the base step shrinks so that the step
+        # stays about 1e-5, and the tolerance is relative to max |fd|: the
+        # network's scores do not move with the cloud and reach 1e6.
+        rng = np.random.default_rng(11)
+        cloud = rng.standard_normal((6, 4))
+        for offset in (0.0, 1e3):
+            ref = DiagonalGaussian(
+                offset + np.array([0.2, -0.1, 0.0, 0.3]), np.array([1.5, 0.8, 1.0, 1.2])
             )
+            loss = _kgdd_loss(loss_name, offset)
+            atoms = offset + cloud
+            for u_stat, estimator in ((False, kgd_v_squared), (True, kgd_u_squared)):
+                def objective(flat):
+                    measure = EmpiricalMeasure(flat.reshape(atoms.shape))
+                    return estimator(kernel, ref, loss, measure).value2
+
+                fd = fd_gradient(objective, atoms.ravel(), 1e-5 / (1.0 + offset))
+                if u_stat:
+                    grad = particle_grad(kernel, ref, loss, atoms, u_statistic=True)
+                else:
+                    grad = kgdd_grad(kernel, ref, loss, atoms)
+                scale = 1.0 if offset == 0.0 else max(1.0, float(np.max(np.abs(fd))))
+                err = float(np.max(np.abs(grad.ravel() - fd)))
+                assert err <= GRAD_TOL * scale, f"offset {offset}, U {u_stat}: {err:.2e}"
+
+    @pytest.mark.parametrize(
+        "kernel", [IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5)], ids=["imq", "weighted"]
+    )
+    def test_u_gradient_chains_through_an_affine_map(self, kernel):
+        # The parametric fit: points A z + c over a frozen base sample z, so
+        # dU/dA = G^T Z and dU/dc = sum_i G_i for the particle gradient G.
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((8, 4))
+        theta = np.concatenate(
+            [(np.eye(4) + 0.3 * rng.standard_normal((4, 4))).ravel(), rng.standard_normal(4)]
+        )
+        ref = DiagonalGaussian.standard(4)
+        loss = _kgdd_loss("mean-field", 0.0)
+
+        def push(th):
+            return base @ th[:16].reshape(4, 4).T + th[16:]
+
+        g = particle_grad(kernel, ref, loss, push(theta), u_statistic=True)
+        chained = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
+        fd = fd_gradient(lambda th: param_vi_objective(kernel, ref, loss, push(th)), theta)
+        np.testing.assert_allclose(chained, fd, atol=GRAD_TOL)
 
     def test_analytic_needs_second_order_blocks(self):
-        data_z = np.linspace(0.1, 0.9, 5)
-        loss = MeanFieldRegressionLoss(data_z, np.zeros(5))
-        with pytest.raises(NotImplementedError, match="second-order"):
-            kgdd_grad(
-                IMQ(1.0), DiagonalGaussian.standard(4), loss,
-                np.zeros((2, 4)), method="analytic",
-            )
+        # The scores move with the atoms through the loss's var_grad_vjp; a
+        # loss without one is rejected by name.
+        loss = LinearLoss(u=lambda x: np.sum(x, axis=-1), grad_u=np.ones_like)
+        with pytest.raises(NotImplementedError, match="hess_u"):
+            kgdd_grad(IMQ(1.0), DiagonalGaussian.standard(2), loss, np.zeros((2, 2)))
+        generic = InteractionLoss(
+            InteractionLoss.quadratic().pair_value, InteractionLoss.quadratic().pair_grad1
+        )
+        with pytest.raises(NotImplementedError, match="InteractionLoss"):
+            kgdd_grad(IMQ(1.0), DiagonalGaussian.standard(2), generic, np.ones((2, 2)))
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="gradient method"):
-            kgdd_grad(
-                IMQ(1.0), DiagonalGaussian.standard(1), ZeroLoss(),
-                np.zeros((1, 1)), method="autodiff",
+    def test_u_gradient_needs_two_atoms(self):
+        with pytest.raises(ValueError, match="two atoms"):
+            particle_grad(
+                IMQ(1.0), DiagonalGaussian.standard(1), ZeroLoss(), np.zeros((1, 1)),
+                u_statistic=True,
             )
 
     def test_run_descends_the_objective(self):
@@ -277,7 +331,7 @@ class TestKGDDGradient:
         atoms = 1.5 + np.random.default_rng(12).standard_normal((8, 2))
         spec = OptimizerSpec(method="euler", step_size=0.3)
         run = kgdd_run(
-            atoms, IMQ(1.0), ref, ZeroLoss(), spec, 25, method="analytic",
+            atoms, IMQ(1.0), ref, ZeroLoss(), spec, 25,
             trace_kernel=IMQ(1.0), trace_every=25,
         )
         assert run.kgd2[-1] < run.kgd2[0]
@@ -286,8 +340,8 @@ class TestKGDDGradient:
         ref = DiagonalGaussian.standard(2)
         atoms = np.random.default_rng(13).standard_normal((3, 2))
         spec = OptimizerSpec(method="euler", step_size=0.1)
-        run = kgdd_run(atoms, IMQ(1.0), ref, ZeroLoss(), spec, 1, method="analytic")
-        grad = kgdd_grad(IMQ(1.0), ref, ZeroLoss(), atoms, method="analytic")
+        run = kgdd_run(atoms, IMQ(1.0), ref, ZeroLoss(), spec, 1)
+        grad = kgdd_grad(IMQ(1.0), ref, ZeroLoss(), atoms)
         np.testing.assert_allclose(run.atoms, atoms - 0.1 * grad, rtol=1e-14)
 
 
