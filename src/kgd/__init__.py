@@ -47,7 +47,6 @@ from .samplers import (
     kgdd_run,
     mfld_run,
     mfld_step,
-    param_vi_objective,
     vgd_drift,
     vgd_run,
     vgd_step,
@@ -93,7 +92,6 @@ __all__ = [
     "kgdd_run",
     "mfld_run",
     "mfld_step",
-    "param_vi_objective",
     "vgd_drift",
     "vgd_run",
     "vgd_step",

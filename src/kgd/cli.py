@@ -821,7 +821,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
-    from .discrepancy import stein_gram
+    from .discrepancy import _stein_sums, stein_gram
     from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
                           reference_ksd_squared)
 
@@ -915,6 +915,19 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         err = np.max(np.abs(vgd_drift(kern, ref, loss, mea) - drift))
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("tilted-gram", worst < 1e-12, f"worst rel {worst:.2e}")
+
+    # Gram-free row-block sums against the Gram's sum and trace, on a
+    # translated cloud of two blocks (the second ragged), relative to sum |h|.
+    worst = 0.0
+    atoms = 1e3 + rng.normal(size=(300, 3))
+    mea = EmpiricalMeasure(atoms)
+    scores = gen_score(ref, loss, mea, atoms)
+    for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9))):
+        gram = stein_gram(kern, ref, loss, mea)
+        total, trace = _stein_sums(kern, atoms, scores)
+        scale = float(np.abs(gram).sum())
+        worst = max(worst, abs(total - gram.sum()) / scale, abs(trace - np.trace(gram)) / scale)
+    report("stein-sums", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Particle gradients of V and U against central differences.
     worst = 0.0

@@ -12,8 +12,9 @@ and the Stein kernel built from a scalar kernel k is
 Averaging h over all atom pairs (V-statistic) or off-diagonal pairs
 (U-statistic) gives the squared discrepancy estimates.
 
-``stein_gram`` (the Gram matrix of h over the atoms) and ``stein_drift``
-(the flow velocity (1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)])
+``stein_gram`` (the Gram matrix of h over the atoms, for the tests,
+``kgd self-check`` and ``stein_kernel_eval``) and ``stein_drift`` (the flow
+velocity (1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)])
 are built from n x n and (n, d) arrays only, for every kernel, through the
 tilt identity. ``kernel.terms()`` writes k as a sum of terms
 coef * w(x) g(x, y) w(y) with g radial or linear; for each, with
@@ -43,18 +44,37 @@ through the one ``ScalarKernel`` interface: the Stein kernel of K is the
 scalar Stein kernel of kappa. ``kernel.pairwise``, the derivative
 definition, is not read here.
 
-``particle_grad`` differentiates n^2 V in the atoms from the same arrays.
+The estimators (``kgd_v_squared``, ``kgd_u_squared``, ``clt_scaling_study``)
+need only sum_ij h and the trace, and get both without the Gram. Per term,
+with b the shifted scores b~, c_i = x_i.b_i on the centred atoms and
+(phi' w)_i = sum_j phi'_ij w_j, a radial core gives
+
+    sum_ij w_i w_j h_ij = sum_i w_i [4 x_i.(phi' wB)_i - (4 c_i + 2 d) (phi' w)_i
+                                     - 4 ((s o phi'') w)_i + b_i.(phi wB)_i],
+
+read from phi, phi' and phi'' on (256, n) slabs of rows: three slab
+products per block, so memory grows like 256 n, not n^2. The linear core
+needs no n x n array at all:
+
+    sum_ij w_i w_j h_ij = d (sum_i w_i)^2 + 2 (sum_i w_i) (sum_i w_i x_i.beta_i)
+                          + c^2 ||beta^T w||^2 + ||X^T diag(w) beta||_F^2.
+
+The diagonal is closed-form: w_i^2 (-2 d phi'(0) + phi(0) ||b_i||^2) for a
+radial core, w_i^2 (d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2) for
+the linear one. A non-finite sum falls back to ``stein_gram``, whose error
+names the first non-finite entry.
+
+``particle_grad`` differentiates n^2 V in the atoms from the n x n arrays.
 The scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
 d(n^2 V)/db = 2 n ``stein_drift``. With scores fixed, each term moves through
 its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (H w)_i) and
 through b~ (Hess log w times 2 w_i times the core's drift). The U-statistic
-also drops the diagonal w_i^2 h(x_i, x_i): -2 d phi'(0) + phi(0) ||b~_i||^2
-for a radial core, d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2 for the
-linear one.
+also drops the diagonal w_i^2 h(x_i, x_i) above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -62,6 +82,10 @@ import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from .losses import VariationalLoss
+
+# Rows per block of the Gram-free sums: a block holds a few (256, n) slabs,
+# so their memory grows like n, not n^2.
+_BLOCK = 256
 
 
 def gen_score(
@@ -95,15 +119,16 @@ def _radial_profile(kernel, atoms: np.ndarray):
     return x, sq, kernel.profile(sq)
 
 
-def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Stein Gram of a radial kernel from n x n products (see module docstring).
+def _radial_gram(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray) -> np.ndarray:
+    """Stein Gram of a radial kernel from n x n products (see module docstring),
+    given ``_radial_profile``'s centred atoms, squared distances and profile.
 
     The n x n arrays are updated in place where the formula allows: at large
     n each temporary costs about as much as the arithmetic that fills it.
     Each update keeps a symmetric array bitwise symmetric (c_i + c_j is one
     outer sum, not two updates), so h is as symmetric as x x^T and B B^T.
     """
-    x, sq, (phi, dphi, d2phi, _) = _radial_profile(kernel, atoms)
+    phi, dphi, d2phi, _ = profile
     g = x @ scores.T
     c = np.diagonal(g)
     # h = 2 phi' (G + G^T - c_i - c_j - d) - 4 s phi'' + phi B B^T
@@ -111,18 +136,18 @@ def _radial_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     h -= np.add.outer(c, c)
     h -= x.shape[1]
     h *= 2.0 * dphi
-    sq *= d2phi
-    sq *= 4.0
-    h -= sq
+    curv = sq * d2phi
+    curv *= 4.0
+    h -= curv
     bb = scores @ scores.T
     bb *= phi
     h += bb
     return h
 
 
-def _radial_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _radial_drift(x: np.ndarray, profile, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
     """n times the drift of a radial kernel with atom weights w."""
-    x, _, (phi, dphi, _, _) = _radial_profile(kernel, atoms)
+    phi, dphi, _, _ = profile
     return phi @ (w[:, None] * scores) + 2.0 * (
         dphi @ (w[:, None] * x) - (dphi @ w)[:, None] * x
     )
@@ -145,10 +170,10 @@ def _linear_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) 
     return kernel.c**2 * wb.sum(axis=0) + atoms @ (atoms.T @ wb) + w.sum() * atoms
 
 
-def _radial_grad(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
+def _radial_grad(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray, w: np.ndarray):
     """n x the positional sum_j w_j d h_ij / d x_i of a radial Stein Gram, with
     the derivatives of h_ii in b_i and in x_i."""
-    x, sq, (phi, dphi, d2phi, d3phi) = _radial_profile(kernel, atoms)
+    phi, dphi, d2phi, d3phi = profile
     g = x @ scores.T
     c = np.diagonal(g)
     rb = g + g.T - np.add.outer(c, c)  # (x_i - x_j).(b_j - b_i)
@@ -170,12 +195,74 @@ def _linear_grad(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
     return pos, 2.0 * (atoms + norms[:, None] * scores), 2.0 * (scores + beta2[:, None] * atoms)
 
 
+def _radial_sums(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
+    """sum_ij w_i w_j h_ij and sum_i w_i^2 h_ii of a radial core's Stein
+    kernel, from (block, n) slabs of the profile (see module docstring)."""
+    n, d = atoms.shape
+    x = atoms - atoms.sum(axis=0) / n
+    norms = np.einsum("id,id->i", x, x)
+    wb = w[:, None] * scores
+    # The phi' terms of row i are <left_i, (phi' @ right)_i>, with
+    # left = 4 w [X | -(c + d/2)] and right = [wB | w].
+    c = np.einsum("id,id->i", x, scores)
+    left = 4.0 * w[:, None] * np.concatenate([x, -(c + 0.5 * d)[:, None]], axis=1)
+    right = np.concatenate([wb, w[:, None]], axis=1)
+    slab = np.empty((min(_BLOCK, n), n))  # squared distances, reused by every block
+    total = 0.0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        sq = slab[: hi - lo]
+        np.matmul(x[lo:hi], x.T, out=sq)
+        sq *= -2.0
+        sq += norms[lo:hi, None]
+        sq += norms
+        np.maximum(sq, 0.0, out=sq)
+        np.fill_diagonal(sq[:, lo:hi], 0.0)
+        phi, dphi, d2phi = kernel.profile(sq, 2)
+        sq *= d2phi
+        total += np.vdot(left[lo:hi], dphi @ right) + np.vdot(wb[lo:hi], phi @ wb)
+        total -= 4.0 * (w[lo:hi] @ (sq @ w))
+    # phi(0) and phi'(0): the last block's first row has its zeroed diagonal
+    # entry in column lo.
+    diag = -2.0 * d * dphi[0, lo] + phi[0, lo] * np.einsum("id,id->i", scores, scores)
+    return float(total), float((w * w) @ diag)
+
+
+def _linear_sums(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
+    """As ``_radial_sums``, for the linear kernel c^2 + x.y: no n x n array."""
+    d = atoms.shape[1]
+    xb = np.einsum("id,id->i", atoms, scores)
+    sw = w.sum()
+    wb = w @ scores
+    xwb = atoms.T @ (w[:, None] * scores)
+    c2 = kernel.c**2
+    total = d * sw**2 + 2.0 * sw * (w @ xb) + c2 * (wb @ wb) + np.sum(xwb * xwb)
+    norms = np.einsum("id,id->i", atoms, atoms)
+    diag = d + 2.0 * xb + (c2 + norms) * np.einsum("id,id->i", scores, scores)
+    return float(total), float((w * w) @ diag)
+
+
+def _stein_sums(kernel, atoms: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
+    """Sum over all entries and trace of the Stein Gram, summed over the
+    kernel's terms, without forming the Gram."""
+    total = trace = 0.0
+    for coef, tilts, core in kernel.terms():
+        w, shifted = _tilt(tilts, atoms, scores)
+        part, diag = (_radial_sums if core.is_radial else _linear_sums)(core, atoms, shifted, w)
+        total += coef * part
+        trace += coef * diag
+    return total, trace
+
+
 def _stein_matrix(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Stein kernel over all pairs of atoms, summed over the kernel's terms."""
     gram = None
     for coef, tilts, core in kernel.terms():
         w, shifted = _tilt(tilts, atoms, scores)
-        h = (_radial_gram if core.is_radial else _linear_gram)(core, atoms, shifted)
+        if core.is_radial:
+            h = _radial_gram(*_radial_profile(core, atoms), shifted)
+        else:
+            h = _linear_gram(core, atoms, shifted)
         if tilts:
             h *= np.outer(w, w)
         if coef != 1.0:
@@ -193,7 +280,11 @@ def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     drift = np.zeros_like(atoms)
     for coef, tilts, core in kernel.terms():
         w, shifted = _tilt(tilts, atoms, scores)
-        part = (_radial_drift if core.is_radial else _linear_drift)(core, atoms, shifted, w)
+        if core.is_radial:
+            x, _, profile = _radial_profile(core, atoms)
+            part = _radial_drift(x, profile, shifted, w)
+        else:
+            part = _linear_drift(core, atoms, shifted, w)
         drift += (coef * w)[:, None] * part
     return drift / atoms.shape[0]
 
@@ -213,10 +304,15 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
     weight = np.zeros_like(atoms)  # d(n^2 V)/db, or d(n(n-1) U)/db
     for coef, tilts, core in kernel.terms():
         w, shifted = _tilt(tilts, atoms, scores)
-        radial = core.is_radial
-        h = (_radial_gram if radial else _linear_gram)(core, atoms, shifted)
-        tw = 2.0 * (_radial_drift if radial else _linear_drift)(core, atoms, shifted, w)
-        pos, diag_b, diag_x = (_radial_grad if radial else _linear_grad)(core, atoms, shifted, w)
+        if core.is_radial:
+            x, sq, profile = _radial_profile(core, atoms)
+            h = _radial_gram(x, sq, profile, shifted)
+            tw = 2.0 * _radial_drift(x, profile, shifted, w)
+            pos, diag_b, diag_x = _radial_grad(x, sq, profile, shifted, w)
+        else:
+            h = _linear_gram(core, atoms, shifted)
+            tw = 2.0 * _linear_drift(core, atoms, shifted, w)
+            pos, diag_b, diag_x = _linear_grad(core, atoms, shifted, w)
         rows = 2.0 * (h @ w)
         pos *= 2.0
         if u_statistic:
@@ -255,6 +351,28 @@ def stein_gram(
     return gram
 
 
+def _gram_sums(
+    kernel,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    measure: EmpiricalMeasure,
+) -> tuple[float, float]:
+    """Sum over all entries and trace of the Stein Gram over the atoms.
+
+    Raises FloatingPointError when either is not finite: ``stein_gram``'s,
+    naming the first non-finite entry, or, if every entry is finite, one
+    saying that the sum overflowed.
+    """
+    atoms = measure.atoms
+    total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
+    if not (math.isfinite(total) and math.isfinite(trace)):
+        stein_gram(kernel, ref, loss, measure)
+        raise FloatingPointError(
+            f"Stein Gram sum {total} or trace {trace} overflowed; every entry is finite"
+        )
+    return total, trace
+
+
 def stein_kernel_eval(
     kernel,
     ref: DiagonalGaussian,
@@ -291,8 +409,8 @@ def kgd_v_squared(
     measure: EmpiricalMeasure,
 ) -> KGDEstimate:
     """V-statistic (1/n^2) sum_ij h(x_i, x_j); nonnegative for psd kernels."""
-    gram = stein_gram(kernel, ref, loss, measure)
-    return KGDEstimate(float(np.sum(gram) / measure.n**2), "v", measure.n)
+    total, _ = _gram_sums(kernel, ref, loss, measure)
+    return KGDEstimate(total / measure.n**2, "v", measure.n)
 
 
 def kgd_u_squared(
@@ -306,9 +424,8 @@ def kgd_u_squared(
     n = measure.n
     if n < 2:
         raise ValueError("the U-statistic needs at least two atoms")
-    gram = stein_gram(kernel, ref, loss, measure)
-    off = float(np.sum(gram) - np.trace(gram))
-    return KGDEstimate(off / (n * (n - 1)), "u", n)
+    total, trace = _gram_sums(kernel, ref, loss, measure)
+    return KGDEstimate((total - trace) / (n * (n - 1)), "u", n)
 
 
 @dataclass(frozen=True)
@@ -357,8 +474,9 @@ def clt_scaling_study(
 
     For each size n and replicate r, ``sample`` receives an independent
     substream addressed by (seed, n, r) and must return an (n, d) array of
-    iid draws; both estimators are then computed from one Gram matrix. The
-    replicate streams are independent of evaluation order.
+    iid draws; both estimators are then computed from one pass of Stein
+    sums, without the Gram matrix. The replicate streams are independent of
+    evaluation order.
 
     Raises ValueError, before any work, for a size below 2 (no U-statistic),
     fewer than 2 distinct sizes (no slope) or fewer than 2 replicates (no
@@ -377,10 +495,9 @@ def clt_scaling_study(
         for r in range(n_reps):
             rng = seeded_stream(seed, "scaling", int(n), int(r))
             measure = EmpiricalMeasure(np.asarray(sample(rng, int(n)), dtype=float))
-            gram = stein_gram(kernel, ref, loss, measure)
-            total = float(np.sum(gram))
+            total, trace = _gram_sums(kernel, ref, loss, measure)
             v_values[i, r] = total / n**2
-            u_values[i, r] = (total - float(np.trace(gram))) / (n * (n - 1))
+            u_values[i, r] = (total - trace) / (n * (n - 1))
     v_mean = v_values.mean(axis=1)
     v_sd = v_values.std(axis=1, ddof=1)
     return ScalingStudy(

@@ -31,7 +31,8 @@ kernel K = kappa I, whose Stein kernel is the scalar Stein kernel of kappa,
 is base + normalised linear tilted by w(x) = (c^2 + ||x||^2)^(exponent/2).
 Radial kernels k(x, y) = phi(||x - y||^2) share one code path driven by the
 profile derivatives phi', phi'', phi''' (the third derivative feeds only the
-particle gradient ``discrepancy.particle_grad``, never the estimators).
+particle gradient ``discrepancy.particle_grad``; the estimators ask
+``profile`` for order 2 and skip it).
 """
 
 from __future__ import annotations
@@ -95,8 +96,9 @@ class ScalarKernel:
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.bundle(x, y).value
 
-    def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(phi, phi', phi'', phi''') at squared distances; radial kernels only."""
+    def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
+        """(phi, phi', ..., phi^(order)) at squared distances, order 2 or 3;
+        radial kernels only."""
         raise NotImplementedError(f"{self.family} kernel is not radial")
 
 
@@ -119,7 +121,7 @@ class _RadialKernel(ScalarKernel):
     def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
         diffs, sq = _sq_dists(x, y)
         d = x.shape[-1]
-        phi, dphi, d2phi, _ = self.profile(sq)
+        phi, dphi, d2phi = self.profile(sq, 2)
         grad1 = 2.0 * dphi[..., None] * diffs
         return PairwiseDerivatives(
             value=phi,
@@ -143,20 +145,20 @@ class IMQ(_RadialKernel):
         if not self.lengthscale > 0.0:
             raise ValueError("lengthscale must be positive")
 
-    def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
+    def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
         # With r = 1 / (1 + s / ell^2), phi = r^(1/2) and each derivative is
         # the one before times -(k + 1/2) r / ell^2: one reciprocal and one
         # square root instead of four fractional powers.
         ell2 = self.lengthscale**2
-        r = 1.0 / (1.0 + np.asarray(sq, dtype=float) / ell2)
-        phi = np.sqrt(r)
-        dphi = phi * r
-        dphi *= -0.5 / ell2
-        d2phi = dphi * r
-        d2phi *= -1.5 / ell2
-        d3phi = d2phi * r
-        d3phi *= -2.5 / ell2
-        return phi, dphi, d2phi, d3phi
+        r = np.asarray(sq, dtype=float) / ell2
+        r += 1.0
+        np.reciprocal(r, out=r)
+        derivs = [np.sqrt(r)]
+        for k in range(order):
+            nxt = derivs[-1] * r
+            nxt *= -(k + 0.5) / ell2
+            derivs.append(nxt)
+        return tuple(derivs)
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,11 @@ class Gaussian(_RadialKernel):
         if not self.lengthscale > 0.0:
             raise ValueError("lengthscale must be positive")
 
-    def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
+    def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
         ell2 = self.lengthscale**2
         phi = np.exp(-np.asarray(sq, dtype=float) / ell2)
-        return phi, -phi / ell2, phi / ell2**2, -phi / ell2**3
+        derivs = (phi, -phi / ell2, phi / ell2**2)
+        return derivs + (-phi / ell2**3,) if order == 3 else derivs
 
 
 @dataclass(frozen=True)
@@ -203,11 +206,11 @@ class Mixture(ScalarKernel):
     def is_radial(self) -> bool:  # type: ignore[override]
         return all(m.is_radial for m in self.members)
 
-    def profile(self, sq: np.ndarray) -> tuple[np.ndarray, ...]:
-        parts = [m.profile(sq) for m in self.members]
+    def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
+        parts = [m.profile(sq, order) for m in self.members]
         return tuple(
             sum(w * part[k] for w, part in zip(self.weights, parts))
-            for k in range(4)
+            for k in range(order + 1)
         )
 
     def terms(self) -> tuple[Term, ...]:

@@ -310,13 +310,12 @@ class PredictiveKernelLoss(VariationalLoss):
     def _data_terms(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-point data fit term and its gradient: (m,), (m, d)."""
         means, sens = self._solved(points)  # (m, N, s), (m, N, s, d)
-        w = 1.0 + self.sigma**2
-        diff = self.observations[None, :, :] - means  # (m, N, s)
-        per_species = w**-0.5 * np.exp(-(diff**2) / (2.0 * w))
-        prod = np.prod(per_species, axis=-1)  # (m, N)
+        obs = self.observations[None, :, :]
+        prod = np.prod(gaussian_smooth(obs, means, self.sigma), axis=-1)  # (m, N)
         value = np.mean(prod, axis=-1)  # (m,)
-        # d/dx of the product: product * sum_s (obs - m_s)/w * dm_s/dx
-        inner = np.einsum("mns,mnsd->mnd", diff / w, sens)  # (m, N, d)
+        # d/dx of the product: product * sum_s (obs - m_s)/(1 + sigma^2) * dm_s/dx
+        scaled = (obs - means) / (1.0 + self.sigma**2)
+        inner = np.einsum("mns,mnsd->mnd", scaled, sens)  # (m, N, d)
         grad = np.mean(prod[..., None] * inner, axis=1)
         return value, grad
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import gen_score, kgd_u_squared, kgd_v_squared, particle_grad, stein_drift
+from .discrepancy import gen_score, kgd_v_squared, particle_grad, stein_drift
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
@@ -391,14 +391,3 @@ def greedy_extend(
     assert atoms is not None
     base = 0 if init_atoms is None else len(init_atoms)
     return SamplerRun(atoms, base + np.arange(1, n_points + 1), kgd2, wall)
-
-
-def param_vi_objective(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    points: np.ndarray,
-) -> float:
-    """U-statistic objective for parametric fits: callers push a base sample
-    through their map and hand the resulting points here."""
-    return kgd_u_squared(kernel, ref, loss, EmpiricalMeasure(points)).value2

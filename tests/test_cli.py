@@ -565,8 +565,9 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 10
+        assert len(lines) == 11
         assert all(l.startswith("PASS ") for l in lines)
+        assert any(l.startswith("PASS stein-sums ") for l in lines)
         assert any(l.startswith("PASS particle-gradient ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)

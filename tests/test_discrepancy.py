@@ -4,8 +4,10 @@ The assembly is pinned four ways: hand formulas at single atoms, a full
 finite-difference rebuild of h(x, y) for a nontrivial loss, the
 closed-form classical-discrepancy oracle for potentials without
 interaction, and the einsum assembly over ``kernel.pairwise`` below, which
-the package's product route replaced. The estimator algebra (V/U identity,
-permutation invariance, substream addressing) is checked exactly.
+the package's product route replaced. The Gram-free sums behind the
+estimators are held against the sum and trace of ``stein_gram``. The
+estimator algebra (V/U identity, permutation invariance, substream
+addressing) is checked exactly.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ import pytest
 
 from kgd.core import DiagonalGaussian, EmpiricalMeasure
 from kgd.discrepancy import (
+    _BLOCK,
     KGDEstimate,
+    _stein_sums,
     clt_scaling_study,
     gen_score,
     kgd_u_squared,
@@ -30,6 +34,7 @@ ORACLE_RTOL = 1e-12  # analytic Gram assembly vs closed-form oracle
 FD_TOL = 5e-6  # assembled Stein values vs nested finite differences
 EXACT_RTOL = 1e-13  # pure reorderings of the same sums
 RADIAL_TOL = 1e-12  # product route vs pairwise assembly, scaled by max|gram|
+SUMS_TOL = 1e-12  # row-block sum and trace vs the Gram's, scaled by sum|gram|
 
 # Every kernel family, tilted ones with radial and non-radial bases.
 PRODUCT_KERNELS = [
@@ -168,6 +173,40 @@ class TestSteinAssembly:
         np.testing.assert_allclose(direct, rebuilt, atol=FD_TOL)
 
 
+class TestSteinSums:
+    @pytest.mark.parametrize("n", [2, 2 * _BLOCK + 3], ids=["two", "ragged-blocks"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            IMQ(0.8),
+            Gaussian(1.3),
+            Mixture((IMQ(0.5), Gaussian(2.0))),
+            NormalizedLinear(1.2),
+            WeightedMatrixKernel(c=1.1, exponent=0.5, base=IMQ(0.9)),
+        ],
+        ids=["imq", "gaussian", "radial-mixture", "normalized-linear", "weighted-matrix"],
+    )
+    def test_match_the_gram_sum_and_trace(self, kernel, offset, n):
+        _, ref, loss, measure = _random_setup(9, n=n, d=3)
+        atoms = offset + measure.atoms
+        measure = EmpiricalMeasure(atoms)
+        gram = stein_gram(kernel, ref, loss, measure)
+        total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
+        scale = np.sum(np.abs(gram))
+        assert abs(total - np.sum(gram)) <= SUMS_TOL * scale
+        assert abs(trace - np.trace(gram)) <= SUMS_TOL * scale
+
+    def test_overflowing_sum_of_finite_entries_raises(self):
+        # Two equal atoms with ||b||^2 = 1.44e308: every entry is finite, the
+        # sum of the four is not.
+        measure = EmpiricalMeasure(np.array([[1.2e154, 0.0], [1.2e154, 0.0]]))
+        ref = DiagonalGaussian.standard(2)
+        assert np.isfinite(stein_gram(IMQ(1.0), ref, ZeroLoss(), measure)).all()
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflowed"):
+            kgd_u_squared(IMQ(1.0), ref, ZeroLoss(), measure)
+
+
 class TestClassicalEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_linear_loss_reduces_to_classical_form(self, seed):
@@ -255,12 +294,14 @@ class TestMatrixConsistency:
 
     def test_huge_atoms_raise_for_the_weighted_kernel(self):
         # c^2 + ||x||^2 overflows, so the weights and the linear core do too.
+        # The estimators' sums fall back to the Gram to name the entry.
         kernel = WeightedMatrixKernel(c=1.0, exponent=0.5, base=IMQ(1.0))
         measure = EmpiricalMeasure(np.array([[1e200, 0.0], [0.0, 1e200]]))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            FloatingPointError, match="non-finite Stein Gram"
-        ):
-            stein_gram(kernel, DiagonalGaussian.standard(2), ZeroLoss(), measure)
+        for evaluate in (stein_gram, kgd_v_squared):
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                FloatingPointError, match="non-finite Stein Gram entry"
+            ):
+                evaluate(kernel, DiagonalGaussian.standard(2), ZeroLoss(), measure)
 
 
 def _standard_sampler(rng: np.random.Generator, n: int) -> np.ndarray:

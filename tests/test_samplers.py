@@ -27,7 +27,6 @@ from kgd.samplers import (
     mfld_step,
     optimizer_apply,
     optimizer_init,
-    param_vi_objective,
     vgd_drift,
     vgd_run,
     )
@@ -304,7 +303,9 @@ class TestKGDDGradient:
 
         g = particle_grad(kernel, ref, loss, push(theta), u_statistic=True)
         chained = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
-        fd = fd_gradient(lambda th: param_vi_objective(kernel, ref, loss, push(th)), theta)
+        fd = fd_gradient(
+            lambda th: kgd_u_squared(kernel, ref, loss, EmpiricalMeasure(push(th))).value2, theta
+        )
         np.testing.assert_allclose(chained, fd, atol=GRAD_TOL)
 
     def test_analytic_needs_second_order_blocks(self):
@@ -417,17 +418,3 @@ class TestGreedy:
         greedy_next(self.KERNEL, DiagonalGaussian.standard(2), Recording(), search)
         assert batches[0] == (5, 2)
         assert all(b[1] == 2 for b in batches)
-
-
-class TestParamVIObjective:
-    def test_matches_the_u_statistic(self):
-        rng = np.random.default_rng(14)
-        points = rng.standard_normal((9, 2))
-        ref = DiagonalGaussian.standard(2)
-        loss = LinearLoss.quadratic(np.zeros(2), np.ones(2))
-        direct = kgd_u_squared(
-            IMQ(1.0), ref, loss, EmpiricalMeasure(points)
-        ).value2
-        np.testing.assert_allclose(
-            param_vi_objective(IMQ(1.0), ref, loss, points), direct, rtol=1e-15
-        )
