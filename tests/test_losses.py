@@ -9,6 +9,7 @@ finite differences of the particle objective for the var_grad identity.
 import numpy as np
 import pytest
 
+from kgd import losses
 from kgd.core import EmpiricalMeasure
 from kgd.losses import (
     InteractionLoss,
@@ -354,6 +355,24 @@ def _brute_pair(loss: PredictiveKernelLoss, x: np.ndarray, y: np.ndarray) -> flo
     return cross - fits[0] - fits[1]
 
 
+def _broadcast_cross(loss: PredictiveKernelLoss, xs: np.ndarray, ys: np.ndarray):
+    """Double-expectation term and its gradient from the (m, p, N, N, s)
+    difference tensor: values (m, p), gradients (m, p, d)."""
+    mx, sx = loss.solver(xs, loss.times)
+    my, _ = loss.solver(ys, loss.times)
+    n_obs, n_species = loss.observations.shape
+    v = 1.0 + 2.0 * loss.sigma**2
+    diff = mx[:, None, :, None, :] - my[None, :, None, :, :]
+    a = v ** (-0.5 * n_species) * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * v))
+    values = a.sum(axis=(2, 3)) / n_obs**2
+    grads = -np.einsum("cpij,cpijs,cisd->cpd", a, diff, sx) / (v * n_obs**2)
+    return values, grads
+
+
+def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 class TestPredictiveKernelLoss:
     def test_pair_terms_against_loops(self):
         loss = _wave_loss()
@@ -449,6 +468,63 @@ class TestPredictiveKernelLoss:
         loss.prefetch(rng.standard_normal((3, 2)))  # overflows, cache resets
         assert len(loss._cache) <= 3
         np.testing.assert_allclose(loss.value(measure), first, rtol=1e-15)
+
+    def test_cross_block_on_offset_trajectories(self):
+        # Trajectories near 1e3: the distances must not lose digits to it.
+        def offset_solver(points, times):
+            means, sens = _wave_solver(points, times)
+            return means + 1e3, sens
+
+        loss = _wave_loss()
+        loss.solver = offset_solver
+        rng = np.random.default_rng(20)
+        xs, ys = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
+        values, grads = loss._cross_block(xs, ys, True)
+        want_values, want_grads = _broadcast_cross(loss, xs, ys)
+        _assert_close_to_max(values, want_values, 1e-12)
+        _assert_close_to_max(grads, want_grads, 1e-12)
+
+    def test_cross_block_across_row_chunks(self, monkeypatch):
+        loss = _wave_loss()
+        rng = np.random.default_rng(21)
+        xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((3, 2))
+        whole_values, whole_grads = loss._cross_block(xs, ys, True)
+        # Two rows per chunk: chunks of 2, 2 and 1 rows.
+        monkeypatch.setattr(losses, "_PAIR_BLOCK_ENTRIES", 2 * 3 * loss.times.size**2)
+        values, grads = loss._cross_block(xs, ys, True)
+        want_values, want_grads = _broadcast_cross(loss, xs, ys)
+        for got, whole, want in ((values, whole_values, want_values),
+                                 (grads, whole_grads, want_grads)):
+            _assert_close_to_max(got, want, 1e-12)
+            _assert_close_to_max(got, whole, 1e-12)
+
+    def test_prefetch_solves_each_distinct_point_once(self):
+        calls = []
+
+        def counting_solver(points, times):
+            calls.append(len(points))
+            return _wave_solver(points, times)
+
+        loss = PredictiveKernelLoss(np.array([0.5, 1.5]), np.zeros((2, 2)), solver=counting_solver)
+        pts = np.array([[0.3, -0.2], [0.3, -0.2], [1.0, 0.5]])
+        means, sens = loss.prefetch(pts)
+        assert calls == [2] and loss.n_solves == 2
+        assert (loss.cache_misses, loss.cache_hits) == (3, 0)
+        want_means, want_sens = _wave_solver(pts, loss.times)
+        np.testing.assert_array_equal(means, want_means)
+        np.testing.assert_array_equal(sens, want_sens)
+        loss.prefetch(pts)
+        assert calls == [2] and (loss.cache_misses, loss.cache_hits) == (3, 3)
+
+    def test_cache_never_exceeds_its_bound(self):
+        loss = _wave_loss()
+        loss.max_cache = 2
+        pts = np.random.default_rng(22).standard_normal((5, 2))
+        means, _ = loss.prefetch(pts)
+        assert len(loss._cache) == 2 and loss.n_solves == 5 and loss.cache_clears == 0
+        np.testing.assert_array_equal(means, _wave_solver(pts, loss.times)[0])
+        loss.prefetch(pts[::-1] + 1.0)  # overflows the full cache: one clear
+        assert len(loss._cache) == 2 and loss.cache_clears == 1
 
 
 class TestEuclidIdentity:

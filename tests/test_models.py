@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kgd.core import seeded_stream
 from kgd.models import (
     LV_DELTA,
     LV_GAMMA,
@@ -184,6 +185,17 @@ class TestSensitivities:
             np.testing.assert_allclose(u[i], ui, rtol=1e-14)
             np.testing.assert_allclose(sens[i], si, rtol=1e-14)
 
+    def test_large_batch_matches_single(self):
+        # A wide batch: no column of the drift's matrix product may depend
+        # on the others.
+        xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(4).standard_normal((130, 2))
+        times = np.array([0.5, 2.0, 3.0])
+        u, sens = lv_sensitivities(xs, times)
+        for i in range(xs.shape[0]):
+            ui, si = lv_sensitivities(xs[i], times)
+            np.testing.assert_allclose(u[i], ui, rtol=1e-14)
+            np.testing.assert_allclose(sens[i], si, rtol=1e-14)
+
     def test_batched_shapes(self):
         u, s = lv_sensitivities(np.zeros((3, 2)), np.array([1.0, 2.0]))
         assert u.shape == (3, 2, 2) and s.shape == (3, 2, 2, 2)
@@ -217,6 +229,43 @@ class TestSeriesData:
         )
         np.testing.assert_allclose(d.observations, clean, atol=1e-10)
         np.testing.assert_array_equal(d.observations, d.latent)
+
+    def test_matches_the_array_loop(self):
+        # The scalar loop must give the numpy RK4 path bit for bit: every
+        # lv-compare output is computed from it.
+        alpha, beta = float(sigmoid(np.array(-1.0))), float(sigmoid(np.array(-3.0)))
+        times = np.arange(0.0, 6.0)
+        for seed in (0, 1, 3, 6, 42):
+            rng = seeded_stream(seed, "lv-data")
+            u = np.array([LV_INIT])
+            latent = np.empty((times.size, 2))
+
+            def drift(v):
+                u1, u2 = v[..., 0], v[..., 1]
+                return np.stack([alpha * u1 - beta * u1 * u2,
+                                 LV_DELTA * u1 * u2 - LV_GAMMA * u2], axis=-1)
+
+            t_prev = 0.0
+            for k, t_k in enumerate(times):
+                dt = t_k - t_prev
+                if dt > 0.0:
+                    n_sub = max(1, int(round(dt / 0.005)))
+                    h = dt / n_sub
+                    noise_scale = np.array([0.1, 0.2]) * np.sqrt(h)
+                    shocks = rng.standard_normal((n_sub, 2))
+                    for j in range(n_sub):
+                        k1 = drift(u)
+                        k2 = drift(u + 0.5 * h * k1)
+                        k3 = drift(u + 0.5 * h * k2)
+                        k4 = drift(u + h * k3)
+                        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                        u = np.abs(u + noise_scale * shocks[j])
+                latent[k] = u[0]
+                t_prev = float(t_k)
+            observations = latent + rng.standard_normal(latent.shape)
+            d = gen_lv_data(seed, times=times)
+            np.testing.assert_array_equal(d.latent, latent)
+            np.testing.assert_array_equal(d.observations, observations)
 
     def test_divergent_drive_raises(self):
         with np.errstate(over="ignore", invalid="ignore"):

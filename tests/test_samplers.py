@@ -418,3 +418,26 @@ class TestGreedy:
         greedy_next(self.KERNEL, DiagonalGaussian.standard(2), Recording(), search)
         assert batches[0] == (5, 2)
         assert all(b[1] == 2 for b in batches)
+
+    def test_extension_solves_every_candidate_set_up_front(self):
+        batches = []
+
+        class Recording(ZeroLoss):
+            max_cache = 180
+
+            def prefetch(self, points):
+                batches.append(np.array(points))
+
+        search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=60, refine_rounds=0)
+        sets = [search.candidate_set(seeded_stream(4, "greedy", k)) for k in range(3)]
+        greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
+        # One batch of all three sets, then each point's own set again.
+        assert len(batches) == 4
+        np.testing.assert_array_equal(batches[0], np.vstack(sets))
+        for got, want in zip(batches[1:], sets):
+            np.testing.assert_array_equal(got, want)
+        # Sets that would overfill the cache are left to each point.
+        Recording.max_cache = 179
+        batches.clear()
+        greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
+        assert [b.shape[0] for b in batches] == [60, 60, 60]
