@@ -822,7 +822,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
-    from .discrepancy import _stein_sums, stein_gram
+    from .discrepancy import _stein_sums, stein_drift, stein_gram
     from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
                           reference_ksd_squared)
 
@@ -898,7 +898,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         worst = max(worst, abs(mine - orc) / abs(orc))
     report("radial-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
-    # Tilted kernels' product route against the einsum assembly over the
+    # Tilted kernels' row-block route against the einsum assembly over the
     # derivative bundle: V-statistic and flow velocity.
     worst = 0.0
     atoms = rng.normal(size=(12, 3))
@@ -917,8 +917,9 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("tilted-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
-    # Gram-free row-block sums against the Gram's sum and trace, on a
-    # translated cloud of two blocks (the second ragged), relative to sum |h|.
+    # Row-block sums and drift against the pairwise Gram's sum and trace
+    # (relative to sum |h|) and the pairwise drift (relative to its max), on
+    # a translated cloud of two blocks, the second ragged.
     worst = 0.0
     atoms = 1e3 + rng.normal(size=(300, 3))
     mea = EmpiricalMeasure(atoms)
@@ -928,6 +929,10 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         total, trace = _stein_sums(kern, atoms, scores)
         scale = float(np.abs(gram).sum())
         worst = max(worst, abs(total - gram.sum()) / scale, abs(trace - np.trace(gram)) / scale)
+        pw = kern.pairwise(atoms, atoms)
+        drift = (pw.value @ scores + pw.grad1.sum(axis=0)) / atoms.shape[0]
+        err = np.max(np.abs(stein_drift(kern, atoms, scores) - drift))
+        worst = max(worst, float(err / np.max(np.abs(drift))))
     report("stein-sums", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Particle gradients of V and U against central differences.

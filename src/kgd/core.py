@@ -63,10 +63,6 @@ class DiagonalGaussian:
     def standard(cls, dim: int) -> "DiagonalGaussian":
         return cls(np.zeros(dim), np.ones(dim))
 
-    @classmethod
-    def isotropic(cls, dim: int, variance: float, mean: float = 0.0) -> "DiagonalGaussian":
-        return cls(np.full(dim, mean), np.full(dim, variance))
-
     @property
     def dim(self) -> int:
         return self.mean.shape[0]

@@ -1,5 +1,5 @@
-"""Kernel gradient discrepancy: generalised scores, Stein kernel assembly,
-and the V- and U-statistic estimators.
+"""Kernel gradient discrepancy: generalised scores, Stein kernel sums, and
+the V- and U-statistic estimators.
 
 The generalised score of an empirical measure Q_n is
 
@@ -12,64 +12,65 @@ and the Stein kernel built from a scalar kernel k is
 Averaging h over all atom pairs (V-statistic) or off-diagonal pairs
 (U-statistic) gives the squared discrepancy estimates.
 
-``stein_gram`` (the Gram matrix of h over the atoms, for the tests,
-``kgd self-check`` and ``stein_kernel_eval``) and ``stein_drift`` (the flow
-velocity (1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)])
-are built from n x n and (n, d) arrays only, for every kernel, through the
-tilt identity. ``kernel.terms()`` writes k as a sum of terms
+Every Stein quantity over the atoms is a sum over j for each atom i, and all
+of them come from one row-block pass that never holds an n x n array. The
+quantities are the row sums (h w)_i, which the estimators contract to
+sum_ij h and which the particle gradient reads, the flow velocity
+``stein_drift``, (1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)], and
+the positional sums of ``particle_grad``. They are built through the tilt
+identity. ``kernel.terms()`` writes k as a sum of terms
 coef * w(x) g(x, y) w(y) with g radial or linear; for each, with
 b~ = b + grad log w,
 
     h_k^b(x_i, x_j) = w_i w_j h_g^{b~}(x_i, x_j),
     drift_k(x_i)    = w_i (1/n) sum_j w_j [g(x_j, x_i) b~_j + grad_1 g(x_j, x_i)],
 
-and both are linear in k, so the terms add. For a radial g = phi(s), with X
-the centred atoms, B the (shifted) scores, s_ij = ||x_i - x_j||^2 and
-G = X B^T, the Stein Gram and n times the weighted drift of g are
+and both are linear in k, so the terms add.
 
-    h = -2 d phi'(s) - 4 s phi''(s) + 2 phi'(s) (G + G^T - G_ii - G_jj)
-        + phi(s) B B^T,
-    n drift = phi (w B) + 2 phi' (w X) - 2 (phi' w) X,
+A radial g = phi(s) is read on slabs of ``_BLOCK`` rows of the squared
+distances s_ij = ||x_i - x_j||^2 between the centred atoms X
+(``_radial_slabs``, the one place they are computed). The atoms are centred
+because every radial term is translation-invariant but the product form of
+s is not: on a cloud far from the origin it subtracts large, nearly equal
+numbers. With B the shifted scores, c_i = x_i.b_i and (phi' v)_i =
+sum_j phi'_ij v_j,
 
-where (w B) scales row j by w_j. The atoms are centred first because every
-radial term is translation-invariant but the product form of s and G is
-not: on a cloud far from the origin it subtracts large, nearly equal
-numbers. For the linear g = c^2 + x.y, with beta the (shifted) scores,
+    h = -2 d phi'(s) - 4 s phi''(s) + 2 phi'(s) (x_i.b_j + x_j.b_i - c_i - c_j)
+        + phi(s) b_i.b_j,
+    (h w)_i = 2 [x_i.(phi' wB)_i + b_i.(phi' wX)_i - (c_i + d) (phi' w)_i
+                 - (phi' (w c))_i] - 4 ((s o phi'') w)_i + b_i.(phi wB)_i,
+    n drift = phi (wB) + 2 phi' (wX) - 2 (phi' w) X,
 
-    h = d + x_i.beta_i + x_j.beta_j + (c^2 + X X^T) o beta beta^T,
-    n drift = c^2 sum_j w_j beta_j + X X^T (w beta) + (sum_j w_j) X.
+where wB scales row j by w_j: one phi' product with [wB | wX | w | wc] and
+one phi product with wB per slab serve the row sums and the drift. The
+linear g = c^2 + x.y needs only (n, d) and (d, d) arrays; with beta the
+shifted scores,
 
-Every kernel, the weighted matrix kernel K = kappa I included, enters
-through the one ``ScalarKernel`` interface: the Stein kernel of K is the
-scalar Stein kernel of kappa. ``kernel.pairwise``, the derivative
-definition, is not read here.
+    h = d + x_i.beta_i + x_j.beta_j + (c^2 + x_i.x_j) beta_i.beta_j,
+    (h w)_i = d sum_j w_j + (sum_j w_j) x_i.beta_i + sum_j w_j x_j.beta_j
+              + c^2 beta_i.(beta^T w) + x_i^T (X^T W beta) beta_i,
+    n drift = c^2 sum_j w_j beta_j + X (X^T W beta) + (sum_j w_j) X.
 
-The estimators (``kgd_v_squared``, ``kgd_u_squared``, ``clt_scaling_study``)
-need only sum_ij h and the trace, and get both without the Gram. Per term,
-with b the shifted scores b~, c_i = x_i.b_i on the centred atoms and
-(phi' w)_i = sum_j phi'_ij w_j, a radial core gives
+The diagonal is closed-form: -2 d phi'(0) + phi(0) ||b_i||^2 for a radial
+core, d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2 for the linear one.
+The estimators take sum_ij h = sum_i w_i (h w)_i and the trace
+sum_i w_i^2 h_ii, per term. A non-finite sum falls back to ``stein_gram``,
+whose error names the first non-finite entry.
 
-    sum_ij w_i w_j h_ij = sum_i w_i [4 x_i.(phi' wB)_i - (4 c_i + 2 d) (phi' w)_i
-                                     - 4 ((s o phi'') w)_i + b_i.(phi wB)_i],
-
-read from phi, phi' and phi'' on (256, n) slabs of rows: three slab
-products per block, so memory grows like 256 n, not n^2. The linear core
-needs no n x n array at all:
-
-    sum_ij w_i w_j h_ij = d (sum_i w_i)^2 + 2 (sum_i w_i) (sum_i w_i x_i.beta_i)
-                          + c^2 ||beta^T w||^2 + ||X^T diag(w) beta||_F^2.
-
-The diagonal is closed-form: w_i^2 (-2 d phi'(0) + phi(0) ||b_i||^2) for a
-radial core, w_i^2 (d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2) for
-the linear one. A non-finite sum falls back to ``stein_gram``, whose error
-names the first non-finite entry.
-
-``particle_grad`` differentiates n^2 V in the atoms from the n x n arrays.
-The scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
+``particle_grad`` differentiates n^2 V in the atoms on the same slabs. The
+scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
 d(n^2 V)/db = 2 n ``stein_drift``. With scores fixed, each term moves through
-its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (H w)_i) and
-through b~ (Hess log w times 2 w_i times the core's drift). The U-statistic
-also drops the diagonal w_i^2 h(x_i, x_i) above.
+its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (h w)_i)
+and through b~ (Hess log w times 2 w_i times the core's drift). The
+U-statistic also drops the diagonal w_i^2 h(x_i, x_i) above.
+
+``stein_gram`` and ``stein_kernel_eval`` are the definition: they assemble h
+entry by entry from the kernel's derivative bundle ``kernel.pairwise``, for
+the tests, ``kgd self-check``, points off the atoms, and naming the first
+non-finite entry when a sum is not finite. No estimator, sampler or preset
+calls them on a finite run. Every kernel, the weighted matrix kernel
+K = kappa I included, enters through the one ``ScalarKernel`` interface:
+the Stein kernel of K is the scalar Stein kernel of kappa.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ import numpy as np
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from .losses import VariationalLoss
 
-# Rows per block of the Gram-free sums: a block holds a few (256, n) slabs,
-# so their memory grows like n, not n^2.
+# Rows per slab of the row-block pass: a pass holds a few (256, n) slabs,
+# so its memory grows like n, not n^2.
 _BLOCK = 256
 
 
@@ -108,184 +109,149 @@ def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):
     return w, shifted
 
 
-def _radial_profile(kernel, atoms: np.ndarray, order: int = 3):
-    """Centred atoms, squared distances and the profile derivatives up to
-    ``order``."""
-    x = atoms - atoms.mean(axis=0)
+def _radial_slabs(core, x: np.ndarray, order: int):
+    """Yield (lo, hi, sq, profile) for blocks of ``_BLOCK`` rows lo:hi of the
+    centred atoms x: the squared distances sq to every atom, in one reused
+    (``_BLOCK``, n) buffer that the consumer may overwrite, and the profile up
+    to ``order`` on them. Row r of a block has its zeroed diagonal entry in
+    column lo + r."""
+    n = x.shape[0]
     norms = np.einsum("id,id->i", x, x)
-    sq = -2.0 * (x @ x.T)
-    sq += np.add.outer(norms, norms)
-    np.maximum(sq, 0.0, out=sq)
-    np.fill_diagonal(sq, 0.0)
-    return x, sq, kernel.profile(sq, order)
-
-
-def _radial_gram(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray) -> np.ndarray:
-    """Stein Gram of a radial kernel from n x n products (see module docstring),
-    given ``_radial_profile``'s centred atoms, squared distances and profile.
-
-    The n x n arrays are updated in place where the formula allows: at large
-    n each temporary costs about as much as the arithmetic that fills it.
-    Each update keeps a symmetric array bitwise symmetric (c_i + c_j is one
-    outer sum, not two updates), so h is as symmetric as x x^T and B B^T.
-    """
-    phi, dphi, d2phi = profile[:3]
-    g = x @ scores.T
-    c = np.diagonal(g)
-    # h = 2 phi' (G + G^T - c_i - c_j - d) - 4 s phi'' + phi B B^T
-    h = g + g.T
-    h -= np.add.outer(c, c)
-    h -= x.shape[1]
-    h *= 2.0 * dphi
-    curv = sq * d2phi
-    curv *= 4.0
-    h -= curv
-    bb = scores @ scores.T
-    bb *= phi
-    h += bb
-    return h
-
-
-def _radial_drift(x: np.ndarray, profile, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """n times the drift of a radial kernel with atom weights w."""
-    phi, dphi = profile[:2]
-    return phi @ (w[:, None] * scores) + 2.0 * (
-        dphi @ (w[:, None] * x) - (dphi @ w)[:, None] * x
-    )
-
-
-def _linear_gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Stein Gram of the linear kernel c^2 + x.y."""
-    xb = np.einsum("id,id->i", atoms, scores)
-    h = atoms @ atoms.T
-    h += kernel.c**2
-    h *= scores @ scores.T
-    h += np.add.outer(xb, xb)
-    h += atoms.shape[1]
-    return h
-
-
-def _linear_drift(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """n times the drift of the linear kernel c^2 + x.y with atom weights w."""
-    wb = w[:, None] * scores
-    return kernel.c**2 * wb.sum(axis=0) + atoms @ (atoms.T @ wb) + w.sum() * atoms
-
-
-def _radial_grad(x: np.ndarray, sq: np.ndarray, profile, scores: np.ndarray, w: np.ndarray):
-    """n x the positional sum_j w_j d h_ij / d x_i of a radial Stein Gram, with
-    the derivatives of h_ii in b_i and in x_i."""
-    phi, dphi, d2phi, d3phi = profile
-    g = x @ scores.T
-    c = np.diagonal(g)
-    rb = g + g.T - np.add.outer(c, c)  # (x_i - x_j).(b_j - b_i)
-    # d h_ij / d x_i = a_ij (x_i - x_j) + 2 phi'_ij (b_j - b_i)
-    a = -(4.0 * x.shape[1] + 8.0) * d2phi - 8.0 * sq * d3phi
-    a += 4.0 * d2phi * rb + 2.0 * dphi * (scores @ scores.T)
-    a *= w
-    dw = dphi @ w
-    pos = a.sum(axis=1)[:, None] * x - a @ x
-    pos += 2.0 * (dphi @ (w[:, None] * scores) - dw[:, None] * scores)
-    return pos, 2.0 * np.diagonal(phi)[:, None] * scores, 0.0
-
-
-def _linear_grad(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
-    """As ``_radial_grad``, for the linear kernel c^2 + x.y."""
-    pos = w.sum() * scores + (scores @ scores.T) @ (w[:, None] * atoms)
-    norms = kernel.c**2 + np.einsum("id,id->i", atoms, atoms)
-    beta2 = np.einsum("id,id->i", scores, scores)
-    return pos, 2.0 * (atoms + norms[:, None] * scores), 2.0 * (scores + beta2[:, None] * atoms)
-
-
-def _radial_sums(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
-    """sum_ij w_i w_j h_ij and sum_i w_i^2 h_ii of a radial core's Stein
-    kernel, from (block, n) slabs of the profile (see module docstring)."""
-    n, d = atoms.shape
-    x = atoms - atoms.sum(axis=0) / n
-    norms = np.einsum("id,id->i", x, x)
-    wb = w[:, None] * scores
-    # The phi' terms of row i are <left_i, (phi' @ right)_i>, with
-    # left = 4 w [X | -(c + d/2)] and right = [wB | w].
-    c = np.einsum("id,id->i", x, scores)
-    left = 4.0 * w[:, None] * np.concatenate([x, -(c + 0.5 * d)[:, None]], axis=1)
-    right = np.concatenate([wb, w[:, None]], axis=1)
-    slab = np.empty((min(_BLOCK, n), n))  # squared distances, reused by every block
-    total = 0.0
+    buf = np.empty((min(_BLOCK, n), n))
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        sq = slab[: hi - lo]
+        sq = buf[: hi - lo]
         np.matmul(x[lo:hi], x.T, out=sq)
         sq *= -2.0
         sq += norms[lo:hi, None]
         sq += norms
         np.maximum(sq, 0.0, out=sq)
         np.fill_diagonal(sq[:, lo:hi], 0.0)
-        phi, dphi, d2phi = kernel.profile(sq, 2)
-        sq *= d2phi
-        total += np.vdot(left[lo:hi], dphi @ right) + np.vdot(wb[lo:hi], phi @ wb)
-        total -= 4.0 * (w[lo:hi] @ (sq @ w))
-    # phi(0) and phi'(0): the last block's first row has its zeroed diagonal
-    # entry in column lo.
-    diag = -2.0 * d * dphi[0, lo] + phi[0, lo] * np.einsum("id,id->i", scores, scores)
-    return float(total), float((w * w) @ diag)
+        yield lo, hi, sq, core.profile(sq, order)
 
 
-def _linear_sums(kernel, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray):
-    """As ``_radial_sums``, for the linear kernel c^2 + x.y: no n x n array."""
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("id,id->i", a, b)
+
+
+def _radial_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, order: int):
+    """Sums over j at each atom i for a radial core under the scores, with
+    atom weights w (module docstring), as (drift, rows, diag, grad): n times
+    the drift; from order 2 the row sums (h w)_i and the diagonal h_ii; at
+    order 3 grad = (pos, diag_b, diag_x), the positional sums
+    sum_j w_j dh_ij/dx_i and the derivatives of h_ii in b_i and in x_i.
+    Lower orders give None for the rest."""
+    n, d = atoms.shape
+    x = atoms - atoms.sum(axis=0) / n
+    wb = w[:, None] * scores
+    # phi' is read against [wB | wX | w | wc] from order 2, against [wX | w]
+    # for the drift alone; k is where wX starts.
+    right = [w[:, None] * x, w[:, None]]
+    k = 0
+    if order > 1:
+        c = _rowdot(x, scores)
+        xb = np.concatenate([x, scores], axis=1)
+        right = [wb] + right + [(w * c)[:, None]]
+        k = d
+    right = np.concatenate(right, axis=1)
+    drift = np.empty((n, d))
+    rows = np.empty(n) if order > 1 else None
+    pos = np.empty((n, d)) if order > 2 else None
+    if pos is not None:
+        bx = np.concatenate([scores, x], axis=1)
+    for lo, hi, sq, profile in _radial_slabs(core, x, order):
+        phi, dphi = profile[:2]
+        xs, bs = x[lo:hi], scores[lo:hi]
+        pb = phi @ wb
+        pd = dphi @ right
+        dw = pd[:, k + d, None]  # (phi' w)_i
+        drift[lo:hi] = pb + 2.0 * (pd[:, k : k + d] - dw * xs)
+        if rows is None:
+            continue
+        if pos is not None:
+            # dh_ij/dx_i = a_ij (x_i - x_j) + 2 phi'_ij (b_j - b_i), with
+            # a = 4 phi'' (x_i.b_j + x_j.b_i - c_i - c_j - d - 2)
+            #     + 2 phi' b_i.b_j - 8 s phi'''
+            a = xb[lo:hi] @ bx.T
+            a -= np.add.outer(c[lo:hi], c + (d + 2.0))
+            a *= profile[2]
+            a *= 4.0
+            bb = bs @ scores.T
+            bb *= dphi
+            bb *= 2.0
+            a += bb
+            np.multiply(sq, profile[3], out=bb)
+            bb *= 8.0
+            a -= bb
+            aw = a @ right[:, d : 2 * d + 1]
+            pos[lo:hi] = aw[:, d, None] * xs - aw[:, :d]
+            pos[lo:hi] += 2.0 * (pd[:, :d] - dw * bs)
+        # x_i.(phi' wB)_i + b_i.(phi' wX)_i in one row dot
+        r = _rowdot(xb[lo:hi], pd[:, : 2 * d])
+        r -= (c[lo:hi] + d) * dw[:, 0]
+        r -= pd[:, 2 * d + 1]
+        r *= 2.0
+        r += _rowdot(bs, pb)
+        sq *= profile[2]
+        r -= 4.0 * (sq @ w)
+        rows[lo:hi] = r
+    if rows is None:
+        return drift, None, None, None
+    # phi(0) and phi'(0) from the last block's zeroed diagonal entry in row 0.
+    phi0, dphi0 = phi[0, lo], dphi[0, lo]
+    diag = -2.0 * d * dphi0 + phi0 * _rowdot(scores, scores)
+    grad = None if pos is None else (pos, 2.0 * phi0 * scores, 0.0)
+    return drift, rows, diag, grad
+
+
+def _linear_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, order: int):
+    """As ``_radial_rows``, for the linear core c^2 + x.y: no n x n array."""
     d = atoms.shape[1]
-    xb = np.einsum("id,id->i", atoms, scores)
+    c2 = core.c**2
+    wb = w[:, None] * scores
     sw = w.sum()
-    wb = w @ scores
-    xwb = atoms.T @ (w[:, None] * scores)
-    c2 = kernel.c**2
-    total = d * sw**2 + 2.0 * sw * (w @ xb) + c2 * (wb @ wb) + np.sum(xwb * xwb)
-    norms = np.einsum("id,id->i", atoms, atoms)
-    diag = d + 2.0 * xb + (c2 + norms) * np.einsum("id,id->i", scores, scores)
-    return float(total), float((w * w) @ diag)
+    xwb = atoms.T @ wb  # X^T W beta
+    drift = c2 * wb.sum(axis=0) + atoms @ xwb + sw * atoms
+    if order == 1:
+        return drift, None, None, None
+    xbeta = _rowdot(atoms, scores)
+    rows = d * sw + sw * xbeta + w @ xbeta + c2 * (scores @ wb.sum(axis=0))
+    rows += _rowdot(atoms @ xwb, scores)
+    norms = c2 + _rowdot(atoms, atoms)
+    beta2 = _rowdot(scores, scores)
+    diag = d + 2.0 * xbeta + norms * beta2
+    grad = None
+    if order > 2:
+        grad = (sw * scores + scores @ xwb.T, 2.0 * (atoms + norms[:, None] * scores),
+                2.0 * (scores + beta2[:, None] * atoms))
+    return drift, rows, diag, grad
+
+
+def _term_rows(kernel, atoms: np.ndarray, scores: np.ndarray, order: int):
+    """Yield (coef, tilts, w, parts) per term of the kernel, with parts the
+    core's (drift, rows, diag, grad) under the shifted scores up to
+    ``order``."""
+    for coef, tilts, core in kernel.terms():
+        w, shifted = _tilt(tilts, atoms, scores)
+        parts = (_radial_rows if core.is_radial else _linear_rows)(core, atoms, shifted, w, order)
+        yield coef, tilts, w, parts
 
 
 def _stein_sums(kernel, atoms: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
     """Sum over all entries and trace of the Stein Gram, summed over the
     kernel's terms, without forming the Gram."""
     total = trace = 0.0
-    for coef, tilts, core in kernel.terms():
-        w, shifted = _tilt(tilts, atoms, scores)
-        part, diag = (_radial_sums if core.is_radial else _linear_sums)(core, atoms, shifted, w)
-        total += coef * part
-        trace += coef * diag
+    for coef, _, w, (_, rows, diag, _) in _term_rows(kernel, atoms, scores, 2):
+        total += coef * float(w @ rows)
+        trace += coef * float((w * w) @ diag)
     return total, trace
-
-
-def _stein_matrix(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Stein kernel over all pairs of atoms, summed over the kernel's terms."""
-    gram = None
-    for coef, tilts, core in kernel.terms():
-        w, shifted = _tilt(tilts, atoms, scores)
-        if core.is_radial:
-            h = _radial_gram(*_radial_profile(core, atoms), shifted)
-        else:
-            h = _linear_gram(core, atoms, shifted)
-        if tilts:
-            h *= np.outer(w, w)
-        if coef != 1.0:
-            h *= coef
-        if gram is None:
-            gram = h
-        else:
-            gram += h
-    return gram
 
 
 def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """(1/n) sum_j [k(x_j, x_i) b(x_j) + grad_1 k(x_j, x_i)] at each atom x_i,
     shape (n, d), given the scores b at the atoms."""
     drift = np.zeros_like(atoms)
-    for coef, tilts, core in kernel.terms():
-        w, shifted = _tilt(tilts, atoms, scores)
-        if core.is_radial:
-            x, _, profile = _radial_profile(core, atoms, order=1)
-            part = _radial_drift(x, profile, shifted, w)
-        else:
-            part = _linear_drift(core, atoms, shifted, w)
+    for coef, _, w, (part, *_) in _term_rows(kernel, atoms, scores, 1):
         drift += (coef * w)[:, None] * part
     return drift / atoms.shape[0]
 
@@ -303,21 +269,13 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
     scores = gen_score(ref, loss, measure, atoms)
     grad = np.zeros_like(atoms)
     weight = np.zeros_like(atoms)  # d(n^2 V)/db, or d(n(n-1) U)/db
-    for coef, tilts, core in kernel.terms():
-        w, shifted = _tilt(tilts, atoms, scores)
-        if core.is_radial:
-            x, sq, profile = _radial_profile(core, atoms)
-            h = _radial_gram(x, sq, profile, shifted)
-            tw = 2.0 * _radial_drift(x, profile, shifted, w)
-            pos, diag_b, diag_x = _radial_grad(x, sq, profile, shifted, w)
-        else:
-            h = _linear_gram(core, atoms, shifted)
-            tw = 2.0 * _linear_drift(core, atoms, shifted, w)
-            pos, diag_b, diag_x = _linear_grad(core, atoms, shifted, w)
-        rows = 2.0 * (h @ w)
+    for coef, tilts, w, (drift, rows, diag, (pos, diag_b, diag_x)) in _term_rows(
+            kernel, atoms, scores, 3):
+        tw = 2.0 * drift
+        rows *= 2.0
         pos *= 2.0
         if u_statistic:
-            rows -= 2.0 * w * np.diagonal(h)
+            rows -= 2.0 * w * diag
             tw -= w[:, None] * diag_b
             pos -= w[:, None] * diag_x
         tw *= (coef * w)[:, None]
@@ -330,26 +288,38 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
     return grad / (n * (n - 1) if u_statistic else n**2)
 
 
+def _pairwise_stein(kernel, x: np.ndarray, y: np.ndarray, bx: np.ndarray,
+                    by: np.ndarray) -> np.ndarray:
+    """Stein kernel h(x_i, y_j) over all pairs from ``kernel.pairwise``, given
+    the scores bx and by. Raises FloatingPointError, naming the first
+    offending pair, when an entry is not finite."""
+    pw = kernel.pairwise(x, y)
+    h = (pw.trace12 + np.einsum("ijd,jd->ij", pw.grad1, by)
+         + np.einsum("ijd,id->ij", pw.grad2, bx) + pw.value * (bx @ by.T))
+    if not np.isfinite(h).all():
+        i, j = np.argwhere(~np.isfinite(h))[0]
+        raise FloatingPointError(
+            f"non-finite Stein Gram entry ({i}, {j}) = {h[i, j]}; "
+            "the kernel or the scores overflow at these atoms"
+        )
+    return h
+
+
 def stein_gram(
     kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
 ) -> np.ndarray:
-    """Stein kernel Gram matrix over the atoms of the measure, shape (n, n).
+    """Stein kernel Gram matrix over the atoms of the measure, shape (n, n),
+    assembled entry by entry from the kernel's derivative definition.
 
     Raises FloatingPointError, naming the first offending pair, when an
     entry is not finite.
     """
     atoms = measure.atoms
-    gram = _stein_matrix(kernel, atoms, gen_score(ref, loss, measure, atoms))
-    if not np.isfinite(gram).all():
-        i, j = np.argwhere(~np.isfinite(gram))[0]
-        raise FloatingPointError(
-            f"non-finite Stein Gram entry ({i}, {j}) = {gram[i, j]}; "
-            "the kernel or the scores overflow at these atoms"
-        )
-    return gram
+    scores = gen_score(ref, loss, measure, atoms)
+    return _pairwise_stein(kernel, atoms, atoms, scores, scores)
 
 
 def _gram_sums(
@@ -382,11 +352,13 @@ def stein_kernel_eval(
     x: np.ndarray,
     y: np.ndarray,
 ) -> float:
-    """Stein kernel value at one pair of (not necessarily atomic) points."""
+    """Stein kernel value at one pair of (not necessarily atomic) points,
+    from the kernel's derivative definition; raises FloatingPointError when
+    it is not finite."""
     pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
                     np.atleast_1d(np.asarray(y, dtype=float))])
     scores = gen_score(ref, loss, measure, pts)
-    return float(_stein_matrix(kernel, pts, scores)[0, 1])
+    return float(_pairwise_stein(kernel, pts[:1], pts[1:], scores[:1], scores[1:])[0, 0])
 
 
 @dataclass(frozen=True)

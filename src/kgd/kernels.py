@@ -12,9 +12,11 @@ sets:
     trace12  sum_i d^2/dx_i dy_i k   (n, m)
 
 ``pairwise`` is the kernel's derivative definition; the tests and
-``kgd self-check`` hold it against finite differences and build the Stein
-kernel from it as their reference. The Stein assembly in
-``kgd.discrepancy`` reads the kernel's structure instead, through ``terms``:
+``kgd self-check`` hold it against finite differences, and
+``discrepancy.stein_gram`` and ``stein_kernel_eval`` assemble the Stein
+kernel from it entry by entry. The row-block pass in ``kgd.discrepancy``
+behind the estimators, the drift and the particle gradient reads the
+kernel's structure instead, through ``terms``:
 every kernel here is a positively weighted sum of tilted cores,
 
     k(x, y) = sum_t coef_t w_t(x) core_t(x, y) w_t(y),

@@ -23,15 +23,10 @@ from .models import lv_sensitivities, mfnn_forward, mfnn_grad, mfnn_hvp
 
 class VariationalLoss:
     """Contract: a value on empirical measures (optional), var_grad, and
-    (optional) var_grad_vjp, which feeds the particle gradient.
-
-    ``has_value`` guards ``value``.
-    """
-
-    has_value: bool = False
+    (optional) var_grad_vjp, which feeds the particle gradient."""
 
     def value(self, measure: EmpiricalMeasure) -> float:
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} has no scalar value")
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         """First-variation gradient at x; accepts (d,) or (m, d) inputs."""
@@ -53,8 +48,6 @@ def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
 @dataclass(frozen=True)
 class ZeroLoss(VariationalLoss):
     """L(Q) = 0; the objective reduces to the entropy term alone."""
-
-    has_value = True
 
     def value(self, measure: EmpiricalMeasure) -> float:
         return 0.0
@@ -78,8 +71,6 @@ class LinearLoss(VariationalLoss):
     u: Callable[[np.ndarray], np.ndarray]
     grad_u: Callable[[np.ndarray], np.ndarray]
     hess_u: Callable[[np.ndarray], np.ndarray] | None = None
-
-    has_value = True
 
     @classmethod
     def quadratic(cls, center: np.ndarray, weights: np.ndarray) -> "LinearLoss":
@@ -116,8 +107,6 @@ class InteractionLoss(VariationalLoss):
 
     pair_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     pair_grad1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    has_value = True
 
     @classmethod
     def quadratic(cls) -> "InteractionLoss":
@@ -172,8 +161,6 @@ class MeanFieldRegressionLoss(VariationalLoss):
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)
     lam: float = 300.0
-
-    has_value = True
 
     def __post_init__(self) -> None:
         z = np.asarray(self.covariates, dtype=float)
@@ -286,8 +273,6 @@ class PredictiveKernelLoss(VariationalLoss):
         default=None  # type: ignore[assignment]
     )
     max_cache: int = 20000
-
-    has_value = True
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)

@@ -52,8 +52,6 @@ def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) ->
     Checks the finite-particle identity
     var_grad(Q_n, x_i) = n * d/dx_i L(x_1, ..., x_n) for a loss with a value.
     """
-    if not loss.has_value:
-        raise ValueError("identity check needs a loss with a scalar value")
     atoms = measure.atoms
 
     def objective(xi: np.ndarray) -> float:

@@ -187,8 +187,8 @@ def vgd_drift(
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
 ) -> np.ndarray:
-    """Flow velocity at each atom, shape (n, d), from n x n products (see
-    ``discrepancy.stein_drift``)."""
+    """Flow velocity at each atom, shape (n, d), from row blocks of n x n
+    products (see ``discrepancy.stein_drift``)."""
     atoms = measure.atoms
     return stein_drift(kernel, atoms, gen_score(ref, loss, measure, atoms))
 
@@ -273,6 +273,10 @@ def kgdd_run(
 # ---------------------------------------------------------------------------
 
 
+# Grid points per coordinate line search of the greedy refinement.
+_REFINE_POINTS = 9
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Candidate set plus coordinate-descent refinement.
@@ -289,7 +293,6 @@ class SearchSpec:
     proposal_scale: float = 1.0
     n_candidates: int = 200
     refine_rounds: int = 4
-    refine_points: int = 9
     refine_span: np.ndarray | float | None = None
 
     def candidate_set(self, rng: np.random.Generator | None) -> np.ndarray:
@@ -347,8 +350,8 @@ def greedy_next(
     d = candidates.shape[1]
     for _ in range(search.refine_rounds):
         for j in range(d):
-            offsets = np.linspace(-spans[j], spans[j], search.refine_points)
-            line = np.repeat(best[None, :], search.refine_points, axis=0)
+            offsets = np.linspace(-spans[j], spans[j], _REFINE_POINTS)
+            line = np.repeat(best[None, :], _REFINE_POINTS, axis=0)
             line[:, j] += offsets
             if hasattr(loss, "prefetch"):
                 loss.prefetch(line)
@@ -358,7 +361,7 @@ def greedy_next(
                 best = line[k].copy()
                 best_val = float(line_vals[k])
         # Best grid point sits within one spacing of the line optimum.
-        spans = 2.0 * spans / (search.refine_points - 1)
+        spans = 2.0 * spans / (_REFINE_POINTS - 1)
     return best
 
 

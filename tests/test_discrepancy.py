@@ -4,15 +4,16 @@ The assembly is pinned four ways: hand formulas at single atoms, a full
 finite-difference rebuild of h(x, y) for a nontrivial loss, the
 closed-form classical-discrepancy oracle for potentials without
 interaction, and the einsum assembly over ``kernel.pairwise`` below, which
-the package's product route replaced. The Gram-free sums behind the
-estimators are held against the sum and trace of ``stein_gram``. The
-estimator algebra (V/U identity, permutation invariance, substream
-addressing) is checked exactly.
+``stein_gram`` also is. The row-block pass behind the estimators, the drift
+and the particle gradient is held against that assembly, and against itself
+with slabs of three rows. The estimator algebra (V/U identity, permutation
+invariance, substream addressing) is checked exactly.
 """
 
 import numpy as np
 import pytest
 
+from kgd import discrepancy
 from kgd.core import DiagonalGaussian, EmpiricalMeasure
 from kgd.discrepancy import (
     _BLOCK,
@@ -22,19 +23,22 @@ from kgd.discrepancy import (
     gen_score,
     kgd_u_squared,
     kgd_v_squared,
+    particle_grad,
     stein_drift,
     stein_gram,
     stein_kernel_eval,
     )
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
-from kgd.losses import InteractionLoss, LinearLoss, ZeroLoss
+from kgd.losses import InteractionLoss, LinearLoss, MeanFieldRegressionLoss, ZeroLoss
+from kgd.models import gen_mfnn_data
 from kgd.oracles import fd_gradient, reference_ksd_squared
 
 ORACLE_RTOL = 1e-12  # analytic Gram assembly vs closed-form oracle
 FD_TOL = 5e-6  # assembled Stein values vs nested finite differences
 EXACT_RTOL = 1e-13  # pure reorderings of the same sums
-RADIAL_TOL = 1e-12  # product route vs pairwise assembly, scaled by max|gram|
+RADIAL_TOL = 1e-12  # row route vs pairwise assembly: sums by sum|h|, drift by max
 SUMS_TOL = 1e-12  # row-block sum and trace vs the Gram's, scaled by sum|gram|
+BLOCK_TOL = 1e-12  # small row blocks vs one block, scaled by the largest entry
 
 # Every kernel family, tilted ones with radial and non-radial bases.
 PRODUCT_KERNELS = [
@@ -49,6 +53,8 @@ PRODUCT_KERNELS = [
         for e in (-1.0, 0.0, 0.5, 1.0)
     ),
 ]
+
+_MFNN_DATA = gen_mfnn_data(0, n_data=30)
 
 
 def _assemble(pw, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
@@ -128,14 +134,14 @@ class TestSteinAssembly:
         # The translated cloud is the case that needs the atoms centred: the
         # uncentred product form is off by about 5e-10 of max|gram| there.
         _, ref, loss, measure = _random_setup(6, n=30, d=3)
-        measure = EmpiricalMeasure(offset + measure.atoms)
-        atoms = measure.atoms
-        scores = gen_score(ref, loss, measure, atoms)
+        atoms = offset + measure.atoms
+        scores = gen_score(ref, loss, EmpiricalMeasure(atoms), atoms)
         for kernel in PRODUCT_KERNELS:
-            gram = stein_gram(kernel, ref, loss, measure)
             direct = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
-            err = np.max(np.abs(gram - direct)) / np.max(np.abs(gram))
-            assert err <= RADIAL_TOL, (kernel, err)
+            total, trace = _stein_sums(kernel, atoms, scores)
+            scale = np.sum(np.abs(direct))
+            assert abs(total - np.sum(direct)) <= RADIAL_TOL * scale, kernel
+            assert abs(trace - np.trace(direct)) <= RADIAL_TOL * scale, kernel
             drift = stein_drift(kernel, atoms, scores)
             direct = _drift_from_pairwise(kernel, atoms, scores)
             err = np.max(np.abs(drift - direct)) / np.max(np.abs(drift))
@@ -196,6 +202,36 @@ class TestSteinSums:
         scale = np.sum(np.abs(gram))
         assert abs(total - np.sum(gram)) <= SUMS_TOL * scale
         assert abs(trace - np.trace(gram)) <= SUMS_TOL * scale
+
+    @pytest.mark.parametrize(
+        "loss",
+        [InteractionLoss.quadratic(),
+         MeanFieldRegressionLoss(_MFNN_DATA.covariates, _MFNN_DATA.responses)],
+        ids=["interaction", "mean-field"],
+    )
+    @pytest.mark.parametrize(
+        "kernel",
+        [IMQ(0.8), Mixture((IMQ(0.5), Gaussian(2.0))),
+         WeightedMatrixKernel(c=1.1, exponent=0.5, base=IMQ(0.9))],
+        ids=["imq", "radial-mixture", "weighted-matrix"],
+    )
+    def test_blocks_of_three_match_one_block(self, kernel, loss, monkeypatch):
+        # Ten atoms in slabs of 3, 3, 3 and 1 rows cross every slab boundary;
+        # the default block holds them all.
+        atoms = np.random.default_rng(12).standard_normal((10, 4))
+        ref = DiagonalGaussian.standard(4)
+        scores = gen_score(ref, loss, EmpiricalMeasure(atoms), atoms)
+
+        def evaluate():
+            return [np.array(_stein_sums(kernel, atoms, scores)),
+                    stein_drift(kernel, atoms, scores),
+                    particle_grad(kernel, ref, loss, atoms),
+                    particle_grad(kernel, ref, loss, atoms, u_statistic=True)]
+
+        whole = evaluate()
+        monkeypatch.setattr(discrepancy, "_BLOCK", 3)
+        for one, blocked in zip(whole, evaluate()):
+            assert np.max(np.abs(blocked - one)) <= BLOCK_TOL * np.max(np.abs(one))
 
     def test_overflowing_sum_of_finite_entries_raises(self):
         # Two equal atoms with ||b||^2 = 1.44e308: every entry is finite, the
