@@ -46,18 +46,24 @@ from .losses import (
     ZeroLoss,
     gaussian_overlap,
 )
-from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities, lv_solve
+from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
+    SamplerRun,
     SearchSpec,
+    Stepper,
+    drive,
     greedy_extend,
+    greedy_stepper,
     kgdd_run,
     mfld_run,
+    mfld_stepper,
     optimizer_apply,
     optimizer_init,
     vgd_drift,
     vgd_run,
+    vgd_stepper,
 )
 
 
@@ -677,44 +683,32 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     return {"final_kgd_v2": finals}
 
 
-def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
-    series = gen_lv_data(int(knobs["data_seed"]))
-    loss = PredictiveKernelLoss(series.times, series.observations)
+def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[str, Stepper]]:
+    """The three lv-compare arms as steppers on ``loss``."""
     ref = DiagonalGaussian.standard(2)
     # Assessment kernel: two inverse multiquadrics on the short scales where
     # the posterior mass concentrates.
     assess = Mixture((IMQ(np.sqrt(0.03)), IMQ(np.sqrt(0.1))), weights=(1.0, 1.0))
-    rows: list[list[Any]] = []
-    all_atoms: list[np.ndarray] = []
-    groups: list[tuple[str, int]] = []
     n = int(knobs["particles"])
+    n_steps = int(knobs["steps"])
+    trace_every = int(knobs["trace_every"])
     truth = np.array([-1.0, float(knobs["true_x2"])])
-
-    def record(arm: str, steps, kgd2) -> None:
-        for s, k in zip(steps, kgd2):
-            rows.append([arm, int(s), float(k)])
 
     # Langevin arm from a tight cloud at the data-generating parameters.
     init = truth + 1e-3 * seeded_stream(seed, "init", "mfld").standard_normal((n, 2))
-    run = mfld_run(
-        init, ref, loss, float(knobs["mfld_step_size"]), int(knobs["steps"]),
-        seeded_stream(seed, "mfld"), trace_kernel=assess, trace_every=int(knobs["trace_every"]),
+    mfld = mfld_stepper(
+        init, ref, loss, float(knobs["mfld_step_size"]), n_steps,
+        seeded_stream(seed, "mfld"), trace_kernel=assess, trace_every=trace_every,
     )
-    record("mfld", run.steps, run.kgd2)
-    all_atoms.append(run.atoms)
-    groups.append(("mfld", n))
 
     # Deterministic flow arm from the reference.
     flow_kernel = Mixture((IMQ(0.01), IMQ(0.1), IMQ(1.0)))
     init = ref.sample(seeded_stream(seed, "init", "vgd"), n)
     spec = OptimizerSpec(method="adam", step_size=float(knobs["vgd_step_size"]))
-    run = vgd_run(
-        init, flow_kernel, ref, loss, spec, int(knobs["steps"]),
-        trace_kernel=assess, trace_every=int(knobs["trace_every"]),
+    vgd = vgd_stepper(
+        init, flow_kernel, ref, loss, spec, n_steps,
+        trace_kernel=assess, trace_every=trace_every,
     )
-    record("vgd", run.steps, run.kgd2)
-    all_atoms.append(run.atoms)
-    groups.append(("vgd", n))
 
     # Greedy extensible arm.
     search = SearchSpec(
@@ -723,14 +717,27 @@ def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
         n_candidates=int(knobs["n_candidates"]),
         refine_rounds=int(knobs["refine_rounds"]),
     )
-    run = greedy_extend(assess, ref, loss, search, n, seed=seed)
-    record("greedy", run.steps, run.kgd2)
-    all_atoms.append(run.atoms)
-    groups.append(("greedy", n))
+    greedy = greedy_stepper(assess, ref, loss, search, n, seed=seed)
+    return [("mfld", mfld), ("vgd", vgd), ("greedy", greedy)]
 
+
+def _write_arm_runs(out: Path, arms: Sequence[str], runs: Sequence[SamplerRun]) -> None:
+    rows = [[arm, int(s), float(k)]
+            for arm, run in zip(arms, runs) for s, k in zip(run.steps, run.kgd2)]
     write_csv(out / "trace.csv", ["arm", "step", "kgd_v2"], rows)
-    write_particles(out / "particles.csv", np.vstack(all_atoms), groups)
-    return {"ode_solves": loss.n_solves, "cache_hits": loss.cache_hits,
+    write_particles(out / "particles.csv", np.vstack([run.atoms for run in runs]),
+                    [(arm, len(run.atoms)) for arm, run in zip(arms, runs)])
+
+
+def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
+    series = gen_lv_data(int(knobs["data_seed"]))
+    loss = PredictiveKernelLoss(series.times, series.observations)
+    # The arms run in lockstep: each round, one solver call serves them all.
+    arms = _lv_arms(seed, knobs, loss)
+    runs, rounds = drive([stepper for _, stepper in arms], loss)
+    _write_arm_runs(out, [arm for arm, _ in arms], runs)
+    return {"ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
+            "driver_rounds": rounds, "cache_hits": loss.cache_hits,
             "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
 
@@ -837,7 +844,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
     from .discrepancy import _stein_sums, stein_drift, stein_gram
-    from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
+    from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, lv_solve,
                           reference_ksd_squared)
 
     failures = 0
@@ -987,6 +994,19 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
             scale = max(float(np.max(np.abs(sens[k, species]))), 1.0)
             worst = max(worst, float(np.max(np.abs(sens[k, species] - fd))) / scale)
     report("ode-sensitivities", worst < 1e-6, f"worst scaled error {worst:.2e}")
+
+    # The solver is batch-invariant: calls on the splits of a batch, tail
+    # sizes and single points included, give its bytes.
+    xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(5).standard_normal((244, 2))
+    times = np.array([0.5, 2.0, 3.0])
+    u, sens = lv_sensitivities(xs, times)
+    bounds = [np.cumsum((0,) + split) for split in ((1, 2, 4, 7, 9, 221), (240, 4))]
+    parts = [slice(lo, hi) for b in bounds for lo, hi in zip(b[:-1], b[1:])]
+    parts += [slice(i, i + 1) for i in (0, 121, 243)]
+    same = sum(all(map(np.array_equal, lv_sensitivities(xs[part], times), (u[part], sens[part])))
+               for part in parts)
+    report("ode-batch-invariance", same == len(parts),
+           f"{same} of {len(parts)} split calls bitwise equal")
 
     # Predictive pair blocks on LV trajectories against the broadcast double
     # sum over (time, time) pairs, relative to the largest value and gradient.

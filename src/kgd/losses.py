@@ -267,8 +267,10 @@ class PredictiveKernelLoss(VariationalLoss):
     point in one batched call. The cache holds at most ``max_cache`` points
     and is cleared when a solve would overfill it; ``cache_hits``,
     ``cache_misses`` (requested points not in the cache) and ``cache_clears``
-    count its use, and ``n_solves`` the points passed to the solver. There
-    is no ``var_grad_vjp``: it would need second-order ODE sensitivities.
+    count its use, ``n_solves`` the points passed to the solver and
+    ``solver_calls`` the calls that passed them, the unit of solver cost.
+    There is no ``var_grad_vjp``: it would need second-order ODE
+    sensitivities.
     """
 
     times: np.ndarray  # (N,)
@@ -294,6 +296,7 @@ class PredictiveKernelLoss(VariationalLoss):
             self.solver = lv_sensitivities
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         self.n_solves = 0
+        self.solver_calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_clears = 0
@@ -323,6 +326,7 @@ class PredictiveKernelLoss(VariationalLoss):
         if missing:
             means, sens = self.solver(np.stack(list(missing.values())), self.times)
             self.n_solves += len(missing)
+            self.solver_calls += 1
             if self._cache and len(self._cache) + len(missing) > self.max_cache:
                 self._cache.clear()
                 self.cache_clears += 1

@@ -127,12 +127,6 @@ def lv_equilibrium(x: np.ndarray, gamma: float = LV_GAMMA, delta: float = LV_DEL
     )
 
 
-def _lv_drift(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray, gamma: float, delta: float) -> np.ndarray:
-    u1 = u[..., 0]
-    u2 = u[..., 1]
-    return np.stack([alpha * u1 - beta * u1 * u2, delta * u1 * u2 - gamma * u2], axis=-1)
-
-
 def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
     k1 = rhs(y)
     k2 = rhs(y + 0.5 * h * k1)
@@ -170,42 +164,11 @@ def _rk4_record(
     return out
 
 
-def lv_solve(
-    x: np.ndarray,
-    times: np.ndarray,
-    step: float = 0.01,
-    init: tuple[float, float] = LV_INIT,
-    gamma: float = LV_GAMMA,
-    delta: float = LV_DELTA,
-) -> np.ndarray:
-    """Population trajectories at the requested times.
-
-    Args:
-        x: Unconstrained parameters, shape (m, 2) or (2,).
-        times: Strictly increasing observation times, shape (N,).
-        step: Target RK4 step size.
-
-    Returns:
-        Populations with shape (m, N, 2), or (N, 2) for a single x.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    alpha, beta = lv_params(xb)
-    u0 = np.broadcast_to(np.asarray(init, dtype=float), (xb.shape[0], 2)).copy()
-
-    def rhs(u: np.ndarray) -> np.ndarray:
-        return _lv_drift(u, alpha, beta, gamma, delta)
-
-    path = _rk4_record(rhs, u0, np.asarray(times, dtype=float), step)
-    return path[0] if single else path
-
-
 # The sensitivity system's state is stored as rows (1, u1, u2, s00, s01,
 # s10, s11) x points, with s_ij = du_i/dx_j. Row 0 is a constant one with
 # zero drift, so every term of the drift is a product of two rows times a
-# per-point coefficient, state[a] * state[b] * coef, and ``_LV_SCATTER``
-# adds each term into its output row:
+# per-point coefficient, state[a] * state[b] * coef, added into one output
+# row:
 #   du1  = alpha u1 - beta u1 u2
 #   du2  = delta u1 u2 - gamma u2
 #   ds0j = (alpha - beta u2) s0j - beta u1 s1j + df1/dx_j
@@ -223,9 +186,19 @@ _LV_TERMS = (
     (0, 5, 5), (2, 3, 5), (1, 5, 5),
     (0, 6, 6), (2, 4, 6), (1, 6, 6),
 )
-_LV_PAIRS = np.array([[a for a, _, _ in _LV_TERMS], [b for _, b, _ in _LV_TERMS]])
-_LV_SCATTER = np.zeros((7, len(_LV_TERMS)))
-_LV_SCATTER[[out for _, _, out in _LV_TERMS], np.arange(len(_LV_TERMS))] = 1.0
+# The terms laid out slot-major, (slot, output row) -> term index: output row
+# r sums its terms over the slot axis in the order above, and a row's unused
+# slots hold the zero term (row 0, row 0, coefficient 0), index
+# len(_LV_TERMS). Elementwise products and a sum over the leading axis fix
+# each point's arithmetic; a matrix product would not, as BLAS orders its
+# sums differently in the tail columns of a wide batch.
+_LV_BY_ROW = [[k for k, term in enumerate(_LV_TERMS) if term[2] == r] for r in range(7)]
+_LV_LAYOUT = np.array([
+    [ks[slot] if slot < len(ks) else len(_LV_TERMS) for ks in _LV_BY_ROW]
+    for slot in range(max(map(len, _LV_BY_ROW)))
+])
+_LV_PAIRS = np.array([[t[0] for t in _LV_TERMS] + [0],
+                      [t[1] for t in _LV_TERMS] + [0]])[:, _LV_LAYOUT]  # (2, slots, 7)
 
 
 def lv_sensitivities(
@@ -242,18 +215,20 @@ def lv_sensitivities(
     with the populations, S(0) = 0. Populations and sensitivities share the
     same RK4 substeps, so the returned sens is the exact derivative of the
     discrete map x -> u (up to rounding), not only an O(step^4)
-    approximation of the continuous one; finite differences of
-    ``lv_solve`` at the same step agree with it, up to their own
-    differencing error, at any step size.
+    approximation of the continuous one; finite differences of the plain
+    solver ``kgd.oracles.lv_solve`` at the same step agree with it, up to
+    their own differencing error, at any step size.
 
     The state is a (7, m) array with rows (1, u1, u2, s00, s01, s10, s11):
     the drift is 19 products of two rows times fixed per-point
-    coefficients, summed into the outputs by one constant (7, 19) matrix
-    product. A call costs a fixed number of numpy operations per RK4 step
-    (6000 steps for t up to 60 at the default step) on arrays of 7 m and
-    19 m entries, so its time is nearly flat in the batch size m (on a
-    2-vCPU Xeon VM, about 0.075 s at m = 1, 0.16 s at m = 120 and 0.25 s
-    at m = 240). Callers should pass all the points they need in one batch.
+    coefficients, each added into its output row (the layout above
+    ``lv_sensitivities``). Every operation is elementwise over the points,
+    with no BLAS call, so a point's u and sens are bitwise the same whatever
+    other points share its call: any split of a batch into calls gives the
+    same bytes. A call costs a fixed number of numpy operations per RK4 step
+    (6000 steps for t up to 60 at the default step), so its time is set by
+    the number of calls far more than by the batch size m. Callers should
+    pass all the points they need in one batch.
 
     Args:
         x: Unconstrained parameters, shape (m, 2) or (2,).
@@ -279,13 +254,14 @@ def lv_sensitivities(
         alpha, -beta * (1.0 - s2), -beta, -beta,
         neg_gamma, delta_m, delta_m,
         neg_gamma, delta_m, delta_m,
-    ])
+        np.zeros(m),
+    ])[_LV_LAYOUT]  # (slots, 7, m)
 
     def rhs(state: np.ndarray) -> np.ndarray:
         rows = state[_LV_PAIRS]
         terms = rows[0] * rows[1]
         terms *= coef
-        return _LV_SCATTER.dot(terms)
+        return terms.sum(axis=0)
 
     state0 = np.zeros((7, m))
     state0[0] = 1.0
@@ -342,8 +318,9 @@ def gen_lv_data(
         return alpha * u1 - beta * u1 * u2, delta * u1 * u2 - gamma * u2
 
     # One path in Python floats: on two numbers each numpy call costs more
-    # than its arithmetic. The expressions follow ``_rk4_step`` and
-    # ``_lv_drift`` term by term, so the path is bitwise the one they give.
+    # than its arithmetic. The expressions follow the RK4 step and the drift
+    # of ``kgd.oracles.lv_solve`` term by term, so the path is bitwise the
+    # one it gives.
     u1, u2 = (float(v) for v in init)
     latent = np.empty((times.size, 2))
     t_prev = 0.0

@@ -1,5 +1,5 @@
-"""Independent checking instruments: finite differences, quadrature, a reference
-kernel Stein discrepancy, and log-log slope fitting.
+"""Independent checking instruments: finite differences, a plain ODE solver,
+quadrature, a reference kernel Stein discrepancy, and log-log slope fitting.
 
 Everything in this module is deliberately written from first principles and
 shares no code with the production paths it is used to validate. Keep it that
@@ -12,6 +12,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .models import LV_DELTA, LV_GAMMA, LV_INIT, lv_params
 
 
 def fd_gradient(
@@ -43,6 +45,62 @@ def fd_gradient(
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def _lv_drift(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray, gamma: float, delta: float) -> np.ndarray:
+    u1 = u[..., 0]
+    u2 = u[..., 1]
+    return np.stack([alpha * u1 - beta * u1 * u2, delta * u1 * u2 - gamma * u2], axis=-1)
+
+
+def lv_solve(
+    x: np.ndarray,
+    times: np.ndarray,
+    step: float = 0.01,
+    init: tuple[float, float] = LV_INIT,
+    gamma: float = LV_GAMMA,
+    delta: float = LV_DELTA,
+) -> np.ndarray:
+    """Lotka-Volterra population trajectories at the requested times.
+
+    The plain RK4 solve, without sensitivities: the reference that finite
+    differences turn into a check of ``models.lv_sensitivities``. It shares
+    only the parameter map ``lv_params`` with it. Each inter-record segment
+    is covered by round(dt / step) equal substeps, the same discrete map the
+    sensitivity solver differentiates.
+
+    Args:
+        x: Unconstrained parameters, shape (m, 2) or (2,).
+        times: Strictly increasing observation times, shape (N,).
+        step: Target RK4 step size.
+
+    Returns:
+        Populations with shape (m, N, 2), or (N, 2) for a single x.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    xb = x[None, :] if single else x
+    alpha, beta = lv_params(xb)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+        raise ValueError("times must be strictly increasing and nonnegative")
+    u = np.broadcast_to(np.asarray(init, dtype=float), (xb.shape[0], 2)).copy()
+    path = np.empty((xb.shape[0], times.size, 2))
+    t_prev = 0.0
+    for k, t_k in enumerate(times):
+        dt = t_k - t_prev
+        if dt > 0.0:
+            n_sub = max(1, int(round(dt / step)))
+            h = dt / n_sub
+            for _ in range(n_sub):
+                k1 = _lv_drift(u, alpha, beta, gamma, delta)
+                k2 = _lv_drift(u + 0.5 * h * k1, alpha, beta, gamma, delta)
+                k3 = _lv_drift(u + 0.5 * h * k2, alpha, beta, gamma, delta)
+                k4 = _lv_drift(u + h * k3, alpha, beta, gamma, delta)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        path[:, k] = u
+        t_prev = float(t_k)
+    return path[0] if single else path
 
 
 def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) -> float:

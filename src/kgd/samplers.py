@@ -3,14 +3,16 @@ noisy mean-field Langevin steps, the deterministic kernelised flow, direct
 descent on the squared discrepancy, and greedy extensible point selection.
 
 All updates are synchronous: every per-particle quantity for a step is
-computed from the pre-step configuration before any particle moves.
+computed from the pre-step configuration before any particle moves. Each
+sampler is a stepper that ``drive`` advances, alone (the ``*_run``
+functions) or in lockstep with others that share its loss.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -108,7 +110,9 @@ class SamplerRun:
     atoms: np.ndarray  # (n, d)
     steps: np.ndarray  # (k,) step indices where the discrepancy was recorded
     kgd2: np.ndarray  # (k,) squared-discrepancy values at those steps
-    wall: np.ndarray  # (k,) seconds since the run started, measured per row
+    # (k,) seconds since the run started, measured per row; in a lockstep
+    # drive they include the other steppers' work.
+    wall: np.ndarray
 
 
 def _trace_value(trace_kernel, ref, loss, atoms: np.ndarray) -> float:
@@ -116,7 +120,53 @@ def _trace_value(trace_kernel, ref, loss, atoms: np.ndarray) -> float:
     return kgd_v_squared(trace_kernel, ref, loss, measure).value2
 
 
-def _run_loop(
+# ---------------------------------------------------------------------------
+# Steppers and the lockstep driver. A stepper is a generator: it yields the
+# (m, d) points its next evaluation needs, is resumed once the driver has
+# handed them to the loss, and returns its result. ``drive`` advances several
+# steppers in rounds and passes the union of each round's requests to
+# ``loss.prefetch`` in one call, so a solver-backed loss pays one solve per
+# round for all of them. Every sampler run is a one-stepper drive.
+# ---------------------------------------------------------------------------
+
+Stepper = Generator[np.ndarray, None, Any]
+
+
+def drive(steppers: Sequence[Stepper], loss: VariationalLoss) -> tuple[list[Any], int]:
+    """Run steppers in lockstep; their results, in order, and the number of
+    rounds.
+
+    Each round resumes every unfinished stepper up to its next request, then
+    prefetches the union of the requests (a loss without ``prefetch`` skips
+    this). A stepper's evaluations read only its own points, so with a
+    batch-invariant solver its result does not depend on what it is driven
+    with.
+    """
+    prefetch = getattr(loss, "prefetch", None)
+    results: list[Any] = [None] * len(steppers)
+    live = dict(enumerate(steppers))
+    rounds = 0
+    while live:
+        requests = []
+        for i, stepper in list(live.items()):
+            try:
+                requests.append(next(stepper))
+            except StopIteration as done:
+                results[i] = done.value
+                del live[i]
+        if requests:
+            rounds += 1
+            if prefetch is not None:
+                prefetch(np.concatenate(requests))
+    return results, rounds
+
+
+def _drive_one(stepper: Stepper, loss: VariationalLoss) -> Any:
+    (result,), _ = drive([stepper], loss)
+    return result
+
+
+def _flow(
     atoms: np.ndarray,
     n_steps: int,
     advance: Callable[[np.ndarray, int], np.ndarray],
@@ -124,26 +174,26 @@ def _run_loop(
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     trace_every: int,
-) -> SamplerRun:
+) -> Stepper:
+    """Stepper of a particle flow: requests each configuration that a trace
+    row or the next step evaluates, and returns the ``SamplerRun``."""
+    atoms = np.asarray(atoms, dtype=float)
     _check_finite(atoms, 0)
     start = time.perf_counter()
     steps: list[int] = []
     kgd2: list[float] = []
     wall: list[float] = []
-    if trace_kernel is not None:
-        steps.append(0)
-        kgd2.append(_trace_value(trace_kernel, ref, loss, atoms))
-        wall.append(time.perf_counter() - start)
-    for step in range(1, n_steps + 1):
-        atoms = advance(atoms, step)
-        _check_finite(atoms, step)
-        if trace_kernel is not None and (
-            step % trace_every == 0 or step == n_steps
-        ):
-            if not steps or steps[-1] != step:
-                steps.append(step)
-                kgd2.append(_trace_value(trace_kernel, ref, loss, atoms))
-                wall.append(time.perf_counter() - start)
+    for step in range(n_steps + 1):
+        if step:
+            atoms = advance(atoms, step)
+            _check_finite(atoms, step)
+        traced = trace_kernel is not None and (step % trace_every == 0 or step == n_steps)
+        if traced or step < n_steps:
+            yield atoms
+        if traced:
+            steps.append(step)
+            kgd2.append(_trace_value(trace_kernel, ref, loss, atoms))
+            wall.append(time.perf_counter() - start)
     return SamplerRun(
         atoms, np.asarray(steps, dtype=int), np.asarray(kgd2), np.asarray(wall)
     )
@@ -172,6 +222,23 @@ def mfld_step(
     return atoms + step_size * scores + np.sqrt(2.0 * step_size) * noise
 
 
+def mfld_stepper(
+    atoms: np.ndarray,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    step_size: float,
+    n_steps: int,
+    rng: np.random.Generator,
+    trace_kernel=None,
+    trace_every: int = 1,
+) -> Stepper:
+    """``mfld_run`` as a stepper for ``drive``."""
+    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+        return mfld_step(current, ref, loss, step_size, rng)
+
+    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+
+
 def mfld_run(
     atoms: np.ndarray,
     ref: DiagonalGaussian,
@@ -182,11 +249,8 @@ def mfld_run(
     trace_kernel=None,
     trace_every: int = 1,
 ) -> SamplerRun:
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
-        return mfld_step(current, ref, loss, step_size, rng)
-
-    return _run_loop(
-        np.asarray(atoms, dtype=float), n_steps, advance, trace_kernel, ref, loss, trace_every
+    return _drive_one(
+        mfld_stepper(atoms, ref, loss, step_size, n_steps, rng, trace_kernel, trace_every), loss
     )
 
 
@@ -221,6 +285,27 @@ def vgd_step(
     return atoms + delta, state
 
 
+def vgd_stepper(
+    atoms: np.ndarray,
+    kernel,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    spec: OptimizerSpec,
+    n_steps: int,
+    trace_kernel=None,
+    trace_every: int = 1,
+) -> Stepper:
+    """``vgd_run`` as a stepper for ``drive``."""
+    state = optimizer_init(np.shape(atoms))
+
+    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+        nonlocal state
+        moved, state = vgd_step(current, kernel, ref, loss, spec, state)
+        return moved
+
+    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+
+
 def vgd_run(
     atoms: np.ndarray,
     kernel,
@@ -231,15 +316,8 @@ def vgd_run(
     trace_kernel=None,
     trace_every: int = 1,
 ) -> SamplerRun:
-    state = optimizer_init(np.shape(atoms))
-
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
-        nonlocal state
-        moved, state = vgd_step(current, kernel, ref, loss, spec, state)
-        return moved
-
-    return _run_loop(
-        np.asarray(atoms, dtype=float), n_steps, advance, trace_kernel, ref, loss, trace_every
+    return _drive_one(
+        vgd_stepper(atoms, kernel, ref, loss, spec, n_steps, trace_kernel, trace_every), loss
     )
 
 
@@ -259,6 +337,28 @@ def kgdd_grad(
     return particle_grad(kernel, ref, loss, atoms)
 
 
+def kgdd_stepper(
+    atoms: np.ndarray,
+    kernel,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    spec: OptimizerSpec,
+    n_steps: int,
+    trace_kernel=None,
+    trace_every: int = 1,
+) -> Stepper:
+    """``kgdd_run`` as a stepper for ``drive``."""
+    state = optimizer_init(np.shape(atoms))
+
+    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+        nonlocal state
+        grad = kgdd_grad(kernel, ref, loss, current)
+        delta, state = optimizer_apply(spec, state, -grad)
+        return current + delta
+
+    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+
+
 def kgdd_run(
     atoms: np.ndarray,
     kernel,
@@ -269,16 +369,8 @@ def kgdd_run(
     trace_kernel=None,
     trace_every: int = 1,
 ) -> SamplerRun:
-    state = optimizer_init(np.shape(atoms))
-
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
-        nonlocal state
-        grad = kgdd_grad(kernel, ref, loss, current)
-        delta, state = optimizer_apply(spec, state, -grad)
-        return current + delta
-
-    return _run_loop(
-        np.asarray(atoms, dtype=float), n_steps, advance, trace_kernel, ref, loss, trace_every
+    return _drive_one(
+        kgdd_stepper(atoms, kernel, ref, loss, spec, n_steps, trace_kernel, trace_every), loss
     )
 
 
@@ -334,6 +426,49 @@ class SearchSpec:
         return np.maximum(extent / (per_axis - 1), 1e-12)
 
 
+def _greedy_point(
+    kernel,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    search: SearchSpec,
+    atoms: np.ndarray | None,
+    rng: np.random.Generator | None,
+    request_candidates: bool = True,
+) -> Generator[np.ndarray, None, np.ndarray]:
+    """Stepper of ``greedy_next``: requests the candidate set (unless the
+    caller already has), then each refinement line, and returns the chosen
+    point."""
+    existing = None if atoms is None else np.asarray(atoms, dtype=float)
+
+    def objective(x: np.ndarray) -> float:
+        pts = x[None, :] if existing is None else np.vstack([existing, x[None, :]])
+        return kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)).value2
+
+    candidates = search.candidate_set(rng)
+    if request_candidates:
+        yield candidates
+    values = np.asarray([objective(c) for c in candidates])
+    best = candidates[int(np.argmin(values))].copy()
+    best_val = float(values.min())
+
+    spans = search.spans(candidates)
+    d = candidates.shape[1]
+    for _ in range(search.refine_rounds):
+        for j in range(d):
+            offsets = np.linspace(-spans[j], spans[j], _REFINE_POINTS)
+            line = np.repeat(best[None, :], _REFINE_POINTS, axis=0)
+            line[:, j] += offsets
+            yield line
+            line_vals = np.asarray([objective(p) for p in line])
+            k = int(np.argmin(line_vals))
+            if line_vals[k] < best_val:
+                best = line[k].copy()
+                best_val = float(line_vals[k])
+        # Best grid point sits within one spacing of the line optimum.
+        spans = 2.0 * spans / (_REFINE_POINTS - 1)
+    return best
+
+
 def greedy_next(
     kernel,
     ref: DiagonalGaussian,
@@ -348,36 +483,42 @@ def greedy_next(
     (x_1, ..., x_n, x); scores are re-evaluated per candidate because the
     candidate itself shifts the empirical measure.
     """
-    existing = None if atoms is None else np.asarray(atoms, dtype=float)
+    return _drive_one(_greedy_point(kernel, ref, loss, search, atoms, rng), loss)
 
-    def objective(x: np.ndarray) -> float:
-        pts = x[None, :] if existing is None else np.vstack([existing, x[None, :]])
-        return kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)).value2
 
-    candidates = search.candidate_set(rng)
+def greedy_stepper(
+    kernel,
+    ref: DiagonalGaussian,
+    loss: VariationalLoss,
+    search: SearchSpec,
+    n_points: int,
+    seed: int = 0,
+    init_atoms: np.ndarray | None = None,
+) -> Stepper:
+    """``greedy_extend`` as a stepper for ``drive``."""
+    atoms = None if init_atoms is None else np.asarray(init_atoms, dtype=float)
+    start = time.perf_counter()
+    up_front = False
     if hasattr(loss, "prefetch"):
-        loss.prefetch(candidates)
-    values = np.asarray([objective(c) for c in candidates])
-    best = candidates[int(np.argmin(values))].copy()
-    best_val = float(values.min())
-
-    spans = search.spans(candidates)
-    d = candidates.shape[1]
-    for _ in range(search.refine_rounds):
-        for j in range(d):
-            offsets = np.linspace(-spans[j], spans[j], _REFINE_POINTS)
-            line = np.repeat(best[None, :], _REFINE_POINTS, axis=0)
-            line[:, j] += offsets
-            if hasattr(loss, "prefetch"):
-                loss.prefetch(line)
-            line_vals = np.asarray([objective(p) for p in line])
-            k = int(np.argmin(line_vals))
-            if line_vals[k] < best_val:
-                best = line[k].copy()
-                best_val = float(line_vals[k])
-        # Best grid point sits within one spacing of the line optimum.
-        spans = 2.0 * spans / (_REFINE_POINTS - 1)
-    return best
+        # The candidate sets do not depend on earlier picks, so a
+        # solver-backed loss can solve them all in one call.
+        sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
+        up_front = sum(len(c) for c in sets) <= loss.max_cache
+        if up_front:
+            yield np.vstack(sets)
+    kgd2 = np.empty(n_points)
+    wall = np.empty(n_points)
+    for k in range(n_points):
+        rng = seeded_stream(seed, "greedy", k)
+        x_new = yield from _greedy_point(
+            kernel, ref, loss, search, atoms, rng, request_candidates=not up_front
+        )
+        atoms = x_new[None, :] if atoms is None else np.vstack([atoms, x_new[None, :]])
+        kgd2[k] = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(atoms)).value2
+        wall[k] = time.perf_counter() - start
+    assert atoms is not None
+    base = 0 if init_atoms is None else len(init_atoms)
+    return SamplerRun(atoms, base + np.arange(1, n_points + 1), kgd2, wall)
 
 
 def greedy_extend(
@@ -395,24 +536,9 @@ def greedy_extend(
     with ``steps`` counting configuration sizes. Proposal draws for stage one
     use substreams addressed by (seed, point index), so the sequence does not
     depend on evaluation order. A loss with a ``prefetch`` (a solve cache)
-    gets every point's candidate set in one call, when they fit its cache.
+    gets every point's candidate set in one call, when they fit its cache;
+    otherwise each point requests its own.
     """
-    atoms = None if init_atoms is None else np.asarray(init_atoms, dtype=float)
-    start = time.perf_counter()
-    if hasattr(loss, "prefetch"):
-        # The candidate sets do not depend on earlier picks, so a
-        # solver-backed loss can solve them all in one call.
-        sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
-        if sum(len(c) for c in sets) <= loss.max_cache:
-            loss.prefetch(np.vstack(sets))
-    kgd2 = np.empty(n_points)
-    wall = np.empty(n_points)
-    for k in range(n_points):
-        rng = seeded_stream(seed, "greedy", k)
-        x_new = greedy_next(kernel, ref, loss, search, atoms, rng)
-        atoms = x_new[None, :] if atoms is None else np.vstack([atoms, x_new[None, :]])
-        kgd2[k] = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(atoms)).value2
-        wall[k] = time.perf_counter() - start
-    assert atoms is not None
-    base = 0 if init_atoms is None else len(init_atoms)
-    return SamplerRun(atoms, base + np.arange(1, n_points + 1), kgd2, wall)
+    return _drive_one(
+        greedy_stepper(kernel, ref, loss, search, n_points, seed, init_atoms), loss
+    )

@@ -43,9 +43,9 @@ from kgd.models import (
     lv_equilibrium,
     lv_params,
     lv_sensitivities,
-    lv_solve,
     )
-from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d, reference_ksd_squared
+from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, lv_solve,
+                         reference_ksd_squared)
 from kgd.samplers import OptimizerSpec, SearchSpec, greedy_extend, vgd_run
 
 

@@ -18,6 +18,8 @@ import yaml
 from kgd.cli import (
     ConfigError,
     _apply_overrides,
+    _lv_arms,
+    _write_arm_runs,
     build_init,
     build_kernel,
     build_loss,
@@ -36,6 +38,8 @@ from kgd.losses import (
     PredictiveKernelLoss,
     ZeroLoss,
     )
+from kgd.models import gen_lv_data
+from kgd.samplers import drive
 
 
 def _assert_environment(meta: dict) -> None:
@@ -569,6 +573,43 @@ class TestExperimentVerb:
         assert summary["cache_hits"] > 0 and summary["cache_clears"] == 0
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
+    def test_lv_compare_lockstep_equals_separate_runs(self, tmp_path):
+        # The preset drives its three arms together; each arm driven alone
+        # on a fresh loss must give the same bytes and solve the same points.
+        out = self._run(
+            tmp_path, "lv-compare", "particles=2", "steps=2", "n_candidates=4",
+            "refine_rounds=1", "trace_every=1", seed="3",
+        )
+        knobs = self._meta(out)["knobs"]
+        series = gen_lv_data(int(knobs["data_seed"]))
+        names, runs, solves = [], [], 0
+        for k in range(3):
+            loss = PredictiveKernelLoss(series.times, series.observations)
+            name, stepper = _lv_arms(3, knobs, loss)[k]
+            (run,), _ = drive([stepper], loss)
+            names.append(name)
+            runs.append(run)
+            solves += loss.n_solves
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        _write_arm_runs(alone, names, runs)
+        for name in ("trace.csv", "particles.csv"):
+            assert (alone / name).read_bytes() == (out / name).read_bytes()
+        assert self._meta(out)["summary"]["ode_solves"] == solves
+
+    def test_lv_compare_solver_calls(self, tmp_path):
+        # The lv-ode benchmark shape. Run one after another, the arms made
+        # seven solver calls: three of two points per flow arm and one of
+        # greedy's 240 candidates. In lockstep, the three rounds make three
+        # calls, of 244, 4 and 4 points.
+        out = self._run(
+            tmp_path, "lv-compare", "particles=2", "steps=2", "refine_rounds=0",
+            "n_candidates=120",
+        )
+        summary = self._meta(out)["summary"]
+        assert summary["ode_solves"] == 252
+        assert summary["solver_calls"] == 3 and summary["driver_rounds"] == 3
+
     def test_seed_is_recorded_and_respected(self, tmp_path):
         out_a = self._run(tmp_path, "gauss-identity", "sizes=10;20", "replicates=2")
         meta = self._meta(out_a)
@@ -581,11 +622,12 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 12
+        assert len(lines) == 13
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
         assert any(l.startswith("PASS particle-gradient ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
+        assert any(l.startswith("PASS ode-batch-invariance ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)
         assert any(l.startswith("PASS tilted-gram ") for l in lines)

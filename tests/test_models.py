@@ -13,13 +13,12 @@ from kgd.models import (
     lv_equilibrium,
     lv_params,
     lv_sensitivities,
-    lv_solve,
     mfnn_forward,
     mfnn_grad,
     mfnn_hvp,
     sigmoid,
 )
-from kgd.oracles import fd_gradient
+from kgd.oracles import fd_gradient, lv_solve
 
 
 class TestSigmoid:
@@ -195,6 +194,24 @@ class TestSensitivities:
             ui, si = lv_sensitivities(xs[i], times)
             np.testing.assert_allclose(u[i], ui, rtol=1e-14)
             np.testing.assert_allclose(sens[i], si, rtol=1e-14)
+
+    @pytest.mark.parametrize("split", [
+        (1, 2, 4, 7, 9, 221), (240, 4), (4, 240), (122, 122), (7, 9, 228), (2, 2, 240),
+    ])
+    def test_batch_invariance(self, split):
+        # Bitwise: a point's solve may not depend on the other points in its
+        # call, so batching several callers' points together moves no byte.
+        xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(5).standard_normal((244, 2))
+        times = np.array([0.5, 2.0, 3.0])
+        u, sens = lv_sensitivities(xs, times)
+        lo = 0
+        for size in split:
+            ui, si = lv_sensitivities(xs[lo:lo + size], times)
+            assert np.array_equal(ui, u[lo:lo + size]) and np.array_equal(si, sens[lo:lo + size])
+            lo += size
+        for i in (0, 3, 121, 240, 243):
+            ui, si = lv_sensitivities(xs[i], times)
+            assert np.array_equal(ui, u[i]) and np.array_equal(si, sens[i])
 
     def test_batched_shapes(self):
         u, s = lv_sensitivities(np.zeros((3, 2)), np.array([1.0, 2.0]))

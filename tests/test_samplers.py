@@ -19,16 +19,20 @@ from kgd.samplers import (
     OptimizerSpec,
     SamplerDivergence,
     SearchSpec,
+    drive,
     greedy_extend,
     greedy_next,
+    greedy_stepper,
     kgdd_grad,
     kgdd_run,
     mfld_run,
     mfld_step,
+    mfld_stepper,
     optimizer_apply,
     optimizer_init,
     vgd_drift,
     vgd_run,
+    vgd_stepper,
     )
 
 GRAD_TOL = 1e-6  # analytic discrepancy gradients vs central differences
@@ -447,13 +451,63 @@ class TestGreedy:
         search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=60, refine_rounds=0)
         sets = [search.candidate_set(seeded_stream(4, "greedy", k)) for k in range(3)]
         greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
-        # One batch of all three sets, then each point's own set again.
-        assert len(batches) == 4
+        # One batch of all three sets; no point requests its own set again.
+        assert len(batches) == 1
         np.testing.assert_array_equal(batches[0], np.vstack(sets))
-        for got, want in zip(batches[1:], sets):
-            np.testing.assert_array_equal(got, want)
         # Sets that would overfill the cache are left to each point.
         Recording.max_cache = 179
         batches.clear()
         greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
         assert [b.shape[0] for b in batches] == [60, 60, 60]
+
+
+class TestDrive:
+    KERNEL = IMQ(1.0)
+    REF = DiagonalGaussian.standard(2)
+    ATOMS = seeded_stream(2, "init").standard_normal((5, 2))
+    SPEC = OptimizerSpec(method="adam", step_size=0.05)
+    SEARCH = SearchSpec(proposal_mean=np.zeros(2), n_candidates=20, refine_rounds=1)
+
+    class Recording(ZeroLoss):
+        max_cache = 1000
+
+        def __init__(self):
+            object.__setattr__(self, "batches", [])
+
+        def prefetch(self, points):
+            self.batches.append(np.shape(points))
+
+    @pytest.mark.parametrize("loss_type", [ZeroLoss, Recording])
+    def test_lockstep_equals_separate_runs(self, loss_type):
+        loss = loss_type()
+        steppers = [
+            mfld_stepper(self.ATOMS, self.REF, loss, 1e-2, 6, seeded_stream(2, "mfld"),
+                         trace_kernel=self.KERNEL, trace_every=2),
+            vgd_stepper(self.ATOMS, self.KERNEL, self.REF, loss, self.SPEC, 4,
+                        trace_kernel=self.KERNEL, trace_every=3),
+            greedy_stepper(self.KERNEL, self.REF, loss, self.SEARCH, 3, seed=2),
+        ]
+        joint, rounds = drive(steppers, loss)
+        alone = [
+            mfld_run(self.ATOMS, self.REF, loss_type(), 1e-2, 6, seeded_stream(2, "mfld"),
+                     trace_kernel=self.KERNEL, trace_every=2),
+            vgd_run(self.ATOMS, self.KERNEL, self.REF, loss_type(), self.SPEC, 4,
+                    trace_kernel=self.KERNEL, trace_every=3),
+            greedy_extend(self.KERNEL, self.REF, loss_type(), self.SEARCH, 3, seed=2),
+        ]
+        for got, want in zip(joint, alone):
+            np.testing.assert_array_equal(got.atoms, want.atoms)
+            np.testing.assert_array_equal(got.steps, want.steps)
+            np.testing.assert_array_equal(got.kgd2, want.kgd2)
+        if loss_type is ZeroLoss:
+            # Greedy requests the most: per point a candidate set and two
+            # lines.
+            assert rounds == 9
+        else:
+            # Greedy requests its three candidate sets up front, then two
+            # lines per point, as MFLD requests its seven configurations.
+            # One prefetch a round, of the union of the round's requests.
+            assert rounds == 7 and len(loss.batches) == 7
+            assert loss.batches[0] == (5 + 5 + 60, 2)
+            assert loss.batches[1] == (5 + 5 + 9, 2)
+            assert loss.batches[5] == (5 + 9, 2)
