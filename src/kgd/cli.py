@@ -47,6 +47,11 @@ from .losses import (
     gaussian_overlap,
 )
 from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities
+# The oracles serve only ``self-check``, but they load with the CLI:
+# ``benchmarks/tracing.py`` wraps ``kgd.oracles.fd_gradient`` once ``kgd.cli``
+# is imported.
+from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, kernel_derivatives,
+                      lv_solve, reference_drift, reference_ksd_squared, reference_stein_kernel)
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -844,8 +849,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
     from .discrepancy import _stein_sums, stein_drift, stein_gram
-    from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, lv_solve,
-                          reference_ksd_squared)
 
     failures = 0
 
@@ -856,7 +859,8 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
 
     rng = np.random.default_rng(0)
 
-    # Kernel derivative bundles against central differences.
+    # The oracle derivative table's gradients against central differences
+    # of the kernels' values in each argument.
     worst = 0.0
     kernels = [IMQ(0.7), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0))),
                Mixture((IMQ(1.0), NormalizedLinear(1.2)), weights=(1.0, 1.0)),
@@ -864,10 +868,24 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     for kern in kernels:
         for _ in range(5):
             x, y = rng.normal(size=3), rng.normal(size=3)
-            bundle = kern.bundle(x, y)
-            fd = fd_gradient(lambda t: kern.value(t, y), x)
-            worst = max(worst, float(np.max(np.abs(bundle.grad1 - fd))))
+            table = kernel_derivatives(kern, x[None], y[None])
+            fd1 = fd_gradient(lambda t: kern.value(t, y), x)
+            fd2 = fd_gradient(lambda t: kern.value(x, t), y)
+            worst = max(worst, float(np.max(np.abs(table.grad1[0, 0] - fd1))),
+                        float(np.max(np.abs(table.grad2[0, 0] - fd2))))
     report("kernel-derivatives", worst < 1e-6, f"max grad error {worst:.2e}")
+
+    # The Gram built from the kernels' terms against the oracle Gram, as the
+    # summed entry error relative to sum |h|.
+    atoms = np.random.default_rng(2).normal(size=(12, 3))
+    mea = EmpiricalMeasure(atoms)
+    ref, loss = DiagonalGaussian.standard(3), InteractionLoss.quadratic()
+    worst = 0.0
+    for kern in kernels:
+        want = reference_stein_kernel(kern, lambda p: gen_score(ref, loss, mea, p), atoms, atoms)
+        err = np.abs(stein_gram(kern, ref, loss, mea) - want).sum()
+        worst = max(worst, float(err / np.abs(want).sum()))
+    report("stein-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Equivalence with the classical discrepancy under a linear tilt.
     worst = 0.0
@@ -897,8 +915,9 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     )
     report("variation-identity", resid < 1e-4, f"residual {resid:.2e}")
 
-    # Gram symmetry and near-positive spectrum.
-    gram = stein_gram(IMQ(1.0), DiagonalGaussian.standard(2), ZeroLoss(), mea)
+    # Oracle Gram symmetry and near-positive spectrum, under the standard
+    # normal score.
+    gram = reference_stein_kernel(IMQ(1.0), np.negative, mea.atoms, mea.atoms)
     sym = float(np.max(np.abs(gram - gram.T)))
     min_eig = float(np.linalg.eigvalsh(gram).min())
     scale = float(np.linalg.norm(gram, 2))
@@ -919,27 +938,25 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         worst = max(worst, abs(mine - orc) / abs(orc))
     report("radial-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
-    # Tilted kernels' row-block route against the einsum assembly over the
-    # derivative bundle: V-statistic and flow velocity.
+    # Tilted kernels' row-block route against the oracle Stein kernel and
+    # flow velocity: V-statistic and drift.
     worst = 0.0
     atoms = rng.normal(size=(12, 3))
     mea = EmpiricalMeasure(atoms)
     loss = InteractionLoss.quadratic()
-    scores = gen_score(ref, loss, mea, atoms)
+    score = lambda p: gen_score(ref, loss, mea, p)
     for kern in (WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
                  Mixture((IMQ(1.0), NormalizedLinear(1.2)))):
-        pw = kern.pairwise(atoms, atoms)
-        h = (pw.trace12 + np.einsum("ijd,jd->ij", pw.grad1, scores)
-             + np.einsum("ijd,id->ij", pw.grad2, scores) + pw.value * (scores @ scores.T))
+        h = reference_stein_kernel(kern, score, atoms, atoms)
         mine = kgd_v_squared(kern, ref, loss, mea).value2
         worst = max(worst, abs(mine - h.mean()) / abs(h.mean()))
-        drift = (pw.value @ scores + pw.grad1.sum(axis=0)) / 12
+        drift = reference_drift(kern, score, atoms)
         err = np.max(np.abs(vgd_drift(kern, ref, loss, mea) - drift))
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("tilted-gram", worst < 1e-12, f"worst rel {worst:.2e}")
 
-    # Row-block sums and drift against the pairwise Gram's sum and trace
-    # (relative to sum |h|) and the pairwise drift (relative to its max), on
+    # Row-block sums and drift against the oracle Gram's sum and trace
+    # (relative to sum |h|) and the oracle drift (relative to its max), on
     # a translated cloud of two blocks, the second ragged. An order-3 pass
     # on a larger cloud runs first, so these read slabs of the shared
     # workspace that it has already filled.
@@ -948,14 +965,14 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     worst = 0.0
     atoms = 1e3 + rng.normal(size=(300, 3))
     mea = EmpiricalMeasure(atoms)
-    scores = gen_score(ref, loss, mea, atoms)
+    score = lambda p: gen_score(ref, loss, mea, p)
+    scores = score(atoms)
     for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9))):
-        gram = stein_gram(kern, ref, loss, mea)
+        gram = reference_stein_kernel(kern, score, atoms, atoms)
         total, trace = _stein_sums(kern, atoms, scores)
         scale = float(np.abs(gram).sum())
         worst = max(worst, abs(total - gram.sum()) / scale, abs(trace - np.trace(gram)) / scale)
-        pw = kern.pairwise(atoms, atoms)
-        drift = (pw.value @ scores + pw.grad1.sum(axis=0)) / atoms.shape[0]
+        drift = reference_drift(kern, score, atoms)
         err = np.max(np.abs(stein_drift(kern, atoms, scores) - drift))
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("stein-sums", worst < 1e-12, f"worst rel {worst:.2e}")

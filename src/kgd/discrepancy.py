@@ -69,13 +69,16 @@ its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (h w)_i)
 and through b~ (Hess log w times 2 w_i times the core's drift). The
 U-statistic also drops the diagonal w_i^2 h(x_i, x_i) above.
 
-``stein_gram`` and ``stein_kernel_eval`` are the definition: they assemble h
-entry by entry from the kernel's derivative bundle ``kernel.pairwise``, for
-the tests, ``kgd self-check``, points off the atoms, and naming the first
-non-finite entry when a sum is not finite. No estimator, sampler or preset
-calls them on a finite run. Every kernel, the weighted matrix kernel
-K = kappa I included, enters through the one ``ScalarKernel`` interface:
-the Stein kernel of K is the scalar Stein kernel of kappa.
+``stein_gram`` forms the n x n Gram from the same ``terms()``, entry by
+entry from the h formulas above (on the differences x_i - x_j, not the
+product form), to name the first non-finite entry when a sum is not finite;
+no estimator, sampler or preset calls it on a finite run. The definition
+that both are held against is not here: the kernels' closed-form derivative
+table and the Stein kernel built on it live in ``kgd.oracles``
+(``kernel_derivatives``, ``reference_stein_kernel``), which shares no code
+with this module. Every kernel, the weighted matrix kernel K = kappa I
+included, enters through the one ``ScalarKernel`` interface: the Stein
+kernel of K is the scalar Stein kernel of kappa.
 """
 
 from __future__ import annotations
@@ -320,23 +323,6 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
     return grad / (n * (n - 1) if u_statistic else n**2)
 
 
-def _pairwise_stein(kernel, x: np.ndarray, y: np.ndarray, bx: np.ndarray,
-                    by: np.ndarray) -> np.ndarray:
-    """Stein kernel h(x_i, y_j) over all pairs from ``kernel.pairwise``, given
-    the scores bx and by. Raises FloatingPointError, naming the first
-    offending pair, when an entry is not finite."""
-    pw = kernel.pairwise(x, y)
-    h = (pw.trace12 + np.einsum("ijd,jd->ij", pw.grad1, by)
-         + np.einsum("ijd,id->ij", pw.grad2, bx) + pw.value * (bx @ by.T))
-    if not np.isfinite(h).all():
-        i, j = np.argwhere(~np.isfinite(h))[0]
-        raise FloatingPointError(
-            f"non-finite Stein Gram entry ({i}, {j}) = {h[i, j]}; "
-            "the kernel or the scores overflow at these atoms"
-        )
-    return h
-
-
 def stein_gram(
     kernel,
     ref: DiagonalGaussian,
@@ -344,14 +330,34 @@ def stein_gram(
     measure: EmpiricalMeasure,
 ) -> np.ndarray:
     """Stein kernel Gram matrix over the atoms of the measure, shape (n, n),
-    assembled entry by entry from the kernel's derivative definition.
+    summed over the kernel's terms (module docstring).
 
     Raises FloatingPointError, naming the first offending pair, when an
     entry is not finite.
     """
     atoms = measure.atoms
+    n, d = atoms.shape
     scores = gen_score(ref, loss, measure, atoms)
-    return _pairwise_stein(kernel, atoms, atoms, scores, scores)
+    gram = np.zeros((n, n))
+    for coef, tilts, core in kernel.terms():
+        w, b = _tilt(tilts, atoms, scores)
+        if core.is_radial:
+            diffs = atoms[:, None, :] - atoms[None, :, :]
+            sq = np.einsum("ijd,ijd->ij", diffs, diffs)
+            phi, dphi, d2phi = core.profile(sq, 2, np.empty((3, n, n)))
+            h = (-2.0 * d * dphi - 4.0 * sq * d2phi + phi * (b @ b.T)
+                 + 2.0 * dphi * np.einsum("ijd,ijd->ij", diffs, b[None] - b[:, None]))
+        else:
+            xb = _rowdot(atoms, b)
+            h = d + xb[:, None] + xb + (core.c**2 + atoms @ atoms.T) * (b @ b.T)
+        gram += coef * np.outer(w, w) * h
+    if not np.isfinite(gram).all():
+        i, j = np.argwhere(~np.isfinite(gram))[0]
+        raise FloatingPointError(
+            f"non-finite Stein Gram entry ({i}, {j}) = {gram[i, j]}; "
+            "the kernel or the scores overflow at these atoms"
+        )
+    return gram
 
 
 def _gram_sums(
@@ -374,23 +380,6 @@ def _gram_sums(
             f"Stein Gram sum {total} or trace {trace} overflowed; every entry is finite"
         )
     return total, trace
-
-
-def stein_kernel_eval(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    measure: EmpiricalMeasure,
-    x: np.ndarray,
-    y: np.ndarray,
-) -> float:
-    """Stein kernel value at one pair of (not necessarily atomic) points,
-    from the kernel's derivative definition; raises FloatingPointError when
-    it is not finite."""
-    pts = np.stack([np.atleast_1d(np.asarray(x, dtype=float)),
-                    np.atleast_1d(np.asarray(y, dtype=float))])
-    scores = gen_score(ref, loss, measure, pts)
-    return float(_pairwise_stein(kernel, pts[:1], pts[1:], scores[:1], scores[1:])[0, 0])
 
 
 @dataclass(frozen=True)

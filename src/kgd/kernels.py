@@ -1,29 +1,17 @@
-"""Kernels with analytic first and mixed second derivatives: IMQ, Gaussian,
-mixtures, the linear kernel and its normalised form, and the weighted matrix
-kernel built from a scalar base and the normalised linear part.
+"""Kernels: IMQ, Gaussian, mixtures, the linear kernel and its normalised
+form, and the weighted matrix kernel built from a scalar base and the
+normalised linear part.
 
-There is one interface. Every kernel is a ``ScalarKernel`` whose
-``pairwise`` returns the same derivative bundle over all pairs of two point
-sets:
-
-    value    k(x, y)
-    grad1    d/dx k(x, y)            (n, m, d)
-    grad2    d/dy k(x, y)            (n, m, d)
-    trace12  sum_i d^2/dx_i dy_i k   (n, m)
-
-``pairwise`` is the kernel's derivative definition; the tests and
-``kgd self-check`` hold it against finite differences, and
-``discrepancy.stein_gram`` and ``stein_kernel_eval`` assemble the Stein
-kernel from it entry by entry. The row-block pass in ``kgd.discrepancy``
-behind the estimators, the drift and the particle gradient reads the
-kernel's structure instead, through ``terms``:
-every kernel here is a positively weighted sum of tilted cores,
+There is one interface. Every kernel is a ``ScalarKernel`` that describes
+itself through ``terms``, as a positively weighted sum of tilted cores,
 
     k(x, y) = sum_t coef_t w_t(x) core_t(x, y) w_t(y),
 
 each core radial or the linear kernel c^2 + x.y, each w_t a product of tilt
-weights. That is enough because of the tilt identity: for
-k(x, y) = w(x) g(x, y) w(y) and a score b, with b~ = b + grad log w,
+weights. The row-block pass in ``kgd.discrepancy`` behind the estimators,
+the drift and the particle gradient reads a kernel only this way. That is
+enough because of the tilt identity: for k(x, y) = w(x) g(x, y) w(y) and a
+score b, with b~ = b + grad log w,
 
     h_k^b(x, y) = w(x) w(y) h_g^{b~}(x, y),
 
@@ -37,7 +25,12 @@ particle gradient ``discrepancy.particle_grad``; the estimators ask
 ``profile`` for order 2 and skip it). ``profile(sq, order, out)`` writes
 them into caller-owned slabs ``out`` and allocates no slab of its own, except
 a radial mixture's one scratch set for its members: the row-block pass hands
-it views of its reused workspace, and ``pairwise`` allocates a fresh ``out``.
+it views of its reused workspace.
+
+No kernel carries a derivative table. The closed-form value, gradients and
+mixed trace of every family, which the tests and ``kgd self-check`` hold
+the profiles, the Stein sums and ``value`` against, are written from the
+kernels' parameters alone in ``kgd.oracles.kernel_derivatives``.
 """
 
 from __future__ import annotations
@@ -52,34 +45,12 @@ import numpy as np
 Term = tuple[float, tuple, "ScalarKernel"]
 
 
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """Kernel value and derivatives at a single pair of points."""
-
-    value: float
-    grad1: np.ndarray  # (d,)
-    grad2: np.ndarray  # (d,)
-    trace12: float
-
-
-@dataclass(frozen=True)
-class PairwiseDerivatives:
-    """Kernel values and derivatives over all pairs of two point sets."""
-
-    value: np.ndarray  # (n, m)
-    grad1: np.ndarray  # (n, m, d)
-    grad2: np.ndarray  # (n, m, d)
-    trace12: np.ndarray  # (n, m)
-
-
 class ScalarKernel:
-    """Base class; concrete kernels implement ``pairwise`` and ``terms``."""
+    """Base class; concrete kernels implement ``terms``, radial ones also
+    ``profile``."""
 
     family: str = "abstract"
     is_radial: bool = False
-
-    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        raise NotImplementedError
 
     def terms(self) -> tuple[Term, ...]:
         """The kernel as a sum of (coef, tilts, core) terms, each
@@ -87,19 +58,20 @@ class ScalarKernel:
         and the core radial or ``Linear``."""
         raise NotImplementedError
 
-    def bundle(self, x: np.ndarray, y: np.ndarray) -> DerivativeBundle:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        pw = self.pairwise(x[None, :], y[None, :])
-        return DerivativeBundle(
-            value=float(pw.value[0, 0]),
-            grad1=pw.grad1[0, 0],
-            grad2=pw.grad2[0, 0],
-            trace12=float(pw.trace12[0, 0]),
-        )
-
     def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.bundle(x, y).value
+        """k(x, y) at one pair of points, summed over ``terms``."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        total = 0.0
+        for coef, tilts, core in self.terms():
+            if core.is_radial:
+                g = core.profile(np.array([np.sum((x - y) ** 2)]), 1, np.empty((2, 1)))[0, 0]
+            else:
+                g = core.c**2 + x @ y
+            for tilt in tilts:
+                g *= tilt.weight(x) * tilt.weight(y)
+            total += coef * g
+        return float(total)
 
     def profile(self, sq: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
         """Write phi, phi', ..., phi^(order) at the squared distances sq into
@@ -109,33 +81,10 @@ class ScalarKernel:
         raise NotImplementedError(f"{self.family} kernel is not radial")
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    diffs = x[:, None, :] - y[None, :, :]  # (n, m, d)
-    return diffs, np.sum(diffs**2, axis=-1)
-
-
 class _RadialKernel(ScalarKernel):
-    """k(x, y) = phi(s) with s = ||x - y||^2.
-
-    grad1 = 2 phi'(s) (x - y), grad2 = -grad1, and
-    trace12 = -2 d phi'(s) - 4 s phi''(s).
-    """
+    """k(x, y) = phi(s) with s = ||x - y||^2, read through ``profile``."""
 
     is_radial = True
-
-    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        diffs, sq = _sq_dists(x, y)
-        d = x.shape[-1]
-        phi, dphi, d2phi = self.profile(sq, 2, np.empty((3,) + sq.shape))
-        grad1 = 2.0 * dphi[..., None] * diffs
-        return PairwiseDerivatives(
-            value=phi,
-            grad1=grad1,
-            grad2=-grad1,
-            trace12=-2.0 * d * dphi - 4.0 * sq * d2phi,
-        )
 
     def terms(self) -> tuple[Term, ...]:
         return ((1.0, (), self),)
@@ -239,20 +188,6 @@ class Mixture(ScalarKernel):
             for coef, tilts, core in member.terms()
         )
 
-    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        acc = None
-        for w, member in zip(self.weights, self.members):
-            pw = member.pairwise(x, y)
-            if acc is None:
-                acc = [w * pw.value, w * pw.grad1, w * pw.grad2, w * pw.trace12]
-            else:
-                acc[0] += w * pw.value
-                acc[1] += w * pw.grad1
-                acc[2] += w * pw.grad2
-                acc[3] += w * pw.trace12
-        assert acc is not None
-        return PairwiseDerivatives(*acc)
-
 
 @dataclass(frozen=True)
 class Linear(ScalarKernel):
@@ -260,17 +195,6 @@ class Linear(ScalarKernel):
 
     c: float = 1.0
     family = "linear"
-
-    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        shape = (x.shape[0], y.shape[0], x.shape[-1])
-        return PairwiseDerivatives(
-            value=self.c**2 + x @ y.T,
-            grad1=np.broadcast_to(y[None, :, :], shape),
-            grad2=np.broadcast_to(x[:, None, :], shape),
-            trace12=np.full(shape[:2], float(x.shape[-1])),
-        )
 
     def terms(self) -> tuple[Term, ...]:
         return ((1.0, (), self),)
@@ -280,20 +204,15 @@ class _Tilted(ScalarKernel):
     """k(x, y) = w(x) g(x, y) w(y) with w(x) = (c^2 + ||x||^2)^(power / 2).
 
     Subclasses give ``c``, ``power`` and the inner kernel ``inner`` = g.
-    ``pairwise`` is the product rule over g's bundle. ``terms`` prepends this
-    tilt to each of g's terms, which is all the Stein assembly needs: by the
-    tilt identity (module docstring) it reads only w and grad log w, and the
-    particle gradient also Hess log w.
+    ``terms`` prepends this tilt to each of g's terms, which is all the Stein
+    assembly needs: by the tilt identity (module docstring) it reads only w
+    and grad log w, and the particle gradient also Hess log w.
     """
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """w(x) over the last axis of x; shape of x without the last axis."""
         x = np.asarray(x, dtype=float)
         return (self.c**2 + np.sum(x**2, axis=-1)) ** (self.power / 2.0)
-
-    def weight_grad(self, x: np.ndarray) -> np.ndarray:
-        """grad w(x) = w(x) grad log w(x)."""
-        return self.weight(x)[..., None] * self.log_weight_grad(x)
 
     def log_weight_grad(self, x: np.ndarray) -> np.ndarray:
         """grad log w(x) = power * x / (c^2 + ||x||^2)."""
@@ -311,32 +230,6 @@ class _Tilted(ScalarKernel):
         return tuple(
             (coef, (self,) + tilts, core) for coef, tilts, core in self.inner.terms()
         )
-
-    def pairwise(self, x: np.ndarray, y: np.ndarray) -> PairwiseDerivatives:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        g = self.inner.pairwise(x, y)
-        wx = self.weight(x)  # (n,)
-        wy = self.weight(y)  # (m,)
-        dwx = self.weight_grad(x)  # (n, d)
-        dwy = self.weight_grad(y)  # (m, d)
-        wxy = wx[:, None] * wy[None, :]
-        value = wxy * g.value
-        grad1 = (
-            dwx[:, None, :] * (g.value * wy[None, :])[..., None]
-            + wxy[..., None] * g.grad1
-        )
-        grad2 = (
-            dwy[None, :, :] * (g.value * wx[:, None])[..., None]
-            + wxy[..., None] * g.grad2
-        )
-        trace12 = (
-            np.einsum("nd,nmd->nm", dwx, g.grad2) * wy[None, :]
-            + wxy * g.trace12
-            + g.value * (dwx @ dwy.T)
-            + np.einsum("nmd,md->nm", g.grad1, dwy) * wx[:, None]
-        )
-        return PairwiseDerivatives(value=value, grad1=grad1, grad2=grad2, trace12=trace12)
 
 
 @dataclass(frozen=True)

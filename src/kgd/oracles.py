@@ -1,15 +1,20 @@
 """Independent checking instruments: finite differences, a plain ODE solver,
-quadrature, a reference kernel Stein discrepancy, and log-log slope fitting.
+quadrature, the kernels' derivative table, the Stein kernel and flow
+velocity built on it, a reference kernel Stein discrepancy, and log-log
+slope fitting.
 
 Everything in this module is deliberately written from first principles and
 shares no code with the production paths it is used to validate. Keep it that
 way: these functions are the ground truth the test suite leans on, so they
-must stay boring, direct, and slow-but-sure.
+must stay boring, direct, and slow-but-sure. In particular
+``kernel_derivatives`` is the kernels' derivative definition: it reads only
+a kernel's family name and parameters and never calls ``kgd.kernels``, so a
+wrong ``profile`` or tilt helper there cannot agree with itself here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -158,6 +163,125 @@ def gauss_hermite_2d(
     return total / np.pi
 
 
+class KernelTable(NamedTuple):
+    """Kernel values and derivatives over all pairs of two point sets."""
+
+    value: np.ndarray  # k(x_i, y_j), (n, m)
+    grad1: np.ndarray  # d/dx k, (n, m, d)
+    grad2: np.ndarray  # d/dy k, (n, m, d)
+    trace12: np.ndarray  # sum_a d^2/dx_a dy_a k, (n, m)
+
+
+def _radial_profile(family: str, ell: float, sq: np.ndarray):
+    """phi, phi', phi'' of k = phi(||x - y||^2) at the squared distances sq."""
+    if family == "imq":
+        base = 1.0 + sq / ell**2
+        return base**-0.5, -0.5 / ell**2 * base**-1.5, 0.75 / ell**4 * base**-2.5
+    if family == "gaussian":
+        k = np.exp(-sq / ell**2)
+        return k, -k / ell**2, k / ell**4
+    raise ValueError(f"unsupported kernel family for the reference path: {family!r}")
+
+
+def _radial_table(family: str, ell: float, x: np.ndarray, y: np.ndarray) -> KernelTable:
+    # grad1 = 2 phi' (x - y) = -grad2, trace12 = -2 d phi' - 4 s phi''.
+    diffs = x[:, None, :] - y[None, :, :]
+    sq = np.sum(diffs**2, axis=-1)
+    phi, dphi, d2phi = _radial_profile(family, ell, sq)
+    grad1 = 2.0 * dphi[..., None] * diffs
+    return KernelTable(phi, grad1, -grad1, -2.0 * x.shape[1] * dphi - 4.0 * sq * d2phi)
+
+
+def _linear_table(c: float, x: np.ndarray, y: np.ndarray) -> KernelTable:
+    shape = (x.shape[0], y.shape[0], x.shape[1])
+    return KernelTable(c**2 + x @ y.T, np.broadcast_to(y[None, :, :], shape),
+                       np.broadcast_to(x[:, None, :], shape),
+                       np.full(shape[:2], float(x.shape[1])))
+
+
+def _tilted_table(power: float, c: float, g: KernelTable, x: np.ndarray,
+                  y: np.ndarray) -> KernelTable:
+    """Product rule for w(x) g(x, y) w(y) with w(x) = (c^2 + ||x||^2)^(power/2)."""
+    sx = c**2 + np.sum(x**2, axis=1)
+    sy = c**2 + np.sum(y**2, axis=1)
+    wx, wy = sx ** (power / 2.0), sy ** (power / 2.0)
+    dwx = (power * sx ** (power / 2.0 - 1.0))[:, None] * x  # grad w
+    dwy = (power * sy ** (power / 2.0 - 1.0))[:, None] * y
+    wxy = np.outer(wx, wy)
+    return KernelTable(
+        wxy * g.value,
+        dwx[:, None, :] * (g.value * wy)[..., None] + wxy[..., None] * g.grad1,
+        dwy[None, :, :] * (g.value * wx[:, None])[..., None] + wxy[..., None] * g.grad2,
+        wxy * g.trace12 + g.value * (dwx @ dwy.T)
+        + np.einsum("nd,nmd->nm", dwx, g.grad2) * wy
+        + np.einsum("nmd,md->nm", g.grad1, dwy) * wx[:, None],
+    )
+
+
+def kernel_derivatives(kernel, x: np.ndarray, y: np.ndarray) -> KernelTable:
+    """Closed-form value, gradients and mixed trace of a kernel over all
+    pairs of the (n, d) points x and (m, d) points y, read off the kernel's
+    ``family`` and parameters only: IMQ and Gaussian, the linear kernel
+    c^2 + x.y, the mixture sum, and the tilt product rule for the normalised
+    linear kernel (linear, tilted by power -1) and the weighted matrix
+    kernel (base + normalised linear, tilted by power ``exponent``).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    family = kernel.family
+    if family in ("imq", "gaussian"):
+        return _radial_table(family, float(kernel.lengthscale), x, y)
+    if family == "mixture":
+        tables = [kernel_derivatives(m, x, y) for m in kernel.members]
+        return KernelTable(*(sum(w * t[k] for w, t in zip(kernel.weights, tables))
+                             for k in range(4)))
+    if family == "linear":
+        return _linear_table(kernel.c, x, y)
+    if family in ("normalized-linear", "weighted-matrix"):
+        nlin = _tilted_table(-1.0, kernel.c, _linear_table(kernel.c, x, y), x, y)
+        if family == "normalized-linear":
+            return nlin
+        base = kernel_derivatives(kernel.base, x, y)
+        inner = KernelTable(*(a + b for a, b in zip(base, nlin)))
+        return _tilted_table(kernel.exponent, kernel.c, inner, x, y)
+    raise ValueError(f"no derivative table for kernel family {family!r}")
+
+
+def _stein_pairs(table: KernelTable, sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    return (table.trace12 + np.einsum("ijd,jd->ij", table.grad1, sy)
+            + np.einsum("ijd,id->ij", table.grad2, sx) + table.value * (sx @ sy.T))
+
+
+def reference_stein_kernel(
+    kernel,
+    score: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Stein kernel h(x_i, y_j) over all pairs of the (n, d) points x and
+    (m, d) points y, from ``kernel_derivatives``:
+
+        h = trace12 + grad1 . s(y_j) + grad2 . s(x_i) + k s(x_i) . s(y_j),
+
+    with ``score`` mapping (n, d) points to (n, d) scores.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return _stein_pairs(kernel_derivatives(kernel, x, y), score(x), score(y))
+
+
+def reference_drift(
+    kernel,
+    score: Callable[[np.ndarray], np.ndarray],
+    atoms: np.ndarray,
+) -> np.ndarray:
+    """Flow velocity (1/n) sum_j [k(x_j, x_i) s(x_j) + grad_1 k(x_j, x_i)]
+    at each of the (n, d) atoms, from ``kernel_derivatives``."""
+    atoms = np.asarray(atoms, dtype=float)
+    table = kernel_derivatives(kernel, atoms, atoms)
+    return (table.value.T @ score(atoms) + table.grad1.sum(axis=0)) / atoms.shape[0]
+
+
 def reference_ksd_squared(
     score: Callable[[np.ndarray], np.ndarray],
     kernel,
@@ -170,7 +294,7 @@ def reference_ksd_squared(
         (1/n^2) sum_ij [ s(x_i).K s(x_j) + s(x_i).grad_2 K + s(x_j).grad_1 K
                          + trace(grad_1 grad_2 K) ]
 
-    with the IMQ or Gaussian kernel closed forms re-derived inline. Only the
+    with the IMQ or Gaussian closed forms of ``kernel_derivatives``. Only the
     family name and lengthscale are read off ``kernel``; no evaluation code is
     shared with the production discrepancy path.
 
@@ -186,33 +310,9 @@ def reference_ksd_squared(
     x = np.asarray(points, dtype=float)
     if x.ndim != 2:
         raise ValueError("points must have shape (n, d)")
-    n, d = x.shape
-    ell = float(kernel.lengthscale)
     s = np.asarray(score(x), dtype=float)
-
-    diffs = x[:, None, :] - x[None, :, :]  # (n, n, d)
-    sq = np.sum(diffs**2, axis=-1)  # (n, n)
-
-    family = kernel.family
-    if family == "imq":
-        base = 1.0 + sq / ell**2
-        k = base**-0.5
-        # grad wrt first argument, (n, n, d)
-        g1 = -(diffs / ell**2) * base[..., None] ** -1.5
-        trace12 = (d / ell**2) * base**-1.5 - (3.0 / ell**4) * sq * base**-2.5
-    elif family == "gaussian":
-        k = np.exp(-sq / ell**2)
-        g1 = -(2.0 * diffs / ell**2) * k[..., None]
-        trace12 = (2.0 * d / ell**2 - 4.0 * sq / ell**4) * k
-    else:
-        raise ValueError(f"unsupported kernel family for the reference path: {family!r}")
-    g2 = -g1  # symmetric translation-invariant kernel
-
-    cross = s @ s.T  # (n, n) of s(x_i).s(x_j)
-    term_g1 = np.einsum("ijd,jd->ij", g1, s)  # grad_1 K . s(x_j)
-    term_g2 = np.einsum("ijd,id->ij", g2, s)  # grad_2 K . s(x_i)
-    h = trace12 + term_g1 + term_g2 + k * cross
-    return float(np.sum(h) / n**2)
+    h = _stein_pairs(_radial_table(kernel.family, float(kernel.lengthscale), x, x), s, s)
+    return float(np.sum(h) / x.shape[0] ** 2)
 
 
 def slope_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:

@@ -18,7 +18,6 @@ from kgd.discrepancy import (
     gen_score,
     kgd_v_squared,
     stein_gram,
-    stein_kernel_eval,
     )
 from kgd.kernels import (
     IMQ,
@@ -44,8 +43,9 @@ from kgd.models import (
     lv_params,
     lv_sensitivities,
     )
-from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, lv_solve,
-                         reference_ksd_squared)
+from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
+                         kernel_derivatives, lv_solve, reference_ksd_squared,
+                         reference_stein_kernel)
 from kgd.samplers import OptimizerSpec, SearchSpec, greedy_extend, vgd_run
 
 
@@ -190,8 +190,9 @@ def test_ode_sensitivities_match_solver_differences():
 
 
 def test_kernel_derivatives_match_finite_differences():
-    # Analytic gradients and mixed traces for every kernel family on 100
-    # random inputs, the weighted matrix kernel's scalar part included.
+    # The oracle's analytic gradients and mixed traces for every kernel family
+    # against differences of the kernels' values on 100 random inputs, the
+    # weighted matrix kernel's scalar part included.
     start = time.perf_counter()
     rng = np.random.default_rng(6)
     families = [
@@ -205,7 +206,7 @@ def test_kernel_derivatives_match_finite_differences():
     for trial in range(100):
         kernel = families[trial % len(families)]
         x, y = rng.standard_normal((2, 3))
-        bundle = kernel.bundle(x, y)
+        _, grad1, grad2, trace12 = (t[0, 0] for t in kernel_derivatives(kernel, x[None], y[None]))
         fd1 = fd_gradient(lambda a: kernel.value(a, y), x)
         fd2 = fd_gradient(lambda b: kernel.value(x, b), y)
         trace = 0.0
@@ -216,9 +217,9 @@ def test_kernel_derivatives_match_finite_differences():
             gm = fd_gradient(lambda a: kernel.value(a, y - step), x)[i]
             trace += (gp - gm) / 2e-4
         for got, ref_val in [
-            (bundle.grad1, fd1),
-            (bundle.grad2, fd2),
-            (bundle.trace12, trace),
+            (grad1, fd1),
+            (grad2, fd2),
+            (trace12, trace),
         ]:
             scale = max(1.0, float(np.max(np.abs(ref_val))))
             worst = max(worst, float(np.max(np.abs(got - ref_val))) / scale)
@@ -309,9 +310,10 @@ def test_stein_gram_algebra():
         base = IMQ(float(rng.uniform(0.6, 1.8)))
         flat = WeightedMatrixKernel(c=c, exponent=0.0, base=base)
         summed = Mixture((base, NormalizedLinear(c)), weights=(1.0, 1.0))
-        x, y = rng.standard_normal((2, d))
-        a = stein_kernel_eval(flat, ref, loss, measure, x, y)
-        b = stein_kernel_eval(summed, ref, loss, measure, x, y)
+        x, y = rng.standard_normal((2, 1, d))
+        score = lambda p: gen_score(ref, loss, measure, p)
+        a = reference_stein_kernel(flat, score, x, y)[0, 0]
+        b = reference_stein_kernel(summed, score, x, y)[0, 0]
         worst_pair = max(worst_pair, abs(a - b) / max(1.0, abs(b)))
 
         gram = stein_gram(summed, ref, loss, measure)

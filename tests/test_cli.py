@@ -622,7 +622,7 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 13
+        assert len(lines) == 14
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
@@ -631,3 +631,5 @@ class TestSelfCheck:
         assert any(l.startswith("PASS ode-batch-invariance ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)
         assert any(l.startswith("PASS tilted-gram ") for l in lines)
+        assert any(l.startswith("PASS stein-gram ") for l in lines)
+        assert any(l.startswith("PASS kernel-derivatives ") for l in lines)

@@ -1,14 +1,18 @@
 """Stein kernel assembly and the squared-discrepancy estimators.
 
-The assembly is pinned four ways: hand formulas at single atoms, a full
-finite-difference rebuild of h(x, y) for a nontrivial loss, the
-closed-form classical-discrepancy oracle for potentials without
-interaction, and the einsum assembly over ``kernel.pairwise`` below, which
-``stein_gram`` also is. The row-block pass behind the estimators, the drift
-and the particle gradient is held against that assembly, against itself
-with slabs of three rows, and bitwise against itself on a workspace filled
-with nan before every pass. The estimator algebra (V/U identity, permutation
-invariance, substream addressing) is checked exactly.
+The definition lives in ``kgd.oracles``: ``reference_stein_kernel`` and
+``reference_drift`` assemble h and the flow velocity from the closed-form
+derivative table ``kernel_derivatives``, which shares no code with the
+kernels' ``terms`` and ``profile``. The assembly is pinned four ways: hand
+formulas at single atoms, a full finite-difference rebuild of h(x, y) for a
+nontrivial loss, the closed-form classical-discrepancy oracle for potentials
+without interaction, and that oracle Stein kernel. The row-block pass behind
+the estimators, the drift and the particle gradient, and the term-built
+``stein_gram``, are held against the oracle (a skewed ``profile`` must show),
+the pass against itself with slabs of three rows, and bitwise against itself
+on a workspace filled with nan before every pass. The estimator algebra
+(V/U identity, permutation invariance, substream addressing) is checked
+exactly.
 """
 
 import numpy as np
@@ -27,17 +31,16 @@ from kgd.discrepancy import (
     particle_grad,
     stein_drift,
     stein_gram,
-    stein_kernel_eval,
     )
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from kgd.losses import InteractionLoss, LinearLoss, MeanFieldRegressionLoss, ZeroLoss
 from kgd.models import gen_mfnn_data
-from kgd.oracles import fd_gradient, reference_ksd_squared
+from kgd.oracles import fd_gradient, reference_drift, reference_ksd_squared, reference_stein_kernel
 
 ORACLE_RTOL = 1e-12  # analytic Gram assembly vs closed-form oracle
 FD_TOL = 5e-6  # assembled Stein values vs nested finite differences
 EXACT_RTOL = 1e-13  # pure reorderings of the same sums
-RADIAL_TOL = 1e-12  # row route vs pairwise assembly: sums by sum|h|, drift by max
+RADIAL_TOL = 1e-12  # row route vs oracle assembly: sums by sum|h|, drift by max
 BLOCK_TOL = 1e-12  # small row blocks vs one block, scaled by the largest entry
 
 # Every kernel family, tilted ones with radial and non-radial bases. The
@@ -65,21 +68,10 @@ PRODUCT_KERNELS = [
 _MFNN_DATA = gen_mfnn_data(0, n_data=30)
 
 
-def _assemble(pw, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Reference Stein kernel over all pairs from the derivative bundle."""
-    return (
-        pw.trace12
-        + np.einsum("ijd,jd->ij", pw.grad1, by)
-        + np.einsum("ijd,id->ij", pw.grad2, bx)
-        + pw.value * (bx @ by.T)
-    )
-
-
-def _drift_from_pairwise(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Reference flow velocity: sum_j grad_1 k(x_j, x_i) is the column sum of
-    the grad1 table."""
-    pw = kernel.pairwise(atoms, atoms)
-    return (pw.value @ scores + np.sum(pw.grad1, axis=0)) / atoms.shape[0]
+def _oracle_eval(kernel, ref, loss, measure, x, y) -> float:
+    """The oracle Stein kernel at one pair of (not necessarily atomic) points."""
+    score = lambda p: gen_score(ref, loss, measure, p)
+    return float(reference_stein_kernel(kernel, score, x[None], y[None])[0, 0])
 
 
 def _random_setup(seed: int, n: int = 8, d: int = 3):
@@ -128,7 +120,7 @@ class TestSteinAssembly:
         gram = stein_gram(kernel, ref, loss, measure)
         atoms = measure.atoms
         for i, j in [(0, 0), (2, 5), (7, 1)]:
-            direct = stein_kernel_eval(kernel, ref, loss, measure, atoms[i], atoms[j])
+            direct = _oracle_eval(kernel, ref, loss, measure, atoms[i], atoms[j])
             np.testing.assert_allclose(direct, gram[i, j], rtol=1e-13)
 
     def test_gram_is_symmetric(self):
@@ -165,7 +157,7 @@ class TestSteinAssembly:
             gm = fd_gradient(lambda a: kernel.value(a, y - step), x)[i]
             trace += (gp - gm) / (2.0 * h)
         rebuilt = trace + g1 @ by + g2 @ bx + kernel.value(x, y) * (bx @ by)
-        direct = stein_kernel_eval(kernel, ref, loss, measure, x, y)
+        direct = _oracle_eval(kernel, ref, loss, measure, x, y)
         np.testing.assert_allclose(direct, rebuilt, atol=FD_TOL)
 
 
@@ -174,22 +166,48 @@ class TestSteinSums:
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     @pytest.mark.parametrize("kernel", PRODUCT_KERNELS)
     def test_match_the_gram_sum_and_trace(self, kernel, offset, n):
-        # The row-block sum, trace and drift against the pairwise assembly
-        # (which stein_gram is). The translated cloud is the case that needs
-        # the atoms centred: the uncentred product form is off by about 5e-10
-        # of max|gram| there.
+        # The row-block sum, trace and drift, and the term-built Gram, against
+        # the oracle assembly. The translated cloud is the case that needs the
+        # atoms centred: the uncentred product form is off by about 5e-10 of
+        # max|gram| there.
         _, ref, loss, measure = _random_setup(6, n=n, d=3)
-        atoms = offset + measure.atoms
-        scores = gen_score(ref, loss, EmpiricalMeasure(atoms), atoms)
-        direct = _assemble(kernel.pairwise(atoms, atoms), scores, scores)
+        measure = EmpiricalMeasure(offset + measure.atoms)
+        atoms = measure.atoms
+        score = lambda p: gen_score(ref, loss, measure, p)
+        scores = score(atoms)
+        direct = reference_stein_kernel(kernel, score, atoms, atoms)
         total, trace = _stein_sums(kernel, atoms, scores)
         scale = np.sum(np.abs(direct))
         assert abs(total - np.sum(direct)) <= RADIAL_TOL * scale
         assert abs(trace - np.trace(direct)) <= RADIAL_TOL * scale
+        gram = stein_gram(kernel, ref, loss, measure)
+        assert np.sum(np.abs(gram - direct)) <= RADIAL_TOL * scale
         drift = stein_drift(kernel, atoms, scores)
-        direct = _drift_from_pairwise(kernel, atoms, scores)
+        direct = reference_drift(kernel, score, atoms)
         err = np.max(np.abs(drift - direct)) / np.max(np.abs(drift))
         assert err <= RADIAL_TOL, err
+
+    @pytest.mark.parametrize("kernel", [IMQ(0.8), Gaussian(1.3), Mixture((IMQ(0.5), Gaussian(2.0)))],
+                             ids=["imq", "gaussian", "radial-mixture"])
+    def test_a_skewed_profile_misses_the_oracle(self, kernel, monkeypatch):
+        # The oracle reads no profile, so phi'' off by one part in 1e6 must
+        # move the row-block sum away from it by far more than RADIAL_TOL.
+        def skewed(profile):
+            def wrapped(self, sq, order, out):
+                profile(self, sq, order, out)
+                if order >= 2:
+                    out[2] *= 1.0 + 1e-6
+                return out
+            return wrapped
+
+        for cls in (IMQ, Gaussian):
+            monkeypatch.setattr(cls, "profile", skewed(cls.profile))
+        _, ref, loss, measure = _random_setup(6, n=30, d=3)
+        atoms = measure.atoms
+        score = lambda p: gen_score(ref, loss, measure, p)
+        direct = reference_stein_kernel(kernel, score, atoms, atoms)
+        total, _ = _stein_sums(kernel, atoms, score(atoms))
+        assert abs(total - np.sum(direct)) > RADIAL_TOL * np.sum(np.abs(direct))
 
     @pytest.mark.parametrize(
         "loss",
@@ -347,9 +365,7 @@ class TestMatrixConsistency:
         kernel = WeightedMatrixKernel(c=1.0, exponent=1.0, base=IMQ(1.0))
         gram = stein_gram(kernel, ref, loss, measure)
         np.testing.assert_allclose(gram, gram.T, atol=1e-12 * np.abs(gram).max())
-        direct = stein_kernel_eval(
-            kernel, ref, loss, measure, measure.atoms[0], measure.atoms[3]
-        )
+        direct = _oracle_eval(kernel, ref, loss, measure, measure.atoms[0], measure.atoms[3])
         np.testing.assert_allclose(gram[0, 3], direct, rtol=1e-12)
 
     def test_huge_atoms_raise_for_the_weighted_kernel(self):

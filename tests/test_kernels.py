@@ -1,4 +1,10 @@
-"""Kernel derivative bundles against finite differences and hand values."""
+"""Kernels against finite differences and hand values.
+
+The derivative table is ``kgd.oracles.kernel_derivatives``, written from the
+kernels' parameters alone; it is held here against central differences of
+the kernels' own ``value``. The profiles and the tilt helpers that the
+row-block pass reads are checked directly.
+"""
 
 import numpy as np
 import pytest
@@ -11,7 +17,7 @@ from kgd.kernels import (
     NormalizedLinear,
     WeightedMatrixKernel,
 )
-from kgd.oracles import fd_gradient
+from kgd.oracles import fd_gradient, kernel_derivatives
 
 TRACE12_RTOL = 1e-6  # analytic trace12 vs nested central differences, relative
 
@@ -28,6 +34,12 @@ ALL_SCALAR = [
     WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(1.0)),
     Linear(0.7),
 ]
+
+
+def _pair(kernel, x, y):
+    """The derivative table at one pair of points: value, grad1, grad2,
+    trace12."""
+    return [entry[0, 0] for entry in kernel_derivatives(kernel, x[None], y[None])]
 
 
 def _fd_trace12(value_fn, x, y, h=1e-4):
@@ -50,12 +62,13 @@ def test_gradients_match_finite_differences(kernel):
     rng = np.random.default_rng(42)
     for _ in range(4):
         x, y = rng.normal(size=3), rng.normal(size=3)
-        b = kernel.bundle(x, y)
+        value, grad1, grad2, _ = _pair(kernel, x, y)
+        np.testing.assert_allclose(value, kernel.value(x, y), rtol=1e-14)
         np.testing.assert_allclose(
-            b.grad1, fd_gradient(lambda t: kernel.value(t, y), x), atol=1e-6
+            grad1, fd_gradient(lambda t: kernel.value(t, y), x), atol=1e-6
         )
         np.testing.assert_allclose(
-            b.grad2, fd_gradient(lambda t: kernel.value(x, t), y), atol=1e-6
+            grad2, fd_gradient(lambda t: kernel.value(x, t), y), atol=1e-6
         )
 
 
@@ -66,9 +79,8 @@ def test_trace12_matches_finite_differences(kernel):
     rng = np.random.default_rng(7)
     for _ in range(4):
         x, y = rng.normal(size=3), rng.normal(size=3)
-        b = kernel.bundle(x, y)
         np.testing.assert_allclose(
-            b.trace12, _fd_trace12(kernel.value, x, y), rtol=TRACE12_RTOL
+            _pair(kernel, x, y)[3], _fd_trace12(kernel.value, x, y), rtol=TRACE12_RTOL
         )
 
 
@@ -76,27 +88,12 @@ def test_trace12_matches_finite_differences(kernel):
 def test_argument_exchange_symmetry(kernel):
     rng = np.random.default_rng(11)
     x, y = rng.normal(size=3), rng.normal(size=3)
-    bxy = kernel.bundle(x, y)
-    byx = kernel.bundle(y, x)
-    np.testing.assert_allclose(bxy.value, byx.value, rtol=1e-14)
-    np.testing.assert_allclose(bxy.grad1, byx.grad2, rtol=1e-14)
-    np.testing.assert_allclose(bxy.trace12, byx.trace12, rtol=1e-13)
-
-
-@pytest.mark.parametrize("kernel", ALL_SCALAR, ids=lambda k: f"{k.family}")
-def test_pairwise_agrees_with_bundles(kernel):
-    rng = np.random.default_rng(23)
-    x = rng.normal(size=(4, 3))
-    y = rng.normal(size=(5, 3))
-    pw = kernel.pairwise(x, y)
-    assert pw.value.shape == (4, 5) and pw.grad1.shape == (4, 5, 3)
-    for i in (0, 3):
-        for j in (1, 4):
-            b = kernel.bundle(x[i], y[j])
-            np.testing.assert_allclose(pw.value[i, j], b.value, rtol=1e-14)
-            np.testing.assert_allclose(pw.grad1[i, j], b.grad1, rtol=1e-14)
-            np.testing.assert_allclose(pw.grad2[i, j], b.grad2, rtol=1e-14)
-            np.testing.assert_allclose(pw.trace12[i, j], b.trace12, rtol=1e-13)
+    vxy, g1xy, _, txy = _pair(kernel, x, y)
+    vyx, _, g2yx, tyx = _pair(kernel, y, x)
+    np.testing.assert_allclose(vxy, vyx, rtol=1e-14)
+    np.testing.assert_allclose(kernel.value(x, y), kernel.value(y, x), rtol=1e-14)
+    np.testing.assert_allclose(g1xy, g2yx, rtol=1e-14)
+    np.testing.assert_allclose(txy, tyx, rtol=1e-13)
 
 
 def test_imq_hand_values():
@@ -106,18 +103,20 @@ def test_imq_hand_values():
         k.value(np.array([1.0, 0.0]), np.zeros(2)), 2.0**-0.5, rtol=1e-15
     )
     # Diagonal mixed trace is d / ell^2.
-    b = IMQ(2.0).bundle(np.array([0.3, -1.0, 4.0]), np.array([0.3, -1.0, 4.0]))
-    np.testing.assert_allclose(b.trace12, 3.0 / 4.0, rtol=1e-15)
-    np.testing.assert_allclose(b.value, 1.0, rtol=1e-15)
-    np.testing.assert_allclose(b.grad1, np.zeros(3), atol=0.0)
+    x = np.array([0.3, -1.0, 4.0])
+    value, grad1, _, trace12 = _pair(IMQ(2.0), x, x)
+    np.testing.assert_allclose(trace12, 3.0 / 4.0, rtol=1e-15)
+    np.testing.assert_allclose(value, 1.0, rtol=1e-15)
+    np.testing.assert_allclose(IMQ(2.0).value(x, x), 1.0, rtol=1e-15)
+    np.testing.assert_allclose(grad1, np.zeros(3), atol=0.0)
 
 
 def test_gaussian_hand_values():
     k = Gaussian(1.0)
     x, y = np.array([1.0, 1.0]), np.zeros(2)
     np.testing.assert_allclose(k.value(x, y), np.exp(-2.0), rtol=1e-15)
-    b = Gaussian(2.0).bundle(np.zeros(3), np.zeros(3))
-    np.testing.assert_allclose(b.trace12, 6.0 / 4.0, rtol=1e-15)
+    np.testing.assert_allclose(_pair(Gaussian(2.0), np.zeros(3), np.zeros(3))[3], 6.0 / 4.0,
+                               rtol=1e-15)
 
 
 RADIAL = [IMQ(0.7), Gaussian(1.4), Mixture((IMQ(1.0), Gaussian(0.5)))]
@@ -220,7 +219,7 @@ class TestNormalizedLinear:
         k = NormalizedLinear(0.8)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 4)) * 5.0
-        vals = k.pairwise(x, x).value
+        vals = np.array([[k.value(a, b) for b in x] for a in x])
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
 
     def test_rejects_bad_c(self):
@@ -228,25 +227,41 @@ class TestNormalizedLinear:
             NormalizedLinear(0.0)
 
 
-class TestWeightedMatrixKernel:
-    def test_weight_grad_matches_fd(self):
-        k = WeightedMatrixKernel(c=1.1, exponent=0.4, base=IMQ(0.9))
+TILTS = [NormalizedLinear(1.3)] + [
+    WeightedMatrixKernel(c=1.1, exponent=e, base=IMQ(0.9)) for e in (-1.0, 0.5, 1.0)
+]
+
+
+@pytest.mark.parametrize("tilt", TILTS, ids=["normalized-linear", "exp-1", "exp0.5", "exp1"])
+class TestTiltHelpers:
+    # The tilt helpers the row-block pass and the particle gradient read:
+    # grad log w, and its Hessian along a direction.
+    def test_log_weight_grad_matches_fd(self, tilt):
         rng = np.random.default_rng(5)
-        for _ in range(4):
-            x = rng.normal(size=3)
+        x = rng.normal(size=(4, 3))
+        got = tilt.log_weight_grad(x)
+        for i in range(4):
             np.testing.assert_allclose(
-                k.weight_grad(x),
-                fd_gradient(lambda t: float(k.weight(t)), x),
-                atol=1e-6,
+                got[i], fd_gradient(lambda t: float(np.log(tilt.weight(t))), x[i]), atol=1e-6
             )
 
+    def test_log_weight_hvp_matches_fd(self, tilt):
+        rng = np.random.default_rng(9)
+        x, v = rng.normal(size=(2, 4, 3))
+        h = 1e-5
+        fd = (tilt.log_weight_grad(x + h * v) - tilt.log_weight_grad(x - h * v)) / (2.0 * h)
+        np.testing.assert_allclose(tilt.log_weight_hvp(x, v), fd, atol=1e-6)
+
+
+class TestWeightedMatrixKernel:
     def test_zero_exponent_reduces_to_combined(self):
         k = WeightedMatrixKernel(c=1.0, exponent=0.0, base=IMQ(0.7))
         rng = np.random.default_rng(6)
         x = rng.normal(size=(3, 2))
         y = rng.normal(size=(4, 2))
-        ours = k.pairwise(x, y)
-        plain = k.inner.pairwise(x, y)
+        np.testing.assert_allclose(k.value(x[0], y[1]), k.inner.value(x[0], y[1]), rtol=1e-14)
+        ours = kernel_derivatives(k, x, y)
+        plain = kernel_derivatives(k.inner, x, y)
         np.testing.assert_allclose(ours.value, plain.value, rtol=1e-14)
         np.testing.assert_allclose(ours.grad1, plain.grad1, atol=1e-14)
         np.testing.assert_allclose(ours.trace12, plain.trace12, atol=1e-13)

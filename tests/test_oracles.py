@@ -4,10 +4,18 @@ Every expected value here has a closed form derived by hand, so the oracles
 are validated without reference to the production code they later vet.
 """
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kgd
 from kgd.oracles import fd_gradient, gauss_hermite_2d, reference_ksd_squared, slope_fit
+
+PACKAGE = Path(kgd.__file__).parent
 
 
 def test_fd_gradient_polynomial():
@@ -141,3 +149,53 @@ def test_slope_fit_validates_input():
         slope_fit(np.array([1.0]), np.array([2.0]))
     with pytest.raises(ValueError):
         slope_fit(np.array([1.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0]))
+
+
+def _imported_modules(path: Path):
+    """(dotted module, imported names) for every import in a package file,
+    function bodies included; relative imports resolve against ``kgd``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "kgd" + (f".{module}" if module else "")
+            names = tuple(alias.name for alias in node.names)
+            if module == "kgd":
+                for name in names:
+                    yield f"kgd.{name}", ()
+            else:
+                yield module, names
+
+
+class TestOracleIndependence:
+    def test_production_does_not_load_the_oracles(self):
+        # Only the CLI imports them, for ``self-check`` (and so that a tracer
+        # can wrap them once ``kgd.cli`` is loaded); ``import kgd`` does not.
+        importers = {
+            path.name
+            for path in PACKAGE.glob("*.py")
+            if path.name != "oracles.py"
+            and any(m == "kgd.oracles" for m, _ in _imported_modules(path))
+        }
+        assert importers <= {"cli.py"}, importers
+        probe = "import sys, kgd; print('kgd.oracles' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, cwd=PACKAGE.parent)
+        assert out.stdout.strip() == "False"
+
+    def test_oracles_share_no_code_with_production(self):
+        # From the package, only the model's parameter map and constants.
+        path = PACKAGE / "oracles.py"
+        for module, names in _imported_modules(path):
+            if module.startswith("kgd"):
+                assert module == "kgd.models", module
+                assert all(n == "lv_params" or n.startswith("LV_") for n in names), names
+        # And no kernel is read through its production description.
+        banned = {"terms", "profile", "inner", "is_radial", "power", "weight",
+                  "log_weight_grad", "log_weight_hvp"}
+        read = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Attribute)}
+        assert not read & banned, read & banned
