@@ -848,7 +848,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
-    from .discrepancy import _stein_sums, stein_drift, stein_gram
+    from .discrepancy import _BLOCK, _stein_sums, stein_drift, stein_gram
 
     failures = 0
 
@@ -957,13 +957,13 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
 
     # Row-block sums and drift against the oracle Gram's sum and trace
     # (relative to sum |h|) and the oracle drift (relative to its max), on
-    # a translated cloud of two blocks, the second ragged. An order-3 pass
-    # on a larger cloud runs first, so these read slabs of the shared
+    # a translated cloud of two full blocks and a ragged one. An order-3
+    # pass on a larger cloud runs first, so these read slabs of the shared
     # workspace that it has already filled.
     big = np.random.default_rng(1).normal(size=(600, 3))
     particle_grad(IMQ(1.0), ref, loss, big)
     worst = 0.0
-    atoms = 1e3 + rng.normal(size=(300, 3))
+    atoms = 1e3 + rng.normal(size=(2 * _BLOCK + 44, 3))
     mea = EmpiricalMeasure(atoms)
     score = lambda p: gen_score(ref, loss, mea, p)
     scores = score(atoms)
@@ -977,19 +977,24 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         worst = max(worst, float(err / np.max(np.abs(drift))))
     report("stein-sums", worst < 1e-12, f"worst rel {worst:.2e}")
 
-    # Particle gradients of V and U against central differences.
+    # Particle gradients of V and U against central differences: on six
+    # atoms, one block, and on a cloud of two blocks, the second ragged,
+    # whose rows past the first block get their sums from the transposed
+    # slab products, the order-3 a slab's among them.
     worst = 0.0
-    atoms = rng.normal(size=(6, 4))
-    ref = DiagonalGaussian.standard(4)
     data = gen_mfnn_data(0, n_data=30)
-    for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5)):
-        for loss in (LinearLoss.quadratic(np.zeros(4), np.full(4, 0.5)),
-                     MeanFieldRegressionLoss(data.covariates, data.responses)):
-            for u_stat, est in ((False, kgd_v_squared), (True, kgd_u_squared)):
-                fd = fd_gradient(lambda f: est(
-                    kern, ref, loss, EmpiricalMeasure(f.reshape(6, 4))).value2, atoms.ravel())
-                err = np.max(np.abs(particle_grad(kern, ref, loss, atoms, u_stat).ravel() - fd))
-                worst = max(worst, float(err / max(1.0, np.max(np.abs(fd)))))
+    clouds = [(rng.normal(size=(6, 4)), (LinearLoss.quadratic(np.zeros(4), np.full(4, 0.5)),
+                                         MeanFieldRegressionLoss(data.covariates, data.responses))),
+              (np.random.default_rng(3).normal(size=(_BLOCK + 5, 2)), (InteractionLoss.quadratic(),))]
+    for atoms, cloud_losses in clouds:
+        ref = DiagonalGaussian.standard(atoms.shape[1])
+        for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5)):
+            for loss in cloud_losses:
+                for u_stat, est in ((False, kgd_v_squared), (True, kgd_u_squared)):
+                    fd = fd_gradient(lambda f: est(kern, ref, loss, EmpiricalMeasure(
+                        f.reshape(atoms.shape))).value2, atoms.ravel())
+                    err = np.max(np.abs(particle_grad(kern, ref, loss, atoms, u_stat).ravel() - fd))
+                    worst = max(worst, float(err / max(1.0, np.max(np.abs(fd)))))
     report("particle-gradient", worst < 1e-6, f"worst scaled error {worst:.2e}")
 
     # Forward ODE sensitivities against central differences of the solver.

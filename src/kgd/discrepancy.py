@@ -41,15 +41,22 @@ sum_j phi'_ij v_j,
                  - (phi' (w c))_i] - 4 ((s o phi'') w)_i + b_i.(phi wB)_i,
     n drift = phi (wB) + 2 phi' (wX) - 2 (phi' w) X,
 
-where wB scales row j by w_j: one phi' product with [wB | wX | w | wc] and
-one phi product with wB per slab serve the row sums and the drift. Every
-slab of a pass (s, the order + 1 profile slabs that ``profile`` writes into
-through its ``out``, and the particle gradient's two temporaries) is a view
-of one grow-only module workspace, so after the first pass at the largest n
-a pass allocates nothing of slab size and takes no page faults. The price is
-that passes run one at a time (``_radial_slabs``). The
-linear g = c^2 + x.y needs only (n, d) and (d, d) arrays; with beta the
-shifted scores,
+where wB scales row j by w_j: one phi' product with [wB | wX | w | wc], one
+phi product with wB and one (s o phi'') product with w serve the row sums
+and the drift. Every matrix multiplied here (phi, phi', s o phi'' and the
+particle gradient's a below) is symmetric in (i, j), so the pass walks only
+the upper block triangle: block rows lo:hi read columns lo:n, and each
+slab M adds M R[lo:] into rows lo:hi and, transposed, M[:, hi - lo:]^T
+R[lo:hi] into rows hi:n of running (n, .) sums (``_symmetric_add``). Every
+entry s_ij with i != j is then profiled once, not twice. The formulas
+above, which read x_i, b_i and c_i, run once over all n rows after the
+pass. Every slab of a pass (s, the order + 1 profile slabs that ``profile``
+writes into through its ``out``, and the particle gradient's two
+temporaries) is a view of one grow-only module workspace, so after the
+first pass at the largest n a pass allocates nothing of slab size and takes
+no page faults. The price is that passes run one at a time
+(``_radial_slabs``). The linear g = c^2 + x.y needs only (n, d) and (d, d)
+arrays; with beta the shifted scores,
 
     h = d + x_i.beta_i + x_j.beta_j + (c^2 + x_i.x_j) beta_i.beta_j,
     (h w)_i = d sum_j w_j + (sum_j w_j) x_i.beta_i + sum_j w_j x_j.beta_j
@@ -66,8 +73,11 @@ whose error names the first non-finite entry.
 scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
 d(n^2 V)/db = 2 n ``stein_drift``. With scores fixed, each term moves through
 its core (2 w_i sum_j w_j dh_ij/dx_i), through w (the row sums 2 (h w)_i)
-and through b~ (Hess log w times 2 w_i times the core's drift). The
-U-statistic also drops the diagonal w_i^2 h(x_i, x_i) above.
+and through b~ (Hess log w times 2 w_i times the core's drift). For a
+radial core, sum_j w_j dh_ij/dx_i = x_i (a w)_i - (a wX)_i + 2 (phi' wB)_i
+- 2 b_i (phi' w)_i, with a the symmetric slab spelled out in
+``_radial_rows``. The U-statistic also drops the diagonal w_i^2 h(x_i, x_i)
+above.
 
 ``stein_gram`` forms the n x n Gram from the same ``terms()``, entry by
 entry from the h formulas above (on the differences x_i - x_j, not the
@@ -92,9 +102,11 @@ import numpy as np
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from .losses import VariationalLoss
 
-# Rows per slab of the row-block pass: a pass holds a few (256, n) slabs,
-# so its memory grows like n, not n^2.
-_BLOCK = 256
+# Rows per slab of the row-block pass: a pass holds a few (128, n) slabs,
+# so its memory grows like n, not n^2. A smaller block makes the upper block
+# triangle finer: on the clt-study preset (n to 800, 1 BLAS thread, a 2-vCPU
+# Xeon VM) 128 rows ran 12% faster than 256 and tied with 64.
+_BLOCK = 128
 
 # The one flat buffer every row-block pass carves its slabs from (``_slabs``).
 # It only grows and lives as long as the process: slabs allocated per pass are
@@ -123,44 +135,57 @@ def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):
     return w, shifted
 
 
-def _slabs(count: int, rows: int, n: int) -> np.ndarray:
-    """count (rows, n) slabs as one (count, rows, n) view of the workspace,
-    grown first if it is too small. Their contents are whatever the last
-    pass left there."""
+def _slabs(count: int, rows: int, cols: int) -> np.ndarray:
+    """count (rows, cols) slabs as one (count, rows, cols) view of the
+    workspace, grown first if it is too small. Their contents are whatever
+    the last pass left there."""
     global _workspace
-    size = count * rows * n
+    size = count * rows * cols
     if _workspace.size < size:
         _workspace = np.empty(size)
-    return _workspace[:size].reshape(count, rows, n)
+    return _workspace[:size].reshape(count, rows, cols)
 
 
 def _radial_slabs(core, x: np.ndarray, order: int):
     """Yield (lo, hi, sq, profile, scratch) for blocks of ``_BLOCK`` rows
-    lo:hi of the centred atoms x: the squared distances sq to every atom,
-    which the consumer may overwrite; the profile up to ``order`` on them,
-    order + 1 slabs; and, at order 3, two scratch slabs for the positional
-    sums (none below). Row r of a block has its zeroed diagonal entry in
-    column lo + r. Every slab is a (hi - lo, n) view of the module
-    workspace, reused from block to block and from pass to pass.
+    lo:hi of the centred atoms x, over the upper block triangle: the
+    squared distances sq from rows lo:hi to atoms lo:n, which the consumer
+    may overwrite; the profile up to ``order`` on them, order + 1 slabs;
+    and, at order 3, two scratch slabs for the positional sums (none
+    below). Every slab is a (hi - lo, n - lo) view of the module workspace,
+    reused from block to block and from pass to pass, and holds the block's
+    zeroed diagonal in its first hi - lo columns: row r at column r. The
+    pairs left of column lo belong to earlier blocks, so a consumer reads
+    each slab for its own rows and, transposed, for rows hi:n
+    (``_symmetric_add``).
 
     So one pass runs at a time: no consumer starts a second pass while it
     iterates one, and nothing a consumer returns may alias a slab."""
     n = x.shape[0]
     norms = np.einsum("id,id->i", x, x)
-    n_scratch = 2 if order > 2 else 0
-    slabs = _slabs(order + 2 + n_scratch, min(_BLOCK, n), n)
+    count = order + 2 + (2 if order > 2 else 0)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        block = slabs[:, : hi - lo]
+        block = _slabs(count, hi - lo, n - lo)
         sq = block[0]
-        np.matmul(x[lo:hi], x.T, out=sq)
+        np.matmul(x[lo:hi], x[lo:].T, out=sq)
         sq *= -2.0
         sq += norms[lo:hi, None]
-        sq += norms
+        sq += norms[lo:]
         np.maximum(sq, 0.0, out=sq)
-        np.fill_diagonal(sq[:, lo:hi], 0.0)
+        np.fill_diagonal(sq[:, : hi - lo], 0.0)
         yield (lo, hi, sq, core.profile(sq, order, block[1 : order + 2]),
                block[order + 2 :])
+
+
+def _symmetric_add(acc: np.ndarray, slab: np.ndarray, right: np.ndarray, lo: int, hi: int):
+    """acc += M right for a symmetric n x n matrix M whose rows lo:hi,
+    columns lo:n, are the slab: the slab gives rows lo:hi, and its part
+    right of the diagonal block, transposed, gives rows hi:n (none in the
+    last block, which a pass at n <= ``_BLOCK`` is alone)."""
+    acc[lo:hi] += slab @ right[lo:]
+    if hi < acc.shape[0]:
+        acc[hi:] += slab[:, hi - lo :].T @ right[lo:hi]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -187,55 +212,58 @@ def _radial_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, ord
         right = [wb] + right + [(w * c)[:, None]]
         k = d
     right = np.concatenate(right, axis=1)
-    drift = np.empty((n, d))
-    rows = np.empty(n) if order > 1 else None
-    pos = np.empty((n, d)) if order > 2 else None
-    if pos is not None:
+    # The products summed over the pass: phi wB, phi' right, (s o phi'') w
+    # and, at order 3, a [wX | w].
+    pb = np.zeros((n, d))
+    pd = np.zeros(right.shape)
+    ps = np.zeros(n)
+    pa = np.zeros((n, d + 1))
+    if order > 2:
         bx = np.concatenate([scores, x], axis=1)
         cd = c + (d + 2.0)
     for lo, hi, sq, profile, scratch in _radial_slabs(core, x, order):
         phi, dphi = profile[:2]
-        xs, bs = x[lo:hi], scores[lo:hi]
-        pb = phi @ wb
-        pd = dphi @ right
-        dw = pd[:, k + d, None]  # (phi' w)_i
-        drift[lo:hi] = pb + 2.0 * (pd[:, k : k + d] - dw * xs)
-        if rows is None:
-            continue
-        if pos is not None:
+        _symmetric_add(pb, phi, wb, lo, hi)
+        _symmetric_add(pd, dphi, right, lo, hi)
+        if order > 2:
             # dh_ij/dx_i = a_ij (x_i - x_j) + 2 phi'_ij (b_j - b_i), with
             # a = 4 phi'' (x_i.b_j + x_j.b_i - c_i - c_j - d - 2)
-            #     + 2 phi' b_i.b_j - 8 s phi'''
+            #     + 2 phi' b_i.b_j - 8 s phi''', symmetric in (i, j)
             a, bb = scratch
-            np.matmul(xb[lo:hi], bx.T, out=a)
-            a -= np.add.outer(c[lo:hi], cd, out=bb)
+            np.matmul(xb[lo:hi], bx[lo:].T, out=a)
+            a -= np.add.outer(c[lo:hi], cd[lo:], out=bb)
             a *= profile[2]
             a *= 4.0
-            np.matmul(bs, scores.T, out=bb)
+            np.matmul(scores[lo:hi], scores[lo:].T, out=bb)
             bb *= dphi
             bb *= 2.0
             a += bb
             np.multiply(sq, profile[3], out=bb)
             bb *= 8.0
             a -= bb
-            aw = a @ right[:, d : 2 * d + 1]
-            pos[lo:hi] = aw[:, d, None] * xs - aw[:, :d]
-            pos[lo:hi] += 2.0 * (pd[:, :d] - dw * bs)
-        # x_i.(phi' wB)_i + b_i.(phi' wX)_i in one row dot
-        r = _rowdot(xb[lo:hi], pd[:, : 2 * d])
-        r -= (c[lo:hi] + d) * dw[:, 0]
-        r -= pd[:, 2 * d + 1]
-        r *= 2.0
-        r += _rowdot(bs, pb)
-        sq *= profile[2]
-        r -= 4.0 * (sq @ w)
-        rows[lo:hi] = r
-    if rows is None:
+            _symmetric_add(pa, a, right[:, d : 2 * d + 1], lo, hi)
+        if order > 1:
+            sq *= profile[2]
+            _symmetric_add(ps, sq, w, lo, hi)
+    dw = pd[:, k + d, None]  # (phi' w)_i
+    drift = pb + 2.0 * (pd[:, k : k + d] - dw * x)
+    if order == 1:
         return drift, None, None, None
+    # x_i.(phi' wB)_i + b_i.(phi' wX)_i in one row dot
+    rows = _rowdot(xb, pd[:, : 2 * d])
+    rows -= (c + d) * dw[:, 0]
+    rows -= pd[:, 2 * d + 1]
+    rows *= 2.0
+    rows += _rowdot(scores, pb)
+    rows -= 4.0 * ps
     # phi(0) and phi'(0) from the last block's zeroed diagonal entry in row 0.
-    phi0, dphi0 = phi[0, lo], dphi[0, lo]
+    phi0, dphi0 = phi[0, 0], dphi[0, 0]
     diag = -2.0 * d * dphi0 + phi0 * _rowdot(scores, scores)
-    grad = None if pos is None else (pos, 2.0 * phi0 * scores, 0.0)
+    grad = None
+    if order > 2:
+        pos = pa[:, d, None] * x - pa[:, :d]
+        pos += 2.0 * (pd[:, :d] - dw * scores)
+        grad = (pos, 2.0 * phi0 * scores, 0.0)
     return drift, rows, diag, grad
 
 

@@ -12,6 +12,7 @@ which ``euclid_identity_check`` verifies against central finite differences.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -161,6 +162,10 @@ class MeanFieldRegressionLoss(VariationalLoss):
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)
     lam: float = 300.0
+    # [weak reference to the measure, its atoms, residuals, gradients at the
+    # atoms] for the measure last asked (``_fit``): a particle gradient reads
+    # them for the scores and again for the VJP.
+    _last_fit: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         z = np.asarray(self.covariates, dtype=float)
@@ -177,10 +182,26 @@ class MeanFieldRegressionLoss(VariationalLoss):
         resid = self.responses - self.predictions(measure)
         return float(self.lam / self.covariates.size * np.sum(resid**2))
 
+    def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals y - E_Q[Phi(z, .)], shape (N,), and grad Phi(z_l, x_i)
+        at the atoms, shape (n, N, 4): computed once per measure and kept
+        while it lives, unless its atoms change in place."""
+        last = self._last_fit
+        if not (last and last[0]() is measure and np.array_equal(last[1], measure.atoms)):
+            last.clear()  # the old gradients go before the new are built
+            resid = self.responses - self.predictions(measure)
+            grads = mfnn_grad(measure.atoms, self.covariates)
+            last[:] = [weakref.ref(measure, lambda _: last.clear()), measure.atoms.copy(),
+                       resid, grads]
+        return last[2], last[3]
+
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         xb, single = _batched(x)
-        resid = self.responses - self.predictions(measure)  # (N,)
-        grads = mfnn_grad(xb, self.covariates)  # (m, N, 4)
+        if np.array_equal(xb, measure.atoms):
+            resid, grads = self._fit(measure)
+        else:
+            resid = self.responses - self.predictions(measure)  # (N,)
+            grads = mfnn_grad(xb, self.covariates)  # (m, N, 4)
         out = -(2.0 * self.lam / self.covariates.size) * np.einsum(
             "i,mip->mp", resid, grads
         )
@@ -188,14 +209,14 @@ class MeanFieldRegressionLoss(VariationalLoss):
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
         atoms = measure.atoms
-        resid = self.responses - self.predictions(measure)  # (N,)
-        grads = mfnn_grad(atoms, self.covariates)  # (n, N, 4)
+        resid, grads = self._fit(measure)  # (N,), (n, N, 4)
         along = np.einsum("mlp,mp->l", grads, u) / measure.n
         pulled = np.einsum("l,mlp->mp", along, grads)
         # grads goes before hvp is built, so the two (n, N, 4) arrays and
         # hvp's temporaries are never held together: freed together at the
         # top of the heap they can pass the allocator's trim threshold, and
         # their pages go back to the OS only to be faulted in on the next call.
+        self._last_fit.clear()
         del grads
         hvp = mfnn_hvp(atoms, self.covariates, u)  # (n, N, 4)
         return (2.0 * self.lam / self.covariates.size) * (

@@ -9,8 +9,9 @@ nontrivial loss, the closed-form classical-discrepancy oracle for potentials
 without interaction, and that oracle Stein kernel. The row-block pass behind
 the estimators, the drift and the particle gradient, and the term-built
 ``stein_gram``, are held against the oracle (a skewed ``profile`` must show),
-the pass against itself with slabs of three rows, and bitwise against itself
-on a workspace filled with nan before every pass. The estimator algebra
+the pass against itself with slabs of three rows, bitwise against itself on
+a workspace filled with nan before every pass, and by the entries it hands
+to ``profile`` (the upper block triangle, not the square). The estimator algebra
 (V/U identity, permutation invariance, substream addressing) is checked
 exactly.
 """
@@ -243,7 +244,7 @@ class TestSteinSums:
     def test_stale_workspace_is_never_read(self, order, monkeypatch):
         # Every slab comes out of the shared workspace full of nan, so a read
         # before a write poisons the result; the sizes shrink and grow again
-        # (515 is two full blocks and a ragged one).
+        # (515 is four full blocks and a ragged one).
         rng = np.random.default_rng(13)
         ref = DiagonalGaussian.standard(3)
         loss = InteractionLoss.quadratic()
@@ -274,6 +275,33 @@ class TestSteinSums:
         for n in (515, 10, 2, 515):
             for want, got in zip(first[n], evaluate(clouds[n])):
                 np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_a_pass_profiles_the_upper_block_triangle_only(self, order, monkeypatch):
+        # Block rows lo:hi read columns lo:n, so one pass hands profile
+        # sum (hi - lo)(n - lo) entries over its blocks, not n^2.
+        n = 2 * _BLOCK + 3
+        seen = []
+        profile = IMQ.profile
+
+        def counted(self, sq, order, out):
+            seen.append((order, sq.size))
+            return profile(self, sq, order, out)
+
+        monkeypatch.setattr(IMQ, "profile", counted)
+        atoms = np.random.default_rng(14).standard_normal((n, 3))
+        ref = DiagonalGaussian.standard(3)
+        loss = InteractionLoss.quadratic()
+        scores = gen_score(ref, loss, EmpiricalMeasure(atoms), atoms)
+        if order == 1:
+            stein_drift(IMQ(0.8), atoms, scores)
+        elif order == 2:
+            _stein_sums(IMQ(0.8), atoms, scores)
+        else:
+            particle_grad(IMQ(0.8), ref, loss, atoms)
+        triangle = sum((min(lo + _BLOCK, n) - lo) * (n - lo) for lo in range(0, n, _BLOCK))
+        assert {o for o, _ in seen} == {order}
+        assert sum(size for _, size in seen) == triangle
 
     def test_overflowing_sum_of_finite_entries_raises(self):
         # Two equal atoms with ||b||^2 = 1.44e308: every entry is finite, the

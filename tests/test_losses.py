@@ -242,6 +242,32 @@ class TestMeanFieldRegression:
             atol=JAC_TOL,
         )
 
+    def test_scores_and_vjp_share_one_network_pass(self, monkeypatch):
+        # The scores at the atoms and the VJP of one measure (a particle
+        # gradient's two reads) build the network gradients once, bitwise
+        # as a loss that builds them for each; atoms moved in place are
+        # evaluated afresh.
+        data = gen_mfnn_data(0, n_data=20)
+        loss = MeanFieldRegressionLoss(data.covariates, data.responses)
+        fresh = lambda: MeanFieldRegressionLoss(data.covariates, data.responses)
+        rng = np.random.default_rng(21)
+        atoms = rng.standard_normal((5, 4))
+        u = rng.standard_normal((5, 4))
+        want = (fresh().var_grad(EmpiricalMeasure(atoms.copy()), atoms.copy()),
+                fresh().var_grad_vjp(EmpiricalMeasure(atoms.copy()), u))
+        calls = []
+        grad = losses.mfnn_grad
+        monkeypatch.setattr(losses, "mfnn_grad", lambda *a: calls.append(a) or grad(*a))
+        measure = EmpiricalMeasure(atoms)
+        got = (loss.var_grad(measure, atoms), loss.var_grad_vjp(measure, u))
+        assert len(calls) == 1
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(g, w)
+        loss.var_grad(measure, atoms)
+        atoms += 0.1
+        moved = loss.var_grad(measure, atoms)
+        np.testing.assert_array_equal(moved, fresh().var_grad(EmpiricalMeasure(atoms), atoms))
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="matching"):
             MeanFieldRegressionLoss(np.zeros(3), np.zeros(4))
