@@ -31,7 +31,6 @@ from .losses import (
     PredictiveKernelLoss,
     VariationalLoss,
     ZeroLoss,
-    gaussian_overlap,
     gaussian_smooth,
 )
 from .samplers import (
@@ -76,7 +75,6 @@ __all__ = [
     "PredictiveKernelLoss",
     "VariationalLoss",
     "ZeroLoss",
-    "gaussian_overlap",
     "gaussian_smooth",
     "OptimizerSpec",
     "SamplerDivergence",

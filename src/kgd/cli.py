@@ -44,14 +44,14 @@ from .losses import (
     MeanFieldRegressionLoss,
     PredictiveKernelLoss,
     ZeroLoss,
-    gaussian_overlap,
 )
 from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities
 # The oracles serve only ``self-check``, but they load with the CLI:
 # ``benchmarks/tracing.py`` wraps ``kgd.oracles.fd_gradient`` once ``kgd.cli``
 # is imported.
-from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, kernel_derivatives,
-                      lv_solve, reference_drift, reference_ksd_squared, reference_stein_kernel)
+from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
+                      kernel_derivatives, lv_solve, reference_drift, reference_ksd_squared,
+                      reference_stein_kernel)
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -264,9 +264,9 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
     if family == "linear-quadratic":
         center = _per_axis(cfg, "center", 0.0, dim, "loss")
         weights = _per_axis(cfg, "weights", 1.0, dim, "loss")
-        return LinearLoss.quadratic(center, weights)
+        return LinearLoss(center, weights)
     if family == "interaction-quadratic":
-        return InteractionLoss.quadratic()
+        return InteractionLoss()
     if family == "mean-field-regression":
         if dim != 4:
             raise ConfigError("mean-field-regression needs reference.dimension = 4")
@@ -555,7 +555,7 @@ def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
         study = _scaling_study(
             kernel,
             ref,
-            InteractionLoss.quadratic(),
+            InteractionLoss(),
             lambda rng, n: offset + rng.standard_normal((n, d)),
             sizes,
             int(knobs["replicates"]),
@@ -879,7 +879,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     # summed entry error relative to sum |h|.
     atoms = np.random.default_rng(2).normal(size=(12, 3))
     mea = EmpiricalMeasure(atoms)
-    ref, loss = DiagonalGaussian.standard(3), InteractionLoss.quadratic()
+    ref, loss = DiagonalGaussian.standard(3), InteractionLoss()
     worst = 0.0
     for kern in kernels:
         want = reference_stein_kernel(kern, lambda p: gen_score(ref, loss, mea, p), atoms, atoms)
@@ -894,7 +894,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
         atoms = rng.normal(size=(n, d))
         ref = DiagonalGaussian.standard(d)
         w = rng.uniform(0.5, 1.5, size=d)
-        loss = LinearLoss.quadratic(np.zeros(d), w)
+        loss = LinearLoss(np.zeros(d), w)
         kern = IMQ(1.0)
         mine = kgd_v_squared(kern, ref, loss, EmpiricalMeasure(atoms)).value2
         orc = reference_ksd_squared(lambda X: ref.log_grad(X) - w * X, kern, atoms)
@@ -911,7 +911,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     # Finite-particle identity for the quadratic interaction.
     mea = EmpiricalMeasure(rng.normal(size=(6, 2)))
     resid = max(
-        euclid_identity_check(InteractionLoss.quadratic(), mea, i) for i in range(6)
+        euclid_identity_check(InteractionLoss(), mea, i) for i in range(6)
     )
     report("variation-identity", resid < 1e-4, f"residual {resid:.2e}")
 
@@ -930,7 +930,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     ref = DiagonalGaussian.standard(3)
     for kern in (IMQ(0.8), Gaussian(1.5)):
         mine = kgd_v_squared(
-            kern, ref, InteractionLoss.quadratic(), EmpiricalMeasure(atoms)
+            kern, ref, InteractionLoss(), EmpiricalMeasure(atoms)
         ).value2
         orc = reference_ksd_squared(
             lambda X: -X - 2.0 * (X - X.mean(axis=0)), kern, atoms
@@ -943,7 +943,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     worst = 0.0
     atoms = rng.normal(size=(12, 3))
     mea = EmpiricalMeasure(atoms)
-    loss = InteractionLoss.quadratic()
+    loss = InteractionLoss()
     score = lambda p: gen_score(ref, loss, mea, p)
     for kern in (WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
                  Mixture((IMQ(1.0), NormalizedLinear(1.2)))):
@@ -983,9 +983,9 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     # slab products, the order-3 a slab's among them.
     worst = 0.0
     data = gen_mfnn_data(0, n_data=30)
-    clouds = [(rng.normal(size=(6, 4)), (LinearLoss.quadratic(np.zeros(4), np.full(4, 0.5)),
+    clouds = [(rng.normal(size=(6, 4)), (LinearLoss(np.zeros(4), np.full(4, 0.5)),
                                          MeanFieldRegressionLoss(data.covariates, data.responses))),
-              (np.random.default_rng(3).normal(size=(_BLOCK + 5, 2)), (InteractionLoss.quadratic(),))]
+              (np.random.default_rng(3).normal(size=(_BLOCK + 5, 2)), (InteractionLoss(),))]
     for atoms, cloud_losses in clouds:
         ref = DiagonalGaussian.standard(atoms.shape[1])
         for kern in (IMQ(1.0), WeightedMatrixKernel(c=1.2, exponent=0.5)):

@@ -38,9 +38,6 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    def with_atoms(self, atoms: np.ndarray) -> "EmpiricalMeasure":
-        return EmpiricalMeasure(atoms)
-
 
 @dataclass(frozen=True)
 class DiagonalGaussian:

@@ -121,8 +121,17 @@ def gen_score(
     measure: EmpiricalMeasure,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Generalised score b(x); accepts (d,) or (m, d) and matches the shape."""
-    return ref.log_grad(x) - loss.var_grad(measure, x)
+    """Generalised score b(x); accepts (d,) or (m, d) and matches the shape.
+
+    Raises FloatingPointError, naming the first atom, when a score is not
+    finite.
+    """
+    score = ref.log_grad(x) - loss.var_grad(measure, x)
+    if not np.isfinite(score).all():
+        rows = np.atleast_2d(score)
+        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise FloatingPointError(f"non-finite score at atom {i}: {rows[i]}")
+    return score
 
 
 def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):

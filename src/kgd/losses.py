@@ -2,8 +2,12 @@
 
 Each loss L maps probability measures to reals and exposes the gradient of
 its first variation, var_grad(Q, x) = grad_x L'(Q)(x), which is the only
-piece the score construction downstream needs. Losses evaluated on empirical
-measures additionally satisfy the finite-particle identity
+piece the score construction downstream needs, and, for the particle
+gradient, that gradient's vector-Jacobian product at the atoms
+(``var_grad_vjp``). Each loss is one closed form: the quadratic potential,
+the quadratic interaction, the mean-field network's empirical risk and the
+simulator's predictive kernel score. Losses evaluated on empirical measures
+additionally satisfy the finite-particle identity
 
     var_grad(Q_n, x_i) = n * d/dx_i L(x_1, ..., x_n),
 
@@ -12,7 +16,6 @@ which ``euclid_identity_check`` verifies against central finite differences.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -62,80 +65,43 @@ class ZeroLoss(VariationalLoss):
 
 @dataclass(frozen=True)
 class LinearLoss(VariationalLoss):
-    """L(Q) = integral of u dQ for a fixed potential u.
+    """L(Q) = integral of u dQ for the quadratic potential
+    u(x) = (1/2) sum_k weights_k (x_k - center_k)^2.
 
-    The first variation is u itself, so var_grad is grad u and does not
-    depend on Q. ``grad_u`` must map (m, d) arrays to (m, d); ``hess_u``
-    (optional, per point) enables ``var_grad_vjp``.
+    The first variation is u itself, so var_grad is
+    grad u(x) = weights * (x - center) and does not depend on Q. Each score
+    moves only with its own atom, through Hess u = diag(weights), so
+    var_grad_vjp is weights * u.
     """
 
-    u: Callable[[np.ndarray], np.ndarray]
-    grad_u: Callable[[np.ndarray], np.ndarray]
-    hess_u: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @classmethod
-    def quadratic(cls, center: np.ndarray, weights: np.ndarray) -> "LinearLoss":
-        """u(x) = (1/2) sum_k weights_k (x_k - center_k)^2."""
-        center = np.asarray(center, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        return cls(
-            u=lambda x: 0.5 * np.sum(weights * (x - center) ** 2, axis=-1),
-            grad_u=lambda x: weights * (x - center),
-            hess_u=lambda x: np.diag(weights),
-        )
+    center: np.ndarray  # (d,)
+    weights: np.ndarray  # (d,)
 
     def value(self, measure: EmpiricalMeasure) -> float:
-        return float(np.mean(self.u(measure.atoms)))
+        u = 0.5 * np.sum(self.weights * (measure.atoms - self.center) ** 2, axis=-1)
+        return float(np.mean(u))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-        xb, single = _batched(x)
-        out = np.asarray(self.grad_u(xb), dtype=float)
-        return out[0] if single else out
+        return self.weights * (np.asarray(x, dtype=float) - self.center)
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
-        if self.hess_u is None:
-            raise NotImplementedError("LinearLoss has no var_grad_vjp without hess_u")
-        return np.stack([self.hess_u(a) @ ua for a, ua in zip(measure.atoms, u)])
+        return self.weights * u
 
 
 @dataclass(frozen=True)
 class InteractionLoss(VariationalLoss):
-    """Pairwise interaction energy L(Q) = double integral of w dQ dQ.
+    """Quadratic interaction energy L(Q) = double integral of
+    w(x, y) = ||x - y||^2 / 2 dQ dQ, which attracts the atoms to each other.
 
-    ``pair_value`` must be symmetric in its two point sets. For symmetric w
-    the first-variation gradient at x is (2/n) sum_j grad_1 w(x, x_j).
+    The first-variation gradient at x is (2/n) sum_j (x - x_j)
+    = 2 (x - mean of the atoms), and d var_grad(Q_n, x_i) / d x_m is
+    2 (1[i = m] - 1/n) I, so var_grad_vjp is 2 (u - mean of u).
     """
 
-    pair_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pair_grad1: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    @classmethod
-    def quadratic(cls) -> "InteractionLoss":
-        """w(x, y) = ||x - y||^2 / 2, the attractive quadratic interaction."""
-
-        def value(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return 0.5 * np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1)
-
-        def grad1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            return x[:, None, :] - y[None, :, :]
-
-        return _QuadraticInteraction(value, grad1)
-
     def value(self, measure: EmpiricalMeasure) -> float:
-        w = self.pair_value(measure.atoms, measure.atoms)
+        x = measure.atoms
+        w = 0.5 * np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=-1)
         return float(np.sum(w) / measure.n**2)
-
-    def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-        xb, single = _batched(x)
-        g = np.asarray(self.pair_grad1(xb, measure.atoms), dtype=float)  # (m, n, d)
-        out = 2.0 * np.mean(g, axis=1)
-        return out[0] if single else out
-
-
-@dataclass(frozen=True)
-class _QuadraticInteraction(InteractionLoss):
-    """The quadratic interaction, whose score has the closed form
-    (2/n) sum_j (x - x_j) = 2 (x - mean of the atoms)."""
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         return 2.0 * (np.asarray(x, dtype=float) - measure.atoms.mean(axis=0))
@@ -162,9 +128,10 @@ class MeanFieldRegressionLoss(VariationalLoss):
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)
     lam: float = 300.0
-    # [weak reference to the measure, its atoms, residuals, gradients at the
-    # atoms] for the measure last asked (``_fit``): a particle gradient reads
-    # them for the scores and again for the VJP.
+    # [atoms, residuals, gradients at the atoms] for the atoms last fitted
+    # (``_fit``): a particle gradient reads them for the scores and again
+    # for the VJP, and a flow's trace row and its next step score the same
+    # atoms through two measures.
     _last_fit: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -184,16 +151,15 @@ class MeanFieldRegressionLoss(VariationalLoss):
 
     def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
         """Residuals y - E_Q[Phi(z, .)], shape (N,), and grad Phi(z_l, x_i)
-        at the atoms, shape (n, N, 4): computed once per measure and kept
-        while it lives, unless its atoms change in place."""
+        at the atoms, shape (n, N, 4): computed once per set of atoms, and
+        kept until atoms that differ are fitted or the VJP drops them."""
         last = self._last_fit
-        if not (last and last[0]() is measure and np.array_equal(last[1], measure.atoms)):
+        if not (last and np.array_equal(last[0], measure.atoms)):
             last.clear()  # the old gradients go before the new are built
             resid = self.responses - self.predictions(measure)
             grads = mfnn_grad(measure.atoms, self.covariates)
-            last[:] = [weakref.ref(measure, lambda _: last.clear()), measure.atoms.copy(),
-                       resid, grads]
-        return last[2], last[3]
+            last[:] = [measure.atoms.copy(), resid, grads]
+        return last[1], last[2]
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         xb, single = _batched(x)
@@ -222,17 +188,6 @@ class MeanFieldRegressionLoss(VariationalLoss):
         return (2.0 * self.lam / self.covariates.size) * (
             pulled - np.einsum("l,mlp->mp", resid, hvp)
         )
-
-
-def gaussian_overlap(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
-    """E[exp(-(Y - Y')^2 / 2)] for independent Y ~ N(a, sigma^2), Y' ~ N(b, sigma^2).
-
-    Closed form (1 + 2 sigma^2)^(-1/2) exp(-(a - b)^2 / (2 (1 + 2 sigma^2))),
-    elementwise over broadcast inputs.
-    """
-    v = 1.0 + 2.0 * sigma**2
-    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
 
 
 def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:
@@ -360,9 +315,9 @@ class PredictiveKernelLoss(VariationalLoss):
 
     # -- pair terms ----------------------------------------------------------
 
-    def _data_terms(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point data fit term and its gradient: (m,), (m, d)."""
-        means, sens = self.prefetch(points)  # (m, N, s), (m, N, s, d)
+    def _data_terms(self, means: np.ndarray, sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point data fit term and its gradient, (m,) and (m, d), from the
+        points' solver outputs (m, N, s) and sensitivities (m, N, s, d)."""
         obs = self.observations[None, :, :]
         prod = np.prod(gaussian_smooth(obs, means, self.sigma), axis=-1)  # (m, N)
         value = np.mean(prod, axis=-1)  # (m,)
@@ -373,12 +328,12 @@ class PredictiveKernelLoss(VariationalLoss):
         return value, grad
 
     def _cross_block(
-        self, xs: np.ndarray, ys: np.ndarray, need_grad: bool
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Double-expectation term over all pairs: (m, p) and gradients (m, p, d)
-        (formulas in the class docstring)."""
-        mx, sx = self.prefetch(xs)
-        my, _ = self.prefetch(ys)
+        self, mx: np.ndarray, sx: np.ndarray, my: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Double-expectation term over all pairs, (m, p), and its gradients
+        (m, p, d), from the solver outputs mx (m, N, s) and sensitivities sx
+        (m, N, s, d) of the first argument and the outputs my (p, N, s) of
+        the second (formulas in the class docstring)."""
         (m, n_obs, s), p = mx.shape, my.shape[0]
         v = 1.0 + 2.0 * self.sigma**2
         # Centred together, so that the gradient's (sum_j a_ij) m_x(t_i) -
@@ -388,7 +343,7 @@ class PredictiveKernelLoss(VariationalLoss):
         ty_blocks = my - centre  # (p, N, s)
         ty = ty_blocks.reshape(p * n_obs, s)
         values = np.empty((m, p))
-        grads = np.empty((m, p, sx.shape[-1])) if need_grad else None
+        grads = np.empty((m, p, sx.shape[-1]))
         chunk = max(1, _PAIR_BLOCK_ENTRIES // max(1, p * n_obs * n_obs))
         for lo in range(0, m, chunk):
             hi = min(m, lo + chunk)
@@ -406,41 +361,33 @@ class PredictiveKernelLoss(VariationalLoss):
             a = a.reshape((hi - lo) * n_obs, p, n_obs)  # rows (x, t_i), (y, t_j)
             weight = a.sum(axis=2)  # sum_j a_ij, (rows, p)
             values[lo:hi] = weight.reshape(hi - lo, n_obs, p).sum(axis=1)
-            if need_grad:
-                pulled = np.matmul(a.transpose(1, 0, 2), ty_blocks)  # (p, rows, s)
-                inner = weight.T[:, :, None] * tx[rows] - pulled
-                inner = inner.reshape(p, hi - lo, n_obs * s).transpose(1, 0, 2)
-                grads[lo:hi] = inner @ sx[lo:hi].reshape(hi - lo, n_obs * s, -1)
+            pulled = np.matmul(a.transpose(1, 0, 2), ty_blocks)  # (p, rows, s)
+            inner = weight.T[:, :, None] * tx[rows] - pulled
+            inner = inner.reshape(p, hi - lo, n_obs * s).transpose(1, 0, 2)
+            grads[lo:hi] = inner @ sx[lo:hi].reshape(hi - lo, n_obs * s, -1)
         pref = v ** (-0.5 * s) / n_obs**2
         values *= pref
-        if need_grad:
-            grads *= -pref / v
+        grads *= -pref / v
         return values, grads
 
-    def pair_block(
-        self, xs: np.ndarray, ys: np.ndarray, need_grad: bool = True
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Pair values (m, p) and first-argument gradients (m, p, d)."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        cross, cross_grad = self._cross_block(xs, ys, need_grad)
-        dx, gx = self._data_terms(xs)
-        dy, _ = self._data_terms(ys)
-        values = cross - dx[:, None] - dy[None, :]
-        if not need_grad:
-            return values, None
-        grads = cross_grad - gx[:, None, :]
-        return values, grads
+    def pair_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pair values (m, p) and first-argument gradients (m, p, d); each
+        argument's solver outputs are fetched once."""
+        mx, sx = self.prefetch(xs)
+        my, sy = self.prefetch(ys)
+        cross, cross_grad = self._cross_block(mx, sx, my)
+        dx, gx = self._data_terms(mx, sx)
+        dy, _ = self._data_terms(my, sy)
+        return cross - dx[:, None] - dy[None, :], cross_grad - gx[:, None, :]
 
     # -- loss contract ---------------------------------------------------------
 
     def value(self, measure: EmpiricalMeasure) -> float:
-        values, _ = self.pair_block(measure.atoms, measure.atoms, need_grad=False)
+        values, _ = self.pair_block(measure.atoms, measure.atoms)
         return float(np.sum(values) / (2.0 * self.lam * measure.n**2))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         xb, single = _batched(x)
         _, grads = self.pair_block(xb, measure.atoms)
-        assert grads is not None
         out = np.sum(grads, axis=1) / (measure.n * self.lam)
         return out[0] if single else out

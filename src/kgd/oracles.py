@@ -1,7 +1,7 @@
 """Independent checking instruments: finite differences, a plain ODE solver,
-quadrature, the kernels' derivative table, the Stein kernel and flow
-velocity built on it, a reference kernel Stein discrepancy, and log-log
-slope fitting.
+quadrature, the Gaussian overlap, the kernels' derivative table, the Stein
+kernel and flow velocity built on it, a reference kernel Stein discrepancy,
+and log-log slope fitting.
 
 Everything in this module is deliberately written from first principles and
 shares no code with the production paths it is used to validate. Keep it that
@@ -120,7 +120,8 @@ def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) ->
     def objective(xi: np.ndarray) -> float:
         moved = atoms.copy()
         moved[index] = xi
-        return loss.value(measure.with_atoms(moved))
+        # A measure of the measure's own type, so no production type is imported.
+        return loss.value(type(measure)(moved))
 
     fd = fd_gradient(objective, atoms[index], base_step)
     vg = loss.var_grad(measure, atoms[index])
@@ -161,6 +162,20 @@ def gauss_hermite_2d(
         for wj, yj in zip(weights, yps):
             total += wi * wj * integrand(yi, yj)
     return total / np.pi
+
+
+def gaussian_overlap(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """E[exp(-(Y - Y')^2 / 2)] for independent Y ~ N(a, sigma^2), Y' ~ N(b, sigma^2).
+
+    Closed form (1 + 2 sigma^2)^(-1/2) exp(-(a - b)^2 / (2 (1 + 2 sigma^2))),
+    elementwise over broadcast inputs. The predictive loss writes its
+    product over species inline in the pair blocks; this one-species form is
+    the reference for assembling a pair term by loops, and is itself held to
+    ``gauss_hermite_2d``.
+    """
+    v = 1.0 + 2.0 * sigma**2
+    diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
 
 
 class KernelTable(NamedTuple):

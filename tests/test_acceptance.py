@@ -32,7 +32,6 @@ from kgd.losses import (
     MeanFieldRegressionLoss,
     PredictiveKernelLoss,
     ZeroLoss,
-    gaussian_overlap,
     )
 from kgd.models import (
     LV_DELTA,
@@ -44,7 +43,7 @@ from kgd.models import (
     lv_sensitivities,
     )
 from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
-                         kernel_derivatives, lv_solve, reference_ksd_squared,
+                         gaussian_overlap, kernel_derivatives, lv_solve, reference_ksd_squared,
                          reference_stein_kernel)
 from kgd.samplers import OptimizerSpec, SearchSpec, greedy_extend, vgd_run
 
@@ -64,9 +63,7 @@ def test_classical_equivalence_on_random_configurations():
         d = int(rng.integers(1, 6))
         n = int(rng.integers(1, 31))
         ref = DiagonalGaussian(rng.standard_normal(d), rng.uniform(0.5, 2.0, size=d))
-        loss = LinearLoss.quadratic(
-            rng.standard_normal(d), rng.uniform(0.2, 1.5, size=d)
-        )
+        loss = LinearLoss(rng.standard_normal(d), rng.uniform(0.2, 1.5, size=d))
         lengthscale = float(rng.uniform(0.5, 2.0))
         kernel = IMQ(lengthscale) if rng.integers(2) else Gaussian(lengthscale)
         atoms = rng.standard_normal((n, d))
@@ -109,7 +106,7 @@ def test_spread_scaling_is_dimension_independent():
         study = clt_scaling_study(
             IMQ(float(np.sqrt(d))),
             DiagonalGaussian.standard(d),
-            InteractionLoss.quadratic(),
+            InteractionLoss(),
             lambda rng, n: 1.0 + rng.standard_normal((n, d)),
             sizes,
             200,
@@ -139,10 +136,10 @@ def test_particle_gradient_identity_across_losses():
         check("zero", ZeroLoss(), atoms)
         check(
             "linear-quadratic",
-            LinearLoss.quadratic(rng.standard_normal(3), rng.uniform(0.2, 2.0, 3)),
+            LinearLoss(rng.standard_normal(3), rng.uniform(0.2, 2.0, 3)),
             atoms,
         )
-        check("interaction-quadratic", InteractionLoss.quadratic(), atoms)
+        check("interaction-quadratic", InteractionLoss(), atoms)
 
     data = gen_mfnn_data(0, n_data=60)
     regression = MeanFieldRegressionLoss(data.covariates, data.responses)
@@ -294,8 +291,8 @@ def test_stein_gram_algebra():
     rng = np.random.default_rng(8)
     losses = [
         ZeroLoss(),
-        LinearLoss.quadratic(np.zeros(3), np.array([1.0, 0.5, 2.0])),
-        InteractionLoss.quadratic(),
+        LinearLoss(np.zeros(3), np.array([1.0, 0.5, 2.0])),
+        InteractionLoss(),
     ]
     worst_pair = 0.0
     worst_asym = 0.0

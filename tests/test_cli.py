@@ -9,6 +9,8 @@ knob overrides.
 import json
 import os
 import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +470,18 @@ class TestEvalVerb:
         assert "non-finite Stein Gram entry (0, 0)" in captured.err
         assert "kgd_v2" not in captured.out
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_score_maps_to_exit_code_three(self, tmp_path, capsys):
+        # The potential's gradient overflows at the first atom: the score is
+        # named before any Stein entry is built from it.
+        p = tmp_path / "far.csv"
+        write_particles(p, np.array([[1e10, 0.0], [0.0, 1.0]]))
+        cfg = _write_config(tmp_path, {"loss": {"family": "linear-quadratic", "weights": 1e300}})
+        assert main(["eval", "--config", cfg, "--particles", str(p)]) == 3
+        captured = capsys.readouterr()
+        assert "non-finite score at atom 0" in captured.err
+        assert "kgd_v2" not in captured.out
+
     def test_missing_config_file(self, tmp_path, capsys):
         p = tmp_path / "p.csv"
         write_particles(p, np.zeros((1, 2)))
@@ -633,3 +647,17 @@ class TestSelfCheck:
         assert any(l.startswith("PASS tilted-gram ") for l in lines)
         assert any(l.startswith("PASS stein-gram ") for l in lines)
         assert any(l.startswith("PASS kernel-derivatives ") for l in lines)
+
+
+class TestBenchmarkTracer:
+    def test_wraps_every_entry_point_it_names(self):
+        # The benchmark's tracer wraps kgd functions by name once the CLI is
+        # loaded, and raises on a name that is gone: a traced benchmark run
+        # then fails instead of measuring.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "benchmarks")]))
+        probe = "import kgd.cli; import tracing; tracing.Tracer().install()"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=root,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr

@@ -28,11 +28,6 @@ class TestEmpiricalMeasure:
         with pytest.raises(ValueError):
             EmpiricalMeasure(np.array([[0.0, np.nan]]))
 
-    def test_with_atoms_returns_new_measure(self):
-        m = EmpiricalMeasure(np.zeros((2, 2)))
-        m2 = m.with_atoms(np.ones((3, 2)))
-        assert m2.n == 3 and m.n == 2
-
 
 class TestDiagonalGaussian:
     def test_log_grad_matches_fd_of_log_density(self):

@@ -78,7 +78,7 @@ def _oracle_eval(kernel, ref, loss, measure, x, y) -> float:
 def _random_setup(seed: int, n: int = 8, d: int = 3):
     rng = np.random.default_rng(seed)
     ref = DiagonalGaussian(rng.standard_normal(d), rng.uniform(0.5, 2.0, size=d))
-    loss = InteractionLoss.quadratic()
+    loss = InteractionLoss()
     measure = EmpiricalMeasure(rng.standard_normal((n, d)))
     return rng, ref, loss, measure
 
@@ -97,7 +97,7 @@ class TestGenScore:
     def test_linear_loss_tilts_the_score(self):
         ref = DiagonalGaussian.standard(2)
         weights = np.array([2.0, 3.0])
-        loss = LinearLoss.quadratic(np.zeros(2), weights)
+        loss = LinearLoss(np.zeros(2), weights)
         measure = EmpiricalMeasure(np.ones((2, 2)))
         xs = np.random.default_rng(0).standard_normal((4, 2))
         np.testing.assert_allclose(
@@ -212,7 +212,7 @@ class TestSteinSums:
 
     @pytest.mark.parametrize(
         "loss",
-        [InteractionLoss.quadratic(),
+        [InteractionLoss(),
          MeanFieldRegressionLoss(_MFNN_DATA.covariates, _MFNN_DATA.responses)],
         ids=["interaction", "mean-field"],
     )
@@ -247,7 +247,7 @@ class TestSteinSums:
         # (515 is four full blocks and a ragged one).
         rng = np.random.default_rng(13)
         ref = DiagonalGaussian.standard(3)
-        loss = InteractionLoss.quadratic()
+        loss = InteractionLoss()
         kernels = [IMQ(0.8), Mixture((IMQ(0.5), Gaussian(2.0))),
                    WeightedMatrixKernel(c=1.1, exponent=0.5, base=IMQ(0.9))]
         clouds = {n: rng.standard_normal((n, 3)) for n in (515, 10, 2)}
@@ -291,7 +291,7 @@ class TestSteinSums:
         monkeypatch.setattr(IMQ, "profile", counted)
         atoms = np.random.default_rng(14).standard_normal((n, 3))
         ref = DiagonalGaussian.standard(3)
-        loss = InteractionLoss.quadratic()
+        loss = InteractionLoss()
         scores = gen_score(ref, loss, EmpiricalMeasure(atoms), atoms)
         if order == 1:
             stein_drift(IMQ(0.8), atoms, scores)
@@ -322,9 +322,7 @@ class TestClassicalEquivalence:
         d = int(rng.integers(1, 5))
         n = int(rng.integers(2, 20))
         ref = DiagonalGaussian(rng.standard_normal(d), rng.uniform(0.5, 2.0, size=d))
-        loss = LinearLoss.quadratic(
-            rng.standard_normal(d), rng.uniform(0.2, 1.5, size=d)
-        )
+        loss = LinearLoss(rng.standard_normal(d), rng.uniform(0.2, 1.5, size=d))
         kernel = (
             IMQ(float(rng.uniform(0.6, 2.0)))
             if seed % 2

@@ -18,11 +18,10 @@ from kgd.losses import (
     PredictiveKernelLoss,
     VariationalLoss,
     ZeroLoss,
-    gaussian_overlap,
     gaussian_smooth,
     )
 from kgd.models import gen_mfnn_data
-from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d
+from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap
 
 IDENTITY_TOL = 1e-4  # var_grad vs n * FD gradient of the particle objective
 JAC_TOL = 1e-6  # var_grad_vjp vs the central-difference jacobian
@@ -70,7 +69,7 @@ class TestLinearLoss:
     def test_quadratic_gradient_by_hand(self):
         center = np.array([1.0, -2.0])
         weights = np.array([3.0, 0.5])
-        loss = LinearLoss.quadratic(center, weights)
+        loss = LinearLoss(center, weights)
         measure = EmpiricalMeasure(np.zeros((2, 2)))
         x = np.array([2.0, 1.0])
         np.testing.assert_allclose(
@@ -82,7 +81,7 @@ class TestLinearLoss:
         center = rng.standard_normal(3)
         weights = rng.uniform(0.5, 2.0, size=3)
         atoms = rng.standard_normal((5, 3))
-        loss = LinearLoss.quadratic(center, weights)
+        loss = LinearLoss(center, weights)
         expected = np.mean(
             [0.5 * np.sum(weights * (a - center) ** 2) for a in atoms]
         )
@@ -91,14 +90,14 @@ class TestLinearLoss:
         )
 
     def test_gradient_ignores_the_measure(self):
-        loss = LinearLoss.quadratic(np.zeros(2), np.ones(2))
+        loss = LinearLoss(np.zeros(2), np.ones(2))
         x = np.array([0.3, -0.7])
         one = loss.var_grad(EmpiricalMeasure(np.zeros((1, 2))), x)
         other = loss.var_grad(EmpiricalMeasure(np.full((9, 2), 5.0)), x)
         np.testing.assert_array_equal(one, other)
 
     def test_batched_matches_single(self):
-        loss = LinearLoss.quadratic(np.array([1.0, 0.0]), np.array([2.0, 3.0]))
+        loss = LinearLoss(np.array([1.0, 0.0]), np.array([2.0, 3.0]))
         measure = EmpiricalMeasure(np.zeros((1, 2)))
         xs = np.random.default_rng(0).standard_normal((4, 2))
         batch = loss.var_grad(measure, xs)
@@ -108,7 +107,7 @@ class TestLinearLoss:
     def test_jacobian_blocks(self):
         # Each score moves with its own atom only, through the Hessian of u.
         weights = np.array([2.0, 0.5])
-        loss = LinearLoss.quadratic(np.zeros(2), weights)
+        loss = LinearLoss(np.zeros(2), weights)
         rng = np.random.default_rng(1)
         atoms = rng.standard_normal((3, 2))
         u = rng.standard_normal((3, 2))
@@ -116,15 +115,10 @@ class TestLinearLoss:
         np.testing.assert_array_equal(vjp, weights * u)
         np.testing.assert_allclose(vjp, _fd_vjp(loss, atoms, u), atol=JAC_TOL)
 
-    def test_second_order_requires_hessian(self):
-        loss = LinearLoss(u=lambda x: np.sum(x, axis=-1), grad_u=np.ones_like)
-        with pytest.raises(NotImplementedError, match="hess_u"):
-            loss.var_grad_vjp(EmpiricalMeasure(np.zeros((2, 2))), np.ones((2, 2)))
-
 
 class TestInteractionLoss:
     def test_two_atom_value_by_hand(self):
-        loss = InteractionLoss.quadratic()
+        loss = InteractionLoss()
         atoms = np.array([[0.0, 1.0], [2.0, -1.0]])
         expected = np.sum((atoms[0] - atoms[1]) ** 2) / 4.0
         np.testing.assert_allclose(
@@ -132,7 +126,7 @@ class TestInteractionLoss:
         )
 
     def test_gradient_by_hand(self):
-        loss = InteractionLoss.quadratic()
+        loss = InteractionLoss()
         atoms = np.random.default_rng(2).standard_normal((6, 3))
         measure = EmpiricalMeasure(atoms)
         x = np.array([0.5, -1.0, 2.0])
@@ -140,45 +134,16 @@ class TestInteractionLoss:
             loss.var_grad(measure, x), 2.0 * (x - atoms.mean(axis=0)), rtol=1e-13
         )
 
-    def test_closed_form_score_matches_generic_route(self):
-        quad = InteractionLoss.quadratic()
-        generic = InteractionLoss(quad.pair_value, quad.pair_grad1)
-        rng = np.random.default_rng(7)
-        atoms = rng.standard_normal((9, 3))
-        measure = EmpiricalMeasure(atoms)
-        off_atom = 3.0 * rng.standard_normal((5, 3))
-        for x in (atoms, off_atom, off_atom[0]):
-            fast = quad.var_grad(measure, x)
-            slow = generic.var_grad(measure, x)
-            assert fast.shape == slow.shape
-            assert np.max(np.abs(fast - slow)) <= 1e-13 * np.max(np.abs(slow))
-
     def test_jacobian_blocks_by_hand(self):
         # d var_grad_i / d x_m = 2 (1[i == m] - 1/n) I, so with n = 4 the
         # product is 2 u_m - (1/2) sum_i u_i.
-        loss = InteractionLoss.quadratic()
+        loss = InteractionLoss()
         rng = np.random.default_rng(4)
         atoms = rng.standard_normal((4, 2))
         u = rng.standard_normal((4, 2))
         vjp = loss.var_grad_vjp(EmpiricalMeasure(atoms), u)
         np.testing.assert_allclose(vjp, 2.0 * u - 0.5 * u.sum(axis=0), rtol=1e-14, atol=1e-15)
         np.testing.assert_allclose(vjp, _fd_vjp(loss, atoms, u), atol=JAC_TOL)
-
-    def test_generic_pair_function(self):
-        # A non-quadratic interaction exercises the generic assembly.
-        def value(x, y):
-            return np.exp(-0.5 * np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=-1))
-
-        def grad1(x, y):
-            diff = x[:, None, :] - y[None, :, :]
-            return -value(x, y)[..., None] * diff
-
-        loss = InteractionLoss(value, grad1)
-        atoms = np.random.default_rng(5).standard_normal((5, 2))
-        measure = EmpiricalMeasure(atoms)
-        assert euclid_identity_check(loss, measure, 2) < IDENTITY_TOL
-        with pytest.raises(NotImplementedError, match="InteractionLoss"):
-            loss.var_grad_vjp(measure, atoms)
 
 
 class TestMeanFieldRegression:
@@ -396,6 +361,12 @@ def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _cross(loss: PredictiveKernelLoss, xs: np.ndarray, ys: np.ndarray):
+    """The loss's double-expectation block of xs against ys."""
+    mx, sx = loss.prefetch(xs)
+    return loss._cross_block(mx, sx, loss.prefetch(ys)[0])
+
+
 class TestPredictiveKernelLoss:
     def test_pair_terms_against_loops(self):
         loss = _wave_loss()
@@ -502,7 +473,7 @@ class TestPredictiveKernelLoss:
         loss.solver = offset_solver
         rng = np.random.default_rng(20)
         xs, ys = rng.standard_normal((4, 2)), rng.standard_normal((3, 2))
-        values, grads = loss._cross_block(xs, ys, True)
+        values, grads = _cross(loss, xs, ys)
         want_values, want_grads = _broadcast_cross(loss, xs, ys)
         _assert_close_to_max(values, want_values, 1e-12)
         _assert_close_to_max(grads, want_grads, 1e-12)
@@ -511,15 +482,32 @@ class TestPredictiveKernelLoss:
         loss = _wave_loss()
         rng = np.random.default_rng(21)
         xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((3, 2))
-        whole_values, whole_grads = loss._cross_block(xs, ys, True)
+        whole_values, whole_grads = _cross(loss, xs, ys)
         # Two rows per chunk: chunks of 2, 2 and 1 rows.
         monkeypatch.setattr(losses, "_PAIR_BLOCK_ENTRIES", 2 * 3 * loss.times.size**2)
-        values, grads = loss._cross_block(xs, ys, True)
+        values, grads = _cross(loss, xs, ys)
         want_values, want_grads = _broadcast_cross(loss, xs, ys)
         for got, whole, want in ((values, whole_values, want_values),
                                  (grads, whole_grads, want_grads)):
             _assert_close_to_max(got, want, 1e-12)
             _assert_close_to_max(got, whole, 1e-12)
+
+    def test_pair_block_fetches_each_argument_once(self):
+        # One prefetch per argument serves both the cross term and the data
+        # terms.
+        loss = _wave_loss()
+        rng = np.random.default_rng(23)
+        xs, ys = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
+        want = _wave_loss().pair_block(xs, ys)
+        asked = []
+        fetch = loss.prefetch
+        loss.prefetch = lambda points: asked.append(points) or fetch(points)
+        got = loss.pair_block(xs, ys)
+        assert len(asked) == 2
+        np.testing.assert_array_equal(asked[0], xs)
+        np.testing.assert_array_equal(asked[1], ys)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_prefetch_solves_each_distinct_point_once(self):
         calls = []
@@ -565,8 +553,8 @@ class TestEuclidIdentity:
         atoms2 = rng.standard_normal((5, 2))
         data = gen_mfnn_data(0, n_data=30)
         cases = [
-            (LinearLoss.quadratic(np.zeros(2), np.array([1.0, 2.0])), atoms2),
-            (InteractionLoss.quadratic(), atoms2),
+            (LinearLoss(np.zeros(2), np.array([1.0, 2.0])), atoms2),
+            (InteractionLoss(), atoms2),
             (
                 MeanFieldRegressionLoss(data.covariates, data.responses),
                 rng.standard_normal((5, 4)),

@@ -12,7 +12,9 @@ import pytest
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import kgd_u_squared, kgd_v_squared, particle_grad
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
-from kgd.losses import InteractionLoss, LinearLoss, MeanFieldRegressionLoss, ZeroLoss
+from kgd import losses
+from kgd.losses import (InteractionLoss, LinearLoss, MeanFieldRegressionLoss,
+                        PredictiveKernelLoss, ZeroLoss)
 from kgd.models import gen_mfnn_data
 from kgd.oracles import fd_gradient, kernel_derivatives
 from kgd.samplers import (
@@ -93,6 +95,25 @@ class TestMFLD:
             moved, atoms + eps * scores + np.sqrt(2.0 * eps) * noise
         )
 
+    def test_traced_run_fits_the_network_once_per_configuration(self, monkeypatch):
+        # A trace row and the step after it score the same atoms through two
+        # measures; they share one fit, so k steps traced at every step fit
+        # the k + 1 configurations once each. The trace ends bitwise where a
+        # fresh loss evaluates the final atoms.
+        data = gen_mfnn_data(0, n_data=30)
+        make = lambda: MeanFieldRegressionLoss(data.covariates, data.responses, lam=3.0)
+        ref = DiagonalGaussian.standard(4)
+        atoms = np.random.default_rng(24).standard_normal((5, 4))
+        k = 4
+        calls = []
+        grad = losses.mfnn_grad
+        monkeypatch.setattr(losses, "mfnn_grad", lambda *a: calls.append(a) or grad(*a))
+        run = mfld_run(atoms, ref, make(), 0.01, k, seeded_stream(3, "fit"),
+                       trace_kernel=IMQ(1.0), trace_every=1)
+        assert len(calls) == k + 1 and len(run.kgd2) == k + 1
+        final = kgd_v_squared(IMQ(1.0), ref, make(), EmpiricalMeasure(run.atoms)).value2
+        assert run.kgd2[-1] == final
+
     def test_run_iterates_the_step(self):
         atoms = np.zeros((3, 2))
         run = mfld_run(
@@ -155,7 +176,7 @@ class TestMFLD:
     def test_divergence_raises_with_step_index(self):
         # A strongly repulsive potential grows the configuration by a fixed
         # factor per step, so the guard must fire partway through.
-        loss = LinearLoss.quadratic(np.zeros(1), np.array([-100.0]))
+        loss = LinearLoss(np.zeros(1), np.array([-100.0]))
         with pytest.raises(SamplerDivergence, match="diverged at step") as info:
             mfld_run(
                 np.ones((2, 1)), DiagonalGaussian.standard(1), loss, 1.0, 50,
@@ -206,7 +227,7 @@ class TestVGD:
     def test_drift_matches_hand_loops(self, kernel):
         rng = np.random.default_rng(8)
         ref = DiagonalGaussian(rng.standard_normal(2), rng.uniform(0.5, 2.0, 2))
-        loss = LinearLoss.quadratic(rng.standard_normal(2), rng.uniform(0.2, 1.0, 2))
+        loss = LinearLoss(rng.standard_normal(2), rng.uniform(0.2, 1.0, 2))
         atoms = rng.standard_normal((5, 2))
         measure = EmpiricalMeasure(atoms)
         scores = ref.log_grad(atoms) - loss.var_grad(measure, atoms)
@@ -264,11 +285,11 @@ def _kgdd_loss(name: str, offset: float):
     if name == "zero":
         return ZeroLoss()
     if name == "linear":
-        return LinearLoss.quadratic(
+        return LinearLoss(
             offset + np.array([0.5, -0.5, 0.2, 0.0]), np.array([1.0, 2.0, 0.5, 1.5])
         )
     if name == "interaction":
-        return InteractionLoss.quadratic()
+        return InteractionLoss()
     data = gen_mfnn_data(0, n_data=30)
     return MeanFieldRegressionLoss(data.covariates, data.responses, lam=3.0)
 
@@ -331,14 +352,14 @@ class TestKGDDGradient:
     def test_analytic_needs_second_order_blocks(self):
         # The scores move with the atoms through the loss's var_grad_vjp; a
         # loss without one is rejected by name.
-        loss = LinearLoss(u=lambda x: np.sum(x, axis=-1), grad_u=np.ones_like)
-        with pytest.raises(NotImplementedError, match="hess_u"):
-            kgdd_grad(IMQ(1.0), DiagonalGaussian.standard(2), loss, np.zeros((2, 2)))
-        generic = InteractionLoss(
-            InteractionLoss.quadratic().pair_value, InteractionLoss.quadratic().pair_grad1
-        )
-        with pytest.raises(NotImplementedError, match="InteractionLoss"):
-            kgdd_grad(IMQ(1.0), DiagonalGaussian.standard(2), generic, np.ones((2, 2)))
+        def still(points, times):  # every point maps to zero trajectories
+            m, t = len(points), len(times)
+            return np.zeros((m, t, 2)), np.zeros((m, t, 2, 2))
+
+        loss = PredictiveKernelLoss(np.array([0.5, 1.0]), np.zeros((2, 2)), solver=still)
+        atoms = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NotImplementedError, match="PredictiveKernelLoss"):
+            kgdd_grad(IMQ(1.0), DiagonalGaussian.standard(2), loss, atoms)
 
     def test_u_gradient_needs_two_atoms(self):
         with pytest.raises(ValueError, match="two atoms"):
