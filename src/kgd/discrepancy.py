@@ -421,11 +421,9 @@ def _gram_sums(
 
 @dataclass(frozen=True)
 class KGDEstimate:
-    """Squared-discrepancy estimate together with its provenance."""
+    """Squared-discrepancy estimate."""
 
     value2: float
-    estimator: str  # "v" or "u"
-    n: int
 
     @property
     def value(self) -> float:
@@ -441,7 +439,7 @@ def kgd_v_squared(
 ) -> KGDEstimate:
     """V-statistic (1/n^2) sum_ij h(x_i, x_j); nonnegative for psd kernels."""
     total, _ = _gram_sums(kernel, ref, loss, measure)
-    return KGDEstimate(total / measure.n**2, "v", measure.n)
+    return KGDEstimate(total / measure.n**2)
 
 
 def kgd_u_squared(
@@ -456,7 +454,7 @@ def kgd_u_squared(
     if n < 2:
         raise ValueError("the U-statistic needs at least two atoms")
     total, trace = _gram_sums(kernel, ref, loss, measure)
-    return KGDEstimate((total - trace) / (n * (n - 1)), "u", n)
+    return KGDEstimate((total - trace) / (n * (n - 1)))
 
 
 @dataclass(frozen=True)

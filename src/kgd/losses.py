@@ -315,17 +315,20 @@ class PredictiveKernelLoss(VariationalLoss):
 
     # -- pair terms ----------------------------------------------------------
 
-    def _data_terms(self, means: np.ndarray, sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point data fit term and its gradient, (m,) and (m, d), from the
-        points' solver outputs (m, N, s) and sensitivities (m, N, s, d)."""
+    def _data_fit(self, means: np.ndarray) -> np.ndarray:
+        """Per-point, per-time data fit, (m, N), from the points' solver
+        outputs (m, N, s); its mean over times is the data term."""
         obs = self.observations[None, :, :]
-        prod = np.prod(gaussian_smooth(obs, means, self.sigma), axis=-1)  # (m, N)
-        value = np.mean(prod, axis=-1)  # (m,)
+        return np.prod(gaussian_smooth(obs, means, self.sigma), axis=-1)
+
+    def _data_terms(self, means: np.ndarray, sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point data term and its gradient, (m,) and (m, d), from the
+        points' solver outputs (m, N, s) and sensitivities (m, N, s, d)."""
+        prod = self._data_fit(means)
         # d/dx of the product: product * sum_s (obs - m_s)/(1 + sigma^2) * dm_s/dx
-        scaled = (obs - means) / (1.0 + self.sigma**2)
+        scaled = (self.observations[None, :, :] - means) / (1.0 + self.sigma**2)
         inner = np.einsum("mns,mnsd->mnd", scaled, sens)  # (m, N, d)
-        grad = np.mean(prod[..., None] * inner, axis=1)
-        return value, grad
+        return np.mean(prod, axis=-1), np.mean(prod[..., None] * inner, axis=1)
 
     def _cross_block(
         self, mx: np.ndarray, sx: np.ndarray, my: np.ndarray
@@ -374,10 +377,10 @@ class PredictiveKernelLoss(VariationalLoss):
         """Pair values (m, p) and first-argument gradients (m, p, d); each
         argument's solver outputs are fetched once."""
         mx, sx = self.prefetch(xs)
-        my, sy = self.prefetch(ys)
+        my, _ = self.prefetch(ys)
         cross, cross_grad = self._cross_block(mx, sx, my)
         dx, gx = self._data_terms(mx, sx)
-        dy, _ = self._data_terms(my, sy)
+        dy = np.mean(self._data_fit(my), axis=-1)
         return cross - dx[:, None] - dy[None, :], cross_grad - gx[:, None, :]
 
     # -- loss contract ---------------------------------------------------------

@@ -119,11 +119,11 @@ def lv_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def lv_equilibrium(x: np.ndarray, gamma: float = LV_GAMMA, delta: float = LV_DELTA) -> np.ndarray:
+def lv_equilibrium(x: np.ndarray) -> np.ndarray:
     """Coexistence fixed point (gamma / delta, alpha / beta) of the drift."""
     alpha, beta = lv_params(x)
     return np.stack(
-        [np.broadcast_to(gamma / delta, np.shape(alpha)), alpha / beta], axis=-1
+        [np.broadcast_to(LV_GAMMA / LV_DELTA, np.shape(alpha)), alpha / beta], axis=-1
     )
 
 
@@ -205,9 +205,6 @@ def lv_sensitivities(
     x: np.ndarray,
     times: np.ndarray,
     step: float = 0.01,
-    init: tuple[float, float] = LV_INIT,
-    gamma: float = LV_GAMMA,
-    delta: float = LV_DELTA,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories and their derivatives with respect to x.
 
@@ -245,8 +242,8 @@ def lv_sensitivities(
     m = xb.shape[0]
     alpha, beta = lv_params(xb)
     s2 = sigmoid(xb[..., 1])
-    delta_m = np.full(m, delta)
-    neg_gamma = np.full(m, -gamma)
+    delta_m = np.full(m, LV_DELTA)
+    neg_gamma = np.full(m, -LV_GAMMA)
     coef = np.stack([
         alpha, -beta,
         delta_m, neg_gamma,
@@ -265,7 +262,7 @@ def lv_sensitivities(
 
     state0 = np.zeros((7, m))
     state0[0] = 1.0
-    state0[1:3] = np.asarray(init, dtype=float)[:, None]
+    state0[1:3] = np.asarray(LV_INIT, dtype=float)[:, None]
     path = _rk4_record(rhs, state0, np.asarray(times, dtype=float), step)  # (7, N, m)
     u = np.ascontiguousarray(path[1:3].transpose(2, 1, 0))
     sens = np.ascontiguousarray(path[3:].transpose(2, 1, 0)).reshape(m, -1, 2, 2)
@@ -278,56 +275,52 @@ class SeriesData(NamedTuple):
     latent: np.ndarray  # (N, 2) noise-free-of-measurement latent path
 
 
+# The data-generating system: alpha = sigmoid(-1) and beta = sigmoid(-3),
+# so x = (-1, logit(beta / alpha)), with the fixed gamma, delta and initial
+# populations above, integrated with RK4 substeps of this size.
+_DATA_ALPHA = float(sigmoid(np.array(-1.0)))
+_DATA_BETA = float(sigmoid(np.array(-3.0)))
+_SDE_STEP = 0.005
+
+
 def gen_lv_data(
     seed: int,
     times: np.ndarray | None = None,
     sigma: float = 1.0,
     drive: tuple[float, float] = (0.1, 0.2),
-    alpha: float | None = None,
-    beta: float | None = None,
-    sde_step: float = 0.005,
-    init: tuple[float, float] = LV_INIT,
-    gamma: float = LV_GAMMA,
-    delta: float = LV_DELTA,
 ) -> SeriesData:
     """Synthetic population data from a stochastically driven system.
 
-    The drift is integrated with RK4 substeps of size ``sde_step`` while
-    additive noise increments drive_i * sqrt(h) * Z enter after each substep,
-    so setting drive = (0, 0) recovers the deterministic solver exactly.
-    Populations are reflected at zero after each increment: negative counts
-    are unphysical and the drift repels from them, so without reflection a
-    noise excursion through zero diverges. Measurement noise N(0, sigma^2)
-    is then applied per species and time.
-
-    Defaults reproduce the synthetic setting used by the bundled presets:
-    alpha = sigmoid(-1), beta = sigmoid(-3), observations at t = 0, 1, ..., 60.
+    The drift, at alpha = sigmoid(-1), beta = sigmoid(-3) and the fixed
+    gamma, delta and initial populations, is integrated with RK4 substeps of
+    size 0.005 while additive noise increments drive_i * sqrt(h) * Z enter
+    after each substep, so setting drive = (0, 0) recovers the deterministic
+    solver exactly. Populations are reflected at zero after each increment:
+    negative counts are unphysical and the drift repels from them, so
+    without reflection a noise excursion through zero diverges. Measurement
+    noise N(0, sigma^2) is then applied per species and time. Observations
+    are at t = 0, 1, ..., 60 unless ``times`` is given.
     """
     if times is None:
         times = np.arange(0.0, 61.0)
     times = np.asarray(times, dtype=float)
-    if alpha is None:
-        alpha = float(sigmoid(np.array(-1.0)))
-    if beta is None:
-        beta = float(sigmoid(np.array(-3.0)))
     rng = seeded_stream(seed, "lv-data")
-    alpha, beta = float(alpha), float(beta)
     drive1, drive2 = (float(v) for v in drive)
 
     def drift(u1: float, u2: float) -> tuple[float, float]:
-        return alpha * u1 - beta * u1 * u2, delta * u1 * u2 - gamma * u2
+        return _DATA_ALPHA * u1 - _DATA_BETA * u1 * u2, LV_DELTA * u1 * u2 - LV_GAMMA * u2
 
     # One path in Python floats: on two numbers each numpy call costs more
     # than its arithmetic. The expressions follow the RK4 step and the drift
     # of ``kgd.oracles.lv_solve`` term by term, so the path is bitwise the
     # one it gives.
-    u1, u2 = (float(v) for v in init)
+    u1, u2 = (float(v) for v in LV_INIT)
     latent = np.empty((times.size, 2))
     t_prev = 0.0
     for k, t_k in enumerate(times):
         dt = float(t_k) - t_prev
         if dt > 0.0:
-            n_sub = max(1, int(round(dt / sde_step)))
+            n_sub = max(1, int(round(dt / _SDE_STEP)))
             h = dt / n_sub
             half, sixth = 0.5 * h, h / 6.0
             scale1, scale2 = drive1 * math.sqrt(h), drive2 * math.sqrt(h)

@@ -21,6 +21,10 @@ from .discrepancy import gen_score, kgd_v_squared, particle_grad, stein_drift
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class SamplerDivergence(RuntimeError):
@@ -65,9 +69,6 @@ def _check_finite(atoms: np.ndarray, step: int) -> None:
 class OptimizerSpec:
     method: str = "euler"  # "euler" or "adam"
     step_size: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.method not in ("euler", "adam"):
@@ -95,11 +96,11 @@ def optimizer_apply(
     if spec.method == "euler":
         return spec.step_size * direction, replace(state, t=state.t + 1)
     t = state.t + 1
-    m = spec.beta1 * state.m + (1.0 - spec.beta1) * direction
-    v = spec.beta2 * state.v + (1.0 - spec.beta2) * direction**2
-    m_hat = m / (1.0 - spec.beta1**t)
-    v_hat = v / (1.0 - spec.beta2**t)
-    delta = spec.step_size * m_hat / (np.sqrt(v_hat) + spec.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * direction
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * direction**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    delta = spec.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return delta, OptimizerState(m, v, t)
 
 
@@ -169,7 +170,7 @@ def _drive_one(stepper: Stepper, loss: VariationalLoss) -> Any:
 def _flow(
     atoms: np.ndarray,
     n_steps: int,
-    advance: Callable[[np.ndarray, int], np.ndarray],
+    advance: Callable[[np.ndarray], np.ndarray],
     trace_kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
@@ -185,7 +186,7 @@ def _flow(
     wall: list[float] = []
     for step in range(n_steps + 1):
         if step:
-            atoms = advance(atoms, step)
+            atoms = advance(atoms)
             _check_finite(atoms, step)
         traced = trace_kernel is not None and (step % trace_every == 0 or step == n_steps)
         if traced or step < n_steps:
@@ -233,7 +234,7 @@ def mfld_stepper(
     trace_every: int = 1,
 ) -> Stepper:
     """``mfld_run`` as a stepper for ``drive``."""
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+    def advance(current: np.ndarray) -> np.ndarray:
         return mfld_step(current, ref, loss, step_size, rng)
 
     return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
@@ -298,7 +299,7 @@ def vgd_stepper(
     """``vgd_run`` as a stepper for ``drive``."""
     state = optimizer_init(np.shape(atoms))
 
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+    def advance(current: np.ndarray) -> np.ndarray:
         nonlocal state
         moved, state = vgd_step(current, kernel, ref, loss, spec, state)
         return moved
@@ -350,7 +351,7 @@ def kgdd_stepper(
     """``kgdd_run`` as a stepper for ``drive``."""
     state = optimizer_init(np.shape(atoms))
 
-    def advance(current: np.ndarray, _step: int) -> np.ndarray:
+    def advance(current: np.ndarray) -> np.ndarray:
         nonlocal state
         grad = kgdd_grad(kernel, ref, loss, current)
         delta, state = optimizer_apply(spec, state, -grad)
@@ -386,40 +387,27 @@ _REFINE_POINTS = 9
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Candidate set plus coordinate-descent refinement.
+    """Gaussian candidate proposal plus coordinate-descent refinement.
 
-    Stage one scores an explicit candidate array, or ``n_candidates`` draws
-    from an isotropic Gaussian proposal when no candidates are given. Stage
+    Stage one scores ``n_candidates`` draws from an isotropic Gaussian with
+    mean ``proposal_mean`` and standard deviation ``proposal_scale``. Stage
     two runs ``refine_rounds`` sweeps of coordinate line search around the
     incumbent, shrinking the span each sweep, which sharpens the winner well
     beyond the candidate resolution.
     """
 
-    candidates: np.ndarray | None = None  # (c, d)
-    proposal_mean: np.ndarray | None = None  # (d,)
+    proposal_mean: np.ndarray  # (d,)
     proposal_scale: float = 1.0
     n_candidates: int = 200
     refine_rounds: int = 4
-    refine_span: np.ndarray | float | None = None
 
-    def candidate_set(self, rng: np.random.Generator | None) -> np.ndarray:
-        if self.candidates is not None:
-            arr = np.asarray(self.candidates, dtype=float)
-            return arr[:, None] if arr.ndim == 1 else arr
-        if self.proposal_mean is None:
-            raise ValueError("search needs candidates or a proposal_mean")
-        if rng is None:
-            raise ValueError("proposal sampling needs a random stream")
+    def candidate_set(self, rng: np.random.Generator) -> np.ndarray:
         mean = np.atleast_1d(np.asarray(self.proposal_mean, dtype=float))
         return mean + self.proposal_scale * rng.standard_normal(
             (self.n_candidates, mean.size)
         )
 
     def spans(self, candidates: np.ndarray) -> np.ndarray:
-        if self.refine_span is not None:
-            return np.broadcast_to(
-                np.asarray(self.refine_span, dtype=float), (candidates.shape[1],)
-            ).astype(float)
         c, d = candidates.shape
         per_axis = max(2, int(round(c ** (1.0 / d))))
         extent = candidates.max(axis=0) - candidates.min(axis=0)
@@ -431,22 +419,16 @@ def _greedy_point(
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     search: SearchSpec,
-    atoms: np.ndarray | None,
-    rng: np.random.Generator | None,
-    request_candidates: bool = True,
+    atoms: np.ndarray,
+    candidates: np.ndarray,
 ) -> Generator[np.ndarray, None, np.ndarray]:
-    """Stepper of ``greedy_next``: requests the candidate set (unless the
-    caller already has), then each refinement line, and returns the chosen
-    point."""
-    existing = None if atoms is None else np.asarray(atoms, dtype=float)
+    """Stepper of one greedy pick after its candidate set has been
+    requested: requests each refinement line and returns the chosen point."""
 
     def objective(x: np.ndarray) -> float:
-        pts = x[None, :] if existing is None else np.vstack([existing, x[None, :]])
+        pts = np.vstack([atoms, x[None, :]])
         return kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)).value2
 
-    candidates = search.candidate_set(rng)
-    if request_candidates:
-        yield candidates
     values = np.asarray([objective(c) for c in candidates])
     best = candidates[int(np.argmin(values))].copy()
     best_val = float(values.min())
@@ -474,16 +456,24 @@ def greedy_next(
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     search: SearchSpec,
-    atoms: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    atoms: np.ndarray,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Location minimising the squared discrepancy with the candidate included.
 
     The objective for candidate x is the V-statistic of the configuration
-    (x_1, ..., x_n, x); scores are re-evaluated per candidate because the
-    candidate itself shifts the empirical measure.
+    (x_1, ..., x_n, x), for placed atoms of shape (n, d) with n possibly 0;
+    scores are re-evaluated per candidate because the candidate itself
+    shifts the empirical measure. The candidate set is drawn from ``rng``.
     """
-    return _drive_one(_greedy_point(kernel, ref, loss, search, atoms, rng), loss)
+    atoms = np.asarray(atoms, dtype=float)
+    candidates = search.candidate_set(rng)
+
+    def stepper() -> Generator[np.ndarray, None, np.ndarray]:
+        yield candidates
+        return (yield from _greedy_point(kernel, ref, loss, search, atoms, candidates))
+
+    return _drive_one(stepper(), loss)
 
 
 def greedy_stepper(
@@ -493,32 +483,26 @@ def greedy_stepper(
     search: SearchSpec,
     n_points: int,
     seed: int = 0,
-    init_atoms: np.ndarray | None = None,
 ) -> Stepper:
     """``greedy_extend`` as a stepper for ``drive``."""
-    atoms = None if init_atoms is None else np.asarray(init_atoms, dtype=float)
     start = time.perf_counter()
-    up_front = False
-    if hasattr(loss, "prefetch"):
-        # The candidate sets do not depend on earlier picks, so a
-        # solver-backed loss can solve them all in one call.
-        sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
-        up_front = sum(len(c) for c in sets) <= loss.max_cache
-        if up_front:
-            yield np.vstack(sets)
+    # The candidate sets do not depend on earlier picks, so a solver-backed
+    # loss can solve them all in one call.
+    sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
+    up_front = hasattr(loss, "prefetch") and sum(len(c) for c in sets) <= loss.max_cache
+    if up_front:
+        yield np.vstack(sets)
+    atoms = np.empty((0, np.size(search.proposal_mean)))
     kgd2 = np.empty(n_points)
     wall = np.empty(n_points)
-    for k in range(n_points):
-        rng = seeded_stream(seed, "greedy", k)
-        x_new = yield from _greedy_point(
-            kernel, ref, loss, search, atoms, rng, request_candidates=not up_front
-        )
-        atoms = x_new[None, :] if atoms is None else np.vstack([atoms, x_new[None, :]])
+    for k, candidates in enumerate(sets):
+        if not up_front:
+            yield candidates
+        x_new = yield from _greedy_point(kernel, ref, loss, search, atoms, candidates)
+        atoms = np.vstack([atoms, x_new[None, :]])
         kgd2[k] = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(atoms)).value2
         wall[k] = time.perf_counter() - start
-    assert atoms is not None
-    base = 0 if init_atoms is None else len(init_atoms)
-    return SamplerRun(atoms, base + np.arange(1, n_points + 1), kgd2, wall)
+    return SamplerRun(atoms, np.arange(1, n_points + 1), kgd2, wall)
 
 
 def greedy_extend(
@@ -528,17 +512,14 @@ def greedy_extend(
     search: SearchSpec,
     n_points: int,
     seed: int = 0,
-    init_atoms: np.ndarray | None = None,
 ) -> SamplerRun:
-    """Grow a configuration one point at a time.
+    """Grow a configuration from empty, one point at a time.
 
     The returned trace records the squared discrepancy after each addition,
-    with ``steps`` counting configuration sizes. Proposal draws for stage one
-    use substreams addressed by (seed, point index), so the sequence does not
-    depend on evaluation order. A loss with a ``prefetch`` (a solve cache)
-    gets every point's candidate set in one call, when they fit its cache;
-    otherwise each point requests its own.
+    with ``steps`` counting configuration sizes. Point k scores its
+    candidate set, drawn once from the substream (seed, "greedy", k), so the
+    sequence does not depend on evaluation order. A loss with a ``prefetch``
+    (a solve cache) gets every point's candidate set in one call, when they
+    fit its cache; otherwise each point requests its own.
     """
-    return _drive_one(
-        greedy_stepper(kernel, ref, loss, search, n_points, seed, init_atoms), loss
-    )
+    return _drive_one(greedy_stepper(kernel, ref, loss, search, n_points, seed), loss)

@@ -381,8 +381,8 @@ class TestEstimators:
             assert est.value2 >= -1e-12
 
     def test_estimate_root_clips_roundoff(self):
-        assert KGDEstimate(-1e-16, "u", 5).value == 0.0
-        np.testing.assert_allclose(KGDEstimate(4.0, "v", 5).value, 2.0)
+        assert KGDEstimate(-1e-16).value == 0.0
+        np.testing.assert_allclose(KGDEstimate(4.0).value, 2.0)
 
 
 class TestMatrixConsistency:

@@ -18,6 +18,9 @@ from kgd.losses import (InteractionLoss, LinearLoss, MeanFieldRegressionLoss,
 from kgd.models import gen_mfnn_data
 from kgd.oracles import fd_gradient, kernel_derivatives
 from kgd.samplers import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     OptimizerSpec,
     SamplerDivergence,
     SearchSpec,
@@ -61,7 +64,7 @@ class TestOptimizers:
         spec = OptimizerSpec(method="adam", step_size=0.1)
         g = np.array([[3.0, -0.02]])
         delta, _ = optimizer_apply(spec, optimizer_init((1, 2)), g)
-        np.testing.assert_allclose(delta, 0.1 * g / (np.abs(g) + spec.eps), rtol=1e-12)
+        np.testing.assert_allclose(delta, 0.1 * g / (np.abs(g) + ADAM_EPS), rtol=1e-12)
 
     def test_adam_recurrence_by_hand(self):
         spec = OptimizerSpec(method="adam", step_size=0.05)
@@ -72,12 +75,12 @@ class TestOptimizers:
         for t in range(1, 4):
             g = rng.standard_normal((2, 2))
             delta, state = optimizer_apply(spec, state, g)
-            m = spec.beta1 * m + (1.0 - spec.beta1) * g
-            v = spec.beta2 * v + (1.0 - spec.beta2) * g**2
-            m_hat = m / (1.0 - spec.beta1**t)
-            v_hat = v / (1.0 - spec.beta2**t)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
             np.testing.assert_allclose(
-                delta, 0.05 * m_hat / (np.sqrt(v_hat) + spec.eps), rtol=1e-14
+                delta, 0.05 * m_hat / (np.sqrt(v_hat) + ADAM_EPS), rtol=1e-14
             )
         assert state.t == 3
 
@@ -421,32 +424,16 @@ class TestGreedy:
         np.testing.assert_array_equal(a.atoms, b.atoms)
         np.testing.assert_array_equal(a.kgd2, b.kgd2)
 
-    def test_extends_an_existing_configuration(self):
-        init = np.array([[0.4], [-0.4]])
-        run = greedy_extend(
-            self.KERNEL, self.REF, ZeroLoss(), self._search(), 2, seed=3,
-            init_atoms=init,
-        )
-        np.testing.assert_array_equal(run.atoms[:2], init)
-        np.testing.assert_array_equal(run.steps, [3, 4])
-
     def test_single_candidate_without_refinement(self):
-        search = SearchSpec(candidates=np.array([3.0]), refine_rounds=0)
-        best = greedy_next(self.KERNEL, self.REF, ZeroLoss(), search)
-        np.testing.assert_array_equal(best, [3.0])
-
-    def test_search_spec_validation(self):
-        with pytest.raises(ValueError, match="candidates or a proposal_mean"):
-            SearchSpec().candidate_set(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="random stream"):
-            SearchSpec(proposal_mean=np.zeros(2)).candidate_set(None)
+        search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=1, refine_rounds=0)
+        best = greedy_next(
+            self.KERNEL, self.REF, ZeroLoss(), search, np.empty((0, 1)), seeded_stream(3, "t")
+        )
+        np.testing.assert_array_equal(best, search.candidate_set(seeded_stream(3, "t"))[0])
 
     def test_refinement_spans(self):
         grid = np.linspace(0.0, 1.0, 9)[:, None]
-        np.testing.assert_allclose(SearchSpec().spans(grid), [1.0 / 8.0])
-        np.testing.assert_allclose(
-            SearchSpec(refine_span=0.5).spans(np.zeros((4, 2))), [0.5, 0.5]
-        )
+        np.testing.assert_allclose(SearchSpec(np.zeros(1)).spans(grid), [1.0 / 8.0])
 
     def test_prefetch_hook_sees_candidate_batches(self):
         batches = []
@@ -455,8 +442,11 @@ class TestGreedy:
             def prefetch(self, points):
                 batches.append(np.shape(points))
 
-        search = SearchSpec(candidates=np.zeros((5, 2)), refine_rounds=1)
-        greedy_next(self.KERNEL, DiagonalGaussian.standard(2), Recording(), search)
+        search = SearchSpec(proposal_mean=np.zeros(2), n_candidates=5, refine_rounds=1)
+        greedy_next(
+            self.KERNEL, DiagonalGaussian.standard(2), Recording(), search,
+            np.empty((0, 2)), seeded_stream(3, "t"),
+        )
         assert batches[0] == (5, 2)
         assert all(b[1] == 2 for b in batches)
 
@@ -480,6 +470,25 @@ class TestGreedy:
         batches.clear()
         greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
         assert [b.shape[0] for b in batches] == [60, 60, 60]
+
+    @pytest.mark.parametrize("max_cache", [180, 179], ids=["up-front", "per-point"])
+    def test_draws_each_candidate_set_once(self, monkeypatch, max_cache):
+        draws = []
+        candidate_set = SearchSpec.candidate_set
+
+        def counted(search, rng):
+            draws.append(rng)
+            return candidate_set(search, rng)
+
+        class Recording(ZeroLoss):
+            def prefetch(self, points):
+                pass
+
+        Recording.max_cache = max_cache
+        monkeypatch.setattr(SearchSpec, "candidate_set", counted)
+        search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=60, refine_rounds=1)
+        greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
+        assert len(draws) == 3
 
 
 class TestDrive:
