@@ -51,7 +51,7 @@ from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities
 # is imported.
 from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
                       kernel_derivatives, lv_solve, reference_drift, reference_ksd_squared,
-                      reference_stein_kernel)
+                      reference_mean_field, reference_stein_kernel)
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -167,7 +167,8 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     _check_keys(init, _INIT_KEYS, "sampler.init")
 
     resolved = {
-        "run": {"seed": int(run.get("seed", 0)), "output": run.get("output")},
+        "run": {"seed": _count(run.get("seed", 0), "run.seed", least=0),
+                "output": run.get("output")},
         "kernel": {"family": "imq", "lengthscale": 1.0} | kernel,
         "reference": {"dimension": 2, "mean": 0.0, "variance": 1.0} | reference,
         "loss": {"family": "zero"} | loss,
@@ -221,16 +222,26 @@ def build_kernel(cfg: Mapping[str, Any], path: str = "kernel"):
     raise ConfigError(f"unknown {path}.family '{family}'")
 
 
-def _count(cfg: Mapping[str, Any], key: str, default: int, path: str) -> int:
-    """``cfg[key]`` as a whole number of at least 1."""
-    raw = cfg.get(key, default)
+def _count(raw: Any, name: str, least: int = 1) -> int:
+    """``raw``, the config value ``name``, as a whole number of at least ``least``."""
     try:
         value = int(raw)
-        ok = not isinstance(raw, bool) and value == raw and value >= 1
+        ok = not isinstance(raw, bool) and value == raw and value >= least
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"{path}.{key} must be a whole number of at least 1, got {raw!r}")
+        raise ConfigError(f"{name} must be a whole number of at least {least}, got {raw!r}")
+    return value
+
+
+def _positive(raw: Any, name: str) -> float:
+    """``raw``, the config value ``name``, as a finite positive number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not (np.isfinite(value) and value > 0.0):
+        raise ConfigError(f"{name} must be a finite positive number, got {raw!r}")
     return value
 
 
@@ -251,7 +262,7 @@ def _per_axis(cfg: Mapping[str, Any], key: str, default: float, dim: int, path: 
 
 
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
-    dim = _count(cfg, "dimension", 2, "reference")
+    dim = _count(cfg.get("dimension", 2), "reference.dimension")
     mean = _per_axis(cfg, "mean", 0.0, dim, "reference")
     var = _per_axis(cfg, "variance", 1.0, dim, "reference")
     return DiagonalGaussian(mean, var)
@@ -270,20 +281,21 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
     if family == "mean-field-regression":
         if dim != 4:
             raise ConfigError("mean-field-regression needs reference.dimension = 4")
-        data = gen_mfnn_data(int(cfg.get("data_seed", 0)), int(cfg.get("n_data", 300)))
+        data = gen_mfnn_data(_count(cfg.get("data_seed", 0), "loss.data_seed", least=0),
+                             _count(cfg.get("n_data", 300), "loss.n_data"))
         return MeanFieldRegressionLoss(
-            data.covariates, data.responses, lam=float(cfg.get("lam", 300.0))
+            data.covariates, data.responses, lam=_positive(cfg.get("lam", 300.0), "loss.lam")
         )
     if family == "predictive-kernel":
         if dim != 2:
             raise ConfigError("predictive-kernel needs reference.dimension = 2")
-        series = gen_lv_data(int(cfg.get("data_seed", 1)))
+        series = gen_lv_data(_count(cfg.get("data_seed", 1), "loss.data_seed", least=0))
         lam = cfg.get("lam")
         return PredictiveKernelLoss(
             series.times,
             series.observations,
             sigma=float(cfg.get("sigma", 1.0)),
-            lam=None if lam is None else float(lam),
+            lam=None if lam is None else _positive(lam, "loss.lam"),
         )
     raise ConfigError(f"unknown loss.family '{family}'")
 
@@ -387,16 +399,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _step_size(raw: Any) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = float("nan")
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError(f"sampler.step_size must be a finite positive number, got {raw!r}")
-    return value
-
-
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     if args.output is not None:
@@ -412,29 +414,29 @@ def cmd_sample(args: argparse.Namespace) -> int:
     s_cfg = cfg["sampler"]
     seed = cfg["run"]["seed"]
     algorithm = s_cfg["algorithm"]
-    trace_every = _count(s_cfg, "trace_every", 1, "sampler")
+    trace_every = _count(s_cfg["trace_every"], "sampler.trace_every")
 
     start = time.perf_counter()
     if algorithm == "greedy":
         search = SearchSpec(
             proposal_mean=_per_axis(s_cfg, "proposal_mean", 0.0, ref.dim, "sampler"),
-            proposal_scale=float(s_cfg["proposal_scale"]),
-            n_candidates=_count(s_cfg, "n_candidates", 200, "sampler"),
-            refine_rounds=int(s_cfg["refine_rounds"]),
+            proposal_scale=_positive(s_cfg["proposal_scale"], "sampler.proposal_scale"),
+            n_candidates=_count(s_cfg["n_candidates"], "sampler.n_candidates"),
+            refine_rounds=_count(s_cfg["refine_rounds"], "sampler.refine_rounds", least=0),
         )
         run = greedy_extend(
-            kernel, ref, loss, search, _count(s_cfg, "points", 10, "sampler"), seed=seed
+            kernel, ref, loss, search, _count(s_cfg["points"], "sampler.points"), seed=seed
         )
     else:
-        n = _count(s_cfg, "particles", 50, "sampler")
-        step_size = _step_size(s_cfg["step_size"])
+        n = _count(s_cfg["particles"], "sampler.particles")
+        step_size = _positive(s_cfg["step_size"], "sampler.step_size")
         init_rng = seeded_stream(seed, "init")
         atoms0 = build_init(s_cfg["init"], ref, n, init_rng)
         try:
             spec = OptimizerSpec(method=s_cfg["optimizer"], step_size=step_size)
         except ValueError as exc:
             raise ConfigError(f"sampler.optimizer: {exc}; use 'euler' or 'adam'") from None
-        n_steps = _count(s_cfg, "steps", 100, "sampler")
+        n_steps = _count(s_cfg["steps"], "sampler.steps")
         if algorithm == "mfld":
             run = mfld_run(
                 atoms0, ref, loss, step_size, n_steps,
@@ -574,7 +576,7 @@ def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
 
 
 def _mfnn_setup(knobs: dict):
-    data = gen_mfnn_data(int(knobs["data_seed"]), int(knobs["n_data"]))
+    data = gen_mfnn_data(int(knobs["data_seed"]), _count(knobs["n_data"], "n_data"))
     loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=float(knobs["lam"]))
     ref = DiagonalGaussian.standard(4)
     kernel = IMQ(float(knobs["lengthscale"]))
@@ -583,9 +585,9 @@ def _mfnn_setup(knobs: dict):
 
 def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
     loss, ref, kernel = _mfnn_setup(knobs)
-    n = int(knobs["particles"])
+    n = _count(knobs["particles"], "particles")
     n_steps = int(knobs["steps"])
-    reps = int(knobs["replicates"])
+    reps = _count(knobs["replicates"], "replicates")
     rows = []
     final_atoms = None
     for idx, eps in enumerate([float(v) for v in knobs["step_sizes"]]):
@@ -617,7 +619,7 @@ def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
     if final_atoms is not None:
         write_particles(out / "particles.csv", final_atoms)
     medians = {row[0]: row[1] for row in rows}
-    return {"median_kgd_by_step_size": medians}
+    return {"median_kgd_by_step_size": medians, "network_fits": loss.fits}
 
 
 def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
@@ -630,19 +632,21 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
         for s, k in zip(steps, kgd2):
             rows.append([arm, int(s), float(s * evals_per_step), float(k)])
 
+    trace_every = _count(knobs["trace_every"], "trace_every")
+
     # Langevin arm
-    n = int(knobs["particles"])
+    n = _count(knobs["particles"], "particles")
     init = 3.0 * seeded_stream(seed, "init", "mfld").standard_normal((n, 4))
     run = mfld_run(
         init, ref, loss, float(knobs["mfld_step_size"]), int(knobs["mfld_steps"]),
-        seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=int(knobs["trace_every"]),
+        seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=trace_every,
     )
     record("mfld", run.steps, run.kgd2, evals_per_step=n)
     all_atoms.append(run.atoms)
     groups.append(("mfld", n))
 
     # Descent-on-discrepancy arm; each analytic gradient scores n atoms.
-    n_kgdd = int(knobs["kgdd_particles"])
+    n_kgdd = _count(knobs["kgdd_particles"], "kgdd_particles")
     init = 3.0 * seeded_stream(seed, "init", "kgdd").standard_normal((n_kgdd, 4))
     spec = OptimizerSpec(method="adam", step_size=float(knobs["kgdd_step_size"]))
     run = kgdd_run(
@@ -656,7 +660,7 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     # Parametric arm: affine map x = A z + c of a frozen base sample, tuned by
     # the U-statistic's particle gradient G chained through the map:
     # dA = G^T Z and dc = sum_i G_i.
-    m = int(knobs["vi_sample"])
+    m = _count(knobs["vi_sample"], "vi_sample")
     base = seeded_stream(seed, "vi", "base").standard_normal((m, 4))
     theta = np.concatenate([np.eye(4).ravel() * 3.0, np.zeros(4)])
 
@@ -673,7 +677,7 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
         grad = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
         delta, state = optimizer_apply(vi_spec, state, -grad)
         theta = theta + delta
-        if step % int(knobs["trace_every"]) == 0 or step == vi_steps:
+        if step % trace_every == 0 or step == vi_steps:
             k2 = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(push(theta))).value2
             rows.append(["param-vi", step, float(step * evals_per_step), float(k2)])
     all_atoms.append(push(theta))
@@ -685,7 +689,7 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     for arm in ("mfld", "kgdd", "param-vi"):
         arm_rows = [r for r in rows if r[0] == arm]
         finals[arm] = arm_rows[-1][3]
-    return {"final_kgd_v2": finals}
+    return {"final_kgd_v2": finals, "network_fits": loss.fits}
 
 
 def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[str, Stepper]]:
@@ -694,9 +698,9 @@ def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[s
     # Assessment kernel: two inverse multiquadrics on the short scales where
     # the posterior mass concentrates.
     assess = Mixture((IMQ(np.sqrt(0.03)), IMQ(np.sqrt(0.1))), weights=(1.0, 1.0))
-    n = int(knobs["particles"])
+    n = _count(knobs["particles"], "particles")
     n_steps = int(knobs["steps"])
-    trace_every = int(knobs["trace_every"])
+    trace_every = _count(knobs["trace_every"], "trace_every")
     truth = np.array([-1.0, float(knobs["true_x2"])])
 
     # Langevin arm from a tight cloud at the data-generating parameters.
@@ -719,8 +723,8 @@ def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[s
     search = SearchSpec(
         proposal_mean=np.array([-1.0, 1.6]),
         proposal_scale=float(knobs["proposal_scale"]),
-        n_candidates=int(knobs["n_candidates"]),
-        refine_rounds=int(knobs["refine_rounds"]),
+        n_candidates=_count(knobs["n_candidates"], "n_candidates"),
+        refine_rounds=_count(knobs["refine_rounds"], "refine_rounds", least=0),
     )
     greedy = greedy_stepper(assess, ref, loss, search, n, seed=seed)
     return [("mfld", mfld), ("vgd", vgd), ("greedy", greedy)]
@@ -996,6 +1000,19 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
                     err = np.max(np.abs(particle_grad(kern, ref, loss, atoms, u_stat).ravel() - fd))
                     worst = max(worst, float(err / max(1.0, np.max(np.abs(fd)))))
     report("particle-gradient", worst < 1e-6, f"worst scaled error {worst:.2e}")
+
+    # The mean-field loss's (n, N) contractions against the network's
+    # stacked derivatives: the scores at the atoms and off them, and the VJP
+    # at the atoms, relative to the largest entry.
+    loss = MeanFieldRegressionLoss(data.covariates, data.responses)
+    atoms, xs, u = 2.0 * np.random.default_rng(4).normal(size=(3, 8, 4))
+    mea = EmpiricalMeasure(atoms)
+    worst = 0.0
+    for x in (atoms, xs):
+        scores, vjp = reference_mean_field(atoms, data.covariates, data.responses, loss.lam, x, u)
+        for got, want in ((loss.var_grad(mea, x), scores), (loss.var_grad_vjp(mea, u), vjp)):
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    report("mean-field-contractions", worst < 1e-12, f"worst rel {worst:.2e}")
 
     # Forward ODE sensitivities against central differences of the solver.
     x = np.array([-0.8, -1.2])

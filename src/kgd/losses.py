@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EmpiricalMeasure
-from .models import lv_sensitivities, mfnn_forward, mfnn_grad, mfnn_hvp
+from .models import lv_sensitivities
 
 
 class VariationalLoss:
@@ -114,80 +114,106 @@ class InteractionLoss(VariationalLoss):
 class MeanFieldRegressionLoss(VariationalLoss):
     """Scaled empirical risk of a measure-averaged network predictor.
 
-    L(Q) = (lam / N) sum_i (y_i - E_Q[Phi(z_i, .)])^2 with Phi the two-layer
-    network from the models module. The first-variation gradient at x is
-    -(2 lam / N) sum_i (y_i - E_Q[Phi(z_i, .)]) grad_x Phi(z_i, x), and its
+    L(Q) = (lam / N) sum_l r_l^2 with residuals r_l = y_l - E_Q[Phi(z_l, .)]
+    of the two-layer network Phi(z, x) = w2 tanh(w1 z + b1) + b2,
+    x = (w1, b1, w2, b2). Every read goes through one fit of the atoms:
+    t = tanh(w1 z + b1), shape (n, N), and r, shape (N,). With
+    s = 1 - t^2, grad_x Phi(z_l, x) = (w2 s_l z_l, w2 s_l, t_l, 1), so the
+    first-variation gradient -(2 lam / N) sum_l r_l grad_x Phi(z_l, x) is
+    -(2 lam / N) times the four contractions
+
+        w2 sum_l r_l s_l z_l,   w2 sum_l r_l s_l,   sum_l r_l t_l,   sum_l r_l.
+
+    Off the atoms, t is that of the points and r that of the fit. The
     vector-Jacobian product at atom x_m is
 
-        -(2 lam / N) sum_l r_l Hess Phi(z_l, x_m) u_m
-        + (2 lam / (N n)) sum_l (sum_i u_i . grad Phi(z_l, x_i)) grad Phi(z_l, x_m)
+        (2 lam / N) sum_l [a_l grad Phi(z_l, x_m) - r_l Hess Phi(z_l, x_m) u_m],
+        a_l = (1/n) sum_i u_i . grad Phi(z_l, x_i)
+            = (1/n) sum_i (w2_i s_il q_il + t_il u_i3 + u_i4),
 
-    with r_l = y_l - E_Q[Phi(z_l, .)].
+    with q_ml = z_l u_m1 + u_m2, u_m along the pre-activation. As
+    Hess Phi(z_l, x_m) u_m = (z_l h_ml, h_ml, s_ml q_ml, 0) with
+    h_ml = s_ml (u_m3 - 2 w2_m t_ml q_ml), it is (2 lam / N) times
+
+        sum_l c_ml z_l,   sum_l c_ml,   sum_l (a_l t_ml - r_l s_ml q_ml),   sum_l a_l,
+
+    with c_ml = w2_m s_ml a_l - r_l h_ml: (n, N) arrays and (N,) vectors, and
+    one tanh per fit. ``fits`` counts the fits made.
     """
 
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)
     lam: float = 300.0
-    # [atoms, residuals, gradients at the atoms] for the atoms last fitted
-    # (``_fit``): a particle gradient reads them for the scores and again
-    # for the VJP, and a flow's trace row and its next step score the same
-    # atoms through two measures.
+    # [atoms, t, r] for the atoms last fitted (``_fit``): a particle
+    # gradient reads them for the scores and again for the VJP, and a flow's
+    # trace row and its next step score the same atoms through two measures.
     _last_fit: list = field(default_factory=list, init=False, repr=False, compare=False)
+    fits: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
         z = np.asarray(self.covariates, dtype=float)
         y = np.asarray(self.responses, dtype=float)
         if z.shape != y.shape or z.ndim != 1:
             raise ValueError("covariates and responses must be matching 1-d arrays")
+        if z.size == 0:
+            raise ValueError("covariates and responses must hold at least one data point")
         object.__setattr__(self, "covariates", z)
         object.__setattr__(self, "responses", y)
 
-    def predictions(self, measure: EmpiricalMeasure) -> np.ndarray:
-        return np.mean(mfnn_forward(measure.atoms, self.covariates), axis=0)
-
-    def value(self, measure: EmpiricalMeasure) -> float:
-        resid = self.responses - self.predictions(measure)
-        return float(self.lam / self.covariates.size * np.sum(resid**2))
+    def _activations(self, x: np.ndarray) -> np.ndarray:
+        """t = tanh(w1 z + b1) at (m, 4) parameter points, shape (m, N)."""
+        return np.tanh(x[:, 0, None] * self.covariates + x[:, 1, None])
 
     def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals y - E_Q[Phi(z, .)], shape (N,), and grad Phi(z_l, x_i)
-        at the atoms, shape (n, N, 4): computed once per set of atoms, and
-        kept until atoms that differ are fitted or the VJP drops them."""
+        """Activations t at the atoms, (n, N), and residuals r, (N,):
+        computed once per set of atoms."""
         last = self._last_fit
-        if not (last and np.array_equal(last[0], measure.atoms)):
-            last.clear()  # the old gradients go before the new are built
-            resid = self.responses - self.predictions(measure)
-            grads = mfnn_grad(measure.atoms, self.covariates)
-            last[:] = [measure.atoms.copy(), resid, grads]
+        atoms = measure.atoms
+        if not (last and np.array_equal(last[0], atoms)):
+            t = self._activations(atoms)
+            preds = np.mean(atoms[:, 2, None] * t + atoms[:, 3, None], axis=0)
+            last[:] = [atoms.copy(), t, self.responses - preds]
+            object.__setattr__(self, "fits", self.fits + 1)
         return last[1], last[2]
+
+    def value(self, measure: EmpiricalMeasure) -> float:
+        _, resid = self._fit(measure)
+        return float(self.lam / self.covariates.size * np.sum(resid**2))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         xb, single = _batched(x)
-        if np.array_equal(xb, measure.atoms):
-            resid, grads = self._fit(measure)
-        else:
-            resid = self.responses - self.predictions(measure)  # (N,)
-            grads = mfnn_grad(xb, self.covariates)  # (m, N, 4)
-        out = -(2.0 * self.lam / self.covariates.size) * np.einsum(
-            "i,mip->mp", resid, grads
-        )
+        t, resid = self._fit(measure)
+        if not np.array_equal(xb, measure.atoms):
+            t = self._activations(xb)
+        # Row sums, not matrix products: a point's score is then bitwise the
+        # same in any batch.
+        rs = resid * (1.0 - t**2)  # (m, N)
+        w2 = xb[:, 2]
+        out = np.stack([
+            w2 * np.sum(rs * self.covariates, axis=1),
+            w2 * np.sum(rs, axis=1),
+            np.sum(resid * t, axis=1),
+            np.full(xb.shape[0], np.sum(resid)),
+        ], axis=1)
+        out *= -2.0 * self.lam / self.covariates.size
         return out[0] if single else out
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
-        atoms = measure.atoms
-        resid, grads = self._fit(measure)  # (N,), (n, N, 4)
-        along = np.einsum("mlp,mp->l", grads, u) / measure.n
-        pulled = np.einsum("l,mlp->mp", along, grads)
-        # grads goes before hvp is built, so the two (n, N, 4) arrays and
-        # hvp's temporaries are never held together: freed together at the
-        # top of the heap they can pass the allocator's trim threshold, and
-        # their pages go back to the OS only to be faulted in on the next call.
-        self._last_fit.clear()
-        del grads
-        hvp = mfnn_hvp(atoms, self.covariates, u)  # (n, N, 4)
-        return (2.0 * self.lam / self.covariates.size) * (
-            pulled - np.einsum("l,mlp->mp", resid, hvp)
-        )
+        atoms, z = measure.atoms, self.covariates
+        t, resid = self._fit(measure)  # (n, N), (N,)
+        w2 = atoms[:, 2, None]
+        s = 1.0 - t**2
+        q = z * u[:, 0, None] + u[:, 1, None]  # (n, N)
+        along = np.sum(w2 * s * q + t * u[:, 2, None] + u[:, 3, None], axis=0) / measure.n  # a_l
+        c = w2 * s * along - resid * s * (u[:, 2, None] - 2.0 * w2 * t * q)  # c_ml
+        out = np.stack([
+            np.sum(c * z, axis=1),
+            np.sum(c, axis=1),
+            np.sum(along * t - resid * s * q, axis=1),
+            np.full(measure.n, np.sum(along)),
+        ], axis=1)
+        out *= 2.0 * self.lam / self.covariates.size
+        return out
 
 
 def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:

@@ -1,6 +1,9 @@
-"""Forward models behind the data-driven losses: a two-layer mean-field
-network for univariate regression, and the Lotka-Volterra predator-prey
-system solved with a fixed-step RK4 integrator and forward sensitivities.
+"""Data and forward models behind the data-driven losses: the synthetic
+regression data of the mean-field network, and the Lotka-Volterra
+predator-prey system, solved with a fixed-step RK4 integrator and forward
+sensitivities, with its synthetic data. The network itself is the closed
+form of ``kgd.losses.MeanFieldRegressionLoss``; its stacked derivatives,
+the reference for that form, are in ``kgd.oracles``.
 """
 
 from __future__ import annotations
@@ -22,68 +25,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     expx = np.exp(x[~pos])
     out[~pos] = expx / (1.0 + expx)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Mean-field network: Phi(z, x) = w2 * tanh(w1 * z + b1) + b2 with
-# parameter vector x = (w1, b1, w2, b2).
-# ---------------------------------------------------------------------------
-
-
-def mfnn_forward(params: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Network outputs for each (parameter vector, covariate) pair.
-
-    Args:
-        params: Parameter vectors, shape (..., 4), ordered (w1, b1, w2, b2).
-        z: Covariates, shape (N,).
-
-    Returns:
-        Outputs with shape (..., N).
-    """
-    params = np.asarray(params, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w1, b1, w2, b2 = (params[..., i, None] for i in range(4))
-    return w2 * np.tanh(w1 * z + b1) + b2
-
-
-def mfnn_grad(params: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Gradient of the network output with respect to its parameters.
-
-    Returns:
-        Array of shape (..., N, 4); the last axis is (w1, b1, w2, b2).
-    """
-    params = np.asarray(params, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w1, b1, w2, b2 = (params[..., i, None] for i in range(4))
-    t = np.tanh(w1 * z + b1)  # (..., N)
-    sech2 = 1.0 - t**2
-    return np.stack(
-        [w2 * sech2 * z, w2 * sech2, t, np.ones_like(t)],
-        axis=-1,
-    )
-
-
-def mfnn_hvp(params: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Hessian of the network output in its parameters times a direction.
-
-    Args:
-        params: Parameter vectors, shape (..., 4).
-        z: Covariates, shape (N,).
-        v: One direction per parameter vector, shape (..., 4).
-
-    Returns:
-        Array of shape (..., N, 4): the Hessian at (z_l, params) times v.
-    """
-    params = np.asarray(params, dtype=float)
-    z = np.asarray(z, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w1, b1, w2 = (params[..., i, None] for i in range(3))
-    v1, v2, v3 = (v[..., i, None] for i in range(3))
-    t = np.tanh(w1 * z + b1)
-    sech2 = 1.0 - t**2
-    q = z * v1 + v2  # v along the pre-activation w1 z + b1
-    inner = sech2 * (v3 - 2.0 * w2 * t * q)
-    return np.stack([z * inner, inner, sech2 * q, np.zeros_like(t)], axis=-1)
 
 
 class RegressionData(NamedTuple):

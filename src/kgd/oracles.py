@@ -1,4 +1,5 @@
 """Independent checking instruments: finite differences, a plain ODE solver,
+the mean-field network's stacked output, gradient and Hessian-vector product,
 quadrature, the Gaussian overlap, the kernels' derivative table, the Stein
 kernel and flow velocity built on it, a reference kernel Stein discrepancy,
 and log-log slope fitting.
@@ -10,6 +11,9 @@ must stay boring, direct, and slow-but-sure. In particular
 ``kernel_derivatives`` is the kernels' derivative definition: it reads only
 a kernel's family name and parameters and never calls ``kgd.kernels``, so a
 wrong ``profile`` or tilt helper there cannot agree with itself here.
+Likewise ``mfnn_grad`` and ``mfnn_hvp`` are the network's derivative
+definition, as (..., N, 4) stacks that the loss's contractions never build,
+and ``reference_mean_field`` assembles the loss's scores and VJP from them.
 """
 
 from __future__ import annotations
@@ -106,6 +110,97 @@ def lv_solve(
         path[:, k] = u
         t_prev = float(t_k)
     return path[0] if single else path
+
+
+# ---------------------------------------------------------------------------
+# Mean-field network: Phi(z, x) = w2 * tanh(w1 * z + b1) + b2 with
+# parameter vector x = (w1, b1, w2, b2). Its output, gradient and
+# Hessian-vector product as stacked arrays: the reference that
+# ``kgd.losses.MeanFieldRegressionLoss``'s (n, N) contractions are held to.
+# ---------------------------------------------------------------------------
+
+
+def mfnn_forward(params: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Network outputs for each (parameter vector, covariate) pair.
+
+    Args:
+        params: Parameter vectors, shape (..., 4), ordered (w1, b1, w2, b2).
+        z: Covariates, shape (N,).
+
+    Returns:
+        Outputs with shape (..., N).
+    """
+    params = np.asarray(params, dtype=float)
+    z = np.asarray(z, dtype=float)
+    w1, b1, w2, b2 = (params[..., i, None] for i in range(4))
+    return w2 * np.tanh(w1 * z + b1) + b2
+
+
+def mfnn_grad(params: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gradient of the network output with respect to its parameters.
+
+    Returns:
+        Array of shape (..., N, 4); the last axis is (w1, b1, w2, b2).
+    """
+    params = np.asarray(params, dtype=float)
+    z = np.asarray(z, dtype=float)
+    w1, b1, w2, b2 = (params[..., i, None] for i in range(4))
+    t = np.tanh(w1 * z + b1)  # (..., N)
+    sech2 = 1.0 - t**2
+    return np.stack(
+        [w2 * sech2 * z, w2 * sech2, t, np.ones_like(t)],
+        axis=-1,
+    )
+
+
+def mfnn_hvp(params: np.ndarray, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Hessian of the network output in its parameters times a direction.
+
+    Args:
+        params: Parameter vectors, shape (..., 4).
+        z: Covariates, shape (N,).
+        v: One direction per parameter vector, shape (..., 4).
+
+    Returns:
+        Array of shape (..., N, 4): the Hessian at (z_l, params) times v.
+    """
+    params = np.asarray(params, dtype=float)
+    z = np.asarray(z, dtype=float)
+    v = np.asarray(v, dtype=float)
+    w1, b1, w2 = (params[..., i, None] for i in range(3))
+    v1, v2, v3 = (v[..., i, None] for i in range(3))
+    t = np.tanh(w1 * z + b1)
+    sech2 = 1.0 - t**2
+    q = z * v1 + v2  # v along the pre-activation w1 z + b1
+    inner = sech2 * (v3 - 2.0 * w2 * t * q)
+    return np.stack([z * inner, inner, sech2 * q, np.zeros_like(t)], axis=-1)
+
+
+def reference_mean_field(
+    atoms: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    lam: float,
+    x: np.ndarray,
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-variation gradient at the (m, 4) points x, and its VJP at the
+    (n, 4) atoms for weights u, of the mean-field risk
+    L(Q) = (lam / N) sum_l r_l^2, r_l = y_l - E_Q[Phi(z_l, .)], from the
+    stacked network derivatives:
+
+        var_grad(x) = -(2 lam / N) sum_l r_l grad Phi(z_l, x),
+        VJP_m = (2 lam / N) sum_l [a_l grad Phi(z_l, x_m) - r_l Hess Phi(z_l, x_m) u_m],
+        a_l = (1/n) sum_i u_i . grad Phi(z_l, x_i).
+    """
+    resid = y - mfnn_forward(atoms, z).mean(axis=0)
+    grads = mfnn_grad(atoms, z)  # (n, N, 4)
+    along = np.einsum("mlp,mp->l", grads, u) / atoms.shape[0]
+    scale = 2.0 * lam / z.size
+    scores = -scale * np.einsum("l,mlp->mp", resid, mfnn_grad(x, z))
+    vjp = scale * (np.einsum("l,mlp->mp", along, grads)
+                   - np.einsum("l,mlp->mp", resid, mfnn_hvp(atoms, z, u)))
+    return scores, vjp
 
 
 def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) -> float:

@@ -407,10 +407,20 @@ class TestSampleVerb:
             ({"kernel": {"family": "mixture",
                          "members": [{"family": "gaussian", "lengthscale": 0.0}]}},
              "kernel.members[0]"),
+            ({"sampler": {"algorithm": "greedy", "proposal_scale": "abc"}},
+             "sampler.proposal_scale"),
+            ({"sampler": {"algorithm": "greedy", "refine_rounds": -3}}, "sampler.refine_rounds"),
+            ({"reference": {"dimension": 4},
+              "loss": {"family": "mean-field-regression", "lam": "abc"}}, "loss.lam"),
+            ({"reference": {"dimension": 4},
+              "loss": {"family": "mean-field-regression", "n_data": 0}}, "loss.n_data"),
+            ({"loss": {"family": "predictive-kernel", "data_seed": "abc"}}, "loss.data_seed"),
+            ({"run": {"seed": -1}}, "run.seed"),
         ],
         ids=["dimension-0", "dimension-negative", "particles-0", "points-0", "candidates-0",
              "trace-every-0", "step-nan", "step-inf", "step-0", "lengthscale", "c",
-             "weights", "member"],
+             "weights", "member", "proposal-scale-text", "refine-rounds-negative", "lam-text",
+             "n-data-0", "data-seed-text", "seed-negative"],
     )
     def test_bad_numeric_value_is_a_config_error(self, tmp_path, capsys, body, key):
         cfg = _write_config(tmp_path, body)
@@ -510,6 +520,21 @@ class TestExperimentVerb:
         assert "scaling study" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
 
+    @pytest.mark.parametrize(
+        "preset, item",
+        [("mfnn-compare", "trace_every=0"), ("mfnn-compare", "particles=0"),
+         ("mfnn-compare", "vi_sample=0"), ("mfnn-stepsize", "replicates=0"),
+         ("mfnn-stepsize", "n_data=0"), ("lv-compare", "n_candidates=0"),
+         ("lv-compare", "refine_rounds=-1")],
+    )
+    def test_bad_count_knob_is_a_config_error(self, tmp_path, capsys, preset, item):
+        out = tmp_path / "o"
+        argv = ["experiment", "--preset", preset, "--output", str(out), "--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and item.split("=")[0] in err
+        assert not (out / "trace.csv").exists()
+
     def _run(self, tmp_path, preset: str, *sets: str, seed: str = "0") -> Path:
         out = tmp_path / preset
         argv = ["experiment", "--preset", preset, "--seed", seed, "--output", str(out)]
@@ -551,8 +576,10 @@ class TestExperimentVerb:
         assert lines[0] == "step_size,median_kgd,p5_kgd,p95_kgd,n_diverged"
         parts = lines[1].split(",")
         assert float(parts[0]) == 1e-4 and int(parts[4]) == 0
-        summary = self._meta(out)["summary"]["median_kgd_by_step_size"]
-        assert len(summary) == 1
+        summary = self._meta(out)["summary"]
+        assert len(summary["median_kgd_by_step_size"]) == 1
+        # Each replicate fits its 5 steps' configurations and the final one.
+        assert summary["network_fits"] == 2 * 6
 
     def test_mfnn_compare_small(self, tmp_path):
         out = self._run(
@@ -564,8 +591,11 @@ class TestExperimentVerb:
         assert lines[0] == "arm,step,score_evals,kgd_v2"
         arms = {l.split(",")[0] for l in lines[1:]}
         assert arms == {"mfld", "kgdd", "param-vi"}
-        finals = self._meta(out)["summary"]["final_kgd_v2"]
-        assert set(finals) == arms
+        summary = self._meta(out)["summary"]
+        assert set(summary["final_kgd_v2"]) == arms
+        # One fit per configuration: mfld's 5, kgdd's 3 and param-vi's 3 (its
+        # first step scores the atoms its first trace row fitted).
+        assert summary["network_fits"] == 5 + 3 + 3
         # Particle file annotates one block per arm.
         header = (out / "particles.csv").read_text().splitlines()[:4]
         assert sum(l.startswith("# rows") for l in header) == 3
@@ -636,11 +666,12 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 14
+        assert len(lines) == 15
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
         assert any(l.startswith("PASS particle-gradient ") for l in lines)
+        assert any(l.startswith("PASS mean-field-contractions ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
         assert any(l.startswith("PASS ode-batch-invariance ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)

@@ -21,7 +21,8 @@ from kgd.losses import (
     gaussian_smooth,
     )
 from kgd.models import gen_mfnn_data
-from kgd.oracles import euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap
+from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
+                         reference_mean_field)
 
 IDENTITY_TOL = 1e-4  # var_grad vs n * FD gradient of the particle objective
 JAC_TOL = 1e-6  # var_grad_vjp vs the central-difference jacobian
@@ -177,14 +178,17 @@ class TestMeanFieldRegression:
         atoms = rng.standard_normal((3, 4))
         loss = MeanFieldRegressionLoss(z, y, lam=2.0)
         measure = EmpiricalMeasure(atoms)
-        x = rng.standard_normal(4)
         preds = np.array(
             [np.mean([self._hand_network(zi, a) for a in atoms]) for zi in z]
         )
-        expected = -(2.0 * 2.0 / z.size) * sum(
-            (yi - pi) * self._hand_grad(zi, x) for zi, yi, pi in zip(z, y, preds)
-        )
-        np.testing.assert_allclose(loss.var_grad(measure, x), expected, rtol=1e-12)
+        # A point off the atoms, and the atoms themselves (the fitted branch).
+        for x in (rng.standard_normal(4), atoms):
+            expected = -(2.0 * 2.0 / z.size) * sum(
+                (yi - pi) * np.array([self._hand_grad(zi, xi) for xi in np.atleast_2d(x)])
+                for zi, yi, pi in zip(z, y, preds)
+            )
+            np.testing.assert_allclose(loss.var_grad(measure, x),
+                                       expected.reshape(np.shape(x)), rtol=1e-12)
 
     def test_batched_matches_single(self):
         data = gen_mfnn_data(0, n_data=20)
@@ -207,11 +211,22 @@ class TestMeanFieldRegression:
             atol=JAC_TOL,
         )
 
-    def test_scores_and_vjp_share_one_network_pass(self, monkeypatch):
+    def test_vjp_against_the_stacked_network_derivatives(self):
+        # The (n, N) contractions against the reference assembled from the
+        # stacks of the network's gradient and Hessian-vector product.
+        data = gen_mfnn_data(0, n_data=20)
+        loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=3.0)
+        rng = np.random.default_rng(22)
+        atoms = 2.0 * rng.standard_normal((6, 4))
+        u = rng.standard_normal((6, 4))
+        _, want = reference_mean_field(atoms, data.covariates, data.responses, 3.0, atoms, u)
+        np.testing.assert_allclose(loss.var_grad_vjp(EmpiricalMeasure(atoms), u), want,
+                                   rtol=1e-12)
+
+    def test_scores_and_vjp_share_one_network_pass(self):
         # The scores at the atoms and the VJP of one measure (a particle
-        # gradient's two reads) build the network gradients once, bitwise
-        # as a loss that builds them for each; atoms moved in place are
-        # evaluated afresh.
+        # gradient's two reads) fit the network once, bitwise as a loss
+        # that fits it for each; atoms moved in place are fitted afresh.
         data = gen_mfnn_data(0, n_data=20)
         loss = MeanFieldRegressionLoss(data.covariates, data.responses)
         fresh = lambda: MeanFieldRegressionLoss(data.covariates, data.responses)
@@ -220,17 +235,15 @@ class TestMeanFieldRegression:
         u = rng.standard_normal((5, 4))
         want = (fresh().var_grad(EmpiricalMeasure(atoms.copy()), atoms.copy()),
                 fresh().var_grad_vjp(EmpiricalMeasure(atoms.copy()), u))
-        calls = []
-        grad = losses.mfnn_grad
-        monkeypatch.setattr(losses, "mfnn_grad", lambda *a: calls.append(a) or grad(*a))
         measure = EmpiricalMeasure(atoms)
         got = (loss.var_grad(measure, atoms), loss.var_grad_vjp(measure, u))
-        assert len(calls) == 1
+        assert loss.fits == 1
         for w, g in zip(want, got):
             np.testing.assert_array_equal(g, w)
         loss.var_grad(measure, atoms)
         atoms += 0.1
         moved = loss.var_grad(measure, atoms)
+        assert loss.fits == 2
         np.testing.assert_array_equal(moved, fresh().var_grad(EmpiricalMeasure(atoms), atoms))
 
     def test_shape_validation(self):
@@ -238,6 +251,8 @@ class TestMeanFieldRegression:
             MeanFieldRegressionLoss(np.zeros(3), np.zeros(4))
         with pytest.raises(ValueError, match="matching"):
             MeanFieldRegressionLoss(np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="at least one data point"):
+            MeanFieldRegressionLoss(np.zeros(0), np.zeros(0))
 
 
 class TestGaussianOverlap:

@@ -1,4 +1,5 @@
-"""Forward models: the two-layer network and the predator-prey solver."""
+"""Forward models: the two-layer network's reference derivatives (in
+``kgd.oracles``), the data generators and the predator-prey solver."""
 
 import numpy as np
 import pytest
@@ -13,12 +14,9 @@ from kgd.models import (
     lv_equilibrium,
     lv_params,
     lv_sensitivities,
-    mfnn_forward,
-    mfnn_grad,
-    mfnn_hvp,
     sigmoid,
 )
-from kgd.oracles import fd_gradient, lv_solve
+from kgd.oracles import fd_gradient, lv_solve, mfnn_forward, mfnn_grad, mfnn_hvp
 
 
 class TestSigmoid:

@@ -12,7 +12,6 @@ import pytest
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import kgd_u_squared, kgd_v_squared, particle_grad
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
-from kgd import losses
 from kgd.losses import (InteractionLoss, LinearLoss, MeanFieldRegressionLoss,
                         PredictiveKernelLoss, ZeroLoss)
 from kgd.models import gen_mfnn_data
@@ -98,7 +97,7 @@ class TestMFLD:
             moved, atoms + eps * scores + np.sqrt(2.0 * eps) * noise
         )
 
-    def test_traced_run_fits_the_network_once_per_configuration(self, monkeypatch):
+    def test_traced_run_fits_the_network_once_per_configuration(self):
         # A trace row and the step after it score the same atoms through two
         # measures; they share one fit, so k steps traced at every step fit
         # the k + 1 configurations once each. The trace ends bitwise where a
@@ -108,12 +107,10 @@ class TestMFLD:
         ref = DiagonalGaussian.standard(4)
         atoms = np.random.default_rng(24).standard_normal((5, 4))
         k = 4
-        calls = []
-        grad = losses.mfnn_grad
-        monkeypatch.setattr(losses, "mfnn_grad", lambda *a: calls.append(a) or grad(*a))
-        run = mfld_run(atoms, ref, make(), 0.01, k, seeded_stream(3, "fit"),
+        loss = make()
+        run = mfld_run(atoms, ref, loss, 0.01, k, seeded_stream(3, "fit"),
                        trace_kernel=IMQ(1.0), trace_every=1)
-        assert len(calls) == k + 1 and len(run.kgd2) == k + 1
+        assert loss.fits == k + 1 and len(run.kgd2) == k + 1
         final = kgd_v_squared(IMQ(1.0), ref, make(), EmpiricalMeasure(run.atoms)).value2
         assert run.kgd2[-1] == final
 
