@@ -45,7 +45,7 @@ from .losses import (
     PredictiveKernelLoss,
     ZeroLoss,
 )
-from .models import gen_lv_data, gen_mfnn_data, lv_sensitivities
+from .models import _TAYLOR_ORDER, _TAYLOR_STEP, gen_lv_data, gen_mfnn_data, lv_sensitivities
 # The oracles serve only ``self-check``, but they load with the CLI:
 # ``benchmarks/tracing.py`` wraps ``kgd.oracles.fd_gradient`` once ``kgd.cli``
 # is imported.
@@ -234,14 +234,16 @@ def _count(raw: Any, name: str, least: int = 1) -> int:
     return value
 
 
-def _positive(raw: Any, name: str) -> float:
-    """``raw``, the config value ``name``, as a finite positive number."""
+def _positive(raw: Any, name: str, zero: bool = False) -> float:
+    """``raw``, the config value ``name``, as a finite positive number, or
+    non-negative if ``zero``."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = float("nan")
-    if not (np.isfinite(value) and value > 0.0):
-        raise ConfigError(f"{name} must be a finite positive number, got {raw!r}")
+    if not (np.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
+        sign = "non-negative" if zero else "positive"
+        raise ConfigError(f"{name} must be a finite {sign} number, got {raw!r}")
     return value
 
 
@@ -294,7 +296,7 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
         return PredictiveKernelLoss(
             series.times,
             series.observations,
-            sigma=float(cfg.get("sigma", 1.0)),
+            sigma=_positive(cfg.get("sigma", 1.0), "loss.sigma", zero=True),
             lam=None if lam is None else _positive(lam, "loss.lam"),
         )
     raise ConfigError(f"unknown loss.family '{family}'")
@@ -745,7 +747,8 @@ def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
     arms = _lv_arms(seed, knobs, loss)
     runs, rounds = drive([stepper for _, stepper in arms], loss)
     _write_arm_runs(out, [arm for arm, _ in arms], runs)
-    return {"ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
+    return {"solver": {"method": "taylor", "order": _TAYLOR_ORDER, "step": _TAYLOR_STEP},
+            "ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
             "driver_rounds": rounds, "cache_hits": loss.cache_hits,
             "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
@@ -1046,6 +1049,23 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
                for part in parts)
     report("ode-batch-invariance", same == len(parts),
            f"{same} of {len(parts)} split calls bitwise equal")
+
+    # Step doubling: the solve at half the default step, whose error is
+    # 2^12 times smaller, measures the default step's error at the
+    # data-generating parameters and three proposal-region points, as the
+    # worst per-point maximum error relative to the point's largest entry.
+    # The bounds, 1e-8 in u and 1e-6 in sens, are the accuracy the solver
+    # is held to against a fine RK4 solve on proposal draws.
+    xs = np.vstack([[-1.0, _PRESETS["lv-compare"][1]["true_x2"]],
+                    np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(6).standard_normal((3, 2))])
+    times = np.arange(0.0, 61.0)
+    coarse = lv_sensitivities(xs, times)
+    fine = lv_sensitivities(xs, times, step=0.5 * _TAYLOR_STEP)
+    err_u, err_sens = (float(np.max(np.abs(c - f).reshape(4, -1).max(axis=1)
+                                    / np.abs(f).reshape(4, -1).max(axis=1)))
+                       for c, f in zip(coarse, fine))
+    report("ode-step-doubling", err_u < 1e-8 and err_sens < 1e-6,
+           f"worst rel u {err_u:.2e}, sens {err_sens:.2e}")
 
     # Predictive pair blocks on LV trajectories against the broadcast double
     # sum over (time, time) pairs, relative to the largest value and gradient.

@@ -1,7 +1,7 @@
 """Data and forward models behind the data-driven losses: the synthetic
 regression data of the mean-field network, and the Lotka-Volterra
-predator-prey system, solved with a fixed-step RK4 integrator and forward
-sensitivities, with its synthetic data. The network itself is the closed
+predator-prey system, solved jointly with its forward sensitivities by a
+fixed-step order-12 Taylor-series method, with its synthetic data. The network itself is the closed
 form of ``kgd.losses.MeanFieldRegressionLoss``; its stacked derivatives,
 the reference for that form, are in ``kgd.oracles``.
 """
@@ -9,7 +9,7 @@ the reference for that form, are in ``kgd.oracles``.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,109 +68,71 @@ def lv_equilibrium(x: np.ndarray) -> np.ndarray:
     )
 
 
-def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], y: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_record(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    times: np.ndarray,
-    step: float,
-) -> np.ndarray:
-    """Integrate an autonomous system from t = 0, recording at given times.
-
-    Each inter-record segment is covered by round(dt / step) equal substeps,
-    so record times are hit exactly and no accumulation drift occurs.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("times must be strictly increasing and nonnegative")
-    out = np.empty(y0.shape[:1] + (times.size,) + y0.shape[1:])
-    y = np.asarray(y0, dtype=float)
-    t_prev = 0.0
-    for k, t_k in enumerate(times):
-        dt = t_k - t_prev
-        if dt > 0.0:
-            n_sub = max(1, int(round(dt / step)))
-            h = dt / n_sub
-            for _ in range(n_sub):
-                y = _rk4_step(rhs, y, h)
-        out[:, k] = y
-        t_prev = float(t_k)
-    return out
-
-
-# The sensitivity system's state is stored as rows (1, u1, u2, s00, s01,
-# s10, s11) x points, with s_ij = du_i/dx_j. Row 0 is a constant one with
-# zero drift, so every term of the drift is a product of two rows times a
-# per-point coefficient, state[a] * state[b] * coef, added into one output
-# row:
+# The sensitivity system's state is (u1, u2, s00, s01, s10, s11), with
+# s_ij = du_i/dx_j:
 #   du1  = alpha u1 - beta u1 u2
 #   du2  = delta u1 u2 - gamma u2
 #   ds0j = (alpha - beta u2) s0j - beta u1 s1j + df1/dx_j
 #   ds1j = delta u2 s0j + (delta u1 - gamma) s1j
 # where df1/dx1 = u1 alpha (1 - alpha) - u1 u2 beta (1 - alpha) and
 # df1/dx2 = -u1 u2 beta (1 - s2) follow from alpha = sigmoid(x1),
-# beta = alpha sigmoid(x2), s2 = sigmoid(x2). Each entry is
-# (row a, row b, output row); ``lv_sensitivities`` builds the matching
-# coefficients in the same order.
-_LV_TERMS = (
-    (0, 1, 1), (1, 2, 1),
-    (1, 2, 2), (0, 2, 2),
-    (0, 1, 3), (0, 3, 3), (1, 2, 3), (2, 3, 3), (1, 5, 3),
-    (0, 4, 4), (1, 2, 4), (2, 4, 4), (1, 6, 4),
-    (0, 5, 5), (2, 3, 5), (1, 5, 5),
-    (0, 6, 6), (2, 4, 6), (1, 6, 6),
-)
-# The terms laid out slot-major, (slot, output row) -> term index: output row
-# r sums its terms over the slot axis in the order above, and a row's unused
-# slots hold the zero term (row 0, row 0, coefficient 0), index
-# len(_LV_TERMS). Elementwise products and a sum over the leading axis fix
-# each point's arithmetic; a matrix product would not, as BLAS orders its
-# sums differently in the tail columns of a wide batch.
-_LV_BY_ROW = [[k for k, term in enumerate(_LV_TERMS) if term[2] == r] for r in range(7)]
-_LV_LAYOUT = np.array([
-    [ks[slot] if slot < len(ks) else len(_LV_TERMS) for ks in _LV_BY_ROW]
-    for slot in range(max(map(len, _LV_BY_ROW)))
+# beta = alpha sigmoid(x2), s2 = sigmoid(x2). The drift is linear in the
+# state and in five products of it: u1 u2, u1 s10, u1 s11, u2 s00 and
+# u2 s01. ``lv_sensitivities`` keeps its Taylor coefficients as 16 rows
+# x points: rows 0-9 hold the state as (u1, u1, u1, u2, u2, u2, s10, s11,
+# s00, s01), so the products are rows 0-4 times rows 5-9, kept in rows
+# 10-14; row 15 is a constant zero. The three copies of u1 and of u2 have
+# the same drift, so they stay bitwise equal. Each of the ten state rows'
+# drift sums at most five terms, coefficient times row, laid out
+# slot-major: _LV_ROWS[slot, output] is the row the term in that slot
+# reads, and an unused slot reads the zero row. ``lv_sensitivities``
+# builds the matching coefficients, (slots, 10, m), in the same layout.
+_LV_ROWS = np.array([
+    # u1  u1  u1  u2  u2  u2  s10 s11 s00 s01
+    [0,   0,  0, 10, 10, 10, 13, 14,  8,  9],
+    [10, 10, 10,  3,  3,  3, 11, 12, 13, 14],
+    [15, 15, 15, 15, 15, 15,  6,  7, 11, 12],
+    [15, 15, 15, 15, 15, 15, 15, 15,  0, 10],
+    [15, 15, 15, 15, 15, 15, 15, 15, 10, 15],
 ])
-_LV_PAIRS = np.array([[t[0] for t in _LV_TERMS] + [0],
-                      [t[1] for t in _LV_TERMS] + [0]])[:, _LV_LAYOUT]  # (2, slots, 7)
+# Order of the Taylor series summed per step, and the default step.
+_TAYLOR_ORDER = 12
+_TAYLOR_STEP = 0.1
 
 
 def lv_sensitivities(
     x: np.ndarray,
     times: np.ndarray,
-    step: float = 0.01,
+    step: float = _TAYLOR_STEP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trajectories and their derivatives with respect to x.
 
     Solves the forward sensitivity system dS/dt = (df/du) S + df/dx jointly
-    with the populations, S(0) = 0. Populations and sensitivities share the
-    same RK4 substeps, so the returned sens is the exact derivative of the
-    discrete map x -> u (up to rounding), not only an O(step^4)
-    approximation of the continuous one; finite differences of the plain
-    solver ``kgd.oracles.lv_solve`` at the same step agree with it, up to
-    their own differencing error, at any step size.
+    with the populations, S(0) = 0, by the fixed-step Taylor method for
+    polynomial ODEs (Corliss & Chang 1982; Jorba & Zou 2005). The drift f is
+    quadratic in the joint state y, so the Taylor coefficients follow
+    exactly from Cauchy products: f[k] is linear in y[k] and in the five
+    products' coefficients sum_j a[j] b[k - j], and y[k + 1] = f[k] / (k + 1).
+    A step evaluates the order-12 series at h by Horner's rule. Each
+    inter-record segment is covered by round(dt / step) equal steps, so
+    record times are hit exactly. Populations and sensitivities share the
+    steps, so the returned sens is the exact derivative of the discrete map
+    x -> u (up to rounding), not only an approximation of the continuous
+    one. Finite differences of the RK4 solver ``kgd.oracles.lv_solve``
+    check it only to within that solver's own error.
 
-    The state is a (7, m) array with rows (1, u1, u2, s00, s01, s10, s11):
-    the drift is 19 products of two rows times fixed per-point
-    coefficients, each added into its output row (the layout above
-    ``lv_sensitivities``). Every operation is elementwise over the points,
-    with no BLAS call, so a point's u and sens are bitwise the same whatever
-    other points share its call: any split of a batch into calls gives the
-    same bytes. A call costs a fixed number of numpy operations per RK4 step
-    (6000 steps for t up to 60 at the default step), so its time is set by
-    the number of calls far more than by the batch size m. Callers should
-    pass all the points they need in one batch.
+    Every operation is elementwise over the points, with no BLAS call, so a
+    point's u and sens are bitwise the same whatever other points share its
+    call: any split of a batch into calls gives the same bytes. A call costs
+    a fixed number of numpy operations per step (600 steps of order 12 for
+    t up to 60 at the default step), so its time is set by the number of
+    calls far more than by the batch size m. Callers should pass all the
+    points they need in one batch.
 
     Args:
         x: Unconstrained parameters, shape (m, 2) or (2,).
         times: Strictly increasing observation times, shape (N,).
+        step: Target Taylor step size.
 
     Returns:
         Tuple (u, sens) with shapes (m, N, 2) and (m, N, 2, 2); the trailing
@@ -181,32 +143,61 @@ def lv_sensitivities(
     single = x.ndim == 1
     xb = x[None, :] if single else x
     m = xb.shape[0]
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+        raise ValueError("times must be strictly increasing and nonnegative")
     alpha, beta = lv_params(xb)
     s2 = sigmoid(xb[..., 1])
-    delta_m = np.full(m, LV_DELTA)
-    neg_gamma = np.full(m, -LV_GAMMA)
+    # a = alpha, b = -beta, d = delta, g = -gamma and z = 0, per point.
+    a, b, d, g, z = alpha, -beta, np.full(m, LV_DELTA), np.full(m, -LV_GAMMA), np.zeros(m)
     coef = np.stack([
-        alpha, -beta,
-        delta_m, neg_gamma,
-        alpha * (1.0 - alpha), alpha, -beta * (1.0 - alpha), -beta, -beta,
-        alpha, -beta * (1.0 - s2), -beta, -beta,
-        neg_gamma, delta_m, delta_m,
-        neg_gamma, delta_m, delta_m,
-        np.zeros(m),
-    ])[_LV_LAYOUT]  # (slots, 7, m)
+        a, a, a, d, d, d, d, d, a, a,
+        b, b, b, g, g, g, d, d, b, b,
+        z, z, z, z, z, z, g, g, b, b,
+        z, z, z, z, z, z, z, z, alpha * (1.0 - alpha), b * (1.0 - s2),
+        z, z, z, z, z, z, z, z, b * (1.0 - alpha), z,
+    ]).reshape(_LV_ROWS.shape + (m,))
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        rows = state[_LV_PAIRS]
-        terms = rows[0] * rows[1]
-        terms *= coef
-        return terms.sum(axis=0)
-
-    state0 = np.zeros((7, m))
-    state0[0] = 1.0
-    state0[1:3] = np.asarray(LV_INIT, dtype=float)[:, None]
-    path = _rk4_record(rhs, state0, np.asarray(times, dtype=float), step)  # (7, N, m)
-    u = np.ascontiguousarray(path[1:3].transpose(2, 1, 0))
-    sens = np.ascontiguousarray(path[3:].transpose(2, 1, 0)).reshape(m, -1, 2, 2)
+    # Per order k: the Cauchy product's two factors, a[0..k] and b[k..0]
+    # (a reversed view), its (k + 1, 5, m) buffer and the rows it fills, and
+    # the rows the drift reads and writes.
+    order = _TAYLOR_ORDER
+    series = np.zeros((order + 1, 16, m))
+    prod = np.empty((order, 5, m))
+    orders = [
+        (series[:k + 1, 0:5], series[k::-1, 5:10], prod[:k + 1],
+         series[k, 10:15], series[k], series[k + 1, :10], float(k + 1))
+        for k in range(order)
+    ]
+    terms = np.empty(_LV_ROWS.shape + (m,))
+    horner = [series[k, :10] for k in range(order - 1, -1, -1)]
+    y = series[0, :10]
+    y[:3], y[3:6] = LV_INIT
+    u = np.empty((m, times.size, 2))
+    sens = np.empty((m, times.size, 4))
+    t_prev = 0.0
+    for n, t_n in enumerate(times):
+        dt = t_n - t_prev
+        if dt > 0.0:
+            n_sub = max(1, int(round(dt / step)))
+            h = dt / n_sub
+            for _ in range(n_sub):
+                for left, right, pairs, prod_out, rows, drift_out, k1 in orders:
+                    np.multiply(left, right, out=pairs)
+                    np.add.reduce(pairs, axis=0, out=prod_out)
+                    rows.take(_LV_ROWS, axis=0, out=terms)
+                    terms *= coef
+                    np.add.reduce(terms, axis=0, out=drift_out)
+                    drift_out /= k1
+                step_end = series[order, :10].copy()
+                for c in horner:
+                    step_end *= h
+                    step_end += c
+                y[...] = step_end
+        u[:, n] = y[[0, 3]].T
+        sens[:, n] = y[[8, 9, 6, 7]].T
+        t_prev = float(t_n)
+    sens = sens.reshape(m, -1, 2, 2)
     return (u[0], sens[0]) if single else (u, sens)
 
 

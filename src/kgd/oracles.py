@@ -75,8 +75,9 @@ def lv_solve(
     The plain RK4 solve, without sensitivities: the reference that finite
     differences turn into a check of ``models.lv_sensitivities``. It shares
     only the parameter map ``lv_params`` with it. Each inter-record segment
-    is covered by round(dt / step) equal substeps, the same discrete map the
-    sensitivity solver differentiates.
+    is covered by round(dt / step) equal substeps. The sensitivity solver
+    takes Taylor-series steps instead, so finite differences of this solver
+    check its sens only to within RK4's own error at ``step``.
 
     Args:
         x: Unconstrained parameters, shape (m, 2) or (2,).

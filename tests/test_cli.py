@@ -415,12 +415,16 @@ class TestSampleVerb:
             ({"reference": {"dimension": 4},
               "loss": {"family": "mean-field-regression", "n_data": 0}}, "loss.n_data"),
             ({"loss": {"family": "predictive-kernel", "data_seed": "abc"}}, "loss.data_seed"),
+            ({"loss": {"family": "predictive-kernel", "sigma": "abc"}}, "loss.sigma"),
+            ({"loss": {"family": "predictive-kernel", "sigma": -1.0}}, "loss.sigma"),
+            ({"loss": {"family": "predictive-kernel", "sigma": float("nan")}}, "loss.sigma"),
             ({"run": {"seed": -1}}, "run.seed"),
         ],
         ids=["dimension-0", "dimension-negative", "particles-0", "points-0", "candidates-0",
              "trace-every-0", "step-nan", "step-inf", "step-0", "lengthscale", "c",
              "weights", "member", "proposal-scale-text", "refine-rounds-negative", "lam-text",
-             "n-data-0", "data-seed-text", "seed-negative"],
+             "n-data-0", "data-seed-text", "sigma-text", "sigma-negative", "sigma-nan",
+             "seed-negative"],
     )
     def test_bad_numeric_value_is_a_config_error(self, tmp_path, capsys, body, key):
         cfg = _write_config(tmp_path, body)
@@ -615,6 +619,7 @@ class TestExperimentVerb:
         # Each solved point was a miss first; the flow arms' first steps hit.
         assert summary["cache_misses"] >= summary["ode_solves"]
         assert summary["cache_hits"] > 0 and summary["cache_clears"] == 0
+        assert summary["solver"] == {"method": "taylor", "order": 12, "step": 0.1}
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
     def test_lv_compare_lockstep_equals_separate_runs(self, tmp_path):
@@ -666,7 +671,7 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 15
+        assert len(lines) == 16
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
@@ -674,6 +679,7 @@ class TestSelfCheck:
         assert any(l.startswith("PASS mean-field-contractions ") for l in lines)
         assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
         assert any(l.startswith("PASS ode-batch-invariance ") for l in lines)
+        assert any(l.startswith("PASS ode-step-doubling ") for l in lines)
         assert any(l.startswith("PASS radial-gram ") for l in lines)
         assert any(l.startswith("PASS tilted-gram ") for l in lines)
         assert any(l.startswith("PASS stein-gram ") for l in lines)

@@ -169,9 +169,30 @@ class TestSensitivities:
                 )
 
     def test_solution_part_matches_plain_solver(self):
+        # The Taylor u is accurate far past the RK4 oracle's default step
+        # (its own error there is about 3e-11), so the reference is refined.
         times = np.arange(1.0, 21.0)
         u, _ = lv_sensitivities(self.x, times)
-        np.testing.assert_allclose(u, lv_solve(self.x, times), rtol=1e-12)
+        np.testing.assert_allclose(u, lv_solve(self.x, times, step=0.002), rtol=1e-12)
+
+    def test_sens_is_the_derivative_of_the_discrete_map(self):
+        # At step 0.5 the discrete map is measurably off the continuous
+        # flow: its sens differs from the default step's by 4e-8 of
+        # max|sens|. Central differences of the solver's own u at step 0.5
+        # match its sens within 2e-11 of max|sens|, so the 1e-9 bound fails
+        # a sens that only approximated the continuous derivative.
+        times = np.array([5.0, 20.0])
+        _, sens = lv_sensitivities(self.x, times, step=0.5)
+        eps = 1e-6
+        fd = np.stack([
+            (lv_sensitivities(self.x + eps * e, times, step=0.5)[0]
+             - lv_sensitivities(self.x - eps * e, times, step=0.5)[0]) / (2.0 * eps)
+            for e in np.eye(2)
+        ], axis=-1)
+        scale = np.max(np.abs(sens))
+        assert np.max(np.abs(fd - sens)) < 1e-9 * scale
+        _, fine = lv_sensitivities(self.x, times)
+        assert np.max(np.abs(fine - sens)) > 1e-9 * scale
 
     def test_batched_matches_single(self):
         xs = np.array([[-1.0, -1.5], [0.5, -2.0], [0.0, 0.0]])
