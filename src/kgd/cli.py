@@ -50,8 +50,8 @@ from .models import _TAYLOR_ORDER, _TAYLOR_STEP, gen_lv_data, gen_mfnn_data, lv_
 # ``benchmarks/tracing.py`` wraps ``kgd.oracles.fd_gradient`` once ``kgd.cli``
 # is imported.
 from .oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
-                      kernel_derivatives, lv_solve, reference_drift, reference_ksd_squared,
-                      reference_mean_field, reference_stein_kernel)
+                      kernel_derivatives, lv_solve, reference_cross_term, reference_drift,
+                      reference_ksd_squared, reference_mean_field, reference_stein_kernel)
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
@@ -59,6 +59,7 @@ from .samplers import (
     SearchSpec,
     Stepper,
     drive,
+    flow_stepper,
     greedy_extend,
     greedy_stepper,
     kgdd_run,
@@ -77,38 +78,36 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config loading. Every section has an explicit allowed-key table so a typo
-# like "kernell" or "lenghtscale" fails loudly with the offending path.
+# Config loading. Each section, and each family a section can pick, lists
+# the keys it reads with their defaults; a key the chosen family does not
+# read, like "kernell" or "lenghtscale", fails loudly with its full path.
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"run", "kernel", "reference", "loss", "sampler"}
-_RUN_KEYS = {"seed", "output"}
-_KERNEL_KEYS = {"family", "lengthscale", "members", "weights", "c", "exponent", "base"}
-_REFERENCE_KEYS = {"dimension", "mean", "variance"}
-_LOSS_KEYS = {
-    "family",
-    "center",
-    "weights",
-    "data_seed",
-    "n_data",
-    "lam",
-    "sigma",
-}
-_SAMPLER_KEYS = {
-    "algorithm",
-    "particles",
-    "steps",
-    "step_size",
-    "optimizer",
-    "trace_every",
-    "init",
-    "points",
-    "proposal_mean",
-    "proposal_scale",
-    "n_candidates",
-    "refine_rounds",
-}
-_INIT_KEYS = {"kind", "mean", "variance"}
+_RUN = {"seed": 0, "output": None}
+_REFERENCE = {"dimension": 2, "mean": 0.0, "variance": 1.0}
+# Per family: the selecting key, the default family, and each family's keys.
+# A nested kernel (a mixture member, a weighted kernel's base) is radial.
+_RADIAL = ("family", "imq", {"imq": {"lengthscale": 1.0}, "gaussian": {"lengthscale": 1.0}})
+_KERNELS = ("family", "imq", _RADIAL[2] | {
+    "mixture": {"members": [], "weights": None},
+    "weighted-matrix": {"c": 1.0, "exponent": 0.0, "base": {}},
+})
+_LOSSES = ("family", "zero", {
+    "zero": {},
+    "linear-quadratic": {"center": 0.0, "weights": 1.0},
+    "interaction-quadratic": {},
+    "mean-field-regression": {"data_seed": 0, "n_data": 300, "lam": 300.0},
+    "predictive-kernel": {"data_seed": 1, "sigma": 1.0, "lam": None},
+})
+_FLOW = {"particles": 50, "steps": 100, "step_size": 1e-3, "trace_every": 1, "init": {}}
+_SAMPLERS = ("algorithm", "mfld", {
+    "mfld": _FLOW,
+    "vgd": _FLOW | {"optimizer": "euler"},
+    "kgdd": _FLOW | {"optimizer": "euler"},
+    "greedy": {"points": 10, "proposal_mean": 0.0, "proposal_scale": 1.0,
+               "n_candidates": 200, "refine_rounds": 4},
+})
+_INITS = ("kind", "reference", {"reference": {}, "gaussian": {"mean": 0.0, "variance": 1.0}})
 
 
 def _require_mapping(value: Any, path: str) -> dict:
@@ -119,107 +118,84 @@ def _require_mapping(value: Any, path: str) -> dict:
     return value
 
 
-def _check_keys(mapping: Mapping[str, Any], allowed: set[str], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown key '{path}.{key}'; allowed keys: {sorted(allowed)}"
-            )
+def _resolve(raw: Any, path: str, keys: Mapping[str, Any], chosen: str = "") -> dict:
+    """Section ``raw`` at ``path`` over the defaults ``keys``; any other key
+    is an error naming its path."""
+    section = _require_mapping(raw, path)
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key '{path}.{key}'{chosen}; allowed keys: {sorted(keys)}")
+    return dict(keys) | section
+
+
+def _resolve_family(raw: Any, path: str, table: tuple) -> dict:
+    """Section ``raw`` at ``path`` over the defaults of the family it picks
+    from ``table``."""
+    selector, default, families = table
+    section = _require_mapping(raw, path)
+    name = section.get(selector, default)
+    if not isinstance(name, str) or name not in families:
+        raise ConfigError(f"unknown {path}.{selector} {name!r}; available: {sorted(families)}")
+    keys = {selector: name} | families[name]
+    return _resolve(section, path, keys, f" for {path}.{selector} '{name}'")
+
+
+def _resolve_kernel(raw: Any, path: str) -> dict:
+    cfg = _resolve_family(raw, path, _KERNELS)
+    if "base" in cfg:
+        cfg["base"] = _resolve_family(cfg["base"], f"{path}.base", _RADIAL)
+    if "members" in cfg:
+        if not isinstance(cfg["members"], list) or not cfg["members"]:
+            raise ConfigError(f"{path}.members must be a non-empty list")
+        cfg["members"] = [_resolve_family(member, f"{path}.members[{i}]", _RADIAL)
+                          for i, member in enumerate(cfg["members"])]
+    return cfg
 
 
 def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     """Load and validate a config file (or pre-parsed mapping).
 
-    Returns the resolved configuration with defaults filled in; any key not
-    in the schema is a hard error naming the full path of the offender.
+    Returns the resolved configuration: each section holds exactly the keys
+    its chosen family reads, defaults filled in. Any other key is a hard
+    error naming the full path of the offender.
     """
     if isinstance(source, (str, Path)):
-        text = Path(source).read_text()
-        raw = yaml.safe_load(text)
+        raw = yaml.safe_load(Path(source).read_text())
     else:
         raw = dict(source)
-    raw = _require_mapping(raw, "<top>")
-    _check_keys(raw, _TOP_KEYS, "<top>")
-
-    run = _require_mapping(raw.get("run"), "run")
-    _check_keys(run, _RUN_KEYS, "run")
-    kernel = _require_mapping(raw.get("kernel"), "kernel")
-    _check_keys(kernel, _KERNEL_KEYS, "kernel")
-    if "base" in kernel:
-        _check_keys(
-            _require_mapping(kernel["base"], "kernel.base"),
-            {"family", "lengthscale"},
-            "kernel.base",
-        )
-    for i, member in enumerate(kernel.get("members") or []):
-        _check_keys(
-            _require_mapping(member, f"kernel.members[{i}]"),
-            {"family", "lengthscale"},
-            f"kernel.members[{i}]",
-        )
-    reference = _require_mapping(raw.get("reference"), "reference")
-    _check_keys(reference, _REFERENCE_KEYS, "reference")
-    loss = _require_mapping(raw.get("loss"), "loss")
-    _check_keys(loss, _LOSS_KEYS, "loss")
-    sampler = _require_mapping(raw.get("sampler"), "sampler")
-    _check_keys(sampler, _SAMPLER_KEYS, "sampler")
-    init = _require_mapping(sampler.get("init"), "sampler.init")
-    _check_keys(init, _INIT_KEYS, "sampler.init")
-
-    resolved = {
-        "run": {"seed": _count(run.get("seed", 0), "run.seed", least=0),
-                "output": run.get("output")},
-        "kernel": {"family": "imq", "lengthscale": 1.0} | kernel,
-        "reference": {"dimension": 2, "mean": 0.0, "variance": 1.0} | reference,
-        "loss": {"family": "zero"} | loss,
-        "sampler": {
-            "algorithm": "mfld",
-            "particles": 50,
-            "steps": 100,
-            "step_size": 1e-3,
-            "optimizer": "euler",
-            "trace_every": 1,
-            "points": 10,
-            "proposal_scale": 1.0,
-            "n_candidates": 200,
-            "refine_rounds": 4,
-        }
-        | sampler
-        | {"init": {"kind": "reference", "mean": 0.0, "variance": 1.0} | init},
+    raw = _resolve(raw, "<top>", dict.fromkeys(("run", "kernel", "reference", "loss", "sampler")))
+    run = _resolve(raw["run"], "run", _RUN)
+    run["seed"] = _count0(run["seed"], "run.seed")
+    sampler = _resolve_family(raw["sampler"], "sampler", _SAMPLERS)
+    if "init" in sampler:
+        sampler["init"] = _resolve_family(sampler["init"], "sampler.init", _INITS)
+    return {
+        "run": run,
+        "kernel": _resolve_kernel(raw["kernel"], "kernel"),
+        "reference": _resolve(raw["reference"], "reference", _REFERENCE),
+        "loss": _resolve_family(raw["loss"], "loss", _LOSSES),
+        "sampler": sampler,
     }
-    return resolved
 
 
 def build_kernel(cfg: Mapping[str, Any], path: str = "kernel"):
-    """Kernel from its config section; a value the kernel rejects is a
-    config error naming the section."""
-    family = cfg.get("family", "imq")
+    """Kernel from its resolved config section; a value the kernel rejects
+    is a config error naming the section."""
+    family = cfg["family"]
     try:
-        if family == "imq":
-            return IMQ(float(cfg.get("lengthscale", 1.0)))
-        if family == "gaussian":
-            return Gaussian(float(cfg.get("lengthscale", 1.0)))
         if family == "mixture":
-            members = tuple(
-                build_kernel(member, f"{path}.members[{i}]")
-                for i, member in enumerate(cfg.get("members") or ())
-            )
-            if not members:
-                raise ConfigError(f"{path}.members must be a non-empty list")
-            weights = cfg.get("weights")
+            members = tuple(build_kernel(member, f"{path}.members[{i}]")
+                            for i, member in enumerate(cfg["members"]))
+            weights = cfg["weights"]
             return Mixture(members, None if weights is None else tuple(weights))
         if family == "weighted-matrix":
-            base = build_kernel(cfg.get("base") or {"family": "imq"}, f"{path}.base")
-            return WeightedMatrixKernel(
-                c=float(cfg.get("c", 1.0)),
-                exponent=float(cfg.get("exponent", 0.0)),
-                base=base,
-            )
+            return WeightedMatrixKernel(c=float(cfg["c"]), exponent=float(cfg["exponent"]),
+                                        base=build_kernel(cfg["base"], f"{path}.base"))
+        return (IMQ if family == "imq" else Gaussian)(float(cfg["lengthscale"]))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"unknown {path}.family '{family}'")
 
 
 def _count(raw: Any, name: str, least: int = 1) -> int:
@@ -247,72 +223,90 @@ def _positive(raw: Any, name: str, zero: bool = False) -> float:
     return value
 
 
-def _per_axis(cfg: Mapping[str, Any], key: str, default: float, dim: int, path: str) -> np.ndarray:
-    """``cfg[key]`` as a fresh (dim,) array, given as one finite number for
-    all axes or as a list of one per axis."""
-    raw = cfg.get(key, default)
+Parser = Callable[[Any, str], Any]
+
+
+def _count0(raw: Any, name: str) -> int:
+    """``raw``, the config value ``name``, as a whole number of at least 0."""
+    return _count(raw, name, least=0)
+
+
+def _finite(raw: Any, name: str) -> float:
+    """``raw``, the config value ``name``, as a finite number."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = float("nan")
+    if not np.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {raw!r}")
+    return value
+
+
+def _list(parse: Parser) -> Parser:
+    """Parser of a list of values ``parse`` reads; a single value is a list
+    of one."""
+    def parse_list(raw: Any, name: str) -> list:
+        items = raw if isinstance(raw, list) else [raw]
+        return [parse(item, f"{name}[{i}]") for i, item in enumerate(items)]
+
+    return parse_list
+
+
+def _per_axis(raw: Any, dim: int, name: str) -> np.ndarray:
+    """``raw``, the config value ``name``, as a fresh (dim,) array, given as
+    one finite number for all axes or as a list of one per axis."""
     try:
         values = np.atleast_1d(np.asarray(raw, dtype=float))
         ok = values.ndim == 1 and values.size in (1, dim) and bool(np.all(np.isfinite(values)))
     except (TypeError, ValueError):
         ok = False
     if not ok:
-        raise ConfigError(
-            f"{path}.{key} must be a finite number or a list of {dim} of them, got {raw!r}"
-        )
+        raise ConfigError(f"{name} must be a finite number or a list of {dim} of them, got {raw!r}")
     return np.broadcast_to(values, (dim,)).copy()
 
 
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
-    dim = _count(cfg.get("dimension", 2), "reference.dimension")
-    mean = _per_axis(cfg, "mean", 0.0, dim, "reference")
-    var = _per_axis(cfg, "variance", 1.0, dim, "reference")
-    return DiagonalGaussian(mean, var)
+    dim = _count(cfg["dimension"], "reference.dimension")
+    return DiagonalGaussian(_per_axis(cfg["mean"], dim, "reference.mean"),
+                            _per_axis(cfg["variance"], dim, "reference.variance"))
 
 
 def build_loss(cfg: Mapping[str, Any], dim: int):
-    family = cfg.get("family", "zero")
-    if family == "zero":
-        return ZeroLoss()
+    family = cfg["family"]
     if family == "linear-quadratic":
-        center = _per_axis(cfg, "center", 0.0, dim, "loss")
-        weights = _per_axis(cfg, "weights", 1.0, dim, "loss")
-        return LinearLoss(center, weights)
+        return LinearLoss(_per_axis(cfg["center"], dim, "loss.center"),
+                          _per_axis(cfg["weights"], dim, "loss.weights"))
     if family == "interaction-quadratic":
         return InteractionLoss()
     if family == "mean-field-regression":
         if dim != 4:
             raise ConfigError("mean-field-regression needs reference.dimension = 4")
-        data = gen_mfnn_data(_count(cfg.get("data_seed", 0), "loss.data_seed", least=0),
-                             _count(cfg.get("n_data", 300), "loss.n_data"))
-        return MeanFieldRegressionLoss(
-            data.covariates, data.responses, lam=_positive(cfg.get("lam", 300.0), "loss.lam")
-        )
+        data = gen_mfnn_data(_count0(cfg["data_seed"], "loss.data_seed"),
+                             _count(cfg["n_data"], "loss.n_data"))
+        return MeanFieldRegressionLoss(data.covariates, data.responses,
+                                       lam=_positive(cfg["lam"], "loss.lam"))
     if family == "predictive-kernel":
         if dim != 2:
             raise ConfigError("predictive-kernel needs reference.dimension = 2")
-        series = gen_lv_data(_count(cfg.get("data_seed", 1), "loss.data_seed", least=0))
-        lam = cfg.get("lam")
+        series = gen_lv_data(_count0(cfg["data_seed"], "loss.data_seed"))
+        lam = cfg["lam"]
         return PredictiveKernelLoss(
             series.times,
             series.observations,
-            sigma=_positive(cfg.get("sigma", 1.0), "loss.sigma", zero=True),
+            sigma=_positive(cfg["sigma"], "loss.sigma", zero=True),
             lam=None if lam is None else _positive(lam, "loss.lam"),
         )
-    raise ConfigError(f"unknown loss.family '{family}'")
+    return ZeroLoss()
 
 
 def build_init(
     cfg: Mapping[str, Any], ref: DiagonalGaussian, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    kind = cfg.get("kind", "reference")
-    if kind == "reference":
+    if cfg["kind"] == "reference":
         return ref.sample(rng, n)
-    if kind == "gaussian":
-        mean = _per_axis(cfg, "mean", 0.0, ref.dim, "sampler.init")
-        var = _per_axis(cfg, "variance", 1.0, ref.dim, "sampler.init")
-        return mean + np.sqrt(var) * rng.standard_normal((n, ref.dim))
-    raise ConfigError(f"unknown sampler.init.kind '{kind}'")
+    mean = _per_axis(cfg["mean"], ref.dim, "sampler.init.mean")
+    var = _per_axis(cfg["variance"], ref.dim, "sampler.init.variance")
+    return mean + np.sqrt(var) * rng.standard_normal((n, ref.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -401,66 +395,56 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def run_sampler(cfg: Mapping[str, Any], kernel, ref: DiagonalGaussian, loss,
+                seed: int) -> SamplerRun:
+    """The run a resolved ``sampler`` section describes, traced with ``kernel``."""
+    algorithm = cfg["algorithm"]
+    if algorithm == "greedy":
+        search = SearchSpec(
+            proposal_mean=_per_axis(cfg["proposal_mean"], ref.dim, "sampler.proposal_mean"),
+            proposal_scale=_positive(cfg["proposal_scale"], "sampler.proposal_scale"),
+            n_candidates=_count(cfg["n_candidates"], "sampler.n_candidates"),
+            refine_rounds=_count0(cfg["refine_rounds"], "sampler.refine_rounds"),
+        )
+        n_points = _count(cfg["points"], "sampler.points")
+        return greedy_extend(kernel, ref, loss, search, n_points, seed=seed)
+    n = _count(cfg["particles"], "sampler.particles")
+    n_steps = _count(cfg["steps"], "sampler.steps")
+    step_size = _positive(cfg["step_size"], "sampler.step_size")
+    trace_every = _count(cfg["trace_every"], "sampler.trace_every")
+    atoms0 = build_init(cfg["init"], ref, n, seeded_stream(seed, "init"))
+    if algorithm == "mfld":
+        return mfld_run(atoms0, ref, loss, step_size, n_steps, seeded_stream(seed, "mfld"),
+                        trace_kernel=kernel, trace_every=trace_every)
+    try:
+        spec = OptimizerSpec(method=cfg["optimizer"], step_size=step_size)
+    except ValueError as exc:
+        raise ConfigError(f"sampler.optimizer: {exc}; use 'euler' or 'adam'") from None
+    if algorithm == "vgd":
+        return vgd_run(atoms0, kernel, ref, loss, spec, n_steps,
+                       trace_kernel=kernel, trace_every=trace_every)
+    if isinstance(loss, PredictiveKernelLoss):
+        raise ConfigError("sampler.algorithm 'kgdd' needs a loss with "
+                          "var_grad_vjp; loss.family 'predictive-kernel' has none")
+    return kgdd_run(atoms0, kernel, ref, loss, spec, n_steps,
+                    trace_kernel=kernel, trace_every=trace_every)
+
+
 def cmd_sample(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     if args.output is not None:
         cfg["run"]["output"] = args.output
     if cfg["run"]["output"] is None:
         raise ConfigError("no output directory: set run.output or pass --output")
-    out = Path(cfg["run"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
-
     kernel = build_kernel(cfg["kernel"])
     ref = build_reference(cfg["reference"])
     loss = build_loss(cfg["loss"], ref.dim)
-    s_cfg = cfg["sampler"]
-    seed = cfg["run"]["seed"]
-    algorithm = s_cfg["algorithm"]
-    trace_every = _count(s_cfg["trace_every"], "sampler.trace_every")
-
     start = time.perf_counter()
-    if algorithm == "greedy":
-        search = SearchSpec(
-            proposal_mean=_per_axis(s_cfg, "proposal_mean", 0.0, ref.dim, "sampler"),
-            proposal_scale=_positive(s_cfg["proposal_scale"], "sampler.proposal_scale"),
-            n_candidates=_count(s_cfg["n_candidates"], "sampler.n_candidates"),
-            refine_rounds=_count(s_cfg["refine_rounds"], "sampler.refine_rounds", least=0),
-        )
-        run = greedy_extend(
-            kernel, ref, loss, search, _count(s_cfg["points"], "sampler.points"), seed=seed
-        )
-    else:
-        n = _count(s_cfg["particles"], "sampler.particles")
-        step_size = _positive(s_cfg["step_size"], "sampler.step_size")
-        init_rng = seeded_stream(seed, "init")
-        atoms0 = build_init(s_cfg["init"], ref, n, init_rng)
-        try:
-            spec = OptimizerSpec(method=s_cfg["optimizer"], step_size=step_size)
-        except ValueError as exc:
-            raise ConfigError(f"sampler.optimizer: {exc}; use 'euler' or 'adam'") from None
-        n_steps = _count(s_cfg["steps"], "sampler.steps")
-        if algorithm == "mfld":
-            run = mfld_run(
-                atoms0, ref, loss, step_size, n_steps,
-                seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=trace_every,
-            )
-        elif algorithm == "vgd":
-            run = vgd_run(
-                atoms0, kernel, ref, loss, spec, n_steps,
-                trace_kernel=kernel, trace_every=trace_every,
-            )
-        elif algorithm == "kgdd":
-            if isinstance(loss, PredictiveKernelLoss):
-                raise ConfigError("sampler.algorithm 'kgdd' needs a loss with "
-                                  "var_grad_vjp; loss.family 'predictive-kernel' has none")
-            run = kgdd_run(
-                atoms0, kernel, ref, loss, spec, n_steps,
-                trace_kernel=kernel, trace_every=trace_every,
-            )
-        else:
-            raise ConfigError(f"unknown sampler.algorithm '{algorithm}'")
+    run = run_sampler(cfg["sampler"], kernel, ref, loss, cfg["run"]["seed"])
     elapsed = time.perf_counter() - start
 
+    out = Path(cfg["run"]["output"])
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(
         out / "trace.csv",
         ["step", "kgd_v2", "wall_time_s"],
@@ -476,39 +460,37 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Experiment presets. Each preset declares its knob defaults; --set overrides
-# by dotted key and unknown knobs are configuration errors.
+# Experiment presets. Each preset's knob table pairs every default with its
+# parser; ``--set key=value`` overrides by name, and every knob, default or
+# override, is parsed before any work starts. Unknown knobs are
+# configuration errors.
 # ---------------------------------------------------------------------------
 
 
-def _apply_overrides(knobs: dict, overrides: Sequence[str]) -> dict:
-    result = dict(knobs)
+def _text_number(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _apply_overrides(table: Mapping[str, tuple[Any, Parser]], overrides: Sequence[str]) -> dict:
+    """The knobs of ``table``, each its default or its ``--set key=value``
+    override (list items separated by ';'), read by the knob's parser."""
+    raw = {key: default for key, (default, _) in table.items()}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, text = item.split("=", 1)
         key = key.strip()
-        if key not in result:
-            raise ConfigError(
-                f"unknown override '{key}'; available: {sorted(result)}"
-            )
-        current = result[key]
+        if key not in table:
+            raise ConfigError(f"unknown override '{key}'; available: {sorted(table)}")
         try:
-            if isinstance(current, int):
-                value: Any = int(text)
-            elif isinstance(current, float):
-                value = float(text)
-            elif isinstance(current, (list, tuple)):
-                value = type(current)(
-                    type(current[0])(part) if current else float(part)
-                    for part in text.split(";")
-                )
-            else:
-                value = text
+            parts = [_text_number(part) for part in text.split(";")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse override '{item}': {exc}") from None
-        result[key] = value
-    return result
+        raw[key] = parts if len(parts) > 1 else parts[0]
+    return {key: parse(raw[key], key) for key, (_, parse) in table.items()}
 
 
 def _scaling_study(*args) -> ScalingStudy:
@@ -520,18 +502,10 @@ def _scaling_study(*args) -> ScalingStudy:
 
 
 def _preset_gauss_identity(seed: int, knobs: dict, out: Path) -> dict:
-    sizes = [int(v) for v in knobs["sizes"]]
-    kernel = IMQ(float(knobs["lengthscale"]))
-    ref = DiagonalGaussian.standard(int(knobs["dimension"]))
-    study = _scaling_study(
-        kernel,
-        ref,
-        ZeroLoss(),
-        lambda rng, n: ref.sample(rng, n),
-        sizes,
-        int(knobs["replicates"]),
-        seed,
-    )
+    kernel = IMQ(knobs["lengthscale"])
+    ref = DiagonalGaussian.standard(knobs["dimension"])
+    study = _scaling_study(kernel, ref, ZeroLoss(), lambda rng, n: ref.sample(rng, n),
+                           knobs["sizes"], knobs["replicates"], seed)
     rows = [
         [int(n), float(vm), float(vs), float(um), float(se)]
         for n, vm, vs, um, se in zip(
@@ -548,23 +522,16 @@ def _preset_gauss_identity(seed: int, knobs: dict, out: Path) -> dict:
 
 
 def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
-    sizes = [int(v) for v in knobs["sizes"]]
-    kernel = IMQ(float(knobs["lengthscale"]))
-    offset = float(knobs["offset"])
+    kernel = IMQ(knobs["lengthscale"])
+    offset = knobs["offset"]
     rows = []
     slopes = {}
     last_sample = None
-    for d in [int(v) for v in knobs["dimensions"]]:
+    for d in knobs["dimensions"]:
         ref = DiagonalGaussian.standard(d)
-        study = _scaling_study(
-            kernel,
-            ref,
-            InteractionLoss(),
-            lambda rng, n: offset + rng.standard_normal((n, d)),
-            sizes,
-            int(knobs["replicates"]),
-            seed,
-        )
+        study = _scaling_study(kernel, ref, InteractionLoss(),
+                               lambda rng, n: offset + rng.standard_normal((n, d)),
+                               knobs["sizes"], knobs["replicates"], seed)
         for n, vs in zip(study.sizes, study.v_sd):
             rows.append([d, int(n), float(vs)])
         slopes[f"slope_sd_d{d}"] = study.slope_v_sd
@@ -578,27 +545,25 @@ def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
 
 
 def _mfnn_setup(knobs: dict):
-    data = gen_mfnn_data(int(knobs["data_seed"]), _count(knobs["n_data"], "n_data"))
-    loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=float(knobs["lam"]))
+    data = gen_mfnn_data(knobs["data_seed"], knobs["n_data"])
+    loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=knobs["lam"])
     ref = DiagonalGaussian.standard(4)
-    kernel = IMQ(float(knobs["lengthscale"]))
+    kernel = IMQ(knobs["lengthscale"])
     return loss, ref, kernel
 
 
 def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
     loss, ref, kernel = _mfnn_setup(knobs)
-    n = _count(knobs["particles"], "particles")
-    n_steps = int(knobs["steps"])
-    reps = _count(knobs["replicates"], "replicates")
+    n = knobs["particles"]
     rows = []
     final_atoms = None
-    for idx, eps in enumerate([float(v) for v in knobs["step_sizes"]]):
+    for idx, eps in enumerate(knobs["step_sizes"]):
         finals = []
-        for rep in range(reps):
+        for rep in range(knobs["replicates"]):
             atoms0 = ref.sample(seeded_stream(seed, "init", idx, rep), n)
             try:
                 run = mfld_run(
-                    atoms0, ref, loss, eps, n_steps,
+                    atoms0, ref, loss, eps, knobs["steps"],
                     seeded_stream(seed, "mfld", idx, rep), trace_kernel=None,
                 )
                 final = kgd_v_squared(
@@ -626,64 +591,59 @@ def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
 
 def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
     loss, ref, kernel = _mfnn_setup(knobs)
+    trace_every = knobs["trace_every"]
     rows: list[list[Any]] = []
     all_atoms: list[np.ndarray] = []
     groups: list[tuple[str, int]] = []
 
-    def record(arm: str, steps, kgd2, evals_per_step: float) -> None:
-        for s, k in zip(steps, kgd2):
+    def record(arm: str, run: SamplerRun, evals_per_step: int) -> None:
+        for s, k in zip(run.steps, run.kgd2):
             rows.append([arm, int(s), float(s * evals_per_step), float(k)])
-
-    trace_every = _count(knobs["trace_every"], "trace_every")
+        all_atoms.append(run.atoms)
+        groups.append((arm, len(run.atoms)))
 
     # Langevin arm
-    n = _count(knobs["particles"], "particles")
+    n = knobs["particles"]
     init = 3.0 * seeded_stream(seed, "init", "mfld").standard_normal((n, 4))
     run = mfld_run(
-        init, ref, loss, float(knobs["mfld_step_size"]), int(knobs["mfld_steps"]),
+        init, ref, loss, knobs["mfld_step_size"], knobs["mfld_steps"],
         seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=trace_every,
     )
-    record("mfld", run.steps, run.kgd2, evals_per_step=n)
-    all_atoms.append(run.atoms)
-    groups.append(("mfld", n))
+    record("mfld", run, evals_per_step=n)
 
     # Descent-on-discrepancy arm; each analytic gradient scores n atoms.
-    n_kgdd = _count(knobs["kgdd_particles"], "kgdd_particles")
+    n_kgdd = knobs["kgdd_particles"]
     init = 3.0 * seeded_stream(seed, "init", "kgdd").standard_normal((n_kgdd, 4))
-    spec = OptimizerSpec(method="adam", step_size=float(knobs["kgdd_step_size"]))
+    spec = OptimizerSpec(method="adam", step_size=knobs["kgdd_step_size"])
     run = kgdd_run(
-        init, kernel, ref, loss, spec, int(knobs["kgdd_steps"]),
+        init, kernel, ref, loss, spec, knobs["kgdd_steps"],
         trace_kernel=kernel, trace_every=1,
     )
-    record("kgdd", run.steps, run.kgd2, evals_per_step=n_kgdd)
-    all_atoms.append(run.atoms)
-    groups.append(("kgdd", n_kgdd))
+    record("kgdd", run, evals_per_step=n_kgdd)
 
     # Parametric arm: affine map x = A z + c of a frozen base sample, tuned by
     # the U-statistic's particle gradient G chained through the map:
-    # dA = G^T Z and dc = sum_i G_i.
-    m = _count(knobs["vi_sample"], "vi_sample")
+    # dA = G^T Z and dc = sum_i G_i. It runs as a flow of the pushed sample.
+    m = knobs["vi_sample"]
     base = seeded_stream(seed, "vi", "base").standard_normal((m, 4))
     theta = np.concatenate([np.eye(4).ravel() * 3.0, np.zeros(4)])
+    vi_spec = OptimizerSpec(method="adam", step_size=knobs["vi_step_size"])
+    state = optimizer_init(theta.shape)
 
     def push(th: np.ndarray) -> np.ndarray:
         return base @ th[:16].reshape(4, 4).T + th[16:]
 
-    vi_spec = OptimizerSpec(method="adam", step_size=float(knobs["vi_step_size"]))
-    state = optimizer_init(theta.shape)
-    vi_steps = int(knobs["vi_steps"])
-    evals_per_step = float(m)
-    record("param-vi", [0], [kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(push(theta))).value2], evals_per_step)
-    for step in range(1, vi_steps + 1):
-        g = particle_grad(kernel, ref, loss, push(theta), u_statistic=True)
+    def advance(atoms: np.ndarray) -> np.ndarray:
+        nonlocal theta, state
+        g = particle_grad(kernel, ref, loss, atoms, u_statistic=True)
         grad = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
         delta, state = optimizer_apply(vi_spec, state, -grad)
         theta = theta + delta
-        if step % trace_every == 0 or step == vi_steps:
-            k2 = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(push(theta))).value2
-            rows.append(["param-vi", step, float(step * evals_per_step), float(k2)])
-    all_atoms.append(push(theta))
-    groups.append(("param-vi", m))
+        return push(theta)
+
+    vi = flow_stepper(push(theta), knobs["vi_steps"], advance, kernel, ref, loss, trace_every)
+    (run,), _ = drive([vi], loss)
+    record("param-vi", run, evals_per_step=m)
 
     write_csv(out / "trace.csv", ["arm", "step", "score_evals", "kgd_v2"], rows)
     write_particles(out / "particles.csv", np.vstack(all_atoms), groups)
@@ -700,22 +660,22 @@ def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[s
     # Assessment kernel: two inverse multiquadrics on the short scales where
     # the posterior mass concentrates.
     assess = Mixture((IMQ(np.sqrt(0.03)), IMQ(np.sqrt(0.1))), weights=(1.0, 1.0))
-    n = _count(knobs["particles"], "particles")
-    n_steps = int(knobs["steps"])
-    trace_every = _count(knobs["trace_every"], "trace_every")
-    truth = np.array([-1.0, float(knobs["true_x2"])])
+    n = knobs["particles"]
+    n_steps = knobs["steps"]
+    trace_every = knobs["trace_every"]
+    truth = np.array([-1.0, knobs["true_x2"]])
 
     # Langevin arm from a tight cloud at the data-generating parameters.
     init = truth + 1e-3 * seeded_stream(seed, "init", "mfld").standard_normal((n, 2))
     mfld = mfld_stepper(
-        init, ref, loss, float(knobs["mfld_step_size"]), n_steps,
+        init, ref, loss, knobs["mfld_step_size"], n_steps,
         seeded_stream(seed, "mfld"), trace_kernel=assess, trace_every=trace_every,
     )
 
     # Deterministic flow arm from the reference.
     flow_kernel = Mixture((IMQ(0.01), IMQ(0.1), IMQ(1.0)))
     init = ref.sample(seeded_stream(seed, "init", "vgd"), n)
-    spec = OptimizerSpec(method="adam", step_size=float(knobs["vgd_step_size"]))
+    spec = OptimizerSpec(method="adam", step_size=knobs["vgd_step_size"])
     vgd = vgd_stepper(
         init, flow_kernel, ref, loss, spec, n_steps,
         trace_kernel=assess, trace_every=trace_every,
@@ -724,9 +684,9 @@ def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[s
     # Greedy extensible arm.
     search = SearchSpec(
         proposal_mean=np.array([-1.0, 1.6]),
-        proposal_scale=float(knobs["proposal_scale"]),
-        n_candidates=_count(knobs["n_candidates"], "n_candidates"),
-        refine_rounds=_count(knobs["refine_rounds"], "refine_rounds", least=0),
+        proposal_scale=knobs["proposal_scale"],
+        n_candidates=knobs["n_candidates"],
+        refine_rounds=knobs["refine_rounds"],
     )
     greedy = greedy_stepper(assess, ref, loss, search, n, seed=seed)
     return [("mfld", mfld), ("vgd", vgd), ("greedy", greedy)]
@@ -741,7 +701,7 @@ def _write_arm_runs(out: Path, arms: Sequence[str], runs: Sequence[SamplerRun]) 
 
 
 def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
-    series = gen_lv_data(int(knobs["data_seed"]))
+    series = gen_lv_data(knobs["data_seed"])
     loss = PredictiveKernelLoss(series.times, series.observations)
     # The arms run in lockstep: each round, one solver call serves them all.
     arms = _lv_arms(seed, knobs, loss)
@@ -753,71 +713,71 @@ def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
             "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
 
-_PRESETS: dict[str, tuple[Callable[[int, dict, Path], dict], dict]] = {
+_PRESETS: dict[str, tuple[Callable[[int, dict, Path], dict], dict[str, tuple[Any, Parser]]]] = {
     "gauss-identity": (
         _preset_gauss_identity,
         {
-            "sizes": [25, 50, 100, 200, 400, 800],
-            "replicates": 100,
-            "dimension": 2,
-            "lengthscale": 1.0,
+            "sizes": ([25, 50, 100, 200, 400, 800], _list(_count)),
+            "replicates": (100, _count),
+            "dimension": (2, _count),
+            "lengthscale": (1.0, _positive),
         },
     ),
     "clt-study": (
         _preset_clt_study,
         {
-            "sizes": [50, 100, 200, 400, 800],
-            "replicates": 200,
-            "dimensions": [2, 5],
-            "offset": 1.0,
-            "lengthscale": 1.0,
+            "sizes": ([50, 100, 200, 400, 800], _list(_count)),
+            "replicates": (200, _count),
+            "dimensions": ([2, 5], _list(_count)),
+            "offset": (1.0, _finite),
+            "lengthscale": (1.0, _positive),
         },
     ),
     "mfnn-stepsize": (
         _preset_mfnn_stepsize,
         {
-            "data_seed": 0,
-            "n_data": 300,
-            "lam": 300.0,
-            "lengthscale": 1.0,
-            "particles": 50,
-            "steps": 200,
-            "replicates": 5,
-            "step_sizes": [1e-6, 1e-5, 1e-4, 10 ** -3.5, 1e-3, 1e-2, 1e-1],
+            "data_seed": (0, _count0),
+            "n_data": (300, _count),
+            "lam": (300.0, _positive),
+            "lengthscale": (1.0, _positive),
+            "particles": (50, _count),
+            "steps": (200, _count),
+            "replicates": (5, _count),
+            "step_sizes": ([1e-6, 1e-5, 1e-4, 10 ** -3.5, 1e-3, 1e-2, 1e-1], _list(_positive)),
         },
     ),
     "mfnn-compare": (
         _preset_mfnn_compare,
         {
-            "data_seed": 0,
-            "n_data": 300,
-            "lam": 300.0,
-            "lengthscale": 1.0,
-            "particles": 50,
-            "mfld_step_size": 1e-4,
-            "mfld_steps": 300,
-            "kgdd_particles": 20,
-            "kgdd_step_size": 1e-2,
-            "kgdd_steps": 25,
-            "vi_sample": 50,
-            "vi_step_size": 1e-3,
-            "vi_steps": 60,
-            "trace_every": 10,
+            "data_seed": (0, _count0),
+            "n_data": (300, _count),
+            "lam": (300.0, _positive),
+            "lengthscale": (1.0, _positive),
+            "particles": (50, _count),
+            "mfld_step_size": (1e-4, _positive),
+            "mfld_steps": (300, _count),
+            "kgdd_particles": (20, _count),
+            "kgdd_step_size": (1e-2, _positive),
+            "kgdd_steps": (25, _count),
+            "vi_sample": (50, _count),
+            "vi_step_size": (1e-3, _positive),
+            "vi_steps": (60, _count),
+            "trace_every": (10, _count),
         },
     ),
     "lv-compare": (
         _preset_lv_compare,
         {
-            "data_seed": 1,
-            "particles": 8,
-            "steps": 40,
-            "mfld_step_size": 1e-5,
-            "vgd_step_size": 1e-3,
-            "proposal_scale": 0.5,
-            "n_candidates": 120,
-            "refine_rounds": 3,
-            "trace_every": 5,
-            "true_x2": -1.5413248546129177,
+            "data_seed": (1, _count0),
+            "particles": (8, _count),
+            "steps": (40, _count),
+            "mfld_step_size": (1e-5, _positive),
+            "vgd_step_size": (1e-3, _positive),
+            "proposal_scale": (0.5, _positive),
+            "n_candidates": (120, _count),
+            "refine_rounds": (3, _count0),
+            "trace_every": (5, _count),
+            "true_x2": (-1.5413248546129177, _finite),
         },
     ),
 }
@@ -828,8 +788,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"unknown preset '{args.preset}'; available: {sorted(_PRESETS)}"
         )
-    runner, defaults = _PRESETS[args.preset]
-    knobs = _apply_overrides(defaults, args.set or [])
+    runner, table = _PRESETS[args.preset]
+    knobs = _apply_overrides(table, args.set or [])
     out = Path(args.output or f"{args.preset}-out")
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
@@ -1056,7 +1016,7 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     # worst per-point maximum error relative to the point's largest entry.
     # The bounds, 1e-8 in u and 1e-6 in sens, are the accuracy the solver
     # is held to against a fine RK4 solve on proposal draws.
-    xs = np.vstack([[-1.0, _PRESETS["lv-compare"][1]["true_x2"]],
+    xs = np.vstack([[-1.0, _PRESETS["lv-compare"][1]["true_x2"][0]],
                     np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(6).standard_normal((3, 2))])
     times = np.arange(0.0, 61.0)
     coarse = lv_sensitivities(xs, times)
@@ -1067,19 +1027,16 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     report("ode-step-doubling", err_u < 1e-8 and err_sens < 1e-6,
            f"worst rel u {err_u:.2e}, sens {err_sens:.2e}")
 
-    # Predictive pair blocks on LV trajectories against the broadcast double
-    # sum over (time, time) pairs, relative to the largest value and gradient.
+    # Predictive pair blocks on LV trajectories against the oracle's double
+    # sum over (time, time) pairs and the data-fit terms, relative to the
+    # largest value and gradient.
     series = gen_lv_data(1)
     loss = PredictiveKernelLoss(series.times, series.observations)
     pts = np.array([-1.0, 1.6]) + 0.3 * rng.normal(size=(4, 2))
     values, grads = loss.pair_block(pts, pts)
     means, sens = loss.prefetch(pts)
-    v = 1.0 + 2.0 * loss.sigma**2
+    cross, cross_grad = reference_cross_term(means, sens, means, loss.sigma)
     n_obs = series.times.size
-    diff = means[:, None, :, None, :] - means[None, :, None, :, :]
-    a = v ** (-0.5 * means.shape[-1]) * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * v))
-    cross = a.sum(axis=(2, 3)) / n_obs**2
-    cross_grad = -np.einsum("cpij,cpijs,cisd->cpd", a, diff, sens) / (v * n_obs**2)
     var = 1.0 + loss.sigma**2
     resid = series.observations - means  # (m, N, s)
     fit = np.prod(np.exp(-(resid**2) / (2.0 * var)) / np.sqrt(var), axis=-1)

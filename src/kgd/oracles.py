@@ -1,6 +1,7 @@
 """Independent checking instruments: finite differences, a plain ODE solver,
 the mean-field network's stacked output, gradient and Hessian-vector product,
-quadrature, the Gaussian overlap, the kernels' derivative table, the Stein
+quadrature, the Gaussian overlap and the predictive loss's double
+expectation built on it, the kernels' derivative table, the Stein
 kernel and flow velocity built on it, a reference kernel Stein discrepancy,
 and log-log slope fitting.
 
@@ -272,6 +273,29 @@ def gaussian_overlap(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     v = 1.0 + 2.0 * sigma**2
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
+
+
+def reference_cross_term(
+    means_x: np.ndarray, sens_x: np.ndarray, means_y: np.ndarray, sigma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The predictive loss's double expectation between each x and each y,
+    and its gradient in x, from ``gaussian_overlap`` over all (t_i, t_j).
+
+    With solver outputs m_x (m, N, s), their sensitivities dm_x/dx
+    (m, N, s, d) and outputs m_y (p, N, s), the term is
+    C(x, y) = (1/N^2) sum_ij prod_s overlap(m_x(t_i)_s, m_y(t_j)_s), and
+    each overlap factor differentiates to -(a - b) / (1 + 2 sigma^2) times
+    itself. Returns values (m, p) and gradients (m, p, d), built on the full
+    (m, p, N, N, s) difference tensor.
+    """
+    n_obs = means_x.shape[1]
+    a = means_x[:, None, :, None, :]
+    b = means_y[None, :, None, :, :]
+    term = np.prod(gaussian_overlap(a, b, sigma), axis=-1)  # (m, p, N, N)
+    dterm = -term[..., None] * (a - b) / (1.0 + 2.0 * sigma**2)  # d term / d m_x(t_i)_s
+    values = term.sum(axis=(2, 3)) / n_obs**2
+    grads = np.einsum("mpijs,misd->mpd", dterm, sens_x) / n_obs**2
+    return values, grads
 
 
 class KernelTable(NamedTuple):

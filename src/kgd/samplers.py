@@ -167,7 +167,7 @@ def _drive_one(stepper: Stepper, loss: VariationalLoss) -> Any:
     return result
 
 
-def _flow(
+def flow_stepper(
     atoms: np.ndarray,
     n_steps: int,
     advance: Callable[[np.ndarray], np.ndarray],
@@ -176,8 +176,9 @@ def _flow(
     loss: VariationalLoss,
     trace_every: int,
 ) -> Stepper:
-    """Stepper of a particle flow: requests each configuration that a trace
-    row or the next step evaluates, and returns the ``SamplerRun``."""
+    """Stepper of a particle flow: ``advance`` maps each configuration to
+    the next. Requests each configuration that a trace row or the next step
+    evaluates, checks each for divergence, and returns the ``SamplerRun``."""
     atoms = np.asarray(atoms, dtype=float)
     _check_finite(atoms, 0)
     start = time.perf_counter()
@@ -237,7 +238,7 @@ def mfld_stepper(
     def advance(current: np.ndarray) -> np.ndarray:
         return mfld_step(current, ref, loss, step_size, rng)
 
-    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+    return flow_stepper(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
 
 
 def mfld_run(
@@ -304,7 +305,7 @@ def vgd_stepper(
         moved, state = vgd_step(current, kernel, ref, loss, spec, state)
         return moved
 
-    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+    return flow_stepper(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
 
 
 def vgd_run(
@@ -357,7 +358,7 @@ def kgdd_stepper(
         delta, state = optimizer_apply(spec, state, -grad)
         return current + delta
 
-    return _flow(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
+    return flow_stepper(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
 
 
 def kgdd_run(
@@ -421,9 +422,10 @@ def _greedy_point(
     search: SearchSpec,
     atoms: np.ndarray,
     candidates: np.ndarray,
-) -> Generator[np.ndarray, None, np.ndarray]:
+) -> Generator[np.ndarray, None, tuple[np.ndarray, float]]:
     """Stepper of one greedy pick after its candidate set has been
-    requested: requests each refinement line and returns the chosen point."""
+    requested: requests each refinement line and returns the chosen point
+    and the objective there, the V-statistic of ``atoms`` with it."""
 
     def objective(x: np.ndarray) -> float:
         pts = np.vstack([atoms, x[None, :]])
@@ -448,7 +450,7 @@ def _greedy_point(
                 best_val = float(line_vals[k])
         # Best grid point sits within one spacing of the line optimum.
         spans = 2.0 * spans / (_REFINE_POINTS - 1)
-    return best
+    return best, best_val
 
 
 def greedy_next(
@@ -471,7 +473,8 @@ def greedy_next(
 
     def stepper() -> Generator[np.ndarray, None, np.ndarray]:
         yield candidates
-        return (yield from _greedy_point(kernel, ref, loss, search, atoms, candidates))
+        point, _ = yield from _greedy_point(kernel, ref, loss, search, atoms, candidates)
+        return point
 
     return _drive_one(stepper(), loss)
 
@@ -498,9 +501,8 @@ def greedy_stepper(
     for k, candidates in enumerate(sets):
         if not up_front:
             yield candidates
-        x_new = yield from _greedy_point(kernel, ref, loss, search, atoms, candidates)
+        x_new, kgd2[k] = yield from _greedy_point(kernel, ref, loss, search, atoms, candidates)
         atoms = np.vstack([atoms, x_new[None, :]])
-        kgd2[k] = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(atoms)).value2
         wall[k] = time.perf_counter() - start
     return SamplerRun(atoms, np.arange(1, n_points + 1), kgd2, wall)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgd.cli import _PRESETS
+from kgd.cli import _PRESETS, _apply_overrides
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import (
     clt_scaling_study,
@@ -256,8 +256,8 @@ def test_intermediate_step_size_wins(tmp_path: Path):
     # Langevin bias grows with the step and mixing slows as it shrinks, so
     # the mid-grid step must beat both extremes on median final quality.
     start = time.perf_counter()
-    runner, defaults = _PRESETS["mfnn-stepsize"]
-    knobs = defaults | {"step_sizes": [1e-6, 10.0**-3.5, 1e-1]}
+    runner, table = _PRESETS["mfnn-stepsize"]
+    knobs = _apply_overrides(table, [f"step_sizes={1e-6!r};{10.0**-3.5!r};{1e-1!r}"])
     summary = runner(0, knobs, tmp_path)
     medians = summary["median_kgd_by_step_size"]
     mid = medians[10.0**-3.5]

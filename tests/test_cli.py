@@ -17,9 +17,19 @@ import numpy as np
 import pytest
 import yaml
 
+import kgd.cli as kgd_cli
 from kgd.cli import (
+    _INITS,
+    _KERNELS,
+    _LOSSES,
+    _PRESETS,
+    _SAMPLERS,
     ConfigError,
     _apply_overrides,
+    _count,
+    _finite,
+    _list,
+    _positive,
     _lv_arms,
     _write_arm_runs,
     build_init,
@@ -29,9 +39,10 @@ from kgd.cli import (
     main,
     parse_config,
     read_particles,
+    run_sampler,
     write_particles,
     )
-from kgd.core import seeded_stream
+from kgd.core import DiagonalGaussian, seeded_stream
 from kgd.kernels import IMQ, Gaussian, Mixture, WeightedMatrixKernel
 from kgd.losses import (
     InteractionLoss,
@@ -83,16 +94,24 @@ class TestParseConfig:
     def test_unknown_nested_keys_name_their_path(self):
         with pytest.raises(ConfigError, match=r"kernel\.members\[1\]\.scale"):
             parse_config(
-                {"kernel": {"members": [{"family": "imq"}, {"scale": 2.0}]}}
+                {"kernel": {"family": "mixture", "members": [{"family": "imq"}, {"scale": 2.0}]}}
             )
         with pytest.raises(ConfigError, match=r"sampler\.init\.sigma"):
             parse_config({"sampler": {"init": {"sigma": 1.0}}})
         with pytest.raises(ConfigError, match=r"kernel\.base\.c"):
-            parse_config({"kernel": {"base": {"c": 1.0}}})
+            parse_config({"kernel": {"family": "weighted-matrix", "base": {"c": 1.0}}})
 
     def test_sections_must_be_mappings(self):
         with pytest.raises(ConfigError, match="must be a mapping"):
             parse_config({"kernel": 5})
+
+    def test_readme_example_is_a_valid_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(yaml.safe_load(example))
+        assert cfg["run"]["seed"] == 7 and cfg["sampler"]["steps"] == 200
+        build_loss(cfg["loss"], build_reference(cfg["reference"]).dim)
+        build_kernel(cfg["kernel"])
 
     def test_reads_yaml_files(self, tmp_path):
         path = _write_config(
@@ -104,71 +123,148 @@ class TestParseConfig:
         assert cfg["reference"]["dimension"] == 1
 
 
+def _section(name: str, body: dict) -> dict:
+    """Config section ``name`` resolved from ``body``, as the builders get it."""
+    return parse_config({name: body})[name]
+
+
 class TestBuilders:
     def test_kernel_families(self):
-        assert build_kernel({"family": "imq", "lengthscale": 0.7}) == IMQ(0.7)
-        assert build_kernel({"family": "gaussian"}) == Gaussian(1.0)
-        mix = build_kernel(
-            {
-                "family": "mixture",
-                "members": [{"family": "imq", "lengthscale": 0.1}, {"family": "gaussian"}],
-                "weights": [1.0, 2.0],
-            }
-        )
+        assert build_kernel(_section("kernel", {"family": "imq", "lengthscale": 0.7})) == IMQ(0.7)
+        assert build_kernel(_section("kernel", {"family": "gaussian"})) == Gaussian(1.0)
+        mix = build_kernel(_section("kernel", {
+            "family": "mixture",
+            "members": [{"family": "imq", "lengthscale": 0.1}, {"family": "gaussian"}],
+            "weights": [1.0, 2.0],
+        }))
         assert isinstance(mix, Mixture) and mix.weights == (1.0, 2.0)
-        wm = build_kernel(
-            {"family": "weighted-matrix", "c": 2.0, "exponent": 1.0,
-             "base": {"family": "gaussian", "lengthscale": 0.5}}
-        )
+        wm = build_kernel(_section("kernel", {
+            "family": "weighted-matrix", "c": 2.0, "exponent": 1.0,
+            "base": {"family": "gaussian", "lengthscale": 0.5},
+        }))
         assert isinstance(wm, WeightedMatrixKernel) and wm.base == Gaussian(0.5)
 
     def test_kernel_errors(self):
         with pytest.raises(ConfigError, match="unknown kernel.family"):
-            build_kernel({"family": "matern"})
+            _section("kernel", {"family": "matern"})
         with pytest.raises(ConfigError, match="non-empty"):
-            build_kernel({"family": "mixture", "members": []})
+            _section("kernel", {"family": "mixture", "members": []})
+        # A nested kernel is radial.
+        with pytest.raises(ConfigError, match=r"unknown kernel\.base\.family"):
+            _section("kernel", {"family": "weighted-matrix", "base": {"family": "mixture"}})
 
     def test_reference_broadcasts_scalars(self):
-        ref = build_reference({"dimension": 3, "mean": 1.5, "variance": 2.0})
+        ref = build_reference(_section("reference", {"dimension": 3, "mean": 1.5, "variance": 2.0}))
         np.testing.assert_array_equal(ref.mean, [1.5, 1.5, 1.5])
         np.testing.assert_array_equal(ref.variances, [2.0, 2.0, 2.0])
-        ref = build_reference({"dimension": 2, "mean": [0.0, 1.0], "variance": [1.0, 4.0]})
+        ref = build_reference(_section("reference", {"dimension": 2, "mean": [0.0, 1.0],
+                                                     "variance": [1.0, 4.0]}))
         np.testing.assert_array_equal(ref.mean, [0.0, 1.0])
 
     def test_loss_families(self):
-        assert isinstance(build_loss({"family": "zero"}, 2), ZeroLoss)
+        assert isinstance(build_loss(_section("loss", {"family": "zero"}), 2), ZeroLoss)
         lin = build_loss(
-            {"family": "linear-quadratic", "center": 1.0, "weights": [2.0, 3.0]}, 2
+            _section("loss", {"family": "linear-quadratic", "center": 1.0, "weights": [2.0, 3.0]}), 2
         )
         assert isinstance(lin, LinearLoss)
         assert isinstance(
-            build_loss({"family": "interaction-quadratic"}, 2), InteractionLoss
+            build_loss(_section("loss", {"family": "interaction-quadratic"}), 2), InteractionLoss
         )
-        mfr = build_loss({"family": "mean-field-regression", "n_data": 20}, 4)
+        mfr = build_loss(_section("loss", {"family": "mean-field-regression", "n_data": 20}), 4)
         assert isinstance(mfr, MeanFieldRegressionLoss)
         assert mfr.covariates.size == 20
-        pk = build_loss({"family": "predictive-kernel", "sigma": 1.0}, 2)
+        pk = build_loss(_section("loss", {"family": "predictive-kernel", "sigma": 1.0}), 2)
         assert isinstance(pk, PredictiveKernelLoss)
 
     def test_loss_dimension_guards(self):
         with pytest.raises(ConfigError, match="dimension = 4"):
-            build_loss({"family": "mean-field-regression"}, 2)
+            build_loss(_section("loss", {"family": "mean-field-regression"}), 2)
         with pytest.raises(ConfigError, match="dimension = 2"):
-            build_loss({"family": "predictive-kernel"}, 4)
+            build_loss(_section("loss", {"family": "predictive-kernel"}), 4)
         with pytest.raises(ConfigError, match="unknown loss.family"):
-            build_loss({"family": "entropy"}, 2)
+            _section("loss", {"family": "entropy"})
 
     def test_init_kinds(self):
-        ref = build_reference({"dimension": 2, "mean": 0.0, "variance": 1.0})
-        a = build_init({"kind": "reference"}, ref, 5, seeded_stream(0, "i"))
+        def init(body: dict) -> dict:
+            return _section("sampler", {"init": body})["init"]
+
+        ref = build_reference(_section("reference", {"dimension": 2}))
+        a = build_init(init({"kind": "reference"}), ref, 5, seeded_stream(0, "i"))
         np.testing.assert_array_equal(a, ref.sample(seeded_stream(0, "i"), 5))
         b = build_init(
-            {"kind": "gaussian", "mean": 2.0, "variance": 0.25}, ref, 400,
+            init({"kind": "gaussian", "mean": 2.0, "variance": 0.25}), ref, 400,
             seeded_stream(1, "i"),
         )
         assert abs(b.mean() - 2.0) < 0.1 and abs(b.std() - 0.5) < 0.05
         with pytest.raises(ConfigError, match="init.kind"):
-            build_init({"kind": "uniform"}, ref, 2, seeded_stream(2, "i"))
+            init({"kind": "uniform"})
+
+
+class _Spy(dict):
+    """A resolved config section that records which keys are read."""
+
+    def __init__(self, section: dict) -> None:
+        super().__init__(section)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key: str):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestTables:
+    """Every user-set value comes from one table: a config family lists
+    exactly the keys its builder reads, and every preset knob has a parser
+    that its default passes."""
+
+    @staticmethod
+    def _reads(section: dict, build) -> None:
+        spy = _Spy(section)
+        build(spy)
+        assert spy.read == set(section)
+
+    @pytest.mark.parametrize("family", sorted(_KERNELS[2]))
+    def test_kernel_families_read_exactly_their_keys(self, family):
+        body = {"family": family} | ({"members": [{}]} if family == "mixture" else {})
+        self._reads(_section("kernel", body), build_kernel)
+
+    @pytest.mark.parametrize("family", sorted(_LOSSES[2]))
+    def test_loss_families_read_exactly_their_keys(self, family):
+        dim = 4 if family == "mean-field-regression" else 2
+        self._reads(_section("loss", {"family": family}), lambda cfg: build_loss(cfg, dim))
+
+    @pytest.mark.parametrize("kind", sorted(_INITS[2]))
+    def test_init_kinds_read_exactly_their_keys(self, kind):
+        ref = DiagonalGaussian.standard(2)
+        self._reads(_section("sampler", {"init": {"kind": kind}})["init"],
+                    lambda cfg: build_init(cfg, ref, 3, seeded_stream(0, "i")))
+
+    def test_reference_reads_exactly_its_keys(self):
+        self._reads(_section("reference", {}), build_reference)
+
+    @pytest.mark.parametrize("algorithm", sorted(_SAMPLERS[2]))
+    def test_sampler_algorithms_read_exactly_their_keys(self, algorithm):
+        small = {"particles": 2, "steps": 1, "points": 1, "n_candidates": 2, "refine_rounds": 0}
+        keys = _SAMPLERS[2][algorithm]
+        body = {"algorithm": algorithm} | {k: v for k, v in small.items() if k in keys}
+        ref = DiagonalGaussian.standard(2)
+        self._reads(_section("sampler", body),
+                    lambda cfg: run_sampler(cfg, IMQ(1.0), ref, ZeroLoss(), 0))
+
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
+    def test_every_knob_has_a_parser_that_its_default_passes(self, preset):
+        _, table = _PRESETS[preset]
+        for key, entry in table.items():
+            assert isinstance(entry, tuple) and len(entry) == 2, key
+            default, parse = entry
+            assert callable(parse), key
+            value = parse(default, key)
+            assert value == default and type(value) is type(default), key
+
+    def test_runners_read_typed_knobs(self):
+        source = Path(kgd_cli.__file__).read_text()
+        for cast in ("int(knobs", "float(knobs", "_count(knobs"):
+            assert cast not in source, cast
 
 
 class TestParticleFiles:
@@ -195,23 +291,37 @@ class TestParticleFiles:
 
 
 class TestOverrides:
-    KNOBS = {"steps": 10, "step_size": 0.5, "sizes": [25, 50], "tag": "x"}
+    TABLE = {"steps": (10, _count), "step_size": (0.5, _positive),
+             "sizes": ([25, 50], _list(_count)), "offset": (1.0, _finite)}
 
     def test_typed_parsing(self):
         out = _apply_overrides(
-            self.KNOBS, ["steps=20", "step_size=1e-3", "sizes=10;20;40", "tag=y"]
+            self.TABLE, ["steps=20", "step_size=1e-3", "sizes=10;20;40", "offset=-2"]
         )
-        assert out == {"steps": 20, "step_size": 1e-3, "sizes": [10, 20, 40], "tag": "y"}
+        assert out == {"steps": 20, "step_size": 1e-3, "sizes": [10, 20, 40], "offset": -2.0}
+        assert type(out["offset"]) is float
+        # A single value for a list knob is a list of one.
+        assert _apply_overrides(self.TABLE, ["sizes=30"])["sizes"] == [30]
+
+    def test_defaults_pass_through_their_parsers(self):
+        assert _apply_overrides(self.TABLE, []) == {
+            "steps": 10, "step_size": 0.5, "sizes": [25, 50], "offset": 1.0}
+        with pytest.raises(ConfigError, match="steps must be a whole number"):
+            _apply_overrides({"steps": (-1, _count)}, [])
 
     def test_unknown_key_lists_available(self):
         with pytest.raises(ConfigError, match="available"):
-            _apply_overrides(self.KNOBS, ["stepss=20"])
+            _apply_overrides(self.TABLE, ["stepss=20"])
 
     def test_malformed_values(self):
         with pytest.raises(ConfigError, match="key=value"):
-            _apply_overrides(self.KNOBS, ["steps"])
+            _apply_overrides(self.TABLE, ["steps"])
         with pytest.raises(ConfigError, match="cannot parse"):
-            _apply_overrides(self.KNOBS, ["steps=many"])
+            _apply_overrides(self.TABLE, ["steps=many"])
+        with pytest.raises(ConfigError, match=r"sizes\[1\] must be a whole number"):
+            _apply_overrides(self.TABLE, ["sizes=10;0"])
+        with pytest.raises(ConfigError, match="steps must be a whole number"):
+            _apply_overrides(self.TABLE, ["steps=1;2"])
 
 
 class TestSampleVerb:
@@ -350,6 +460,28 @@ class TestSampleVerb:
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"kernel": {"family": "imq", "c": 1.0}}, "kernel.c"),
+            ({"sampler": {"algorithm": "mfld", "optimizer": "adam"}}, "sampler.optimizer"),
+            ({"sampler": {"algorithm": "greedy", "trace_every": 2}}, "sampler.trace_every"),
+            ({"loss": {"family": "zero", "center": 1.0}}, "loss.center"),
+            ({"sampler": {"init": {"kind": "reference", "mean": 1.0}}}, "sampler.init.mean"),
+            ({"loss": {"lam": -4}}, "loss.lam"),
+            ({"sampler": {"points": -7}}, "sampler.points"),
+        ],
+        ids=["imq-c", "mfld-optimizer", "greedy-trace-every", "zero-center",
+             "reference-init-mean", "zero-lam", "mfld-points"],
+    )
+    def test_key_the_family_does_not_read_is_a_config_error(self, tmp_path, capsys, body, key):
+        cfg = _write_config(tmp_path, body)
+        out = tmp_path / "o"
+        assert main(["sample", "--config", cfg, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and f"'{key}'" in err
+        assert not out.exists()
+
     def test_missing_output_is_a_config_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert main(["sample", "--config", cfg]) == 2
@@ -431,6 +563,7 @@ class TestSampleVerb:
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalVerb:
@@ -526,18 +659,36 @@ class TestExperimentVerb:
 
     @pytest.mark.parametrize(
         "preset, item",
-        [("mfnn-compare", "trace_every=0"), ("mfnn-compare", "particles=0"),
+        [("mfnn-compare", "lengthscale=0"), ("clt-study", "lengthscale=0"),
+         ("mfnn-compare", "kgdd_step_size=-1"), ("lv-compare", "vgd_step_size=0"),
+         ("mfnn-compare", "mfld_step_size=-1"), ("lv-compare", "mfld_step_size=-1"),
+         ("mfnn-compare", "vi_steps=-2"), ("mfnn-stepsize", "lam=0"),
+         ("mfnn-stepsize", "steps=-1"), ("lv-compare", "steps=-1"),
+         ("mfnn-stepsize", "step_sizes=-1"), ("lv-compare", "proposal_scale=-1"),
+         ("mfnn-compare", "data_seed=-1"), ("lv-compare", "data_seed=-1"),
+         ("clt-study", "dimensions=0"), ("gauss-identity", "dimension=0"),
+         ("lv-compare", "true_x2=nan"), ("clt-study", "offset=inf"),
+         ("mfnn-compare", "trace_every=0"), ("mfnn-compare", "particles=0"),
          ("mfnn-compare", "vi_sample=0"), ("mfnn-stepsize", "replicates=0"),
          ("mfnn-stepsize", "n_data=0"), ("lv-compare", "n_candidates=0"),
          ("lv-compare", "refine_rounds=-1")],
     )
-    def test_bad_count_knob_is_a_config_error(self, tmp_path, capsys, preset, item):
+    def test_bad_knob_is_a_config_error_before_any_output(self, tmp_path, capsys, preset, item):
         out = tmp_path / "o"
         argv = ["experiment", "--preset", preset, "--output", str(out), "--set", item]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and item.split("=")[0] in err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
+
+    def test_vi_divergence_maps_to_exit_code_three(self, tmp_path, capsys):
+        # The parametric arm runs as a flow, so a blow-up of its pushed
+        # sample is named like any other sampler's.
+        argv = ["experiment", "--preset", "mfnn-compare", "--output", str(tmp_path / "o"),
+                "--set", "particles=4", "--set", "mfld_steps=2", "--set", "kgdd_steps=1",
+                "--set", "vi_step_size=1e9", "--set", "n_data=25"]
+        assert main(argv) == 3
+        assert "diverged at step 1" in capsys.readouterr().err
 
     def _run(self, tmp_path, preset: str, *sets: str, seed: str = "0") -> Path:
         out = tmp_path / preset

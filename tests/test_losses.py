@@ -22,7 +22,7 @@ from kgd.losses import (
     )
 from kgd.models import gen_mfnn_data
 from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
-                         reference_mean_field)
+                         reference_cross_term, reference_mean_field)
 
 IDENTITY_TOL = 1e-4  # var_grad vs n * FD gradient of the particle objective
 JAC_TOL = 1e-6  # var_grad_vjp vs the central-difference jacobian
@@ -359,17 +359,11 @@ def _brute_pair(loss: PredictiveKernelLoss, x: np.ndarray, y: np.ndarray) -> flo
 
 
 def _broadcast_cross(loss: PredictiveKernelLoss, xs: np.ndarray, ys: np.ndarray):
-    """Double-expectation term and its gradient from the (m, p, N, N, s)
-    difference tensor: values (m, p), gradients (m, p, d)."""
+    """The oracle's double-expectation term and its gradient on the loss's
+    own solves: values (m, p), gradients (m, p, d)."""
     mx, sx = loss.solver(xs, loss.times)
     my, _ = loss.solver(ys, loss.times)
-    n_obs, n_species = loss.observations.shape
-    v = 1.0 + 2.0 * loss.sigma**2
-    diff = mx[:, None, :, None, :] - my[None, :, None, :, :]
-    a = v ** (-0.5 * n_species) * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * v))
-    values = a.sum(axis=(2, 3)) / n_obs**2
-    grads = -np.einsum("cpij,cpijs,cisd->cpd", a, diff, sx) / (v * n_obs**2)
-    return values, grads
+    return reference_cross_term(mx, sx, my, loss.sigma)
 
 
 def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:

@@ -415,6 +415,18 @@ class TestGreedy:
         assert run.kgd2[-1] < run.kgd2[0]
         assert (np.diff(run.wall) >= 0.0).all()
 
+    @pytest.mark.parametrize("refine_rounds", [0, 2])
+    def test_trace_rows_are_the_discrepancy_of_the_first_atoms(self, refine_rounds):
+        # Each row is the pick's own objective value: the V-statistic of the
+        # first k atoms, bit for bit.
+        search = SearchSpec(proposal_mean=np.full(1, 0.5), n_candidates=30,
+                            refine_rounds=refine_rounds)
+        loss = InteractionLoss()
+        run = greedy_extend(self.KERNEL, self.REF, loss, search, 5, seed=3)
+        want = [kgd_v_squared(self.KERNEL, self.REF, loss, EmpiricalMeasure(run.atoms[:k])).value2
+                for k in range(1, 6)]
+        np.testing.assert_array_equal(run.kgd2, want)
+
     def test_deterministic_in_the_seed(self):
         a = greedy_extend(self.KERNEL, self.REF, ZeroLoss(), self._search(), 3, seed=5)
         b = greedy_extend(self.KERNEL, self.REF, ZeroLoss(), self._search(), 3, seed=5)
