@@ -22,7 +22,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -63,6 +63,7 @@ from .samplers import (
     greedy_extend,
     greedy_stepper,
     kgdd_run,
+    kgdd_stepper,
     mfld_run,
     mfld_stepper,
     optimizer_apply,
@@ -364,6 +365,29 @@ def write_meta(path: Path, payload: Mapping[str, Any]) -> None:
     path.write_text(json.dumps(body, indent=2, sort_keys=True, default=str) + "\n")
 
 
+class Outputs(NamedTuple):
+    """What a finished run writes besides its meta: the ``trace.csv`` header
+    and rows, and the ``particles.csv`` atoms (None: no file) with their
+    per-arm row groups."""
+
+    header: Sequence[str]
+    rows: list[list[Any]]
+    atoms: np.ndarray | None
+    groups: Sequence[tuple[str, int]] | None = None
+
+
+def write_outputs(out: Path, outputs: Outputs, meta: Mapping[str, Any]) -> list[str]:
+    """Create ``out`` and write a finished run's files into it; their names."""
+    out.mkdir(parents=True, exist_ok=True)
+    names = ["trace.csv"]
+    write_csv(out / "trace.csv", outputs.header, outputs.rows)
+    if outputs.atoms is not None:
+        names.append("particles.csv")
+        write_particles(out / "particles.csv", outputs.atoms, outputs.groups)
+    write_meta(out / "meta.json", meta)
+    return names + ["meta.json"]
+
+
 # ---------------------------------------------------------------------------
 # Verb: eval
 # ---------------------------------------------------------------------------
@@ -442,19 +466,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     run = run_sampler(cfg["sampler"], kernel, ref, loss, cfg["run"]["seed"])
     elapsed = time.perf_counter() - start
-
-    out = Path(cfg["run"]["output"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(
-        out / "trace.csv",
-        ["step", "kgd_v2", "wall_time_s"],
-        [
-            [int(s), float(k), float(w)]
-            for s, k, w in zip(run.steps, run.kgd2, run.wall)
-        ],
-    )
-    write_particles(out / "particles.csv", run.atoms)
-    write_meta(out / "meta.json", {"config": cfg, "elapsed_s": elapsed})
+    rows = [[int(s), float(k), float(w)] for s, k, w in zip(run.steps, run.kgd2, run.wall)]
+    outputs = Outputs(["step", "kgd_v2", "wall_time_s"], rows, run.atoms)
+    write_outputs(Path(cfg["run"]["output"]), outputs, {"config": cfg, "elapsed_s": elapsed})
     print(f"final kgd_v2 {_fmt(float(run.kgd2[-1])) if len(run.kgd2) else 'n/a'}")
     return 0
 
@@ -463,7 +477,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
 # Experiment presets. Each preset's knob table pairs every default with its
 # parser; ``--set key=value`` overrides by name, and every knob, default or
 # override, is parsed before any work starts. Unknown knobs are
-# configuration errors.
+# configuration errors. A preset's runner maps (seed, knobs) to the outputs
+# and summary of its run and writes nothing: its files are written once it
+# has finished, so a run that fails leaves no directory.
 # ---------------------------------------------------------------------------
 
 
@@ -501,7 +517,7 @@ def _scaling_study(*args) -> ScalingStudy:
         raise ConfigError(f"scaling study: {exc}") from None
 
 
-def _preset_gauss_identity(seed: int, knobs: dict, out: Path) -> dict:
+def _preset_gauss_identity(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     kernel = IMQ(knobs["lengthscale"])
     ref = DiagonalGaussian.standard(knobs["dimension"])
     study = _scaling_study(kernel, ref, ZeroLoss(), lambda rng, n: ref.sample(rng, n),
@@ -512,21 +528,15 @@ def _preset_gauss_identity(seed: int, knobs: dict, out: Path) -> dict:
             study.sizes, study.v_mean, study.v_sd, study.u_mean, study.u_se
         )
     ]
-    write_csv(out / "trace.csv", ["n", "mean_v2", "sd_v2", "mean_u2", "se_u2"], rows)
-    final_rng = seeded_stream(seed, "scaling", int(study.sizes[-1]), 0)
-    write_particles(out / "particles.csv", ref.sample(final_rng, int(study.sizes[-1])))
-    return {
-        "slope_v_mean": study.slope_v_mean,
-        "slope_v_sd": study.slope_v_sd,
-    }
+    outputs = Outputs(["n", "mean_v2", "sd_v2", "mean_u2", "se_u2"], rows, study.largest_draw)
+    return outputs, {"slope_v_mean": study.slope_v_mean, "slope_v_sd": study.slope_v_sd}
 
 
-def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
+def _preset_clt_study(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     kernel = IMQ(knobs["lengthscale"])
     offset = knobs["offset"]
     rows = []
     slopes = {}
-    last_sample = None
     for d in knobs["dimensions"]:
         ref = DiagonalGaussian.standard(d)
         study = _scaling_study(kernel, ref, InteractionLoss(),
@@ -535,25 +545,18 @@ def _preset_clt_study(seed: int, knobs: dict, out: Path) -> dict:
         for n, vs in zip(study.sizes, study.v_sd):
             rows.append([d, int(n), float(vs)])
         slopes[f"slope_sd_d{d}"] = study.slope_v_sd
-        last_sample = offset + seeded_stream(seed, "scaling", int(study.sizes[-1]), 0).standard_normal(
-            (int(study.sizes[-1]), d)
-        )
-    write_csv(out / "trace.csv", ["dimension", "n", "sd_v2"], rows)
-    assert last_sample is not None
-    write_particles(out / "particles.csv", last_sample)
-    return slopes
+    return Outputs(["dimension", "n", "sd_v2"], rows, study.largest_draw), slopes
 
 
-def _mfnn_setup(knobs: dict):
+def _mfnn_loss(knobs: dict) -> MeanFieldRegressionLoss:
     data = gen_mfnn_data(knobs["data_seed"], knobs["n_data"])
-    loss = MeanFieldRegressionLoss(data.covariates, data.responses, lam=knobs["lam"])
+    return MeanFieldRegressionLoss(data.covariates, data.responses, lam=knobs["lam"])
+
+
+def _preset_mfnn_stepsize(seed: int, knobs: dict) -> tuple[Outputs, dict]:
+    loss = _mfnn_loss(knobs)
     ref = DiagonalGaussian.standard(4)
     kernel = IMQ(knobs["lengthscale"])
-    return loss, ref, kernel
-
-
-def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
-    loss, ref, kernel = _mfnn_setup(knobs)
     n = knobs["particles"]
     rows = []
     final_atoms = None
@@ -580,52 +583,36 @@ def _preset_mfnn_stepsize(seed: int, knobs: dict, out: Path) -> dict:
         rows.append(
             [eps, quant(0.5), quant(0.05), quant(0.95), int(np.sum(~np.isfinite(arr)))]
         )
-    write_csv(
-        out / "trace.csv", ["step_size", "median_kgd", "p5_kgd", "p95_kgd", "n_diverged"], rows
-    )
-    if final_atoms is not None:
-        write_particles(out / "particles.csv", final_atoms)
+    # When every run diverged, there are no particles to write.
+    outputs = Outputs(["step_size", "median_kgd", "p5_kgd", "p95_kgd", "n_diverged"], rows,
+                      final_atoms)
     medians = {row[0]: row[1] for row in rows}
-    return {"median_kgd_by_step_size": medians, "network_fits": loss.fits}
+    return outputs, {"median_kgd_by_step_size": medians, "network_fits": loss.fits}
 
 
-def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
-    loss, ref, kernel = _mfnn_setup(knobs)
+def _mfnn_arms(seed: int, knobs: dict, loss: MeanFieldRegressionLoss) -> list[tuple[str, Stepper]]:
+    """The three mfnn-compare arms as steppers on ``loss``."""
+    ref = DiagonalGaussian.standard(4)
+    kernel = IMQ(knobs["lengthscale"])
     trace_every = knobs["trace_every"]
-    rows: list[list[Any]] = []
-    all_atoms: list[np.ndarray] = []
-    groups: list[tuple[str, int]] = []
 
-    def record(arm: str, run: SamplerRun, evals_per_step: int) -> None:
-        for s, k in zip(run.steps, run.kgd2):
-            rows.append([arm, int(s), float(s * evals_per_step), float(k)])
-        all_atoms.append(run.atoms)
-        groups.append((arm, len(run.atoms)))
-
-    # Langevin arm
-    n = knobs["particles"]
-    init = 3.0 * seeded_stream(seed, "init", "mfld").standard_normal((n, 4))
-    run = mfld_run(
+    # Langevin arm.
+    init = 3.0 * seeded_stream(seed, "init", "mfld").standard_normal((knobs["particles"], 4))
+    mfld = mfld_stepper(
         init, ref, loss, knobs["mfld_step_size"], knobs["mfld_steps"],
         seeded_stream(seed, "mfld"), trace_kernel=kernel, trace_every=trace_every,
     )
-    record("mfld", run, evals_per_step=n)
 
-    # Descent-on-discrepancy arm; each analytic gradient scores n atoms.
-    n_kgdd = knobs["kgdd_particles"]
-    init = 3.0 * seeded_stream(seed, "init", "kgdd").standard_normal((n_kgdd, 4))
+    # Descent-on-discrepancy arm.
+    init = 3.0 * seeded_stream(seed, "init", "kgdd").standard_normal((knobs["kgdd_particles"], 4))
     spec = OptimizerSpec(method="adam", step_size=knobs["kgdd_step_size"])
-    run = kgdd_run(
-        init, kernel, ref, loss, spec, knobs["kgdd_steps"],
-        trace_kernel=kernel, trace_every=1,
-    )
-    record("kgdd", run, evals_per_step=n_kgdd)
+    kgdd = kgdd_stepper(init, kernel, ref, loss, spec, knobs["kgdd_steps"],
+                        trace_kernel=kernel, trace_every=1)
 
     # Parametric arm: affine map x = A z + c of a frozen base sample, tuned by
     # the U-statistic's particle gradient G chained through the map:
     # dA = G^T Z and dc = sum_i G_i. It runs as a flow of the pushed sample.
-    m = knobs["vi_sample"]
-    base = seeded_stream(seed, "vi", "base").standard_normal((m, 4))
+    base = seeded_stream(seed, "vi", "base").standard_normal((knobs["vi_sample"], 4))
     theta = np.concatenate([np.eye(4).ravel() * 3.0, np.zeros(4)])
     vi_spec = OptimizerSpec(method="adam", step_size=knobs["vi_step_size"])
     state = optimizer_init(theta.shape)
@@ -642,16 +629,17 @@ def _preset_mfnn_compare(seed: int, knobs: dict, out: Path) -> dict:
         return push(theta)
 
     vi = flow_stepper(push(theta), knobs["vi_steps"], advance, kernel, ref, loss, trace_every)
-    (run,), _ = drive([vi], loss)
-    record("param-vi", run, evals_per_step=m)
+    return [("mfld", mfld), ("kgdd", kgdd), ("param-vi", vi)]
 
-    write_csv(out / "trace.csv", ["arm", "step", "score_evals", "kgd_v2"], rows)
-    write_particles(out / "particles.csv", np.vstack(all_atoms), groups)
-    finals = {}
-    for arm in ("mfld", "kgdd", "param-vi"):
-        arm_rows = [r for r in rows if r[0] == arm]
-        finals[arm] = arm_rows[-1][3]
-    return {"final_kgd_v2": finals, "network_fits": loss.fits}
+
+def _preset_mfnn_compare(seed: int, knobs: dict) -> tuple[Outputs, dict]:
+    loss = _mfnn_loss(knobs)
+    outputs, runs, _ = _drive_arms(_mfnn_arms(seed, knobs, loss), loss)
+    # Each step scores every particle of its arm once.
+    rows = [[arm, step, float(step * len(runs[arm].atoms)), k] for arm, step, k in outputs.rows]
+    finals = {arm: float(run.kgd2[-1]) for arm, run in runs.items()}
+    return (outputs._replace(header=["arm", "step", "score_evals", "kgd_v2"], rows=rows),
+            {"final_kgd_v2": finals, "network_fits": loss.fits})
 
 
 def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[str, Stepper]]:
@@ -692,28 +680,34 @@ def _lv_arms(seed: int, knobs: dict, loss: PredictiveKernelLoss) -> list[tuple[s
     return [("mfld", mfld), ("vgd", vgd), ("greedy", greedy)]
 
 
-def _write_arm_runs(out: Path, arms: Sequence[str], runs: Sequence[SamplerRun]) -> None:
-    rows = [[arm, int(s), float(k)]
-            for arm, run in zip(arms, runs) for s, k in zip(run.steps, run.kgd2)]
-    write_csv(out / "trace.csv", ["arm", "step", "kgd_v2"], rows)
-    write_particles(out / "particles.csv", np.vstack([run.atoms for run in runs]),
-                    [(arm, len(run.atoms)) for arm, run in zip(arms, runs)])
+def _drive_arms(arms: Sequence[tuple[str, Stepper]],
+                loss) -> tuple[Outputs, dict[str, SamplerRun], int]:
+    """Drive the named arms in lockstep on ``loss``. Returns their (arm,
+    step, kgd_v2) trace rows and stacked particles, one group per arm, with
+    the runs by name and the number of rounds."""
+    results, rounds = drive([stepper for _, stepper in arms], loss)
+    runs = {name: run for (name, _), run in zip(arms, results)}
+    rows = [[name, int(s), float(k)]
+            for name, run in runs.items() for s, k in zip(run.steps, run.kgd2)]
+    outputs = Outputs(["arm", "step", "kgd_v2"], rows,
+                      np.vstack([run.atoms for run in runs.values()]),
+                      [(name, len(run.atoms)) for name, run in runs.items()])
+    return outputs, runs, rounds
 
 
-def _preset_lv_compare(seed: int, knobs: dict, out: Path) -> dict:
+def _preset_lv_compare(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     series = gen_lv_data(knobs["data_seed"])
     loss = PredictiveKernelLoss(series.times, series.observations)
     # The arms run in lockstep: each round, one solver call serves them all.
-    arms = _lv_arms(seed, knobs, loss)
-    runs, rounds = drive([stepper for _, stepper in arms], loss)
-    _write_arm_runs(out, [arm for arm, _ in arms], runs)
-    return {"solver": {"method": "taylor", "order": _TAYLOR_ORDER, "step": _TAYLOR_STEP},
-            "ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
-            "driver_rounds": rounds, "cache_hits": loss.cache_hits,
-            "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
+    outputs, _, rounds = _drive_arms(_lv_arms(seed, knobs, loss), loss)
+    return outputs, {"solver": {"method": "taylor", "order": _TAYLOR_ORDER, "step": _TAYLOR_STEP},
+                     "ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
+                     "driver_rounds": rounds, "cache_hits": loss.cache_hits,
+                     "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
 
-_PRESETS: dict[str, tuple[Callable[[int, dict, Path], dict], dict[str, tuple[Any, Parser]]]] = {
+_PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]],
+                          dict[str, tuple[Any, Parser]]]] = {
     "gauss-identity": (
         _preset_gauss_identity,
         {
@@ -790,22 +784,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     runner, table = _PRESETS[args.preset]
     knobs = _apply_overrides(table, args.set or [])
-    out = Path(args.output or f"{args.preset}-out")
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    summary = runner(int(args.seed), knobs, out)
+    outputs, summary = runner(args.seed, knobs)
     elapsed = time.perf_counter() - start
-    write_meta(
-        out / "meta.json",
-        {
-            "preset": args.preset,
-            "seed": int(args.seed),
-            "knobs": knobs,
-            "summary": summary,
-            "elapsed_s": elapsed,
-        },
-    )
-    print(f"wrote {out}/trace.csv, particles.csv, meta.json")
+    out = Path(args.output or f"{args.preset}-out")
+    meta = {"preset": args.preset, "seed": args.seed, "knobs": knobs, "summary": summary,
+            "elapsed_s": elapsed}
+    print(f"wrote {out}/{', '.join(write_outputs(out, outputs, meta))}")
     return 0
 
 

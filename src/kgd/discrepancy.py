@@ -459,13 +459,15 @@ def kgd_u_squared(
 
 @dataclass(frozen=True)
 class ScalingStudy:
-    """Replicated V/U estimates across sample sizes and fitted log-log slopes."""
+    """Replicated V/U estimates across sample sizes and fitted log-log
+    slopes, with the first replicate's draw at the largest size."""
 
     sizes: np.ndarray  # (k,)
     v_values: np.ndarray  # (k, reps)
     u_values: np.ndarray  # (k, reps)
     slope_v_mean: float  # slope of log E[V^2] against log n
     slope_v_sd: float  # slope of log sd(V^2) against log n
+    largest_draw: np.ndarray  # (sizes[-1], d), whose V^2 is v_values[-1, 0]
 
     @property
     def v_mean(self) -> np.ndarray:
@@ -505,7 +507,8 @@ def clt_scaling_study(
     substream addressed by (seed, n, r) and must return an (n, d) array of
     iid draws; both estimators are then computed from one pass of Stein
     sums, without the Gram matrix. The replicate streams are independent of
-    evaluation order.
+    evaluation order. The study keeps replicate 0's draw at the largest
+    size, so a caller can write out a sample without knowing the addresses.
 
     Raises ValueError, before any work, for a size below 2 (no U-statistic),
     fewer than 2 distinct sizes (no slope) or fewer than 2 replicates (no
@@ -524,6 +527,8 @@ def clt_scaling_study(
         for r in range(n_reps):
             rng = seeded_stream(seed, "scaling", int(n), int(r))
             measure = EmpiricalMeasure(np.asarray(sample(rng, int(n)), dtype=float))
+            if r == 0:
+                largest_draw = measure.atoms
             total, trace = _gram_sums(kernel, ref, loss, measure)
             v_values[i, r] = total / n**2
             u_values[i, r] = (total - trace) / (n * (n - 1))
@@ -535,4 +540,5 @@ def clt_scaling_study(
         u_values=u_values,
         slope_v_mean=_loglog_slope(sizes_arr, v_mean),
         slope_v_sd=_loglog_slope(sizes_arr, v_sd),
+        largest_draw=largest_draw,
     )

@@ -32,11 +32,15 @@ class RegressionData(NamedTuple):
     responses: np.ndarray  # (N,)
 
 
-def gen_mfnn_data(seed: int, n_data: int = 300, noise: float = 0.1) -> RegressionData:
-    """Synthetic regression data: z ~ U(0, 1), y ~ N(3 tanh(3z + 1/2) - 3, noise^2)."""
+MFNN_NOISE = 0.1  # standard deviation of the regression responses' noise
+
+
+def gen_mfnn_data(seed: int, n_data: int = 300) -> RegressionData:
+    """Synthetic regression data: z ~ U(0, 1), y ~ N(3 tanh(3z + 1/2) - 3,
+    MFNN_NOISE^2)."""
     rng = seeded_stream(seed, "mfnn-data")
     z = rng.uniform(0.0, 1.0, size=n_data)
-    y = 3.0 * np.tanh(3.0 * z + 0.5) - 3.0 + noise * rng.standard_normal(n_data)
+    y = 3.0 * np.tanh(3.0 * z + 0.5) - 3.0 + MFNN_NOISE * rng.standard_normal(n_data)
     return RegressionData(z, y)
 
 

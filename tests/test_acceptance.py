@@ -6,7 +6,6 @@ use enough replicates that their margins are wide at the frozen seeds.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,13 +251,13 @@ def test_flow_descends_and_improves_with_more_particles():
     _elapsed_under(start, 120.0, "flow descent")
 
 
-def test_intermediate_step_size_wins(tmp_path: Path):
+def test_intermediate_step_size_wins():
     # Langevin bias grows with the step and mixing slows as it shrinks, so
     # the mid-grid step must beat both extremes on median final quality.
     start = time.perf_counter()
     runner, table = _PRESETS["mfnn-stepsize"]
     knobs = _apply_overrides(table, [f"step_sizes={1e-6!r};{10.0**-3.5!r};{1e-1!r}"])
-    summary = runner(0, knobs, tmp_path)
+    _, summary = runner(0, knobs)
     medians = summary["median_kgd_by_step_size"]
     mid = medians[10.0**-3.5]
     assert mid < medians[1e-6], f"mid {mid:.3f} vs small-step {medians[1e-6]:.3f}"

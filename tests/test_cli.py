@@ -6,6 +6,7 @@ are asserted directly; the experiment presets are exercised with shrunken
 knob overrides.
 """
 
+import inspect
 import json
 import os
 import platform
@@ -25,13 +26,16 @@ from kgd.cli import (
     _PRESETS,
     _SAMPLERS,
     ConfigError,
+    Outputs,
     _apply_overrides,
     _count,
+    _drive_arms,
     _finite,
     _list,
     _positive,
     _lv_arms,
-    _write_arm_runs,
+    _mfnn_arms,
+    _mfnn_loss,
     build_init,
     build_kernel,
     build_loss,
@@ -40,6 +44,7 @@ from kgd.cli import (
     parse_config,
     read_particles,
     run_sampler,
+    write_outputs,
     write_particles,
     )
 from kgd.core import DiagonalGaussian, seeded_stream
@@ -636,6 +641,10 @@ class TestEvalVerb:
         assert rc == 2
 
 
+MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",
+              "vi_steps=2", "trace_every=2", "n_data=25")
+
+
 class TestExperimentVerb:
     def test_unknown_preset(self, capsys):
         assert main(["experiment", "--preset", "nope"]) == 2
@@ -655,7 +664,7 @@ class TestExperimentVerb:
         argv = ["experiment", "--preset", preset, "--output", str(out), "--set", item]
         assert main(argv) == 2
         assert "scaling study" in capsys.readouterr().err
-        assert not (out / "trace.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "preset, item",
@@ -689,6 +698,18 @@ class TestExperimentVerb:
                 "--set", "vi_step_size=1e9", "--set", "n_data=25"]
         assert main(argv) == 3
         assert "diverged at step 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_all_diverged_step_size_sweep_writes_no_particles(self, tmp_path, capsys):
+        # Every run diverges, so no run has final particles: the preset
+        # writes its trace and meta only, and names just those.
+        out = tmp_path / "st"
+        argv = ["experiment", "--preset", "mfnn-stepsize", "--output", str(out),
+                "--set", "step_sizes=1e3", "--set", "replicates=2", "--set", "steps=3"]
+        assert main(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["meta.json", "trace.csv"]
+        assert capsys.readouterr().out == f"wrote {out}/trace.csv, meta.json\n"
+        assert (out / "trace.csv").read_text().splitlines()[1].endswith(",2")
 
     def _run(self, tmp_path, preset: str, *sets: str, seed: str = "0") -> Path:
         out = tmp_path / preset
@@ -737,11 +758,7 @@ class TestExperimentVerb:
         assert summary["network_fits"] == 2 * 6
 
     def test_mfnn_compare_small(self, tmp_path):
-        out = self._run(
-            tmp_path, "mfnn-compare", "particles=6", "mfld_steps=4",
-            "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6", "vi_steps=2",
-            "trace_every=2", "n_data=25",
-        )
+        out = self._run(tmp_path, "mfnn-compare", *MFNN_SMALL)
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "arm,step,score_evals,kgd_v2"
         arms = {l.split(",")[0] for l in lines[1:]}
@@ -773,6 +790,16 @@ class TestExperimentVerb:
         assert summary["solver"] == {"method": "taylor", "order": 12, "step": 0.1}
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
+    def _assert_same_files(self, tmp_path, out: Path, arms: list[Outputs]) -> None:
+        """The per-arm outputs ``arms``, stacked in order, give the bytes of
+        the preset's ``trace.csv`` and ``particles.csv`` in ``out``."""
+        alone = tmp_path / "alone"
+        write_outputs(alone, Outputs(arms[0].header, [row for arm in arms for row in arm.rows],
+                                     np.vstack([arm.atoms for arm in arms]),
+                                     [group for arm in arms for group in arm.groups]), {})
+        for name in ("trace.csv", "particles.csv"):
+            assert (alone / name).read_bytes() == (out / name).read_bytes()
+
     def test_lv_compare_lockstep_equals_separate_runs(self, tmp_path):
         # The preset drives its three arms together; each arm driven alone
         # on a fresh loss must give the same bytes and solve the same points.
@@ -781,21 +808,33 @@ class TestExperimentVerb:
             "refine_rounds=1", "trace_every=1", seed="3",
         )
         knobs = self._meta(out)["knobs"]
-        series = gen_lv_data(int(knobs["data_seed"]))
-        names, runs, solves = [], [], 0
+        series = gen_lv_data(knobs["data_seed"])
+        arms, solves = [], 0
         for k in range(3):
             loss = PredictiveKernelLoss(series.times, series.observations)
-            name, stepper = _lv_arms(3, knobs, loss)[k]
-            (run,), _ = drive([stepper], loss)
-            names.append(name)
-            runs.append(run)
+            arms.append(_drive_arms([_lv_arms(3, knobs, loss)[k]], loss)[0])
             solves += loss.n_solves
-        alone = tmp_path / "alone"
-        alone.mkdir()
-        _write_arm_runs(alone, names, runs)
-        for name in ("trace.csv", "particles.csv"):
-            assert (alone / name).read_bytes() == (out / name).read_bytes()
+        self._assert_same_files(tmp_path, out, arms)
         assert self._meta(out)["summary"]["ode_solves"] == solves
+
+    def test_mfnn_compare_lockstep_equals_separate_runs(self, tmp_path):
+        # As for lv-compare: each arm driven alone on a fresh loss gives the
+        # preset's bytes, with score_evals = step x the arm's particles, and
+        # the arms' network fits add up to the preset's.
+        out = self._run(tmp_path, "mfnn-compare", *MFNN_SMALL, seed="3")
+        knobs = self._meta(out)["knobs"]
+        arms, fits = [], 0
+        for k in range(3):
+            loss = _mfnn_loss(knobs)
+            arm, runs, _ = _drive_arms([_mfnn_arms(3, knobs, loss)[k]], loss)
+            (run,) = runs.values()
+            rows = [[name, step, float(step * len(run.atoms)), value]
+                    for name, step, value in arm.rows]
+            arms.append(Outputs(["arm", "step", "score_evals", "kgd_v2"], rows, arm.atoms,
+                                arm.groups))
+            fits += loss.fits
+        self._assert_same_files(tmp_path, out, arms)
+        assert self._meta(out)["summary"]["network_fits"] == fits
 
     def test_lv_compare_solver_calls(self, tmp_path):
         # The lv-ode benchmark shape. Run one after another, the arms made
@@ -815,6 +854,37 @@ class TestExperimentVerb:
         meta = self._meta(out_a)
         assert meta["seed"] == 0 and meta["preset"] == "gauss-identity"
         _assert_environment(meta)
+
+
+class TestPresetRunners:
+    SMALL = {
+        "gauss-identity": ["sizes=10;20", "replicates=2"],
+        "clt-study": ["sizes=10;20", "replicates=2", "dimensions=2"],
+        "mfnn-stepsize": ["step_sizes=1e-4", "particles=4", "steps=2", "replicates=2",
+                          "n_data=20"],
+        "mfnn-compare": MFNN_SMALL,
+        "lv-compare": ["particles=2", "steps=1", "n_candidates=4", "refine_rounds=0"],
+    }
+
+    @pytest.mark.parametrize("preset", sorted(_PRESETS))
+    def test_runner_returns_what_it_writes_and_writes_nothing(self, tmp_path, monkeypatch,
+                                                              preset):
+        # A runner is a function of (seed, knobs); only ``write_outputs``,
+        # after the run, writes its files.
+        runner, table = _PRESETS[preset]
+        assert list(inspect.signature(runner).parameters) == ["seed", "knobs"]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{preset} runner wrote a file")
+
+        for name in ("write_csv", "write_particles", "write_meta", "write_outputs"):
+            monkeypatch.setattr(kgd_cli, name, forbidden)
+        monkeypatch.chdir(tmp_path)
+        result = runner(0, _apply_overrides(table, self.SMALL[preset]))
+        assert isinstance(result, tuple) and len(result) == 2
+        outputs, summary = result
+        assert isinstance(outputs, Outputs) and isinstance(summary, dict)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSelfCheck:

@@ -462,6 +462,14 @@ class TestScalingStudy:
             study.u_se, study.u_values.std(axis=1, ddof=1) / np.sqrt(6)
         )
 
+    def test_keeps_the_first_replicate_draw_at_the_largest_size(self):
+        study = clt_scaling_study(
+            self.KERNEL, self.REF, ZeroLoss(), _standard_sampler, [50, 25], 4, 1
+        )
+        assert study.largest_draw.shape == (50, 2)
+        draw = EmpiricalMeasure(study.largest_draw)
+        assert kgd_v_squared(self.KERNEL, self.REF, ZeroLoss(), draw).value2 == study.v_values[-1, 0]
+
     def test_stationary_sampling_scales_like_one_over_n(self):
         # At stationarity E[V^2] decays like 1/n and the U-statistic is
         # centred on zero; the V^2 spread collapses at the same 1/n rate
