@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -360,9 +361,33 @@ def _environment() -> dict:
             "blas": blas, "cpu_count": os.cpu_count()}
 
 
-def write_meta(path: Path, payload: Mapping[str, Any]) -> None:
+def _meta_json(payload: Mapping[str, Any]) -> str:
+    """The text of ``meta.json``: version and environment, then the payload.
+
+    Raises FloatingPointError for a non-finite number in the payload, which
+    strict JSON cannot hold (``json`` would write a bare NaN or Infinity).
+    """
     body = {"version": __version__, "environment": _environment()} | dict(payload)
-    path.write_text(json.dumps(body, indent=2, sort_keys=True, default=str) + "\n")
+    try:
+        return json.dumps(body, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise FloatingPointError(f"meta.json would hold a non-finite number ({exc})") from None
+
+
+def write_meta(path: Path, text: str) -> None:
+    """Write the text ``_meta_json`` made."""
+    path.write_text(text)
+
+
+def _output_dir(path: str | Path, name: str) -> Path:
+    """The output directory ``path``, checked before any work: it, or else
+    its nearest existing ancestor, must be a directory. ``name`` is the
+    setting it came from, for the error."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"{name} '{out}': '{existing}' exists and is not a directory")
+    return out
 
 
 class Outputs(NamedTuple):
@@ -377,14 +402,16 @@ class Outputs(NamedTuple):
 
 
 def write_outputs(out: Path, outputs: Outputs, meta: Mapping[str, Any]) -> list[str]:
-    """Create ``out`` and write a finished run's files into it; their names."""
+    """Create ``out`` and write a finished run's files into it; their names.
+    A meta that is not valid JSON fails before ``out`` is created."""
+    text = _meta_json(meta)
     out.mkdir(parents=True, exist_ok=True)
     names = ["trace.csv"]
     write_csv(out / "trace.csv", outputs.header, outputs.rows)
     if outputs.atoms is not None:
         names.append("particles.csv")
         write_particles(out / "particles.csv", outputs.atoms, outputs.groups)
-    write_meta(out / "meta.json", meta)
+    write_meta(out / "meta.json", text)
     return names + ["meta.json"]
 
 
@@ -460,6 +487,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         cfg["run"]["output"] = args.output
     if cfg["run"]["output"] is None:
         raise ConfigError("no output directory: set run.output or pass --output")
+    out = _output_dir(cfg["run"]["output"], "--output" if args.output is not None else "run.output")
     kernel = build_kernel(cfg["kernel"])
     ref = build_reference(cfg["reference"])
     loss = build_loss(cfg["loss"], ref.dim)
@@ -468,7 +496,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     rows = [[int(s), float(k), float(w)] for s, k, w in zip(run.steps, run.kgd2, run.wall)]
     outputs = Outputs(["step", "kgd_v2", "wall_time_s"], rows, run.atoms)
-    write_outputs(Path(cfg["run"]["output"]), outputs, {"config": cfg, "elapsed_s": elapsed})
+    write_outputs(out, outputs, {"config": cfg, "elapsed_s": elapsed})
     print(f"final kgd_v2 {_fmt(float(run.kgd2[-1])) if len(run.kgd2) else 'n/a'}")
     return 0
 
@@ -586,7 +614,8 @@ def _preset_mfnn_stepsize(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     # When every run diverged, there are no particles to write.
     outputs = Outputs(["step_size", "median_kgd", "p5_kgd", "p95_kgd", "n_diverged"], rows,
                       final_atoms)
-    medians = {row[0]: row[1] for row in rows}
+    # A diverged median is null in meta.json; n_diverged is in its row.
+    medians = {row[0]: row[1] if math.isfinite(row[1]) else None for row in rows}
     return outputs, {"median_kgd_by_step_size": medians, "network_fits": loss.fits}
 
 
@@ -702,6 +731,7 @@ def _preset_lv_compare(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     outputs, _, rounds = _drive_arms(_lv_arms(seed, knobs, loss), loss)
     return outputs, {"solver": {"method": "taylor", "order": _TAYLOR_ORDER, "step": _TAYLOR_STEP},
                      "ode_solves": loss.n_solves, "solver_calls": loss.solver_calls,
+                     "pair_blocks": loss.pair_blocks,
                      "driver_rounds": rounds, "cache_hits": loss.cache_hits,
                      "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
@@ -784,10 +814,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         )
     runner, table = _PRESETS[args.preset]
     knobs = _apply_overrides(table, args.set or [])
+    out = _output_dir(args.output or f"{args.preset}-out", "--output")
     start = time.perf_counter()
     outputs, summary = runner(args.seed, knobs)
     elapsed = time.perf_counter() - start
-    out = Path(args.output or f"{args.preset}-out")
     meta = {"preset": args.preset, "seed": args.seed, "knobs": knobs, "summary": summary,
             "elapsed_s": elapsed}
     print(f"wrote {out}/{', '.join(write_outputs(out, outputs, meta))}")
@@ -801,6 +831,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 def cmd_self_check(_args: argparse.Namespace) -> int:
     from .discrepancy import _BLOCK, _stein_sums, stein_drift, stein_gram
+    from .samplers import _incremental_objective, _objective
 
     failures = 0
 
@@ -983,17 +1014,21 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     report("ode-sensitivities", worst < 1e-6, f"worst scaled error {worst:.2e}")
 
     # The solver is batch-invariant: calls on the splits of a batch, tail
-    # sizes and single points included, give its bytes.
-    xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(5).standard_normal((244, 2))
+    # sizes and single points included, give its bytes; at 244 points and
+    # at lv-compare's up-front 976.
+    xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(5).standard_normal((976, 2))
     times = np.array([0.5, 2.0, 3.0])
-    u, sens = lv_sensitivities(xs, times)
-    bounds = [np.cumsum((0,) + split) for split in ((1, 2, 4, 7, 9, 221), (240, 4))]
-    parts = [slice(lo, hi) for b in bounds for lo, hi in zip(b[:-1], b[1:])]
-    parts += [slice(i, i + 1) for i in (0, 121, 243)]
-    same = sum(all(map(np.array_equal, lv_sensitivities(xs[part], times), (u[part], sens[part])))
-               for part in parts)
-    report("ode-batch-invariance", same == len(parts),
-           f"{same} of {len(parts)} split calls bitwise equal")
+    same = total = 0
+    for m, splits, singles in ((244, ((1, 2, 4, 7, 9, 221), (240, 4)), (0, 121, 243)),
+                               (976, ((1, 975),), ())):
+        u, sens = lv_sensitivities(xs[:m], times)
+        bounds = [np.cumsum((0,) + split) for split in splits]
+        parts = [slice(lo, hi) for b in bounds for lo, hi in zip(b[:-1], b[1:])]
+        parts += [slice(i, i + 1) for i in singles]
+        same += sum(all(map(np.array_equal, lv_sensitivities(xs[part], times),
+                            (u[part], sens[part]))) for part in parts)
+        total += len(parts)
+    report("ode-batch-invariance", same == total, f"{same} of {total} split calls bitwise equal")
 
     # Step doubling: the solve at half the default step, whose error is
     # 2^12 times smaller, measures the default step's error at the
@@ -1014,11 +1049,12 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
 
     # Predictive pair blocks on LV trajectories against the oracle's double
     # sum over (time, time) pairs and the data-fit terms, relative to the
-    # largest value and gradient.
+    # largest value and gradient; the self-pair block against its diagonal.
     series = gen_lv_data(1)
     loss = PredictiveKernelLoss(series.times, series.observations)
     pts = np.array([-1.0, 1.6]) + 0.3 * rng.normal(size=(4, 2))
     values, grads = loss.pair_block(pts, pts)
+    self_values, self_grads = loss.self_pair_block(pts)
     means, sens = loss.prefetch(pts)
     cross, cross_grad = reference_cross_term(means, sens, means, loss.sigma)
     n_obs = series.times.size
@@ -1029,9 +1065,35 @@ def cmd_self_check(_args: argparse.Namespace) -> int:
     fit_grad = np.einsum("mn,mns,mnsd->md", fit, resid, sens) / n_obs
     want = cross - fit.mean(axis=1)[:, None] - fit.mean(axis=1)[None, :]
     want_grad = cross_grad - fit_grad[:, None, :]
-    worst = max(float(np.max(np.abs(values - want)) / np.max(np.abs(want))),
-                float(np.max(np.abs(grads - want_grad)) / np.max(np.abs(want_grad))))
+    diag = np.arange(len(pts))
+    worst = max(float(np.max(np.abs(got - w)) / np.max(np.abs(w)))
+                for got, w in ((values, want), (grads, want_grad),
+                               (self_values, want[diag, diag]),
+                               (self_grads, want_grad[diag, diag])))
     report("predictive-pair-block", worst < 1e-12, f"worst rel {worst:.2e}")
+
+    # The greedy objective from the placed atoms' sums against the
+    # estimator per point, relative to each value: on a candidate set and
+    # the two coordinate lines through its best point, after 0, 1 and 4
+    # placed atoms, with the same argmin on each.
+    assess = Mixture((IMQ(np.sqrt(0.03)), IMQ(np.sqrt(0.1))), weights=(1.0, 1.0))
+    ref = DiagonalGaussian.standard(2)
+    worst, argmins = 0.0, 0
+    for n in (0, 1, 4):
+        atoms = np.array([-1.0, -1.5]) + 0.3 * rng.normal(size=(n, 2))
+        candidates = np.array([-1.0, 1.6]) + 0.5 * rng.normal(size=(12, 2))
+        loss.prefetch(np.vstack([atoms, candidates]))
+        fast = _incremental_objective(assess, ref, loss, atoms)
+        slow = _objective(assess, ref, loss, atoms)
+        best = candidates[np.argmin(slow(candidates))]
+        lines = best + np.linspace(-0.1, 0.1, 9)[:, None, None] * np.eye(2)
+        loss.prefetch(lines.reshape(-1, 2))
+        for pts in (candidates, lines[:, 0], lines[:, 1]):
+            got, want = fast(pts), slow(pts)
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+            argmins += int(np.argmin(got) == np.argmin(want))
+    report("greedy-incremental", worst < 1e-12 and argmins == 9,
+           f"worst rel {worst:.2e}, {argmins} of 9 argmins equal")
 
     # Stream independence and determinism.
     a = seeded_stream(1, "x").standard_normal(4)

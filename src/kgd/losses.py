@@ -225,6 +225,11 @@ def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarr
 
 # Entries of one (rows N, p N) block of a predictive pair block: 32 MB.
 _PAIR_BLOCK_ENTRIES = 4_000_000
+# Entries of a (rows N, p N) or (rows, N, N) array of one chunk of candidates
+# in ``extension``: 0.25 MB. A block holds two such arrays at once, so a
+# chunk's temporaries stay under the solve of the candidates at lv-compare's
+# shape.
+_EXTENSION_ENTRIES = 32_768
 
 
 @dataclass
@@ -262,6 +267,20 @@ class PredictiveKernelLoss(VariationalLoss):
     the cancellation there moves the gradients by about 4e-13 of their
     largest entry, against 1e-14 for the differences. Rows are taken in
     chunks that keep the (rows N, p N) block within ``_PAIR_BLOCK_ENTRIES``.
+    ``self_pair_block`` gives the diagonal pair(x, x) alone, from (m, N, N)
+    arrays.
+
+    A configuration that adds one point c to n atoms scores its atoms from
+    sums the atoms already have: with S_i = sum_j grad_1 pair(x_i, x_j) over
+    the atoms,
+
+        var_grad at x_i = (S_i + grad_1 pair(x_i, c)) / ((n + 1) lam),
+        var_grad at c   = (sum_j grad_1 pair(c, x_j) + grad_1 pair(c, c))
+                          / ((n + 1) lam),
+
+    so ``extension`` scores a whole candidate set from two cross blocks with
+    the atoms and one self-pair block, in the order of the sums ``var_grad``
+    takes over the configuration.
 
     Solver outputs and sensitivities are cached per parameter point, so
     repeated evaluations at the same atoms (samplers, greedy search) only
@@ -271,6 +290,7 @@ class PredictiveKernelLoss(VariationalLoss):
     ``cache_misses`` (requested points not in the cache) and ``cache_clears``
     count its use, ``n_solves`` the points passed to the solver and
     ``solver_calls`` the calls that passed them, the unit of solver cost.
+    ``pair_blocks`` counts the pair-block calls, self-pair blocks included.
     There is no ``var_grad_vjp``: it would need second-order ODE
     sensitivities.
     """
@@ -302,6 +322,7 @@ class PredictiveKernelLoss(VariationalLoss):
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_clears = 0
+        self.pair_blocks = 0
 
     # -- solver plumbing ----------------------------------------------------
 
@@ -385,6 +406,7 @@ class PredictiveKernelLoss(VariationalLoss):
                 diff = np.subtract.outer(tx[rows, k], ty[:, k])
                 diff *= diff
                 a += diff
+                del diff
             a *= -0.5 / v
             np.exp(a, out=a)
             a = a.reshape((hi - lo) * n_obs, p, n_obs)  # rows (x, t_i), (y, t_j)
@@ -404,10 +426,68 @@ class PredictiveKernelLoss(VariationalLoss):
         argument's solver outputs are fetched once."""
         mx, sx = self.prefetch(xs)
         my, _ = self.prefetch(ys)
+        self.pair_blocks += 1
         cross, cross_grad = self._cross_block(mx, sx, my)
         dx, gx = self._data_terms(mx, sx)
         dy = np.mean(self._data_fit(my), axis=-1)
         return cross - dx[:, None] - dy[None, :], cross_grad - gx[:, None, :]
+
+    def self_pair_block(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Self-pair values pair(x, x), (m,), and first-argument gradients
+        grad_1 pair(x, x), (m, d): the diagonal of ``pair_block(xs, xs)``,
+        from (m, N, N) arrays, each trajectory centred on its own mean."""
+        mx, sx = self.prefetch(xs)
+        self.pair_blocks += 1
+        _, n_obs, s = mx.shape
+        v = 1.0 + 2.0 * self.sigma**2
+        t = mx - mx.mean(axis=1, keepdims=True)
+        a = np.subtract(t[:, :, None, 0], t[:, None, :, 0])
+        a *= a
+        for k in range(1, s):
+            diff = np.subtract(t[:, :, None, k], t[:, None, :, k])
+            diff *= diff
+            a += diff
+            del diff
+        a *= -0.5 / v
+        np.exp(a, out=a)
+        weight = a.sum(axis=2)  # sum_j a_ij, (m, N)
+        inner = weight[:, :, None] * t - a @ t
+        pref = v ** (-0.5 * s) / n_obs**2
+        cross = pref * weight.sum(axis=1)
+        cross_grad = (-pref / v) * np.einsum("mis,misd->md", inner, sx)
+        dx, gx = self._data_terms(mx, sx)
+        return cross - dx - dx, cross_grad - gx
+
+    def extension(self, atoms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``var_grad`` of the configurations that add one point to the (n, d)
+        atoms (class docstring).
+
+        Returns a function of (m, d) candidates whose row c is var_grad(Q, .)
+        at the n + 1 atoms of Q = (atoms, c), the candidate last, (m, n + 1,
+        d). The atoms' sums S are taken once, here; each call takes the two
+        cross blocks and the self-pair block in chunks of candidates that
+        keep every (rows N, p N) or (rows, N, N) array within
+        ``_EXTENSION_ENTRIES`` entries.
+        """
+        n, d = atoms.shape
+        placed = self.pair_block(atoms, atoms)[1].sum(axis=1) if n else None
+        chunk = max(1, _EXTENSION_ENTRIES // (max(n, 1) * self.times.size**2))
+
+        def grads(candidates: np.ndarray) -> np.ndarray:
+            out = np.empty((candidates.shape[0], n + 1, d))
+            for lo in range(0, candidates.shape[0], chunk):
+                block = candidates[lo:lo + chunk]
+                rows = out[lo:lo + chunk]
+                _, self_grad = self.self_pair_block(block)
+                if n:
+                    rows[:, :n] = placed + self.pair_block(atoms, block)[1].transpose(1, 0, 2)
+                    rows[:, n] = self.pair_block(block, atoms)[1].sum(axis=1) + self_grad
+                else:
+                    rows[:, n] = self_grad
+            out /= (n + 1) * self.lam
+            return out
+
+        return grads
 
     # -- loss contract ---------------------------------------------------------
 

@@ -82,22 +82,22 @@ def lv_equilibrium(x: np.ndarray) -> np.ndarray:
 # df1/dx2 = -u1 u2 beta (1 - s2) follow from alpha = sigmoid(x1),
 # beta = alpha sigmoid(x2), s2 = sigmoid(x2). The drift is linear in the
 # state and in five products of it: u1 u2, u1 s10, u1 s11, u2 s00 and
-# u2 s01. ``lv_sensitivities`` keeps its Taylor coefficients as 16 rows
-# x points: rows 0-9 hold the state as (u1, u1, u1, u2, u2, u2, s10, s11,
-# s00, s01), so the products are rows 0-4 times rows 5-9, kept in rows
-# 10-14; row 15 is a constant zero. The three copies of u1 and of u2 have
-# the same drift, so they stay bitwise equal. Each of the ten state rows'
-# drift sums at most five terms, coefficient times row, laid out
+# u2 s01. ``lv_sensitivities`` keeps its Taylor coefficients as 13 rows
+# x points: rows 0-5 hold the state (u1, u2, s10, s11, s00, s01), row 6 is
+# a constant zero and rows 7-12 the products u1 (u2, s10, s11) and
+# u2 (s00, s01, 0): rows 0-1 times the (2, 3) block of rows 1-6, one
+# broadcast Cauchy product per order (row 12 is never read). Each state
+# row's drift sums at most five terms, coefficient times row, laid out
 # slot-major: _LV_ROWS[slot, output] is the row the term in that slot
 # reads, and an unused slot reads the zero row. ``lv_sensitivities``
-# builds the matching coefficients, (slots, 10, m), in the same layout.
+# builds the matching coefficients, (slots, 6, m), in the same layout.
 _LV_ROWS = np.array([
-    # u1  u1  u1  u2  u2  u2  s10 s11 s00 s01
-    [0,   0,  0, 10, 10, 10, 13, 14,  8,  9],
-    [10, 10, 10,  3,  3,  3, 11, 12, 13, 14],
-    [15, 15, 15, 15, 15, 15,  6,  7, 11, 12],
-    [15, 15, 15, 15, 15, 15, 15, 15,  0, 10],
-    [15, 15, 15, 15, 15, 15, 15, 15, 10, 15],
+    # u1 u2 s10 s11 s00 s01
+    [0,  7, 10, 11,  4,  5],
+    [7,  1,  8,  9, 10, 11],
+    [6,  6,  2,  3,  8,  9],
+    [6,  6,  6,  6,  0,  7],
+    [6,  6,  6,  6,  7,  6],
 ])
 # Order of the Taylor series summed per step, and the default step.
 _TAYLOR_ORDER = 12
@@ -127,11 +127,14 @@ def lv_sensitivities(
 
     Every operation is elementwise over the points, with no BLAS call, so a
     point's u and sens are bitwise the same whatever other points share its
-    call: any split of a batch into calls gives the same bytes. A call costs
-    a fixed number of numpy operations per step (600 steps of order 12 for
-    t up to 60 at the default step), so its time is set by the number of
-    calls far more than by the batch size m. Callers should pass all the
-    points they need in one batch.
+    call: any split of a batch into calls gives the same bytes. A call makes
+    a fixed number of numpy operations, five per order of each step (600
+    steps of order 12 for t up to 60 at the default step), each a fixed
+    dispatch cost plus work linear in the batch size m. Dispatch dominates
+    small batches: on a 2-vCPU Xeon VM at t up to 60, a call took about
+    0.09 s at m = 4 or 24, 0.26 s at m = 244 and 0.77 s at m = 976. A batch
+    costs far less than its points solved one call each, so callers should
+    pass all the points they need in one batch.
 
     Args:
         x: Unconstrained parameters, shape (m, 2) or (2,).
@@ -155,28 +158,27 @@ def lv_sensitivities(
     # a = alpha, b = -beta, d = delta, g = -gamma and z = 0, per point.
     a, b, d, g, z = alpha, -beta, np.full(m, LV_DELTA), np.full(m, -LV_GAMMA), np.zeros(m)
     coef = np.stack([
-        a, a, a, d, d, d, d, d, a, a,
-        b, b, b, g, g, g, d, d, b, b,
-        z, z, z, z, z, z, g, g, b, b,
-        z, z, z, z, z, z, z, z, alpha * (1.0 - alpha), b * (1.0 - s2),
-        z, z, z, z, z, z, z, z, b * (1.0 - alpha), z,
+        a, d, d, d, a, a,
+        b, g, d, d, b, b,
+        z, z, g, g, b, b,
+        z, z, z, z, alpha * (1.0 - alpha), b * (1.0 - s2),
+        z, z, z, z, b * (1.0 - alpha), z,
     ]).reshape(_LV_ROWS.shape + (m,))
 
     # Per order k: the Cauchy product's two factors, a[0..k] and b[k..0]
-    # (a reversed view), its (k + 1, 5, m) buffer and the rows it fills, and
-    # the rows the drift reads and writes.
+    # (a reversed view) as (k + 1, 2, m) and (k + 1, 2, 3, m), the (2, 3, m)
+    # product rows it fills, and the rows the drift reads and writes.
     order = _TAYLOR_ORDER
-    series = np.zeros((order + 1, 16, m))
-    prod = np.empty((order, 5, m))
+    series = np.zeros((order + 1, 13, m))
     orders = [
-        (series[:k + 1, 0:5], series[k::-1, 5:10], prod[:k + 1],
-         series[k, 10:15], series[k], series[k + 1, :10], float(k + 1))
+        (series[:k + 1, 0:2], series[k::-1, 1:7].reshape(k + 1, 2, 3, m),
+         series[k, 7:13].reshape(2, 3, m), series[k], series[k + 1, :6], float(k + 1))
         for k in range(order)
     ]
     terms = np.empty(_LV_ROWS.shape + (m,))
-    horner = [series[k, :10] for k in range(order - 1, -1, -1)]
-    y = series[0, :10]
-    y[:3], y[3:6] = LV_INIT
+    horner = [series[k, :6] for k in range(order - 1, -1, -1)]
+    y = series[0, :6]
+    y[0], y[1] = LV_INIT
     u = np.empty((m, times.size, 2))
     sens = np.empty((m, times.size, 4))
     t_prev = 0.0
@@ -186,20 +188,19 @@ def lv_sensitivities(
             n_sub = max(1, int(round(dt / step)))
             h = dt / n_sub
             for _ in range(n_sub):
-                for left, right, pairs, prod_out, rows, drift_out, k1 in orders:
-                    np.multiply(left, right, out=pairs)
-                    np.add.reduce(pairs, axis=0, out=prod_out)
+                for left, right, prod_out, rows, drift_out, k1 in orders:
+                    np.einsum("kim,kijm->ijm", left, right, out=prod_out)
                     rows.take(_LV_ROWS, axis=0, out=terms)
                     terms *= coef
                     np.add.reduce(terms, axis=0, out=drift_out)
                     drift_out /= k1
-                step_end = series[order, :10].copy()
+                step_end = series[order, :6].copy()
                 for c in horner:
                     step_end *= h
                     step_end += c
                 y[...] = step_end
-        u[:, n] = y[[0, 3]].T
-        sens[:, n] = y[[8, 9, 6, 7]].T
+        u[:, n] = y[:2].T
+        sens[:, n] = y[[4, 5, 2, 3]].T
         t_prev = float(t_n)
     sens = sens.reshape(m, -1, 2, 2)
     return (u[0], sens[0]) if single else (u, sens)

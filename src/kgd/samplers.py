@@ -10,6 +10,7 @@ functions) or in lockstep with others that share its loss.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Generator, Sequence
@@ -17,7 +18,7 @@ from typing import Any, Callable, Generator, Sequence
 import numpy as np
 
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import gen_score, kgd_v_squared, particle_grad, stein_drift
+from .discrepancy import _stein_sums, gen_score, kgd_v_squared, particle_grad, stein_drift
 from .losses import VariationalLoss
 
 DIVERGENCE_NORM = 1e8
@@ -415,6 +416,43 @@ class SearchSpec:
         return np.maximum(extent / (per_axis - 1), 1e-12)
 
 
+def _objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.ndarray):
+    """The greedy objective at each of (m, d) points x, (m,): the V-statistic
+    of ``atoms`` with x, one estimator call per point."""
+
+    def values(points: np.ndarray) -> np.ndarray:
+        return np.asarray([kgd_v_squared(kernel, ref, loss,
+                                         EmpiricalMeasure(np.vstack([atoms, x[None, :]]))).value2
+                           for x in points])
+
+    return values
+
+
+def _incremental_objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss,
+                           atoms: np.ndarray):
+    """``_objective`` for a loss with ``extension``: the scores of every
+    configuration come from the atoms' sums and the loss's batched blocks,
+    and each configuration takes one pass of Stein sums. A point whose
+    scores or sum are not finite is left to the estimator, which names the
+    non-finite score or Gram entry."""
+    grads = loss.extension(atoms)
+    exact = _objective(kernel, ref, loss, atoms)
+    n = atoms.shape[0]
+
+    def values(points: np.ndarray) -> np.ndarray:
+        configs = np.empty((points.shape[0], n + 1, points.shape[1]))
+        configs[:, :n] = atoms
+        configs[:, n] = points
+        scores = ref.log_grad(configs) - grads(points)
+        out = np.empty(points.shape[0])
+        for i, (pts, b) in enumerate(zip(configs, scores)):
+            total = _stein_sums(kernel, pts, b)[0] if np.isfinite(b).all() else math.nan
+            out[i] = total / (n + 1) ** 2 if math.isfinite(total) else exact(points[i:i + 1])[0]
+        return out
+
+    return values
+
+
 def _greedy_point(
     kernel,
     ref: DiagonalGaussian,
@@ -425,13 +463,16 @@ def _greedy_point(
 ) -> Generator[np.ndarray, None, tuple[np.ndarray, float]]:
     """Stepper of one greedy pick after its candidate set has been
     requested: requests each refinement line and returns the chosen point
-    and the objective there, the V-statistic of ``atoms`` with it."""
+    and the objective there, the V-statistic of ``atoms`` with it.
 
-    def objective(x: np.ndarray) -> float:
-        pts = np.vstack([atoms, x[None, :]])
-        return kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)).value2
-
-    values = np.asarray([objective(c) for c in candidates])
+    A loss with ``extension`` scores each candidate set and each line at
+    once from the atoms' sums (``_incremental_objective``); any other loss
+    re-evaluates the scores per candidate. Either way the returned value is
+    the estimator's own at the chosen point."""
+    incremental = hasattr(loss, "extension")
+    exact = _objective(kernel, ref, loss, atoms)
+    objective = _incremental_objective(kernel, ref, loss, atoms) if incremental else exact
+    values = objective(candidates)
     best = candidates[int(np.argmin(values))].copy()
     best_val = float(values.min())
 
@@ -443,13 +484,15 @@ def _greedy_point(
             line = np.repeat(best[None, :], _REFINE_POINTS, axis=0)
             line[:, j] += offsets
             yield line
-            line_vals = np.asarray([objective(p) for p in line])
+            line_vals = objective(line)
             k = int(np.argmin(line_vals))
             if line_vals[k] < best_val:
                 best = line[k].copy()
                 best_val = float(line_vals[k])
         # Best grid point sits within one spacing of the line optimum.
         spans = 2.0 * spans / (_REFINE_POINTS - 1)
+    if incremental:
+        best_val = float(exact(best[None, :])[0])
     return best, best_val
 
 
@@ -464,9 +507,11 @@ def greedy_next(
     """Location minimising the squared discrepancy with the candidate included.
 
     The objective for candidate x is the V-statistic of the configuration
-    (x_1, ..., x_n, x), for placed atoms of shape (n, d) with n possibly 0;
-    scores are re-evaluated per candidate because the candidate itself
-    shifts the empirical measure. The candidate set is drawn from ``rng``.
+    (x_1, ..., x_n, x), for placed atoms of shape (n, d) with n possibly 0.
+    The candidate shifts the empirical measure, so every atom's score
+    depends on it: a loss with ``extension`` builds all of them from the
+    atoms' sums and batched blocks, any other loss re-evaluates them per
+    candidate (``_greedy_point``). The candidate set is drawn from ``rng``.
     """
     atoms = np.asarray(atoms, dtype=float)
     candidates = search.candidate_set(rng)

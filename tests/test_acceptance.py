@@ -257,8 +257,9 @@ def test_intermediate_step_size_wins():
     start = time.perf_counter()
     runner, table = _PRESETS["mfnn-stepsize"]
     knobs = _apply_overrides(table, [f"step_sizes={1e-6!r};{10.0**-3.5!r};{1e-1!r}"])
-    _, summary = runner(0, knobs)
-    medians = summary["median_kgd_by_step_size"]
+    outputs, _ = runner(0, knobs)
+    # The trace rows keep a diverged median as inf (meta.json has null).
+    medians = {row[0]: row[1] for row in outputs.rows}
     mid = medians[10.0**-3.5]
     assert mid < medians[1e-6], f"mid {mid:.3f} vs small-step {medians[1e-6]:.3f}"
     assert mid < medians[1e-1], f"mid {mid:.3f} vs large-step {medians[1e-1]}"

@@ -502,6 +502,21 @@ class TestSampleVerb:
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "d")]) == 3
         assert "diverged" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [True, False], ids=["--output", "run.output"])
+    def test_output_naming_a_file_is_a_config_error(self, tmp_path, capsys, flag):
+        # Checked before the run: exit 2 naming the path, the file untouched.
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        if flag:
+            argv = ["sample", "--config", self._config(tmp_path), "--output", str(afile)]
+        else:
+            body = {"run": {"seed": 4, "output": str(afile)}, "loss": {"family": "zero"}}
+            argv = ["sample", "--config", _write_config(tmp_path, body)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(afile) in err
+        assert afile.read_text() == "keep\n"
+
     def test_unknown_algorithm(self, tmp_path):
         cfg = _write_config(tmp_path, {"sampler": {"algorithm": "hmc"}})
         assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
@@ -711,6 +726,46 @@ class TestExperimentVerb:
         assert capsys.readouterr().out == f"wrote {out}/trace.csv, meta.json\n"
         assert (out / "trace.csv").read_text().splitlines()[1].endswith(",2")
 
+    def test_diverged_medians_are_null_in_strict_json(self, tmp_path):
+        # Every run diverges: meta.json holds null medians, not the bare
+        # token Infinity, which strict JSON parsers reject.
+        out = tmp_path / "st"
+        argv = ["experiment", "--preset", "mfnn-stepsize", "--output", str(out),
+                "--set", "step_sizes=1e3", "--set", "replicates=2", "--set", "steps=3"]
+        assert main(argv) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        meta = json.loads((out / "meta.json").read_text(), parse_constant=reject)
+        assert meta["summary"]["median_kgd_by_step_size"] == {"1000.0": None}
+
+    def test_non_finite_meta_is_a_numeric_failure_before_any_output(self, tmp_path):
+        out = tmp_path / "o"
+        outputs = Outputs(["a"], [[1.0]], None)
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            write_outputs(out, outputs, {"summary": {"value": float("nan")}})
+        assert not out.exists()
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-a-file"])
+    def test_output_naming_a_file_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                    inside):
+        # Checked before any work: exit 2 naming the path, the file untouched.
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the preset ran")
+
+        runner, table = _PRESETS["gauss-identity"]
+        monkeypatch.setitem(_PRESETS, "gauss-identity", (forbidden, table))
+        out = afile / "sub" if inside else afile
+        argv = ["experiment", "--preset", "gauss-identity", "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(out) in err
+        assert afile.read_text() == "keep\n"
+
     def _run(self, tmp_path, preset: str, *sets: str, seed: str = "0") -> Path:
         out = tmp_path / preset
         argv = ["experiment", "--preset", preset, "--seed", seed, "--output", str(out)]
@@ -787,6 +842,7 @@ class TestExperimentVerb:
         # Each solved point was a miss first; the flow arms' first steps hit.
         assert summary["cache_misses"] >= summary["ode_solves"]
         assert summary["cache_hits"] > 0 and summary["cache_clears"] == 0
+        assert summary["pair_blocks"] > 0
         assert summary["solver"] == {"method": "taylor", "order": 12, "step": 0.1}
         assert read_particles(out / "particles.csv").shape == (6, 2)
 
@@ -892,9 +948,10 @@ class TestSelfCheck:
         assert main(["self-check"]) == 0
         out = capsys.readouterr().out
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 16
+        assert len(lines) == 17
         assert all(l.startswith("PASS ") for l in lines)
         assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
+        assert any(l.startswith("PASS greedy-incremental ") for l in lines)
         assert any(l.startswith("PASS stein-sums ") for l in lines)
         assert any(l.startswith("PASS particle-gradient ") for l in lines)
         assert any(l.startswith("PASS mean-field-contractions ") for l in lines)

@@ -546,6 +546,39 @@ class TestPredictiveKernelLoss:
         loss.prefetch(pts[::-1] + 1.0)  # overflows the full cache: one clear
         assert len(loss._cache) == 2 and loss.cache_clears == 1
 
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_self_pair_block_is_the_diagonal(self, offset):
+        # Also on trajectories near 1e3: each is centred on its own mean.
+        def offset_solver(points, times):
+            means, sens = _wave_solver(points, times)
+            return means + offset, sens
+
+        loss = _wave_loss()
+        loss.solver = offset_solver
+        xs = np.random.default_rng(24).standard_normal((5, 2))
+        values, grads = loss.self_pair_block(xs)
+        want_values, want_grads = loss.pair_block(xs, xs)
+        diag = np.arange(len(xs))
+        _assert_close_to_max(values, want_values[diag, diag], 1e-12)
+        _assert_close_to_max(grads, want_grads[diag, diag], 1e-12)
+        np.testing.assert_allclose(values, [_brute_pair(loss, x, x) for x in xs], rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_extension_is_var_grad_of_each_configuration(self, monkeypatch, n):
+        loss = _wave_loss()
+        rng = np.random.default_rng(25)
+        atoms, candidates = rng.standard_normal((n, 2)), rng.standard_normal((5, 2))
+        configs = [np.vstack([atoms, c[None, :]]) for c in candidates]
+        want = np.stack([loss.var_grad(EmpiricalMeasure(cfg), cfg) for cfg in configs])
+        _assert_close_to_max(loss.extension(atoms)(candidates), want, 1e-12)
+        # Chunks of 2, 2 and 1 candidates: a self-pair block each and, after
+        # atoms, two cross blocks each and the atoms' own block.
+        monkeypatch.setattr(losses, "_EXTENSION_ENTRIES", 2 * max(n, 1) * loss.times.size**2)
+        blocks = loss.pair_blocks
+        chunked = loss.extension(atoms)(candidates)
+        assert loss.pair_blocks - blocks == (1 + 3 * 3 if n else 3)
+        _assert_close_to_max(chunked, want, 1e-12)
+
 
 class TestEuclidIdentity:
     def test_requires_a_scalar_value(self):

@@ -13,8 +13,8 @@ from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import kgd_u_squared, kgd_v_squared, particle_grad
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from kgd.losses import (InteractionLoss, LinearLoss, MeanFieldRegressionLoss,
-                        PredictiveKernelLoss, ZeroLoss)
-from kgd.models import gen_mfnn_data
+                        PredictiveKernelLoss, VariationalLoss, ZeroLoss)
+from kgd.models import gen_lv_data, gen_mfnn_data
 from kgd.oracles import fd_gradient, kernel_derivatives
 from kgd.samplers import (
     ADAM_BETA1,
@@ -23,6 +23,9 @@ from kgd.samplers import (
     OptimizerSpec,
     SamplerDivergence,
     SearchSpec,
+    _greedy_point,
+    _incremental_objective,
+    _objective,
     drive,
     greedy_extend,
     greedy_next,
@@ -498,6 +501,85 @@ class TestGreedy:
         search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=60, refine_rounds=1)
         greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
         assert len(draws) == 3
+
+
+class _PerCandidate(VariationalLoss):
+    """A loss's estimator route alone: its scores and solve cache, without
+    ``extension``."""
+
+    def __init__(self, loss):
+        self.loss = loss
+
+    def var_grad(self, measure, x):
+        return self.loss.var_grad(measure, x)
+
+    def prefetch(self, points):
+        return self.loss.prefetch(points)
+
+
+class TestIncrementalGreedy:
+    """The predictive loss's greedy objective, built from the placed atoms'
+    sums, against the estimator per candidate (the lv-compare setting)."""
+
+    KERNEL = Mixture((IMQ(np.sqrt(0.03)), IMQ(np.sqrt(0.1))), weights=(1.0, 1.0))
+    REF = DiagonalGaussian.standard(2)
+    SEARCH = SearchSpec(proposal_mean=np.array([-1.0, 1.6]), proposal_scale=0.5,
+                        n_candidates=30, refine_rounds=1)
+
+    def _pick(self, loss, atoms, candidates):
+        """Drive one greedy pick: the point sets it scored, the pick and its
+        value."""
+        sets = [candidates]
+        point = _greedy_point(self.KERNEL, self.REF, loss, self.SEARCH, atoms, candidates)
+        try:
+            while True:
+                sets.append(point.send(None))
+                loss.prefetch(sets[-1])
+        except StopIteration as done:
+            return sets, done.value
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_matches_the_estimator_per_candidate(self, n):
+        series = gen_lv_data(1)
+        loss = PredictiveKernelLoss(series.times, series.observations)
+        atoms = np.array([-1.0, -1.5]) + 0.3 * seeded_stream(7, "placed").standard_normal((n, 2))
+        candidates = self.SEARCH.candidate_set(seeded_stream(7, "greedy", n))
+        loss.prefetch(np.vstack([atoms, candidates]))
+        sets, (best, value) = self._pick(loss, atoms, candidates)
+        assert len(sets) == 3  # the candidates and one line per coordinate
+        fast = _incremental_objective(self.KERNEL, self.REF, loss, atoms)
+        slow = _objective(self.KERNEL, self.REF, loss, atoms)
+        for points in sets:
+            got, want = fast(points), slow(points)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+            assert np.argmin(got) == np.argmin(want)
+        # The same pick as the estimator route, and the estimator's bytes.
+        _, (best_slow, value_slow) = self._pick(_PerCandidate(loss), atoms, candidates)
+        np.testing.assert_array_equal(best, best_slow)
+        assert value == value_slow == slow(best[None, :])[0]
+
+    def test_trace_rows_are_the_discrepancy_of_the_first_atoms(self):
+        series = gen_lv_data(1, times=np.arange(1.0, 11.0))
+        loss = PredictiveKernelLoss(series.times, series.observations)
+        run = greedy_extend(self.KERNEL, self.REF, loss, self.SEARCH, 3, seed=3)
+        want = [kgd_v_squared(self.KERNEL, self.REF, loss, EmpiricalMeasure(run.atoms[:k])).value2
+                for k in range(1, 4)]
+        np.testing.assert_array_equal(run.kgd2, want)
+
+    def test_non_finite_scores_are_left_to_the_estimator(self):
+        # A candidate whose configuration has a non-finite score gets the
+        # estimator's error, which names the atom.
+        times = np.array([1.0, 2.0])
+
+        def blowing_up(points, times):
+            means = np.where(points[:, :1, None] > 5.0, np.inf, 1.0) * np.ones((1, 2, 2))
+            return means, np.ones(means.shape + (2,))
+
+        loss = PredictiveKernelLoss(times, np.zeros((2, 2)), solver=blowing_up)
+        objective = _incremental_objective(self.KERNEL, self.REF, loss, np.zeros((1, 2)))
+        with pytest.raises(FloatingPointError, match="non-finite score at atom"), \
+                np.errstate(invalid="ignore"):
+            objective(np.array([[0.5, 0.0], [6.0, 0.0]]))
 
 
 class TestDrive:
