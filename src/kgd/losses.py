@@ -326,12 +326,18 @@ class PredictiveKernelLoss(VariationalLoss):
 
     # -- solver plumbing ----------------------------------------------------
 
-    def prefetch(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solver outputs for (m, d) points as stacks (m, N, s), (m, N, s, d).
+    def prefetch(self, points: np.ndarray) -> None:
+        """Solve the distinct uncached points of (m, d) points in one call; cache what fits."""
+        self._lookup(points)
 
-        Every distinct uncached point is solved once, all in one batched
-        call, whether or not the cache has room to keep it.
-        """
+    def _solver_outputs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solver outputs for (m, d) points as stacks (m, N, s), (m, N, s, d)."""
+        means, sens = zip(*self._lookup(points))
+        return np.stack(means), np.stack(sens)
+
+    def _lookup(self, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each point's solver outputs: cached, or from one batched solve of
+        the distinct missing points, returned even if the cache is full."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[None, :]
@@ -357,8 +363,7 @@ class PredictiveKernelLoss(VariationalLoss):
                 found[key] = (m, s)
                 if len(self._cache) < self.max_cache:
                     self._cache[key] = (m, s)
-        return (np.stack([found[key][0] for key in keys]),
-                np.stack([found[key][1] for key in keys]))
+        return [found[key] for key in keys]
 
     # -- pair terms ----------------------------------------------------------
 
@@ -424,8 +429,8 @@ class PredictiveKernelLoss(VariationalLoss):
     def pair_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair values (m, p) and first-argument gradients (m, p, d); each
         argument's solver outputs are fetched once."""
-        mx, sx = self.prefetch(xs)
-        my, _ = self.prefetch(ys)
+        mx, sx = self._solver_outputs(xs)
+        my, _ = self._solver_outputs(ys)
         self.pair_blocks += 1
         cross, cross_grad = self._cross_block(mx, sx, my)
         dx, gx = self._data_terms(mx, sx)
@@ -436,7 +441,7 @@ class PredictiveKernelLoss(VariationalLoss):
         """Self-pair values pair(x, x), (m,), and first-argument gradients
         grad_1 pair(x, x), (m, d): the diagonal of ``pair_block(xs, xs)``,
         from (m, N, N) arrays, each trajectory centred on its own mean."""
-        mx, sx = self.prefetch(xs)
+        mx, sx = self._solver_outputs(xs)
         self.pair_blocks += 1
         _, n_obs, s = mx.shape
         v = 1.0 + 2.0 * self.sigma**2

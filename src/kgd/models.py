@@ -64,14 +64,6 @@ def lv_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, beta
 
 
-def lv_equilibrium(x: np.ndarray) -> np.ndarray:
-    """Coexistence fixed point (gamma / delta, alpha / beta) of the drift."""
-    alpha, beta = lv_params(x)
-    return np.stack(
-        [np.broadcast_to(LV_GAMMA / LV_DELTA, np.shape(alpha)), alpha / beta], axis=-1
-    )
-
-
 # The sensitivity system's state is (u1, u2, s00, s01, s10, s11), with
 # s_ij = du_i/dx_j:
 #   du1  = alpha u1 - beta u1 u2
@@ -217,6 +209,7 @@ class SeriesData(NamedTuple):
 # populations above, integrated with RK4 substeps of this size.
 _DATA_ALPHA = float(sigmoid(np.array(-1.0)))
 _DATA_BETA = float(sigmoid(np.array(-3.0)))
+LV_TRUE_X2 = -1.5413248546129177  # logit(beta / alpha), kept as the literal lv-compare uses
 _SDE_STEP = 0.005
 
 

@@ -1,9 +1,9 @@
-"""Independent checking instruments: finite differences, a plain ODE solver,
-the mean-field network's stacked output, gradient and Hessian-vector product,
-quadrature, the Gaussian overlap and the predictive loss's double
-expectation built on it, the kernels' derivative table, the Stein
-kernel and flow velocity built on it, a reference kernel Stein discrepancy,
-and log-log slope fitting.
+"""Independent checking instruments: finite differences, a plain ODE solver
+and the closed-form equilibrium of its drift, the mean-field network's
+stacked output, gradient and Hessian-vector product, quadrature, the
+Gaussian overlap and the predictive loss's double expectation built on it,
+the kernels' derivative table, the Stein kernel and flow velocity built on
+it, a reference kernel Stein discrepancy, and log-log slope fitting.
 
 Everything in this module is deliberately written from first principles and
 shares no code with the production paths it is used to validate. Keep it that
@@ -55,6 +55,15 @@ def fd_gradient(
         xm[i] -= h
         grad[i] = (f(xp) - f(xm)) / (2.0 * h)
     return grad
+
+
+def lv_equilibrium(x: np.ndarray) -> np.ndarray:
+    """Coexistence fixed point (gamma / delta, alpha / beta) of the
+    Lotka-Volterra drift at unconstrained coordinates (..., 2)."""
+    alpha, beta = lv_params(x)
+    return np.stack(
+        [np.broadcast_to(LV_GAMMA / LV_DELTA, np.shape(alpha)), alpha / beta], axis=-1
+    )
 
 
 def _lv_drift(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray, gamma: float, delta: float) -> np.ndarray:

@@ -37,13 +37,12 @@ from kgd.models import (
     LV_GAMMA,
     gen_lv_data,
     gen_mfnn_data,
-    lv_equilibrium,
     lv_params,
     lv_sensitivities,
     )
 from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d,
-                         gaussian_overlap, kernel_derivatives, lv_solve, reference_ksd_squared,
-                         reference_stein_kernel)
+                         gaussian_overlap, kernel_derivatives, lv_equilibrium, lv_solve,
+                         reference_ksd_squared, reference_stein_kernel)
 from kgd.samplers import OptimizerSpec, SearchSpec, greedy_extend, vgd_run
 
 

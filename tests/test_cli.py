@@ -19,6 +19,7 @@ import pytest
 import yaml
 
 import kgd.cli as kgd_cli
+from kgd import selfcheck
 from kgd.cli import (
     _INITS,
     _KERNELS,
@@ -944,24 +945,44 @@ class TestPresetRunners:
 
 
 class TestSelfCheck:
-    def test_all_checks_pass(self, capsys):
+    @pytest.mark.parametrize("check", [check for _, check in selfcheck.CHECKS],
+                             ids=[name for name, _ in selfcheck.CHECKS])
+    def test_check_passes(self, check):
+        ok, metric = check()
+        assert ok, metric
+
+    def test_verb_prints_one_pass_line_per_row_in_table_order(self, capsys):
         assert main(["self-check"]) == 0
-        out = capsys.readouterr().out
-        lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 17
-        assert all(l.startswith("PASS ") for l in lines)
-        assert any(l.startswith("PASS predictive-pair-block ") for l in lines)
-        assert any(l.startswith("PASS greedy-incremental ") for l in lines)
-        assert any(l.startswith("PASS stein-sums ") for l in lines)
-        assert any(l.startswith("PASS particle-gradient ") for l in lines)
-        assert any(l.startswith("PASS mean-field-contractions ") for l in lines)
-        assert any(l.startswith("PASS ode-sensitivities ") for l in lines)
-        assert any(l.startswith("PASS ode-batch-invariance ") for l in lines)
-        assert any(l.startswith("PASS ode-step-doubling ") for l in lines)
-        assert any(l.startswith("PASS radial-gram ") for l in lines)
-        assert any(l.startswith("PASS tilted-gram ") for l in lines)
-        assert any(l.startswith("PASS stein-gram ") for l in lines)
-        assert any(l.startswith("PASS kernel-derivatives ") for l in lines)
+        lines = capsys.readouterr().out.splitlines()
+        want = [["PASS", name] for name, _ in selfcheck.CHECKS]
+        assert [line.split(" ", 2)[:2] for line in lines] == want
+        assert all(line.split(" ", 2)[2].startswith("(") and line.endswith(")") for line in lines)
+
+    def test_a_failing_or_raising_row_fails_only_its_line(self, capsys, monkeypatch):
+        def raising():
+            raise ValueError("no solve")
+
+        ran = []
+        rows = (("first", lambda: ran.append("first") or (True, "fine")),
+                ("failing", lambda: (False, "off by 2")),
+                ("raising", raising),
+                ("last", lambda: ran.append("last") or (True, "fine")))
+        monkeypatch.setattr(selfcheck, "CHECKS", rows)
+        assert main(["self-check"]) == 3
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "PASS first (fine)", "FAIL failing (off by 2)",
+            "FAIL raising (ValueError: no solve)", "PASS last (fine)"]
+        assert ran == ["first", "last"]
+        assert err.startswith("Traceback") and "in raising" in err  # the raise, for debugging
+
+    def test_rows_draw_from_their_own_streams(self):
+        # A row's numbers do not depend on the rows run before it.
+        check = dict(selfcheck.CHECKS)["classical-equivalence"]
+        alone = check()
+        for _, other in selfcheck.CHECKS[:2]:  # kernel-derivatives and stein-gram draw too
+            other()
+        assert check() == alone
 
 
 class TestBenchmarkTracer:

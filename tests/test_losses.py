@@ -372,8 +372,8 @@ def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:
 
 def _cross(loss: PredictiveKernelLoss, xs: np.ndarray, ys: np.ndarray):
     """The loss's double-expectation block of xs against ys."""
-    mx, sx = loss.prefetch(xs)
-    return loss._cross_block(mx, sx, loss.prefetch(ys)[0])
+    mx, sx = loss._solver_outputs(xs)
+    return loss._cross_block(mx, sx, loss._solver_outputs(ys)[0])
 
 
 class TestPredictiveKernelLoss:
@@ -502,15 +502,15 @@ class TestPredictiveKernelLoss:
             _assert_close_to_max(got, whole, 1e-12)
 
     def test_pair_block_fetches_each_argument_once(self):
-        # One prefetch per argument serves both the cross term and the data
-        # terms.
+        # One read of the solver outputs per argument serves both the cross
+        # term and the data terms.
         loss = _wave_loss()
         rng = np.random.default_rng(23)
         xs, ys = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
         want = _wave_loss().pair_block(xs, ys)
         asked = []
-        fetch = loss.prefetch
-        loss.prefetch = lambda points: asked.append(points) or fetch(points)
+        fetch = loss._solver_outputs
+        loss._solver_outputs = lambda points: asked.append(points) or fetch(points)
         got = loss.pair_block(xs, ys)
         assert len(asked) == 2
         np.testing.assert_array_equal(asked[0], xs)
@@ -527,20 +527,21 @@ class TestPredictiveKernelLoss:
 
         loss = PredictiveKernelLoss(np.array([0.5, 1.5]), np.zeros((2, 2)), solver=counting_solver)
         pts = np.array([[0.3, -0.2], [0.3, -0.2], [1.0, 0.5]])
-        means, sens = loss.prefetch(pts)
+        means, sens = loss._solver_outputs(pts)
         assert calls == [2] and loss.n_solves == 2
         assert (loss.cache_misses, loss.cache_hits) == (3, 0)
         want_means, want_sens = _wave_solver(pts, loss.times)
         np.testing.assert_array_equal(means, want_means)
         np.testing.assert_array_equal(sens, want_sens)
-        loss.prefetch(pts)
+        assert loss.prefetch(pts) is None  # fills the cache, stacks nothing
         assert calls == [2] and (loss.cache_misses, loss.cache_hits) == (3, 3)
 
     def test_cache_never_exceeds_its_bound(self):
         loss = _wave_loss()
         loss.max_cache = 2
         pts = np.random.default_rng(22).standard_normal((5, 2))
-        means, _ = loss.prefetch(pts)
+        # Points the full cache cannot keep are served from the call's solve.
+        means, _ = loss._solver_outputs(pts)
         assert len(loss._cache) == 2 and loss.n_solves == 5 and loss.cache_clears == 0
         np.testing.assert_array_equal(means, _wave_solver(pts, loss.times)[0])
         loss.prefetch(pts[::-1] + 1.0)  # overflows the full cache: one clear

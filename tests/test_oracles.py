@@ -172,19 +172,20 @@ def _imported_modules(path: Path):
 
 class TestOracleIndependence:
     def test_production_does_not_load_the_oracles(self):
-        # Only the CLI imports them, for ``self-check`` (and so that a tracer
-        # can wrap them once ``kgd.cli`` is loaded); ``import kgd`` does not.
-        importers = {
-            path.name
-            for path in PACKAGE.glob("*.py")
-            if path.name != "oracles.py"
-            and any(m == "kgd.oracles" for m, _ in _imported_modules(path))
-        }
-        assert importers <= {"cli.py"}, importers
-        probe = "import sys, kgd; print('kgd.oracles' in sys.modules)"
+        # ``kgd.selfcheck`` is their one production caller, and only the
+        # ``self-check`` verb loads it. The CLI imports the oracle module
+        # itself, no name from it, so that a tracer can wrap them once
+        # ``kgd.cli`` is loaded; ``import kgd`` loads neither.
+        imports = {path.name: [names for m, names in _imported_modules(path) if m == "kgd.oracles"]
+                   for path in PACKAGE.glob("*.py") if path.name != "oracles.py"}
+        importers = {name for name, found in imports.items() if found}
+        assert importers <= {"cli.py", "selfcheck.py"}, importers
+        assert imports["cli.py"] == [()], imports["cli.py"]
+        probe = ("import sys, kgd; print('kgd.oracles' in sys.modules); import kgd.cli; "
+                 "print('kgd.selfcheck' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              check=True, cwd=PACKAGE.parent)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False", "False"]
 
     def test_oracles_share_no_code_with_production(self):
         # From the package, only the model's parameter map and constants.
