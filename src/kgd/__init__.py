@@ -44,7 +44,6 @@ from .samplers import (
     kgdd_run,
     mfld_run,
     mfld_step,
-    vgd_drift,
     vgd_run,
     vgd_step,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "kgdd_run",
     "mfld_run",
     "mfld_step",
-    "vgd_drift",
     "vgd_run",
     "vgd_step",
     "__version__",

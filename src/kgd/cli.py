@@ -180,11 +180,14 @@ def build_kernel(cfg: Mapping[str, Any], path: str = "kernel"):
             members = tuple(build_kernel(member, f"{path}.members[{i}]")
                             for i, member in enumerate(cfg["members"]))
             weights = cfg["weights"]
-            return Mixture(members, None if weights is None else tuple(weights))
+            return Mixture(members, None if weights is None
+                           else tuple(_list(_finite)(weights, f"{path}.weights")))
         if family == "weighted-matrix":
-            return WeightedMatrixKernel(c=float(cfg["c"]), exponent=float(cfg["exponent"]),
+            return WeightedMatrixKernel(c=_finite(cfg["c"], f"{path}.c"),
+                                        exponent=_finite(cfg["exponent"], f"{path}.exponent"),
                                         base=build_kernel(cfg["base"], f"{path}.base"))
-        return (IMQ if family == "imq" else Gaussian)(float(cfg["lengthscale"]))
+        return (IMQ if family == "imq" else Gaussian)(
+            _finite(cfg["lengthscale"], f"{path}.lengthscale"))
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -203,13 +206,19 @@ def _count(raw: Any, name: str, least: int = 1) -> int:
     return value
 
 
+def _real(raw: Any) -> float:
+    """``raw`` as a float, or nan if it is not a number. A boolean (YAML's
+    true, false, yes, no) is not a number."""
+    try:
+        return math.nan if isinstance(raw, (bool, np.bool_)) else float(raw)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _positive(raw: Any, name: str, zero: bool = False) -> float:
     """``raw``, the config value ``name``, as a finite positive number, or
     non-negative if ``zero``."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = float("nan")
+    value = _real(raw)
     if not (np.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
         sign = "non-negative" if zero else "positive"
         raise ConfigError(f"{name} must be a finite {sign} number, got {raw!r}")
@@ -226,10 +235,7 @@ def _count0(raw: Any, name: str) -> int:
 
 def _finite(raw: Any, name: str) -> float:
     """``raw``, the config value ``name``, as a finite number."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = float("nan")
+    value = _real(raw)
     if not np.isfinite(value):
         raise ConfigError(f"{name} must be a finite number, got {raw!r}")
     return value
@@ -248,12 +254,8 @@ def _list(parse: Parser) -> Parser:
 def _per_axis(raw: Any, dim: int, name: str) -> np.ndarray:
     """``raw``, the config value ``name``, as a fresh (dim,) array, given as
     one finite number for all axes or as a list of one per axis."""
-    try:
-        values = np.atleast_1d(np.asarray(raw, dtype=float))
-        ok = values.ndim == 1 and values.size in (1, dim) and bool(np.all(np.isfinite(values)))
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+    values = np.array([_real(v) for v in (raw if isinstance(raw, list) else [raw])])
+    if not (values.size in (1, dim) and np.all(np.isfinite(values))):
         raise ConfigError(f"{name} must be a finite number or a list of {dim} of them, got {raw!r}")
     return np.broadcast_to(values, (dim,)).copy()
 

@@ -4,8 +4,11 @@ Each loss L maps probability measures to reals and exposes the gradient of
 its first variation, var_grad(Q, x) = grad_x L'(Q)(x), which is the only
 piece the score construction downstream needs, and, for the particle
 gradient, that gradient's vector-Jacobian product at the atoms
-(``var_grad_vjp``). Each loss is one closed form: the quadratic potential,
-the quadratic interaction, the mean-field network's empirical risk and the
+(``var_grad_vjp``); greedy selection reads var_grad on each one-point
+extension of the atoms (``extension``, by default one var_grad call per
+configuration) and the size of the loss's solve cache (``max_cache``, 0
+without one). Each loss is one closed form: the quadratic potential, the
+quadratic interaction, the mean-field network's empirical risk and the
 simulator's predictive kernel score. Losses evaluated on empirical measures
 additionally satisfy the finite-particle identity
 
@@ -26,8 +29,12 @@ from .models import lv_sensitivities
 
 
 class VariationalLoss:
-    """Contract: a value on empirical measures (optional), var_grad, and
-    (optional) var_grad_vjp, which feeds the particle gradient."""
+    """Contract: a value on empirical measures (optional), var_grad,
+    (optional) var_grad_vjp, which feeds the particle gradient, extension
+    (default: var_grad per configuration) and max_cache, the points its
+    solve cache holds (default 0, no cache)."""
+
+    max_cache = 0
 
     def value(self, measure: EmpiricalMeasure) -> float:
         raise NotImplementedError(f"{type(self).__name__} has no scalar value")
@@ -40,6 +47,20 @@ class VariationalLoss:
         """sum_i (d var_grad(Q_n, x_i) / d x_m)^T u_i at each atom x_m, shape
         (n, d), for weights u of shape (n, d) on the atom scores."""
         raise NotImplementedError(f"{type(self).__name__} has no var_grad_vjp")
+
+    def extension(self, atoms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``var_grad`` of the configurations that add one point to the (n, d)
+        atoms: a function of (m, d) candidates whose row c is var_grad(Q, .)
+        at the n + 1 atoms of Q = (atoms, c), the candidate last, (m, n + 1,
+        d). Each row is the var_grad call ``gen_score`` makes on Q."""
+        def grads(candidates: np.ndarray) -> np.ndarray:
+            out = np.empty((candidates.shape[0], atoms.shape[0] + 1, atoms.shape[1]))
+            for row, c in zip(out, candidates):
+                measure = EmpiricalMeasure(np.vstack([atoms, c[None, :]]))
+                row[:] = self.var_grad(measure, measure.atoms)
+            return out
+
+        return grads
 
 
 def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -464,14 +485,12 @@ class PredictiveKernelLoss(VariationalLoss):
         return cross - dx - dx, cross_grad - gx
 
     def extension(self, atoms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``var_grad`` of the configurations that add one point to the (n, d)
-        atoms (class docstring).
+        """``VariationalLoss.extension`` from the atoms' sums (class
+        docstring).
 
-        Returns a function of (m, d) candidates whose row c is var_grad(Q, .)
-        at the n + 1 atoms of Q = (atoms, c), the candidate last, (m, n + 1,
-        d). The atoms' sums S are taken once, here; each call takes the two
-        cross blocks and the self-pair block in chunks of candidates that
-        keep every (rows N, p N) or (rows, N, N) array within
+        The sums S are taken once, here; each call takes the two cross
+        blocks and the self-pair block in chunks of candidates that keep
+        every (rows N, p N) or (rows, N, N) array within
         ``_EXTENSION_ENTRIES`` entries.
         """
         n, d = atoms.shape

@@ -263,18 +263,6 @@ def mfld_run(
 # ---------------------------------------------------------------------------
 
 
-def vgd_drift(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    measure: EmpiricalMeasure,
-) -> np.ndarray:
-    """Flow velocity at each atom, shape (n, d), from row blocks of n x n
-    products (see ``discrepancy.stein_drift``)."""
-    atoms = measure.atoms
-    return stein_drift(kernel, atoms, gen_score(ref, loss, measure, atoms))
-
-
 def vgd_step(
     atoms: np.ndarray,
     kernel,
@@ -283,7 +271,9 @@ def vgd_step(
     spec: OptimizerSpec,
     state: OptimizerState,
 ) -> tuple[np.ndarray, OptimizerState]:
-    drift = vgd_drift(kernel, ref, loss, EmpiricalMeasure(atoms))
+    """One flow step: the velocity at each atom (``stein_drift``) through the optimizer."""
+    measure = EmpiricalMeasure(atoms)
+    drift = stein_drift(kernel, measure.atoms, gen_score(ref, loss, measure, measure.atoms))
     delta, state = optimizer_apply(spec, state, drift)
     return atoms + delta, state
 
@@ -418,25 +408,11 @@ class SearchSpec:
 
 def _objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.ndarray):
     """The greedy objective at each of (m, d) points x, (m,): the V-statistic
-    of ``atoms`` with x, one estimator call per point."""
-
-    def values(points: np.ndarray) -> np.ndarray:
-        return np.asarray([kgd_v_squared(kernel, ref, loss,
-                                         EmpiricalMeasure(np.vstack([atoms, x[None, :]]))).value2
-                           for x in points])
-
-    return values
-
-
-def _incremental_objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss,
-                           atoms: np.ndarray):
-    """``_objective`` for a loss with ``extension``: the scores of every
-    configuration come from the atoms' sums and the loss's batched blocks,
-    and each configuration takes one pass of Stein sums. A point whose
-    scores or sum are not finite is left to the estimator, which names the
-    non-finite score or Gram entry."""
+    of ``atoms`` with x. The scores of every configuration come from the
+    loss's ``extension``, and each configuration takes one pass of Stein
+    sums. A point whose scores or sum are not finite is left to the
+    estimator, which names the non-finite score or Gram entry."""
     grads = loss.extension(atoms)
-    exact = _objective(kernel, ref, loss, atoms)
     n = atoms.shape[0]
 
     def values(points: np.ndarray) -> np.ndarray:
@@ -447,7 +423,8 @@ def _incremental_objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss,
         out = np.empty(points.shape[0])
         for i, (pts, b) in enumerate(zip(configs, scores)):
             total = _stein_sums(kernel, pts, b)[0] if np.isfinite(b).all() else math.nan
-            out[i] = total / (n + 1) ** 2 if math.isfinite(total) else exact(points[i:i + 1])[0]
+            out[i] = (total / (n + 1) ** 2 if math.isfinite(total)
+                      else _trace_value(kernel, ref, loss, pts))
         return out
 
     return values
@@ -465,13 +442,9 @@ def _greedy_point(
     requested: requests each refinement line and returns the chosen point
     and the objective there, the V-statistic of ``atoms`` with it.
 
-    A loss with ``extension`` scores each candidate set and each line at
-    once from the atoms' sums (``_incremental_objective``); any other loss
-    re-evaluates the scores per candidate. Either way the returned value is
-    the estimator's own at the chosen point."""
-    incremental = hasattr(loss, "extension")
-    exact = _objective(kernel, ref, loss, atoms)
-    objective = _incremental_objective(kernel, ref, loss, atoms) if incremental else exact
+    Each candidate set and each line is scored at once (``_objective``);
+    the returned value is the estimator's own at the chosen point."""
+    objective = _objective(kernel, ref, loss, atoms)
     values = objective(candidates)
     best = candidates[int(np.argmin(values))].copy()
     best_val = float(values.min())
@@ -491,9 +464,7 @@ def _greedy_point(
                 best_val = float(line_vals[k])
         # Best grid point sits within one spacing of the line optimum.
         spans = 2.0 * spans / (_REFINE_POINTS - 1)
-    if incremental:
-        best_val = float(exact(best[None, :])[0])
-    return best, best_val
+    return best, _trace_value(kernel, ref, loss, np.vstack([atoms, best[None, :]]))
 
 
 def greedy_next(
@@ -509,9 +480,8 @@ def greedy_next(
     The objective for candidate x is the V-statistic of the configuration
     (x_1, ..., x_n, x), for placed atoms of shape (n, d) with n possibly 0.
     The candidate shifts the empirical measure, so every atom's score
-    depends on it: a loss with ``extension`` builds all of them from the
-    atoms' sums and batched blocks, any other loss re-evaluates them per
-    candidate (``_greedy_point``). The candidate set is drawn from ``rng``.
+    depends on it: the loss's ``extension`` gives all of them
+    (``_greedy_point``). The candidate set is drawn from ``rng``.
     """
     atoms = np.asarray(atoms, dtype=float)
     candidates = search.candidate_set(rng)
@@ -537,7 +507,7 @@ def greedy_stepper(
     # The candidate sets do not depend on earlier picks, so a solver-backed
     # loss can solve them all in one call.
     sets = [search.candidate_set(seeded_stream(seed, "greedy", k)) for k in range(n_points)]
-    up_front = hasattr(loss, "prefetch") and sum(len(c) for c in sets) <= loss.max_cache
+    up_front = 0 < sum(len(c) for c in sets) <= loss.max_cache
     if up_front:
         yield np.vstack(sets)
     atoms = np.empty((0, np.size(search.proposal_mean)))

@@ -586,6 +586,33 @@ class TestSampleVerb:
         assert err.startswith("config error") and key in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"kernel": {"family": "imq", "lengthscale": True}}, "kernel.lengthscale"),
+            ({"kernel": {"family": "mixture", "members": [{"family": "imq"}] * 2,
+                         "weights": [1.0, True]}}, "kernel.weights[1]"),
+            ({"reference": {"mean": [True, False]}}, "reference.mean"),
+            ({"loss": {"family": "predictive-kernel", "sigma": False}}, "loss.sigma"),
+            ({"sampler": {"step_size": True}}, "sampler.step_size"),
+        ],
+        ids=["lengthscale", "weights", "mean", "sigma", "step-size"],
+    )
+    def test_boolean_is_not_a_number(self, tmp_path, capsys, body, key):
+        # YAML reads true, false, yes and no as booleans, which float() would
+        # take as 1.0 and 0.0.
+        cfg = _write_config(tmp_path, body)
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
+    def test_numeric_strings_are_numbers(self):
+        # PyYAML reads 1e-3 (no dot) as the string '1e-3'.
+        cfg = parse_config(yaml.safe_load("kernel: {lengthscale: 5e-1}\n"
+                                          "reference: {mean: [1e-3, 2]}"))
+        assert build_kernel(cfg["kernel"]) == IMQ(0.5)
+        np.testing.assert_array_equal(build_reference(cfg["reference"]).mean, [1e-3, 2.0])
+
 
 class TestEvalVerb:
     def test_round_trips_a_sampled_file(self, tmp_path, capsys):

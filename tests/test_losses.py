@@ -581,6 +581,29 @@ class TestPredictiveKernelLoss:
         _assert_close_to_max(chunked, want, 1e-12)
 
 
+class TestDefaultExtension:
+    """The base ``extension``: var_grad on each one-point configuration,
+    the call the estimator makes on it, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("name", ["zero", "linear", "interaction", "mean-field"])
+    def test_is_var_grad_of_each_configuration(self, name, n):
+        data = gen_mfnn_data(0, n_data=30)
+        loss, d = {
+            "zero": (ZeroLoss(), 2),
+            "linear": (LinearLoss(np.array([0.5, -1.0]), np.array([1.0, 2.0])), 2),
+            "interaction": (InteractionLoss(), 2),
+            "mean-field": (MeanFieldRegressionLoss(data.covariates, data.responses), 4),
+        }[name]
+        rng = np.random.default_rng(26)
+        atoms, candidates = rng.standard_normal((n, d)), rng.standard_normal((5, d))
+        got = loss.extension(atoms)(candidates)
+        assert got.shape == (5, n + 1, d)
+        for row, c in zip(got, candidates):
+            measure = EmpiricalMeasure(np.vstack([atoms, c[None, :]]))
+            np.testing.assert_array_equal(row, loss.var_grad(measure, measure.atoms))
+
+
 class TestEuclidIdentity:
     def test_requires_a_scalar_value(self):
         class GradOnly(VariationalLoss):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from kgd.discrepancy import kgd_u_squared, kgd_v_squared, particle_grad
+from kgd.discrepancy import gen_score, kgd_u_squared, kgd_v_squared, particle_grad, stein_drift
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
 from kgd.losses import (InteractionLoss, LinearLoss, MeanFieldRegressionLoss,
                         PredictiveKernelLoss, VariationalLoss, ZeroLoss)
@@ -24,7 +24,6 @@ from kgd.samplers import (
     SamplerDivergence,
     SearchSpec,
     _greedy_point,
-    _incremental_objective,
     _objective,
     drive,
     greedy_extend,
@@ -37,7 +36,6 @@ from kgd.samplers import (
     mfld_stepper,
     optimizer_apply,
     optimizer_init,
-    vgd_drift,
     vgd_run,
     vgd_stepper,
     )
@@ -241,7 +239,7 @@ class TestVGD:
                 expected[i] += table.value[j, i] * scores[j] + table.grad1[j, i]
         expected /= 5.0
         np.testing.assert_allclose(
-            vgd_drift(kernel, ref, loss, measure), expected, rtol=1e-12
+            stein_drift(kernel, atoms, gen_score(ref, loss, measure, atoms)), expected, rtol=1e-12
         )
 
     def test_single_particle_drift_is_the_score(self):
@@ -249,7 +247,7 @@ class TestVGD:
         # gradient vanishes, leaving the bare score.
         ref = DiagonalGaussian.standard(1)
         measure = EmpiricalMeasure(np.array([[2.0]]))
-        drift = vgd_drift(IMQ(1.0), ref, ZeroLoss(), measure)
+        drift = stein_drift(IMQ(1.0), measure.atoms, gen_score(ref, ZeroLoss(), measure, measure.atoms))
         np.testing.assert_allclose(drift, [[-2.0]], rtol=1e-15)
 
     def test_euler_run_applies_the_drift(self):
@@ -257,7 +255,7 @@ class TestVGD:
         atoms = np.random.default_rng(9).standard_normal((4, 2))
         spec = OptimizerSpec(method="euler", step_size=0.2)
         run = vgd_run(atoms, IMQ(1.0), ref, ZeroLoss(), spec, 1)
-        drift = vgd_drift(IMQ(1.0), ref, ZeroLoss(), EmpiricalMeasure(atoms))
+        drift = stein_drift(IMQ(1.0), atoms, gen_score(ref, ZeroLoss(), EmpiricalMeasure(atoms), atoms))
         np.testing.assert_allclose(run.atoms, atoms + 0.2 * drift, rtol=1e-15)
 
     def test_flow_reduces_the_discrepancy(self):
@@ -419,16 +417,27 @@ class TestGreedy:
         assert (np.diff(run.wall) >= 0.0).all()
 
     @pytest.mark.parametrize("refine_rounds", [0, 2])
-    def test_trace_rows_are_the_discrepancy_of_the_first_atoms(self, refine_rounds):
+    @pytest.mark.parametrize("name", ["interaction", "linear", "mean-field"])
+    def test_trace_rows_are_the_discrepancy_of_the_first_atoms(self, name, refine_rounds):
         # Each row is the pick's own objective value: the V-statistic of the
         # first k atoms, bit for bit.
-        search = SearchSpec(proposal_mean=np.full(1, 0.5), n_candidates=30,
+        data = gen_mfnn_data(0, n_data=30)
+        loss, d = {
+            "interaction": (InteractionLoss(), 1),
+            "linear": (LinearLoss(np.array([0.5]), np.array([2.0])), 1),
+            "mean-field": (MeanFieldRegressionLoss(data.covariates, data.responses), 4),
+        }[name]
+        ref = DiagonalGaussian.standard(d)
+        search = SearchSpec(proposal_mean=np.full(d, 0.5), n_candidates=30,
                             refine_rounds=refine_rounds)
-        loss = InteractionLoss()
-        run = greedy_extend(self.KERNEL, self.REF, loss, search, 5, seed=3)
-        want = [kgd_v_squared(self.KERNEL, self.REF, loss, EmpiricalMeasure(run.atoms[:k])).value2
+        run = greedy_extend(self.KERNEL, ref, loss, search, 5, seed=3)
+        want = [kgd_v_squared(self.KERNEL, ref, loss, EmpiricalMeasure(run.atoms[:k])).value2
                 for k in range(1, 6)]
         np.testing.assert_array_equal(run.kgd2, want)
+
+    def test_zero_points_is_an_empty_run(self):
+        run = greedy_extend(self.KERNEL, self.REF, ZeroLoss(), self._search(), 0)
+        assert run.atoms.shape == (0, 1) and run.kgd2.size == run.steps.size == 0
 
     def test_deterministic_in_the_seed(self):
         a = greedy_extend(self.KERNEL, self.REF, ZeroLoss(), self._search(), 3, seed=5)
@@ -483,6 +492,22 @@ class TestGreedy:
         greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
         assert [b.shape[0] for b in batches] == [60, 60, 60]
 
+    def test_prefetch_without_a_cache_bound_gets_each_set_from_its_point(self):
+        # A loss with prefetch but no max_cache of its own has no cache to
+        # fill up front: each point requests its own candidate set.
+        batches = []
+
+        class Recording(ZeroLoss):
+            def prefetch(self, points):
+                batches.append(np.array(points))
+
+        search = SearchSpec(proposal_mean=np.zeros(1), n_candidates=60, refine_rounds=0)
+        sets = [search.candidate_set(seeded_stream(4, "greedy", k)) for k in range(3)]
+        run = greedy_extend(self.KERNEL, self.REF, Recording(), search, 3, seed=4)
+        assert run.atoms.shape == (3, 1) and len(batches) == 3
+        for got, want in zip(batches, sets):
+            np.testing.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("max_cache", [180, 179], ids=["up-front", "per-point"])
     def test_draws_each_candidate_set_once(self, monkeypatch, max_cache):
         draws = []
@@ -504,8 +529,8 @@ class TestGreedy:
 
 
 class _PerCandidate(VariationalLoss):
-    """A loss's estimator route alone: its scores and solve cache, without
-    ``extension``."""
+    """A loss's scores and solve cache under the default ``extension``: one
+    var_grad call per configuration, as the estimator makes it."""
 
     def __init__(self, loss):
         self.loss = loss
@@ -525,6 +550,14 @@ class TestIncrementalGreedy:
     REF = DiagonalGaussian.standard(2)
     SEARCH = SearchSpec(proposal_mean=np.array([-1.0, 1.6]), proposal_scale=0.5,
                         n_candidates=30, refine_rounds=1)
+
+    def _estimator(self, loss, atoms):
+        """The greedy objective written with the estimator, one call per
+        point."""
+        return lambda points: np.array([
+            kgd_v_squared(self.KERNEL, self.REF, loss,
+                          EmpiricalMeasure(np.vstack([atoms, x[None, :]]))).value2
+            for x in points])
 
     def _pick(self, loss, atoms, candidates):
         """Drive one greedy pick: the point sets it scored, the pick and its
@@ -547,8 +580,8 @@ class TestIncrementalGreedy:
         loss.prefetch(np.vstack([atoms, candidates]))
         sets, (best, value) = self._pick(loss, atoms, candidates)
         assert len(sets) == 3  # the candidates and one line per coordinate
-        fast = _incremental_objective(self.KERNEL, self.REF, loss, atoms)
-        slow = _objective(self.KERNEL, self.REF, loss, atoms)
+        fast = _objective(self.KERNEL, self.REF, loss, atoms)
+        slow = self._estimator(loss, atoms)
         for points in sets:
             got, want = fast(points), slow(points)
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
@@ -576,9 +609,22 @@ class TestIncrementalGreedy:
             return means, np.ones(means.shape + (2,))
 
         loss = PredictiveKernelLoss(times, np.zeros((2, 2)), solver=blowing_up)
-        objective = _incremental_objective(self.KERNEL, self.REF, loss, np.zeros((1, 2)))
+        objective = _objective(self.KERNEL, self.REF, loss, np.zeros((1, 2)))
         with pytest.raises(FloatingPointError, match="non-finite score at atom"), \
                 np.errstate(invalid="ignore"):
+            objective(np.array([[0.5, 0.0], [6.0, 0.0]]))
+
+        class Steep(LinearLoss):
+            """A closed-form loss whose score is infinite beyond x_1 = 5."""
+
+            def var_grad(self, measure, x):
+                grad = super().var_grad(measure, x)
+                return np.where(np.asarray(x)[..., :1] > 5.0, np.inf, grad)
+
+        steep, atoms, finite = Steep(np.zeros(2), np.ones(2)), np.zeros((1, 2)), np.array([[0.5, 0.0]])
+        objective = _objective(self.KERNEL, self.REF, steep, atoms)
+        np.testing.assert_array_equal(objective(finite), self._estimator(steep, atoms)(finite))
+        with pytest.raises(FloatingPointError, match="non-finite score at atom 1"):
             objective(np.array([[0.5, 0.0], [6.0, 0.0]]))
 
 
