@@ -59,8 +59,6 @@ from .samplers import (
     kgdd_stepper,
     mfld_run,
     mfld_stepper,
-    optimizer_apply,
-    optimizer_init,
     vgd_run,
     vgd_stepper,
 )
@@ -636,18 +634,16 @@ def _mfnn_arms(seed: int, knobs: dict, loss: MeanFieldRegressionLoss) -> list[tu
     # dA = G^T Z and dc = sum_i G_i. It runs as a flow of the pushed sample.
     base = seeded_stream(seed, "vi", "base").standard_normal((knobs["vi_sample"], 4))
     theta = np.concatenate([np.eye(4).ravel() * 3.0, np.zeros(4)])
-    vi_spec = OptimizerSpec(method="adam", step_size=knobs["vi_step_size"])
-    state = optimizer_init(theta.shape)
+    update = OptimizerSpec(method="adam", step_size=knobs["vi_step_size"]).updates(theta.shape)
 
     def push(th: np.ndarray) -> np.ndarray:
         return base @ th[:16].reshape(4, 4).T + th[16:]
 
     def advance(atoms: np.ndarray) -> np.ndarray:
-        nonlocal theta, state
+        nonlocal theta
         g = particle_grad(kernel, ref, loss, atoms, u_statistic=True)
         grad = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
-        delta, state = optimizer_apply(vi_spec, state, -grad)
-        theta = theta + delta
+        theta = theta + update(-grad)
         return push(theta)
 
     vi = flow_stepper(push(theta), knobs["vi_steps"], advance, kernel, ref, loss, trace_every)

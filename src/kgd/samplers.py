@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
@@ -61,8 +61,9 @@ def _check_finite(atoms: np.ndarray, step: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers. A spec plus immutable state; ``apply`` turns a flow direction
-# into an additive particle update, so descent callers negate their gradient.
+# Optimizers. ``OptimizerSpec.updates`` gives each run its own update, which
+# maps each flow direction to an additive particle update and keeps Adam's
+# moments; descent callers negate their gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -77,32 +78,24 @@ class OptimizerSpec:
         if not self.step_size > 0.0:
             raise ValueError("step_size must be positive")
 
+    def updates(self, shape: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+        """The additive update for each successive flow direction of
+        ``shape``; per-coordinate preconditioned when the method is adam."""
+        step_size = self.step_size
+        if self.method == "euler":
+            return lambda direction: step_size * direction
+        m, v, t = np.zeros(shape), np.zeros(shape), 0
 
-@dataclass(frozen=True)
-class OptimizerState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int
+        def adam(direction: np.ndarray) -> np.ndarray:
+            nonlocal m, v, t
+            t += 1
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * direction
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * direction**2
+            m_hat = m / (1.0 - ADAM_BETA1**t)
+            v_hat = v / (1.0 - ADAM_BETA2**t)
+            return step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-
-def optimizer_init(shape: tuple[int, ...]) -> OptimizerState:
-    return OptimizerState(np.zeros(shape), np.zeros(shape), 0)
-
-
-def optimizer_apply(
-    spec: OptimizerSpec, state: OptimizerState, direction: np.ndarray
-) -> tuple[np.ndarray, OptimizerState]:
-    """Additive update for a flow direction; per-coordinate preconditioned
-    when the method is adam."""
-    if spec.method == "euler":
-        return spec.step_size * direction, replace(state, t=state.t + 1)
-    t = state.t + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * direction
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * direction**2
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    delta = spec.step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return delta, OptimizerState(m, v, t)
+        return adam
 
 
 @dataclass(frozen=True)
@@ -268,14 +261,12 @@ def vgd_step(
     kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
-    spec: OptimizerSpec,
-    state: OptimizerState,
-) -> tuple[np.ndarray, OptimizerState]:
-    """One flow step: the velocity at each atom (``stein_drift``) through the optimizer."""
+    update: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """One flow step: the velocity at each atom (``stein_drift``) through ``update``."""
     measure = EmpiricalMeasure(atoms)
     drift = stein_drift(kernel, measure.atoms, gen_score(ref, loss, measure, measure.atoms))
-    delta, state = optimizer_apply(spec, state, drift)
-    return atoms + delta, state
+    return atoms + update(drift)
 
 
 def vgd_stepper(
@@ -289,12 +280,10 @@ def vgd_stepper(
     trace_every: int = 1,
 ) -> Stepper:
     """``vgd_run`` as a stepper for ``drive``."""
-    state = optimizer_init(np.shape(atoms))
+    update = spec.updates(np.shape(atoms))
 
     def advance(current: np.ndarray) -> np.ndarray:
-        nonlocal state
-        moved, state = vgd_step(current, kernel, ref, loss, spec, state)
-        return moved
+        return vgd_step(current, kernel, ref, loss, update)
 
     return flow_stepper(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
 
@@ -341,13 +330,10 @@ def kgdd_stepper(
     trace_every: int = 1,
 ) -> Stepper:
     """``kgdd_run`` as a stepper for ``drive``."""
-    state = optimizer_init(np.shape(atoms))
+    update = spec.updates(np.shape(atoms))
 
     def advance(current: np.ndarray) -> np.ndarray:
-        nonlocal state
-        grad = kgdd_grad(kernel, ref, loss, current)
-        delta, state = optimizer_apply(spec, state, -grad)
-        return current + delta
+        return current + update(-kgdd_grad(kernel, ref, loss, current))
 
     return flow_stepper(atoms, n_steps, advance, trace_kernel, ref, loss, trace_every)
 

@@ -34,8 +34,6 @@ from kgd.samplers import (
     mfld_run,
     mfld_step,
     mfld_stepper,
-    optimizer_apply,
-    optimizer_init,
     vgd_run,
     vgd_stepper,
     )
@@ -51,30 +49,26 @@ class TestOptimizers:
             OptimizerSpec(step_size=0.0)
 
     def test_euler_is_a_scaled_direction(self):
-        spec = OptimizerSpec(method="euler", step_size=0.25)
-        state = optimizer_init((2, 3))
+        update = OptimizerSpec(method="euler", step_size=0.25).updates((2, 3))
         direction = np.arange(6.0).reshape(2, 3)
-        delta, new_state = optimizer_apply(spec, state, direction)
-        np.testing.assert_array_equal(delta, 0.25 * direction)
-        assert new_state.t == 1 and not new_state.m.any()
+        for _ in range(2):  # no state: every step is the same map
+            np.testing.assert_array_equal(update(direction), 0.25 * direction)
 
     def test_adam_first_step_is_sign_like(self):
         # Bias correction makes m_hat = g and v_hat = g^2 at t = 1, so the
         # first update is step_size * g / (|g| + eps).
-        spec = OptimizerSpec(method="adam", step_size=0.1)
+        update = OptimizerSpec(method="adam", step_size=0.1).updates((1, 2))
         g = np.array([[3.0, -0.02]])
-        delta, _ = optimizer_apply(spec, optimizer_init((1, 2)), g)
-        np.testing.assert_allclose(delta, 0.1 * g / (np.abs(g) + ADAM_EPS), rtol=1e-12)
+        np.testing.assert_allclose(update(g), 0.1 * g / (np.abs(g) + ADAM_EPS), rtol=1e-12)
 
     def test_adam_recurrence_by_hand(self):
-        spec = OptimizerSpec(method="adam", step_size=0.05)
-        state = optimizer_init((2, 2))
+        update = OptimizerSpec(method="adam", step_size=0.05).updates((2, 2))
         rng = np.random.default_rng(0)
         m = np.zeros((2, 2))
         v = np.zeros((2, 2))
         for t in range(1, 4):
             g = rng.standard_normal((2, 2))
-            delta, state = optimizer_apply(spec, state, g)
+            delta = update(g)
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
             m_hat = m / (1.0 - ADAM_BETA1**t)
@@ -82,7 +76,18 @@ class TestOptimizers:
             np.testing.assert_allclose(
                 delta, 0.05 * m_hat / (np.sqrt(v_hat) + ADAM_EPS), rtol=1e-14
             )
-        assert state.t == 3
+
+    def test_updates_of_one_spec_keep_separate_moments(self):
+        # Two runs sharing a spec: stepping one leaves the other's moments
+        # where they were, so its first update is still sign-like.
+        spec = OptimizerSpec(method="adam", step_size=0.1)
+        first, second = spec.updates((1, 2)), spec.updates((1, 2))
+        g = np.array([[3.0, -0.02]])
+        for _ in range(3):
+            first(-g)
+        delta = second(g)
+        np.testing.assert_array_equal(delta, spec.updates((1, 2))(g))
+        np.testing.assert_allclose(delta, 0.1 * g / (np.abs(g) + ADAM_EPS), rtol=1e-12)
 
 
 class TestMFLD:
