@@ -23,6 +23,7 @@ import platform
 import sys
 import time
 import traceback
+import warnings
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -157,6 +158,8 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     raw = _resolve(raw, "<top>", dict.fromkeys(("run", "kernel", "reference", "loss", "sampler")))
     run = _resolve(raw["run"], "run", _RUN)
     run["seed"] = _count0(run["seed"], "run.seed")
+    if run["output"] is not None and not isinstance(run["output"], str):
+        raise ConfigError(f"run.output must be a directory path string, got {run['output']!r}")
     sampler = _resolve_family(raw["sampler"], "sampler", _SAMPLERS)
     if "init" in sampler:
         sampler["init"] = _resolve_family(sampler["init"], "sampler.init", _INITS)
@@ -249,19 +252,26 @@ def _list(parse: Parser) -> Parser:
     return parse_list
 
 
-def _per_axis(raw: Any, dim: int, name: str) -> np.ndarray:
+def _per_axis(raw: Any, dim: int, name: str, parse: Parser = _finite) -> np.ndarray:
     """``raw``, the config value ``name``, as a fresh (dim,) array, given as
-    one finite number for all axes or as a list of one per axis."""
-    values = np.array([_real(v) for v in (raw if isinstance(raw, list) else [raw])])
-    if not (values.size in (1, dim) and np.all(np.isfinite(values))):
-        raise ConfigError(f"{name} must be a finite number or a list of {dim} of them, got {raw!r}")
-    return np.broadcast_to(values, (dim,)).copy()
+    one number for all axes or as a list of one per axis, each read by
+    ``parse``."""
+    if not isinstance(raw, list):
+        return np.full(dim, parse(raw, name))
+    if len(raw) not in (1, dim):
+        raise ConfigError(f"{name} must be a number or a list of {dim} of them, got {raw!r}")
+    return np.broadcast_to([parse(v, f"{name}[{i}]") for i, v in enumerate(raw)], (dim,)).copy()
+
+
+def _non_negative(raw: Any, name: str) -> float:
+    """``raw``, the config value ``name``, as a finite non-negative number."""
+    return _positive(raw, name, zero=True)
 
 
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
     dim = _count(cfg["dimension"], "reference.dimension")
     return DiagonalGaussian(_per_axis(cfg["mean"], dim, "reference.mean"),
-                            _per_axis(cfg["variance"], dim, "reference.variance"))
+                            _per_axis(cfg["variance"], dim, "reference.variance", _positive))
 
 
 def build_loss(cfg: Mapping[str, Any], dim: int):
@@ -286,7 +296,7 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
         return PredictiveKernelLoss(
             series.times,
             series.observations,
-            sigma=_positive(cfg["sigma"], "loss.sigma", zero=True),
+            sigma=_non_negative(cfg["sigma"], "loss.sigma"),
             lam=None if lam is None else _positive(lam, "loss.lam"),
         )
     return ZeroLoss()
@@ -298,7 +308,7 @@ def build_init(
     if cfg["kind"] == "reference":
         return ref.sample(rng, n)
     mean = _per_axis(cfg["mean"], ref.dim, "sampler.init.mean")
-    var = _per_axis(cfg["variance"], ref.dim, "sampler.init.variance")
+    var = _per_axis(cfg["variance"], ref.dim, "sampler.init.variance", _non_negative)
     return mean + np.sqrt(var) * rng.standard_normal((n, ref.dim))
 
 
@@ -337,7 +347,20 @@ def write_particles(
 
 
 def read_particles(path: Path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    """The (n, d) atoms of a particles file; a file that is not one is a
+    config error naming it."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt's warning of no rows
+            atoms = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except UserWarning:
+        raise ConfigError(f"particles file '{path}': no particle rows") from None
+    except (OSError, ValueError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"particles file '{path}': {reason}") from None
+    if not np.isfinite(atoms).all():
+        raise ConfigError(f"particles file '{path}': a coordinate is not finite")
+    return atoms
 
 
 def _environment() -> dict:
@@ -418,9 +441,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     loss = build_loss(cfg["loss"], ref.dim)
     atoms = read_particles(Path(args.particles))
     if atoms.shape[1] != ref.dim:
-        raise ConfigError(
-            f"particle dimension {atoms.shape[1]} != reference dimension {ref.dim}"
-        )
+        raise ConfigError(f"particles file '{args.particles}': particle dimension "
+                          f"{atoms.shape[1]} != reference dimension {ref.dim}")
     measure = EmpiricalMeasure(atoms)
     v = kgd_v_squared(kernel, ref, loss, measure)
     print(f"n {measure.n}")
@@ -802,12 +824,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             f"unknown preset '{args.preset}'; available: {sorted(_PRESETS)}"
         )
     runner, table = _PRESETS[args.preset]
+    seed = _count0(args.seed, "--seed")
     knobs = _apply_overrides(table, args.set or [])
     out = _output_dir(args.output or f"{args.preset}-out", "--output")
     start = time.perf_counter()
-    outputs, summary = runner(args.seed, knobs)
+    outputs, summary = runner(seed, knobs)
     elapsed = time.perf_counter() - start
-    meta = {"preset": args.preset, "seed": args.seed, "knobs": knobs, "summary": summary,
+    meta = {"preset": args.preset, "seed": seed, "knobs": knobs, "summary": summary,
             "elapsed_s": elapsed}
     print(f"wrote {out}/{', '.join(write_outputs(out, outputs, meta))}")
     return 0

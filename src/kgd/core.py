@@ -87,9 +87,12 @@ def seeded_stream(seed: int, *labels: Any) -> np.random.Generator:
 
     Streams for distinct label tuples are statistically independent and do
     not depend on creation order, so per-particle substreams can be drawn
-    from in any schedule without changing results.
+    from in any schedule without changing results. ``seed`` is a
+    non-negative int of any size; numpy splits it into 32-bit words.
     """
-    entropy: list[int] = [int(seed) & 0xFFFFFFFF]
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy: list[int] = [int(seed)]
     for label in labels:
         entropy.extend(_label_words(label))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

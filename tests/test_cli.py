@@ -204,6 +204,9 @@ class TestBuilders:
         assert abs(b.mean() - 2.0) < 0.1 and abs(b.std() - 0.5) < 0.05
         with pytest.raises(ConfigError, match="init.kind"):
             init({"kind": "uniform"})
+        point = build_init(init({"kind": "gaussian", "mean": [1.0, -2.0], "variance": 0}), ref,
+                           3, seeded_stream(1, "i"))
+        np.testing.assert_array_equal(point, [[1.0, -2.0]] * 3)  # a point mass
 
 
 class _Spy(dict):
@@ -682,6 +685,53 @@ class TestEvalVerb:
         write_particles(p, np.zeros((1, 2)))
         rc = main(["eval", "--config", str(tmp_path / "nope.yaml"), "--particles", str(p)])
         assert rc == 2
+
+
+class TestInputFaults:
+    """Inputs that once ended in a traceback or a misleading message. Each is
+    exit 2 naming what is wrong, with no traceback and nothing written."""
+
+    CASES = {
+        "reference-variance-sample": ("sample", {"reference": {"variance": -1}}, None,
+                                      "reference.variance"),
+        "reference-variance-eval": ("eval", {"reference": {"variance": [1.0, -1.0]}}, "1,2\n",
+                                    "reference.variance[1]"),
+        "init-variance": ("sample", {"sampler": {"init": {"kind": "gaussian", "variance": -1}}},
+                          None, "sampler.init.variance"),
+        "run-output": ("sample", {"run": {"output": 7}}, None, "run.output"),
+        "header-without-hash": ("eval", {}, "x0,x1\n1,2\n", "particles file"),
+        "ragged-rows": ("eval", {}, "1,2\n3,4,5\n", "particles file"),
+        "non-numeric-cell": ("eval", {}, "1,2\n3,abc\n", "particles file"),
+        "directory": ("eval", {}, "", "particles file"),
+        "nan-coordinate": ("eval", {}, "1,2\nnan,4\n", "particles file"),
+        "empty-file": ("eval", {}, "", "particles file"),
+        "negative-seed": ("experiment", None, None, "--seed"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_is_a_config_error(self, tmp_path, capsys, monkeypatch, case):
+        verb, body, particles, key = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        if verb == "experiment":
+            argv = ["experiment", "--preset", "gauss-identity", "--seed", "-1",
+                    "--set", "sizes=10;20", "--set", "replicates=2", "--output", "o"]
+        else:
+            argv = [verb, "--config", _write_config(tmp_path, body)]
+            if verb == "sample" and case != "run-output":
+                argv += ["--output", "o"]
+        if verb == "eval":
+            path = tmp_path / "p.csv"
+            if case == "directory":
+                path.mkdir()
+            else:
+                path.write_text(particles)
+            argv += ["--particles", str(path)]
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert "Traceback" not in err
+        assert set(tmp_path.iterdir()) == before
 
 
 MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",

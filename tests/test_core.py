@@ -95,3 +95,16 @@ class TestSeededStream:
         other.standard_normal(100)
         again = seeded_stream(5, "a").standard_normal(4)
         np.testing.assert_array_equal(first, again)
+
+    def test_seed_keeps_every_bit(self):
+        # Seeds of 2**32 and more are not masked to 32 bits, so they no
+        # longer replay seed 0; seeds below 2**32 keep their streams.
+        a = seeded_stream(2**32, "x").standard_normal(4)
+        b = seeded_stream(0, "x").standard_normal(4)
+        assert np.any(a != b)
+        assert seeded_stream(5, "init", 2).standard_normal(3).tolist() == [
+            -1.2655074013038752, -1.7291449086184387, 0.21337807519016047]
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="got -1"):
+            seeded_stream(-1, "x")
