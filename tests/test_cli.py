@@ -715,11 +715,11 @@ class TestInputFaults:
         if verb == "experiment":
             argv = ["experiment", "--preset", "gauss-identity", "--seed", "-1",
                     "--set", "sizes=10;20", "--set", "replicates=2", "--output", "o"]
+        elif verb == "sample":  # run.output is the output unless --output is given
+            argv = ["sample", "--config", _write_config(tmp_path, body)]
+            argv += [] if "run" in body else ["--output", "o"]
         else:
-            argv = [verb, "--config", _write_config(tmp_path, body)]
-            if verb == "sample" and case != "run-output":
-                argv += ["--output", "o"]
-        if verb == "eval":
+            argv = ["eval", "--config", _write_config(tmp_path, body)]
             path = tmp_path / "p.csv"
             if case == "directory":
                 path.mkdir()
