@@ -121,16 +121,15 @@ def gen_score(
     measure: EmpiricalMeasure,
     x: np.ndarray,
 ) -> np.ndarray:
-    """Generalised score b(x); accepts (d,) or (m, d) and matches the shape.
+    """Generalised score b(x) at the (m, d) points x, shape (m, d).
 
     Raises FloatingPointError, naming the first atom, when a score is not
     finite.
     """
     score = ref.log_grad(x) - loss.var_grad(measure, x)
     if not np.isfinite(score).all():
-        rows = np.atleast_2d(score)
-        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise FloatingPointError(f"non-finite score at atom {i}: {rows[i]}")
+        i = int(np.argmin(np.isfinite(score).all(axis=1)))
+        raise FloatingPointError(f"non-finite score at atom {i}: {score[i]}")
     return score
 
 

@@ -40,7 +40,7 @@ class VariationalLoss:
         raise NotImplementedError(f"{type(self).__name__} has no scalar value")
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-        """First-variation gradient at x; accepts (d,) or (m, d) inputs."""
+        """First-variation gradient at the (m, d) points x, shape (m, d)."""
         raise NotImplementedError
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
@@ -61,13 +61,6 @@ class VariationalLoss:
             return out
 
         return grads
-
-
-def _batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
 
 
 @dataclass(frozen=True)
@@ -202,22 +195,22 @@ class MeanFieldRegressionLoss(VariationalLoss):
         return float(self.lam / self.covariates.size * np.sum(resid**2))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-        xb, single = _batched(x)
+        x = np.asarray(x, dtype=float)
         t, resid = self._fit(measure)
-        if not np.array_equal(xb, measure.atoms):
-            t = self._activations(xb)
+        if not np.array_equal(x, measure.atoms):
+            t = self._activations(x)
         # Row sums, not matrix products: a point's score is then bitwise the
         # same in any batch.
         rs = resid * (1.0 - t**2)  # (m, N)
-        w2 = xb[:, 2]
+        w2 = x[:, 2]
         out = np.stack([
             w2 * np.sum(rs * self.covariates, axis=1),
             w2 * np.sum(rs, axis=1),
             np.sum(resid * t, axis=1),
-            np.full(xb.shape[0], np.sum(resid)),
+            np.full(x.shape[0], np.sum(resid)),
         ], axis=1)
         out *= -2.0 * self.lam / self.covariates.size
-        return out[0] if single else out
+        return out
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
         atoms, z = measure.atoms, self.covariates
@@ -242,6 +235,20 @@ def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarr
     v = 1.0 + sigma**2
     diff = np.asarray(obs, dtype=float) - np.asarray(mean, dtype=float)
     return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
+
+
+def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:
+    """exp(-||x - y||^2 / (2 v)) over the last axis of arrays that broadcast
+    against each other, built in place from per-species differences."""
+    a = np.subtract(x[..., 0], y[..., 0])
+    a *= a
+    for k in range(1, x.shape[-1]):
+        diff = np.subtract(x[..., k], y[..., k])
+        diff *= diff
+        a += diff
+        del diff
+    a *= -0.5 / v
+    return np.exp(a, out=a)
 
 
 # Entries of one (rows N, p N) block of a predictive pair block: 32 MB.
@@ -323,16 +330,13 @@ class PredictiveKernelLoss(VariationalLoss):
     solver: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]] = field(
         default=None  # type: ignore[assignment]
     )
-    max_cache: int = 20000
+    max_cache = 20000
 
     def __post_init__(self) -> None:
         self.times = np.asarray(self.times, dtype=float)
-        obs = np.asarray(self.observations, dtype=float)
-        if obs.ndim == 1:
-            obs = obs[:, None]
-        if obs.shape[0] != self.times.size:
-            raise ValueError("observations must align with times")
-        self.observations = obs
+        self.observations = np.asarray(self.observations, dtype=float)
+        if self.observations.ndim != 2 or self.observations.shape[0] != self.times.size:
+            raise ValueError("observations must be an (N, s) array aligned with times")
         if self.lam is None:
             self.lam = 0.1 / self.times.size
         if self.solver is None:
@@ -360,8 +364,6 @@ class PredictiveKernelLoss(VariationalLoss):
         """Each point's solver outputs: cached, or from one batched solve of
         the distinct missing points, returned even if the cache is full."""
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
         keys = [p.tobytes() for p in pts]
         found: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         missing: dict[bytes, np.ndarray] = {}
@@ -424,17 +426,7 @@ class PredictiveKernelLoss(VariationalLoss):
         for lo in range(0, m, chunk):
             hi = min(m, lo + chunk)
             rows = slice(lo * n_obs, hi * n_obs)
-            # ||m_x(t_i) - m_y(t_j)||^2 from per-species differences, then
-            # a_ij in place.
-            a = np.subtract.outer(tx[rows, 0], ty[:, 0])
-            a *= a
-            for k in range(1, s):
-                diff = np.subtract.outer(tx[rows, k], ty[:, k])
-                diff *= diff
-                a += diff
-                del diff
-            a *= -0.5 / v
-            np.exp(a, out=a)
+            a = _overlap(tx[rows, None], ty[None], v)
             a = a.reshape((hi - lo) * n_obs, p, n_obs)  # rows (x, t_i), (y, t_j)
             weight = a.sum(axis=2)  # sum_j a_ij, (rows, p)
             values[lo:hi] = weight.reshape(hi - lo, n_obs, p).sum(axis=1)
@@ -467,15 +459,7 @@ class PredictiveKernelLoss(VariationalLoss):
         _, n_obs, s = mx.shape
         v = 1.0 + 2.0 * self.sigma**2
         t = mx - mx.mean(axis=1, keepdims=True)
-        a = np.subtract(t[:, :, None, 0], t[:, None, :, 0])
-        a *= a
-        for k in range(1, s):
-            diff = np.subtract(t[:, :, None, k], t[:, None, :, k])
-            diff *= diff
-            a += diff
-            del diff
-        a *= -0.5 / v
-        np.exp(a, out=a)
+        a = _overlap(t[:, :, None], t[:, None], v)
         weight = a.sum(axis=2)  # sum_j a_ij, (m, N)
         inner = weight[:, :, None] * t - a @ t
         pref = v ** (-0.5 * s) / n_obs**2
@@ -520,7 +504,5 @@ class PredictiveKernelLoss(VariationalLoss):
         return float(np.sum(values) / (2.0 * self.lam * measure.n**2))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
-        xb, single = _batched(x)
-        _, grads = self.pair_block(xb, measure.atoms)
-        out = np.sum(grads, axis=1) / (measure.n * self.lam)
-        return out[0] if single else out
+        _, grads = self.pair_block(x, measure.atoms)
+        return np.sum(grads, axis=1) / (measure.n * self.lam)

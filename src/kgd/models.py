@@ -129,24 +129,21 @@ def lv_sensitivities(
     pass all the points they need in one batch.
 
     Args:
-        x: Unconstrained parameters, shape (m, 2) or (2,).
+        x: Unconstrained parameters, shape (m, 2).
         times: Strictly increasing observation times, shape (N,).
         step: Target Taylor step size.
 
     Returns:
         Tuple (u, sens) with shapes (m, N, 2) and (m, N, 2, 2); the trailing
-        axes of sens are (species, parameter). Leading axis dropped for a
-        single x.
+        axes of sens are (species, parameter).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    m = xb.shape[0]
+    m = x.shape[0]
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
         raise ValueError("times must be strictly increasing and nonnegative")
-    alpha, beta = lv_params(xb)
-    s2 = sigmoid(xb[..., 1])
+    alpha, beta = lv_params(x)
+    s2 = sigmoid(x[..., 1])
     # a = alpha, b = -beta, d = delta, g = -gamma and z = 0, per point.
     a, b, d, g, z = alpha, -beta, np.full(m, LV_DELTA), np.full(m, -LV_GAMMA), np.zeros(m)
     coef = np.stack([
@@ -194,8 +191,7 @@ def lv_sensitivities(
         u[:, n] = y[:2].T
         sens[:, n] = y[[4, 5, 2, 3]].T
         t_prev = float(t_n)
-    sens = sens.reshape(m, -1, 2, 2)
-    return (u[0], sens[0]) if single else (u, sens)
+    return u, sens.reshape(m, -1, 2, 2)
 
 
 class SeriesData(NamedTuple):

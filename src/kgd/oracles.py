@@ -230,7 +230,7 @@ def euclid_identity_check(loss, measure, index: int, base_step: float = 1e-5) ->
         return loss.value(type(measure)(moved))
 
     fd = fd_gradient(objective, atoms[index], base_step)
-    vg = loss.var_grad(measure, atoms[index])
+    vg = loss.var_grad(measure, atoms[index:index + 1])[0]
     return float(np.max(np.abs(vg - measure.n * fd)))
 
 

@@ -180,7 +180,7 @@ def check_mean_field_contractions(rng: np.random.Generator) -> Result:
 def check_ode_sensitivities(_rng: np.random.Generator) -> Result:
     """Forward ODE sensitivities against central differences of the solver."""
     x, times, worst = np.array([-0.8, -1.2]), np.array([5.0, 20.0]), 0.0
-    _, sens = lv_sensitivities(x, times)
+    sens = lv_sensitivities(x[None], times)[1][0]
     path = functools.lru_cache(lambda key: lv_solve(np.frombuffer(key), times))  # one solve a point
     for k in range(times.size):
         for species in range(2):

@@ -170,7 +170,7 @@ def test_ode_sensitivities_match_solver_differences():
     rng = np.random.default_rng(5)
     worst = 0.0
     for x in [np.array([-1.0, -1.5413248546129177]), *rng.normal(0, 0.5, (3, 2)) - 1.0]:
-        _, sens = lv_sensitivities(x, times)
+        sens = lv_sensitivities(x[None], times)[1][0]
         fd = np.empty_like(sens[0, :, :])
         for j in range(2):
             h = 1e-6 * (1.0 + abs(x[j]))

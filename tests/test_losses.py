@@ -182,13 +182,12 @@ class TestMeanFieldRegression:
             [np.mean([self._hand_network(zi, a) for a in atoms]) for zi in z]
         )
         # A point off the atoms, and the atoms themselves (the fitted branch).
-        for x in (rng.standard_normal(4), atoms):
+        for x in (rng.standard_normal((1, 4)), atoms):
             expected = -(2.0 * 2.0 / z.size) * sum(
-                (yi - pi) * np.array([self._hand_grad(zi, xi) for xi in np.atleast_2d(x)])
+                (yi - pi) * np.array([self._hand_grad(zi, xi) for xi in x])
                 for zi, yi, pi in zip(z, y, preds)
             )
-            np.testing.assert_allclose(loss.var_grad(measure, x),
-                                       expected.reshape(np.shape(x)), rtol=1e-12)
+            np.testing.assert_allclose(loss.var_grad(measure, x), expected, rtol=1e-12)
 
     def test_batched_matches_single(self):
         data = gen_mfnn_data(0, n_data=20)
@@ -197,7 +196,7 @@ class TestMeanFieldRegression:
         measure = EmpiricalMeasure(rng.standard_normal((4, 4)))
         xs = rng.standard_normal((5, 4))
         batch = loss.var_grad(measure, xs)
-        singles = np.stack([loss.var_grad(measure, x) for x in xs])
+        singles = np.vstack([loss.var_grad(measure, xs[i:i + 1]) for i in range(xs.shape[0])])
         np.testing.assert_array_equal(batch, singles)
 
     def test_vjp_against_finite_differences(self):
@@ -408,11 +407,11 @@ class TestPredictiveKernelLoss:
         rng = np.random.default_rng(15)
         atoms = rng.standard_normal((4, 2))
         measure = EmpiricalMeasure(atoms)
-        x = rng.standard_normal(2)
-        expected = sum(loss.pair_block(x[None, :], a[None, :])[1][0, 0] for a in atoms) / (
+        x = rng.standard_normal((1, 2))
+        expected = sum(loss.pair_block(x, a[None, :])[1][0, 0] for a in atoms) / (
             measure.n * loss.lam
         )
-        np.testing.assert_allclose(loss.var_grad(measure, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(loss.var_grad(measure, x)[0], expected, rtol=1e-12)
 
     def test_particle_gradient_identity(self):
         loss = _wave_loss()
@@ -431,11 +430,12 @@ class TestPredictiveKernelLoss:
         loss = PredictiveKernelLoss(times, obs, solver=_wave_solver)
         np.testing.assert_allclose(loss.lam, 0.1 / 8)
 
-    def test_observation_promotion_and_validation(self):
-        loss = PredictiveKernelLoss(
-            np.array([1.0, 2.0]), np.array([0.1, 0.2]), solver=_wave_solver
-        )
-        assert loss.observations.shape == (2, 1)
+    def test_observation_validation(self):
+        # Observations are (N, s): an (N,) vector is not promoted.
+        with pytest.raises(ValueError, match="align"):
+            PredictiveKernelLoss(
+                np.array([1.0, 2.0]), np.array([0.1, 0.2]), solver=_wave_solver
+            )
         with pytest.raises(ValueError, match="align"):
             PredictiveKernelLoss(
                 np.array([1.0, 2.0]), np.zeros((3, 2)), solver=_wave_solver
@@ -458,7 +458,7 @@ class TestPredictiveKernelLoss:
         loss.value(measure)
         loss.var_grad(measure, atoms)
         assert calls == [5]  # every point already cached
-        loss.var_grad(measure, np.array([9.0, 9.0]))
+        loss.var_grad(measure, np.array([[9.0, 9.0]]))
         assert calls == [5, 1] and loss.n_solves == 6
 
     def test_cache_eviction_keeps_answers_stable(self):

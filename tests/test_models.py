@@ -163,7 +163,7 @@ class TestSensitivities:
         # The Taylor u is accurate far past the RK4 oracle's default step
         # (its own error there is about 3e-11), so the reference is refined.
         times = np.arange(1.0, 21.0)
-        u, _ = lv_sensitivities(self.x, times)
+        u = lv_sensitivities(self.x[None], times)[0][0]
         np.testing.assert_allclose(u, lv_solve(self.x, times, step=0.002), rtol=1e-12)
 
     def test_sens_is_the_derivative_of_the_discrete_map(self):
@@ -173,26 +173,26 @@ class TestSensitivities:
         # match its sens within 2e-11 of max|sens|, so the 1e-9 bound fails
         # a sens that only approximated the continuous derivative.
         times = np.array([5.0, 20.0])
-        _, sens = lv_sensitivities(self.x, times, step=0.5)
+        sens = lv_sensitivities(self.x[None], times, step=0.5)[1][0]
         eps = 1e-6
         fd = np.stack([
-            (lv_sensitivities(self.x + eps * e, times, step=0.5)[0]
-             - lv_sensitivities(self.x - eps * e, times, step=0.5)[0]) / (2.0 * eps)
+            (lv_sensitivities((self.x + eps * e)[None], times, step=0.5)[0][0]
+             - lv_sensitivities((self.x - eps * e)[None], times, step=0.5)[0][0]) / (2.0 * eps)
             for e in np.eye(2)
         ], axis=-1)
         scale = np.max(np.abs(sens))
         assert np.max(np.abs(fd - sens)) < 1e-9 * scale
-        _, fine = lv_sensitivities(self.x, times)
+        fine = lv_sensitivities(self.x[None], times)[1][0]
         assert np.max(np.abs(fine - sens)) > 1e-9 * scale
 
     def test_batched_matches_single(self):
         xs = np.array([[-1.0, -1.5], [0.5, -2.0], [0.0, 0.0]])
         times = TestSolver.times[:10]
         u, sens = lv_sensitivities(xs, times)
-        for i, xi in enumerate(xs):
-            ui, si = lv_sensitivities(xi, times)
-            np.testing.assert_allclose(u[i], ui, rtol=1e-14)
-            np.testing.assert_allclose(sens[i], si, rtol=1e-14)
+        for i in range(xs.shape[0]):
+            ui, si = lv_sensitivities(xs[i:i + 1], times)
+            np.testing.assert_allclose(u[i], ui[0], rtol=1e-14)
+            np.testing.assert_allclose(sens[i], si[0], rtol=1e-14)
 
     def test_large_batch_matches_single(self):
         # A wide batch: no column of the drift's matrix product may depend
@@ -201,9 +201,9 @@ class TestSensitivities:
         times = np.array([0.5, 2.0, 3.0])
         u, sens = lv_sensitivities(xs, times)
         for i in range(xs.shape[0]):
-            ui, si = lv_sensitivities(xs[i], times)
-            np.testing.assert_allclose(u[i], ui, rtol=1e-14)
-            np.testing.assert_allclose(sens[i], si, rtol=1e-14)
+            ui, si = lv_sensitivities(xs[i:i + 1], times)
+            np.testing.assert_allclose(u[i], ui[0], rtol=1e-14)
+            np.testing.assert_allclose(sens[i], si[0], rtol=1e-14)
 
     @pytest.mark.parametrize("split", [
         (1, 2, 4, 7, 9, 221), (240, 4), (4, 240), (122, 122), (7, 9, 228), (2, 2, 240),
@@ -225,15 +225,15 @@ class TestSensitivities:
             assert np.array_equal(ui, u[lo:lo + size]) and np.array_equal(si, sens[lo:lo + size])
             lo += size
         for i in (0, 3, 121, m - 4, m - 1):
-            ui, si = lv_sensitivities(xs[i], times)
-            assert np.array_equal(ui, u[i]) and np.array_equal(si, sens[i])
+            ui, si = lv_sensitivities(xs[i:i + 1], times)
+            assert np.array_equal(ui[0], u[i]) and np.array_equal(si[0], sens[i])
 
     def test_batched_shapes(self):
         u, s = lv_sensitivities(np.zeros((3, 2)), np.array([1.0, 2.0]))
         assert u.shape == (3, 2, 2) and s.shape == (3, 2, 2, 2)
 
     def test_zero_at_time_zero(self):
-        _, sens = lv_sensitivities(self.x, np.array([0.0, 1.0]))
+        sens = lv_sensitivities(self.x[None], np.array([0.0, 1.0]))[1][0]
         np.testing.assert_array_equal(sens[0], np.zeros((2, 2)))
 
 
