@@ -152,7 +152,11 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     error naming the full path of the offender.
     """
     if isinstance(source, (str, Path)):
-        raw = yaml.safe_load(Path(source).read_text())
+        try:
+            raw = yaml.safe_load(Path(source).read_text())
+        except (OSError, yaml.YAMLError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"config file '{source}': {reason}") from None
     else:
         raw = dict(source)
     raw = _resolve(raw, "<top>", dict.fromkeys(("run", "kernel", "reference", "loss", "sampler")))
@@ -394,9 +398,11 @@ def write_meta(path: Path, text: str) -> None:
 
 
 def _output_dir(path: str | Path, name: str) -> Path:
-    """The output directory ``path``, checked before any work: it, or else
-    its nearest existing ancestor, must be a directory. ``name`` is the
-    setting it came from, for the error."""
+    """The output directory ``path``, checked before any work: it may not be
+    empty, and it, or else its nearest existing ancestor, must be a
+    directory. ``name`` is the setting it came from, for the error."""
+    if path == "":
+        raise ConfigError(f"{name} is empty: give an output directory path")
     out = Path(path)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
@@ -826,7 +832,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     runner, table = _PRESETS[args.preset]
     seed = _count0(args.seed, "--seed")
     knobs = _apply_overrides(table, args.set or [])
-    out = _output_dir(args.output or f"{args.preset}-out", "--output")
+    out = _output_dir(f"{args.preset}-out" if args.output is None else args.output, "--output")
     start = time.perf_counter()
     outputs, summary = runner(seed, knobs)
     elapsed = time.perf_counter() - start
@@ -901,9 +907,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SamplerDivergence, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

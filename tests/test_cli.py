@@ -733,6 +733,34 @@ class TestInputFaults:
         assert "Traceback" not in err
         assert set(tmp_path.iterdir()) == before
 
+    # A config file that is not YAML or not a file, and an empty output path,
+    # which would otherwise name the working directory.
+    PATH_CASES = {
+        "config-not-yaml": (["sample", "--config", "bad.yaml", "--output", "o"], "config file"),
+        "config-directory": (["sample", "--config", "cfgdir", "--output", "o"], "config file"),
+        "sample-empty-output": (["sample", "--config", "ok.yaml", "--output", ""], "--output"),
+        "run-output-empty": (["sample", "--config", "empty-out.yaml"], "run.output"),
+        "experiment-empty-output": (["experiment", "--preset", "gauss-identity", "--set",
+                                     "sizes=10;20", "--set", "replicates=2", "--output", ""],
+                                    "--output"),
+    }
+
+    @pytest.mark.parametrize("case", list(PATH_CASES))
+    def test_bad_path_is_a_config_error(self, tmp_path, capsys, monkeypatch, case):
+        argv, key = self.PATH_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.yaml").write_text("reference: [1, 2\n")
+        (tmp_path / "cfgdir").mkdir()
+        _write_config(tmp_path, {"loss": {"family": "zero"}}, "ok.yaml")
+        _write_config(tmp_path, {"run": {"output": ""}, "loss": {"family": "zero"}},
+                      "empty-out.yaml")
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert "Traceback" not in err
+        assert set(tmp_path.iterdir()) == before
+
 
 MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",
               "vi_steps=2", "trace_every=2", "n_data=25")
