@@ -246,7 +246,7 @@ def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:
         diff = np.subtract(x[..., k], y[..., k])
         diff *= diff
         a += diff
-        del diff
+        del diff  # freed before the next one: at most two blocks live
     a *= -0.5 / v
     return np.exp(a, out=a)
 
