@@ -24,6 +24,7 @@ import sys
 import time
 import traceback
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -71,35 +72,14 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Config loading. Each section, and each family a section can pick, lists
-# the keys it reads with their defaults; a key the chosen family does not
-# read, like "kernell" or "lenghtscale", fails loudly with its full path.
+# the keys it reads, each with its default and its parser, as the preset knob
+# tables do. ``_resolve`` reads every section, nested section and knob table:
+# a key the table does not list, like "kernell" or "lenghtscale", fails
+# loudly with its full path, and every value is parsed before any work.
 # ---------------------------------------------------------------------------
 
-_RUN = {"seed": 0, "output": None}
-_REFERENCE = {"dimension": 2, "mean": 0.0, "variance": 1.0}
-# Per family: the selecting key, the default family, and each family's keys.
-# A nested kernel (a mixture member, a weighted kernel's base) is radial.
-_RADIAL = ("family", "imq", {"imq": {"lengthscale": 1.0}, "gaussian": {"lengthscale": 1.0}})
-_KERNELS = ("family", "imq", _RADIAL[2] | {
-    "mixture": {"members": [], "weights": None},
-    "weighted-matrix": {"c": 1.0, "exponent": 0.0, "base": {}},
-})
-_LOSSES = ("family", "zero", {
-    "zero": {},
-    "linear-quadratic": {"center": 0.0, "weights": 1.0},
-    "interaction-quadratic": {},
-    "mean-field-regression": {"data_seed": 0, "n_data": 300, "lam": 300.0},
-    "predictive-kernel": {"data_seed": 1, "sigma": 1.0, "lam": None},
-})
-_FLOW = {"particles": 50, "steps": 100, "step_size": 1e-3, "trace_every": 1, "init": {}}
-_SAMPLERS = ("algorithm", "mfld", {
-    "mfld": _FLOW,
-    "vgd": _FLOW | {"optimizer": "euler"},
-    "kgdd": _FLOW | {"optimizer": "euler"},
-    "greedy": {"points": 10, "proposal_mean": 0.0, "proposal_scale": 1.0,
-               "n_candidates": 200, "refine_rounds": 4},
-})
-_INITS = ("kind", "reference", {"reference": {}, "gaussian": {"mean": 0.0, "variance": 1.0}})
+Parser = Callable[[Any, str], Any]
+Table = Mapping[str, tuple[Any, Parser]]  # each key's default and parser
 
 
 def _require_mapping(value: Any, path: str) -> dict:
@@ -110,93 +90,41 @@ def _require_mapping(value: Any, path: str) -> dict:
     return value
 
 
-def _resolve(raw: Any, path: str, keys: Mapping[str, Any], chosen: str = "") -> dict:
-    """Section ``raw`` at ``path`` over the defaults ``keys``; any other key
-    is an error naming its path."""
-    section = _require_mapping(raw, path)
+def _resolve(raw: Any, path: str, table: Table, chosen: str = "") -> dict:
+    """Section ``raw`` at ``path`` ('' for the top level) read by ``table``:
+    each key's value, or else its default, read by the key's parser. Any
+    other key is an error naming its path."""
+    section = _require_mapping(raw, path or "<top>")
     for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown key '{path}.{key}'{chosen}; allowed keys: {sorted(keys)}")
-    return dict(keys) | section
+        if key not in table:
+            raise ConfigError(f"unknown key '{path or '<top>'}.{key}'{chosen}; "
+                              f"available: {sorted(table)}")
+    return {key: parse(section.get(key, default), f"{path}.{key}" if path else key)
+            for key, (default, parse) in table.items()}
 
 
-def _resolve_family(raw: Any, path: str, table: tuple) -> dict:
-    """Section ``raw`` at ``path`` over the defaults of the family it picks
-    from ``table``."""
+def _one_of(choices: Sequence[str]) -> Parser:
+    """Parser of a name from ``choices``."""
+    def parse_choice(raw: Any, name: str) -> str:
+        if not isinstance(raw, str) or raw not in choices:
+            raise ConfigError(f"unknown {name} {raw!r}; available: {sorted(choices)}")
+        return raw
+
+    return parse_choice
+
+
+def _family(table: tuple) -> Parser:
+    """Parser of a section that reads the keys of the family it picks from
+    ``table``: (selecting key, default family, each family's key table)."""
     selector, default, families = table
-    section = _require_mapping(raw, path)
-    name = section.get(selector, default)
-    if not isinstance(name, str) or name not in families:
-        raise ConfigError(f"unknown {path}.{selector} {name!r}; available: {sorted(families)}")
-    keys = {selector: name} | families[name]
-    return _resolve(section, path, keys, f" for {path}.{selector} '{name}'")
+    choice = _one_of(families)
 
+    def parse_family(raw: Any, path: str) -> dict:
+        name = choice(_require_mapping(raw, path).get(selector, default), f"{path}.{selector}")
+        return _resolve(raw, path, {selector: (name, choice)} | families[name],
+                        f" for {path}.{selector} '{name}'")
 
-def _resolve_kernel(raw: Any, path: str) -> dict:
-    cfg = _resolve_family(raw, path, _KERNELS)
-    if "base" in cfg:
-        cfg["base"] = _resolve_family(cfg["base"], f"{path}.base", _RADIAL)
-    if "members" in cfg:
-        if not isinstance(cfg["members"], list) or not cfg["members"]:
-            raise ConfigError(f"{path}.members must be a non-empty list")
-        cfg["members"] = [_resolve_family(member, f"{path}.members[{i}]", _RADIAL)
-                          for i, member in enumerate(cfg["members"])]
-    return cfg
-
-
-def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
-    """Load and validate a config file (or pre-parsed mapping).
-
-    Returns the resolved configuration: each section holds exactly the keys
-    its chosen family reads, defaults filled in. Any other key is a hard
-    error naming the full path of the offender.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            raw = yaml.safe_load(Path(source).read_text())
-        except (OSError, yaml.YAMLError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"config file '{source}': {reason}") from None
-    else:
-        raw = dict(source)
-    raw = _resolve(raw, "<top>", dict.fromkeys(("run", "kernel", "reference", "loss", "sampler")))
-    run = _resolve(raw["run"], "run", _RUN)
-    run["seed"] = _count0(run["seed"], "run.seed")
-    if run["output"] is not None and not isinstance(run["output"], str):
-        raise ConfigError(f"run.output must be a directory path string, got {run['output']!r}")
-    sampler = _resolve_family(raw["sampler"], "sampler", _SAMPLERS)
-    if "init" in sampler:
-        sampler["init"] = _resolve_family(sampler["init"], "sampler.init", _INITS)
-    return {
-        "run": run,
-        "kernel": _resolve_kernel(raw["kernel"], "kernel"),
-        "reference": _resolve(raw["reference"], "reference", _REFERENCE),
-        "loss": _resolve_family(raw["loss"], "loss", _LOSSES),
-        "sampler": sampler,
-    }
-
-
-def build_kernel(cfg: Mapping[str, Any], path: str = "kernel"):
-    """Kernel from its resolved config section; a value the kernel rejects
-    is a config error naming the section."""
-    family = cfg["family"]
-    try:
-        if family == "mixture":
-            members = tuple(build_kernel(member, f"{path}.members[{i}]")
-                            for i, member in enumerate(cfg["members"]))
-            weights = cfg["weights"]
-            return Mixture(members, None if weights is None
-                           else tuple(_list(_finite)(weights, f"{path}.weights")))
-        if family == "weighted-matrix":
-            return WeightedMatrixKernel(c=_finite(cfg["c"], f"{path}.c"),
-                                        exponent=_finite(cfg["exponent"], f"{path}.exponent"),
-                                        base=build_kernel(cfg["base"], f"{path}.base"))
-        return (IMQ if family == "imq" else Gaussian)(
-            _finite(cfg["lengthscale"], f"{path}.lengthscale"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return parse_family
 
 
 def _count(raw: Any, name: str, least: int = 1) -> int:
@@ -209,6 +137,9 @@ def _count(raw: Any, name: str, least: int = 1) -> int:
     if not ok:
         raise ConfigError(f"{name} must be a whole number of at least {least}, got {raw!r}")
     return value
+
+
+_count0 = partial(_count, least=0)
 
 
 def _real(raw: Any) -> float:
@@ -230,12 +161,7 @@ def _positive(raw: Any, name: str, zero: bool = False) -> float:
     return value
 
 
-Parser = Callable[[Any, str], Any]
-
-
-def _count0(raw: Any, name: str) -> int:
-    """``raw``, the config value ``name``, as a whole number of at least 0."""
-    return _count(raw, name, least=0)
+_non_negative = partial(_positive, zero=True)
 
 
 def _finite(raw: Any, name: str) -> float:
@@ -256,26 +182,117 @@ def _list(parse: Parser) -> Parser:
     return parse_list
 
 
-def _per_axis(raw: Any, dim: int, name: str, parse: Parser = _finite) -> np.ndarray:
-    """``raw``, the config value ``name``, as a fresh (dim,) array, given as
-    one number for all axes or as a list of one per axis, each read by
-    ``parse``."""
-    if not isinstance(raw, list):
-        return np.full(dim, parse(raw, name))
-    if len(raw) not in (1, dim):
-        raise ConfigError(f"{name} must be a number or a list of {dim} of them, got {raw!r}")
-    return np.broadcast_to([parse(v, f"{name}[{i}]") for i, v in enumerate(raw)], (dim,)).copy()
+def _optional(parse: Parser) -> Parser:
+    """Parser of None or a value ``parse`` reads."""
+    return lambda raw, name: None if raw is None else parse(raw, name)
 
 
-def _non_negative(raw: Any, name: str) -> float:
-    """``raw``, the config value ``name``, as a finite non-negative number."""
-    return _positive(raw, name, zero=True)
+def _axes(parse: Parser) -> Parser:
+    """Parser of a per-axis value: one value ``parse`` reads for all axes, or
+    a list of them, one per axis (``_per_axis`` checks the length)."""
+    return lambda raw, name: (_list(parse) if isinstance(raw, list) else parse)(raw, name)
+
+
+def _per_axis(value: float | list, dim: int, name: str) -> np.ndarray:
+    """The parsed per-axis value ``name`` as a fresh (dim,) array."""
+    if not isinstance(value, list):
+        return np.full(dim, value)
+    if len(value) not in (1, dim):
+        raise ConfigError(f"{name} must be a number or a list of {dim} of them, got {value!r}")
+    return np.broadcast_to(value, (dim,)).copy()
+
+
+def _directory(raw: Any, name: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{name} must be a directory path string, got {raw!r}")
+    return raw
+
+
+def _members(raw: Any, name: str) -> list:
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{name} must be a non-empty list")
+    return _list(_family(_RADIAL))(raw, name)
+
+
+_RUN = {"seed": (0, _count0), "output": (None, _optional(_directory))}
+_REFERENCE = {"dimension": (2, _count), "mean": (0.0, _axes(_finite)),
+              "variance": (1.0, _axes(_positive))}
+# Per family: the selecting key, the default family, and each family's keys.
+# A nested kernel (a mixture member, a weighted kernel's base) is radial.
+_RADIAL = ("family", "imq", {"imq": {"lengthscale": (1.0, _positive)},
+                             "gaussian": {"lengthscale": (1.0, _positive)}})
+_KERNELS = ("family", "imq", _RADIAL[2] | {
+    "mixture": {"members": ([], _members), "weights": (None, _optional(_list(_finite)))},
+    "weighted-matrix": {"c": (1.0, _finite), "exponent": (0.0, _finite),
+                        "base": ({}, _family(_RADIAL))},
+})
+_LOSSES = ("family", "zero", {
+    "zero": {},
+    "linear-quadratic": {"center": (0.0, _axes(_finite)), "weights": (1.0, _axes(_finite))},
+    "interaction-quadratic": {},
+    "mean-field-regression": {"data_seed": (0, _count0), "n_data": (300, _count),
+                              "lam": (300.0, _positive)},
+    "predictive-kernel": {"data_seed": (1, _count0), "sigma": (1.0, _non_negative),
+                          "lam": (None, _optional(_positive))},
+})
+_INITS = ("kind", "reference", {"reference": {}, "gaussian": {
+    "mean": (0.0, _axes(_finite)), "variance": (1.0, _axes(_non_negative))}})
+_FLOW = {"particles": (50, _count), "steps": (100, _count), "step_size": (1e-3, _positive),
+         "trace_every": (1, _count), "init": ({}, _family(_INITS))}
+_OPTIMIZER = {"optimizer": ("euler", _one_of(("euler", "adam")))}
+_SAMPLERS = ("algorithm", "mfld", {
+    "mfld": _FLOW,
+    "vgd": _FLOW | _OPTIMIZER,
+    "kgdd": _FLOW | _OPTIMIZER,
+    "greedy": {"points": (10, _count), "proposal_mean": (0.0, _axes(_finite)),
+               "proposal_scale": (1.0, _positive), "n_candidates": (200, _count),
+               "refine_rounds": (4, _count0)},
+})
+_CONFIG = {"run": ({}, partial(_resolve, table=_RUN)), "kernel": ({}, _family(_KERNELS)),
+           "reference": ({}, partial(_resolve, table=_REFERENCE)), "loss": ({}, _family(_LOSSES)),
+           "sampler": ({}, _family(_SAMPLERS))}
+
+
+def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
+    """Load and validate a config file (or pre-parsed mapping).
+
+    Returns the resolved configuration: each section holds exactly the keys
+    its chosen family reads, each value parsed, defaults filled in. Any
+    other key or any value its parser rejects is a hard error naming the
+    full path of the offender.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            raw = yaml.safe_load(Path(source).read_text())
+        except (OSError, yaml.YAMLError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"config file '{source}': {reason}") from None
+    else:
+        raw = dict(source)
+    return _resolve(raw, "", _CONFIG)
+
+
+def build_kernel(cfg: Mapping[str, Any]):
+    """Kernel from its resolved config section; a value the kernel rejects
+    is a config error naming the section."""
+    family = cfg["family"]
+    try:
+        if family == "mixture":
+            weights = cfg["weights"]
+            return Mixture(tuple(build_kernel(member) for member in cfg["members"]),
+                           None if weights is None else tuple(weights))
+        if family == "weighted-matrix":
+            return WeightedMatrixKernel(c=cfg["c"], exponent=cfg["exponent"],
+                                        base=build_kernel(cfg["base"]))
+        return (IMQ if family == "imq" else Gaussian)(cfg["lengthscale"])
+    except ValueError as exc:
+        raise ConfigError(f"kernel: {exc}") from None
 
 
 def build_reference(cfg: Mapping[str, Any]) -> DiagonalGaussian:
-    dim = _count(cfg["dimension"], "reference.dimension")
+    dim = cfg["dimension"]
     return DiagonalGaussian(_per_axis(cfg["mean"], dim, "reference.mean"),
-                            _per_axis(cfg["variance"], dim, "reference.variance", _positive))
+                            _per_axis(cfg["variance"], dim, "reference.variance"))
 
 
 def build_loss(cfg: Mapping[str, Any], dim: int):
@@ -288,21 +305,14 @@ def build_loss(cfg: Mapping[str, Any], dim: int):
     if family == "mean-field-regression":
         if dim != 4:
             raise ConfigError("mean-field-regression needs reference.dimension = 4")
-        data = gen_mfnn_data(_count0(cfg["data_seed"], "loss.data_seed"),
-                             _count(cfg["n_data"], "loss.n_data"))
-        return MeanFieldRegressionLoss(data.covariates, data.responses,
-                                       lam=_positive(cfg["lam"], "loss.lam"))
+        data = gen_mfnn_data(cfg["data_seed"], cfg["n_data"])
+        return MeanFieldRegressionLoss(data.covariates, data.responses, lam=cfg["lam"])
     if family == "predictive-kernel":
         if dim != 2:
             raise ConfigError("predictive-kernel needs reference.dimension = 2")
-        series = gen_lv_data(_count0(cfg["data_seed"], "loss.data_seed"))
-        lam = cfg["lam"]
-        return PredictiveKernelLoss(
-            series.times,
-            series.observations,
-            sigma=_non_negative(cfg["sigma"], "loss.sigma"),
-            lam=None if lam is None else _positive(lam, "loss.lam"),
-        )
+        series = gen_lv_data(cfg["data_seed"])
+        return PredictiveKernelLoss(series.times, series.observations, sigma=cfg["sigma"],
+                                    lam=cfg["lam"])
     return ZeroLoss()
 
 
@@ -312,7 +322,7 @@ def build_init(
     if cfg["kind"] == "reference":
         return ref.sample(rng, n)
     mean = _per_axis(cfg["mean"], ref.dim, "sampler.init.mean")
-    var = _per_axis(cfg["variance"], ref.dim, "sampler.init.variance", _non_negative)
+    var = _per_axis(cfg["variance"], ref.dim, "sampler.init.variance")
     return mean + np.sqrt(var) * rng.standard_normal((n, ref.dim))
 
 
@@ -472,24 +482,17 @@ def run_sampler(cfg: Mapping[str, Any], kernel, ref: DiagonalGaussian, loss,
     if algorithm == "greedy":
         search = SearchSpec(
             proposal_mean=_per_axis(cfg["proposal_mean"], ref.dim, "sampler.proposal_mean"),
-            proposal_scale=_positive(cfg["proposal_scale"], "sampler.proposal_scale"),
-            n_candidates=_count(cfg["n_candidates"], "sampler.n_candidates"),
-            refine_rounds=_count0(cfg["refine_rounds"], "sampler.refine_rounds"),
+            proposal_scale=cfg["proposal_scale"],
+            n_candidates=cfg["n_candidates"],
+            refine_rounds=cfg["refine_rounds"],
         )
-        n_points = _count(cfg["points"], "sampler.points")
-        return greedy_extend(kernel, ref, loss, search, n_points, seed=seed)
-    n = _count(cfg["particles"], "sampler.particles")
-    n_steps = _count(cfg["steps"], "sampler.steps")
-    step_size = _positive(cfg["step_size"], "sampler.step_size")
-    trace_every = _count(cfg["trace_every"], "sampler.trace_every")
-    atoms0 = build_init(cfg["init"], ref, n, seeded_stream(seed, "init"))
+        return greedy_extend(kernel, ref, loss, search, cfg["points"], seed=seed)
+    n_steps, step_size, trace_every = cfg["steps"], cfg["step_size"], cfg["trace_every"]
+    atoms0 = build_init(cfg["init"], ref, cfg["particles"], seeded_stream(seed, "init"))
     if algorithm == "mfld":
         return mfld_run(atoms0, ref, loss, step_size, n_steps, seeded_stream(seed, "mfld"),
                         trace_kernel=kernel, trace_every=trace_every)
-    try:
-        spec = OptimizerSpec(method=cfg["optimizer"], step_size=step_size)
-    except ValueError as exc:
-        raise ConfigError(f"sampler.optimizer: {exc}; use 'euler' or 'adam'") from None
+    spec = OptimizerSpec(method=cfg["optimizer"], step_size=step_size)
     if algorithm == "vgd":
         return vgd_run(atoms0, kernel, ref, loss, spec, n_steps,
                        trace_kernel=kernel, trace_every=trace_every)
@@ -537,23 +540,20 @@ def _text_number(text: str) -> int | float:
         return float(text)
 
 
-def _apply_overrides(table: Mapping[str, tuple[Any, Parser]], overrides: Sequence[str]) -> dict:
-    """The knobs of ``table``, each its default or its ``--set key=value``
-    override (list items separated by ';'), read by the knob's parser."""
-    raw = {key: default for key, (default, _) in table.items()}
+def _apply_overrides(table: Table, overrides: Sequence[str]) -> dict:
+    """The knobs of ``table``, each its ``--set key=value`` override (list
+    items separated by ';') or else its default, read by its parser."""
+    raw = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got '{item}'")
         key, text = item.split("=", 1)
-        key = key.strip()
-        if key not in table:
-            raise ConfigError(f"unknown override '{key}'; available: {sorted(table)}")
         try:
             parts = [_text_number(part) for part in text.split(";")]
         except ValueError as exc:
             raise ConfigError(f"cannot parse override '{item}': {exc}") from None
-        raw[key] = parts if len(parts) > 1 else parts[0]
-    return {key: parse(raw[key], key) for key, (_, parse) in table.items()}
+        raw[key.strip()] = parts if len(parts) > 1 else parts[0]
+    return _resolve(raw, "", table)
 
 
 def _scaling_study(*args) -> ScalingStudy:
@@ -753,8 +753,7 @@ def _preset_lv_compare(seed: int, knobs: dict) -> tuple[Outputs, dict]:
                      "cache_misses": loss.cache_misses, "cache_clears": loss.cache_clears}
 
 
-_PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]],
-                          dict[str, tuple[Any, Parser]]]] = {
+_PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] = {
     "gauss-identity": (
         _preset_gauss_identity,
         {
