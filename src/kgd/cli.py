@@ -128,14 +128,15 @@ def _family(table: tuple) -> Parser:
 
 
 def _count(raw: Any, name: str, least: int = 1) -> int:
-    """``raw``, the config value ``name``, as a whole number of at least ``least``."""
+    """``raw``, the config value ``name``, as a whole number from ``least`` to
+    2**53, up to which a float such as 1e3 holds every whole number exactly."""
     try:
         value = int(raw)
-        ok = not isinstance(raw, bool) and value == raw and value >= least
+        ok = not isinstance(raw, bool) and value == raw and least <= value <= 2**53
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ConfigError(f"{name} must be a whole number of at least {least}, got {raw!r}")
+        raise ConfigError(f"{name} must be a whole number from {least} to 2**53, got {raw!r}")
     return value
 
 
@@ -151,17 +152,22 @@ def _real(raw: Any) -> float:
         return math.nan
 
 
-def _positive(raw: Any, name: str, zero: bool = False) -> float:
+def _positive(raw: Any, name: str, zero: bool = False, square: bool = False) -> float:
     """``raw``, the config value ``name``, as a finite positive number, or
-    non-negative if ``zero``."""
+    non-negative if ``zero``; with ``square``, its square is finite too (the
+    kernels and the predictive loss square a scale as a Python float, which
+    raises OverflowError)."""
     value = _real(raw)
-    if not (np.isfinite(value) and (value > 0.0 or zero and value == 0.0)):
+    if not (np.isfinite(value * value if square else value)
+            and (value > 0.0 or zero and value == 0.0)):
         sign = "non-negative" if zero else "positive"
-        raise ConfigError(f"{name} must be a finite {sign} number, got {raw!r}")
+        bound = "with a finite square" if square else "and finite"
+        raise ConfigError(f"{name} must be {sign} {bound}, got {raw!r}")
     return value
 
 
 _non_negative = partial(_positive, zero=True)
+_scale = partial(_positive, square=True)
 
 
 def _finite(raw: Any, name: str) -> float:
@@ -173,10 +179,12 @@ def _finite(raw: Any, name: str) -> float:
 
 
 def _list(parse: Parser) -> Parser:
-    """Parser of a list of values ``parse`` reads; a single value is a list
-    of one."""
+    """Parser of a non-empty list of values ``parse`` reads; a single value
+    is a list of one."""
     def parse_list(raw: Any, name: str) -> list:
         items = raw if isinstance(raw, list) else [raw]
+        if not items:
+            raise ConfigError(f"{name} must be a non-empty list")
         return [parse(item, f"{name}[{i}]") for i, item in enumerate(items)]
 
     return parse_list
@@ -209,7 +217,7 @@ def _directory(raw: Any, name: str) -> str:
 
 
 def _members(raw: Any, name: str) -> list:
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, list):
         raise ConfigError(f"{name} must be a non-empty list")
     return _list(_family(_RADIAL))(raw, name)
 
@@ -219,11 +227,11 @@ _REFERENCE = {"dimension": (2, _count), "mean": (0.0, _axes(_finite)),
               "variance": (1.0, _axes(_positive))}
 # Per family: the selecting key, the default family, and each family's keys.
 # A nested kernel (a mixture member, a weighted kernel's base) is radial.
-_RADIAL = ("family", "imq", {"imq": {"lengthscale": (1.0, _positive)},
-                             "gaussian": {"lengthscale": (1.0, _positive)}})
+_RADIAL = ("family", "imq", {"imq": {"lengthscale": (1.0, _scale)},
+                             "gaussian": {"lengthscale": (1.0, _scale)}})
 _KERNELS = ("family", "imq", _RADIAL[2] | {
-    "mixture": {"members": ([], _members), "weights": (None, _optional(_list(_finite)))},
-    "weighted-matrix": {"c": (1.0, _finite), "exponent": (0.0, _finite),
+    "mixture": {"members": ([], _members), "weights": (None, _optional(_list(_positive)))},
+    "weighted-matrix": {"c": (1.0, _scale), "exponent": (0.0, _finite),
                         "base": ({}, _family(_RADIAL))},
 })
 _LOSSES = ("family", "zero", {
@@ -232,7 +240,7 @@ _LOSSES = ("family", "zero", {
     "interaction-quadratic": {},
     "mean-field-regression": {"data_seed": (0, _count0), "n_data": (300, _count),
                               "lam": (300.0, _positive)},
-    "predictive-kernel": {"data_seed": (1, _count0), "sigma": (1.0, _non_negative),
+    "predictive-kernel": {"data_seed": (1, _count0), "sigma": (1.0, partial(_scale, zero=True)),
                           "lam": (None, _optional(_positive))},
 })
 _INITS = ("kind", "reference", {"reference": {}, "gaussian": {
@@ -263,10 +271,15 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> dict:
     """
     if isinstance(source, (str, Path)):
         try:
-            raw = yaml.safe_load(Path(source).read_text())
-        except (OSError, yaml.YAMLError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise ConfigError(f"config file '{source}': {reason}") from None
+            with open(source, "rb") as stream:
+                raw = yaml.safe_load(stream)
+        except OSError as exc:
+            raise ConfigError(f"config file '{source}': {exc.strerror}") from None
+        except yaml.YAMLError as exc:  # one line: the problem and where
+            mark = getattr(exc, "problem_mark", None)
+            where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
+            problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+            raise ConfigError(f"config file '{source}': {problem}{where}") from None
     else:
         raw = dict(source)
     return _resolve(raw, "", _CONFIG)
@@ -760,7 +773,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
             "sizes": ([25, 50, 100, 200, 400, 800], _list(_count)),
             "replicates": (100, _count),
             "dimension": (2, _count),
-            "lengthscale": (1.0, _positive),
+            "lengthscale": (1.0, _scale),
         },
     ),
     "clt-study": (
@@ -770,7 +783,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
             "replicates": (200, _count),
             "dimensions": ([2, 5], _list(_count)),
             "offset": (1.0, _finite),
-            "lengthscale": (1.0, _positive),
+            "lengthscale": (1.0, _scale),
         },
     ),
     "mfnn-stepsize": (
@@ -779,7 +792,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
             "data_seed": (0, _count0),
             "n_data": (300, _count),
             "lam": (300.0, _positive),
-            "lengthscale": (1.0, _positive),
+            "lengthscale": (1.0, _scale),
             "particles": (50, _count),
             "steps": (200, _count),
             "replicates": (5, _count),
@@ -792,7 +805,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
             "data_seed": (0, _count0),
             "n_data": (300, _count),
             "lam": (300.0, _positive),
-            "lengthscale": (1.0, _positive),
+            "lengthscale": (1.0, _scale),
             "particles": (50, _count),
             "mfld_step_size": (1e-4, _positive),
             "mfld_steps": (300, _count),

@@ -8,8 +8,10 @@ knob overrides.
 
 import inspect
 import json
+import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,12 +27,15 @@ from kgd.cli import (
     _KERNELS,
     _LOSSES,
     _PRESETS,
+    _REFERENCE,
+    _RUN,
     _SAMPLERS,
     ConfigError,
     Outputs,
     _apply_overrides,
     _count,
     _drive_arms,
+    _family,
     _finite,
     _list,
     _positive,
@@ -221,6 +226,18 @@ class _Spy(dict):
         return super().__getitem__(key)
 
 
+FAMILY_TABLES = {"kernel": _KERNELS, "loss": _LOSSES, "sampler": _SAMPLERS,
+                 "sampler.init": _INITS}
+# (label, path, table) for every key table: the config sections, each family
+# a section can pick, and each preset's knobs (path '': a knob is named by
+# its key alone).
+KEY_TABLES = ([("run", "run", _RUN), ("reference", "reference", _REFERENCE)]
+              + [(f"{path}[{family}]", path, table)
+                 for path, (_, _, families) in FAMILY_TABLES.items()
+                 for family, table in families.items()]
+              + [(preset, "", table) for preset, (_, table) in _PRESETS.items()])
+
+
 class TestTables:
     """Every user-set value comes from one table: a config family lists
     exactly the keys its builder reads, and every preset knob has a parser
@@ -260,20 +277,146 @@ class TestTables:
         self._reads(_section("sampler", body),
                     lambda cfg: run_sampler(cfg, IMQ(1.0), ref, ZeroLoss(), 0))
 
-    @pytest.mark.parametrize("preset", sorted(_PRESETS))
-    def test_every_knob_has_a_parser_that_its_default_passes(self, preset):
-        _, table = _PRESETS[preset]
+    # A key whose default its parser refuses: the config must give it.
+    REQUIRED = {"kernel[mixture].members"}
+
+    @pytest.mark.parametrize("label, path, table", KEY_TABLES,
+                             ids=[label for label, _, _ in KEY_TABLES])
+    def test_every_knob_has_a_parser_that_its_default_passes(self, label, path, table):
         for key, entry in table.items():
             assert isinstance(entry, tuple) and len(entry) == 2, key
             default, parse = entry
             assert callable(parse), key
-            value = parse(default, key)
-            assert value == default and type(value) is type(default), key
+            name = f"{path}.{key}" if path else key
+            if f"{label}.{key}" in self.REQUIRED:
+                with pytest.raises(ConfigError, match=re.escape(name)):
+                    parse(default, name)
+                continue
+            value = parse(default, name)
+            if isinstance(default, dict):  # a nested section: its family's keys
+                assert isinstance(value, dict) and value, key
+            else:
+                assert value == default and type(value) is type(default), key
 
     def test_runners_read_typed_knobs(self):
         source = Path(kgd_cli.__file__).read_text()
         for cast in ("int(knobs", "float(knobs", "_count(knobs"):
             assert cast not in source, cast
+
+
+def _selector(table: tuple, path: str):
+    """The key that picks a family of ``table``, read by its section's parser."""
+    section = _family(table)
+    return lambda raw, name: section({table[0]: raw}, path)
+
+
+# (case id, name, parser) for every leaf key of every table. A new key joins
+# the sweep by being in its table.
+LEAVES = ([(f"{label}.{key}", f"{path}.{key}" if path else key, parse)
+           for label, path, table in KEY_TABLES for key, (_, parse) in table.items()]
+          + [(f"{path}.{table[0]}", f"{path}.{table[0]}", _selector(table, path))
+             for path, table in FAMILY_TABLES.items()])
+SWEEP = [None, True, False, "x", "", [], {}, [1.0], -1, 0, 0.5, 2.5, -0.0,
+         math.nan, math.inf, -math.inf, 1e308, -1e308]
+
+
+class TestSweep:
+    """Every leaf key of every table gets the same values through its own
+    parser. Each is a ConfigError naming the key, unless listed valid here."""
+
+    REALS = [-1, 0, 0.5, 2.5, -0.0, 1e308, -1e308]
+    PER_AXIS = REALS + [[1.0]]
+    POSITIVE = [0.5, 2.5, 1e308]
+    SCALE = [0.5, 2.5]  # a kernel or loss squares it: the square must be finite
+    SEED = [0, -0.0]  # a whole-valued float is a count
+    VALID = {
+        "run.seed": SEED,
+        "run.output": [None, "x", ""],  # the empty path is refused before the run
+        "reference.mean": PER_AXIS,
+        "reference.variance": POSITIVE + [[1.0]],
+        "kernel[imq].lengthscale": SCALE,
+        "kernel[gaussian].lengthscale": SCALE,
+        "kernel[mixture].weights": [None] + POSITIVE + [[1.0]],
+        "kernel[weighted-matrix].c": SCALE,
+        "kernel[weighted-matrix].exponent": REALS,
+        "kernel[weighted-matrix].base": [None, {}],
+        "loss[linear-quadratic].center": PER_AXIS,
+        "loss[linear-quadratic].weights": PER_AXIS,
+        "loss[mean-field-regression].data_seed": SEED,
+        "loss[mean-field-regression].lam": POSITIVE,
+        "loss[predictive-kernel].data_seed": SEED,
+        "loss[predictive-kernel].sigma": [0, 0.5, 2.5, -0.0],
+        "loss[predictive-kernel].lam": [None] + POSITIVE,
+        "sampler[mfld].step_size": POSITIVE,
+        "sampler[mfld].init": [None, {}],
+        "sampler[vgd].step_size": POSITIVE,
+        "sampler[vgd].init": [None, {}],
+        "sampler[kgdd].step_size": POSITIVE,
+        "sampler[kgdd].init": [None, {}],
+        "sampler[greedy].proposal_mean": PER_AXIS,
+        "sampler[greedy].proposal_scale": POSITIVE,
+        "sampler[greedy].refine_rounds": SEED,
+        "sampler.init[gaussian].mean": PER_AXIS,
+        "sampler.init[gaussian].variance": [0, 0.5, 2.5, -0.0, 1e308, [1.0]],
+        "gauss-identity.sizes": [[1.0]],
+        "gauss-identity.lengthscale": SCALE,
+        "clt-study.sizes": [[1.0]],
+        "clt-study.dimensions": [[1.0]],
+        "clt-study.offset": REALS,
+        "clt-study.lengthscale": SCALE,
+        "mfnn-stepsize.data_seed": SEED,
+        "mfnn-stepsize.lam": POSITIVE,
+        "mfnn-stepsize.lengthscale": SCALE,
+        "mfnn-stepsize.step_sizes": POSITIVE + [[1.0]],
+        "mfnn-compare.data_seed": SEED,
+        "mfnn-compare.lam": POSITIVE,
+        "mfnn-compare.lengthscale": SCALE,
+        "mfnn-compare.mfld_step_size": POSITIVE,
+        "mfnn-compare.kgdd_step_size": POSITIVE,
+        "mfnn-compare.vi_step_size": POSITIVE,
+        "lv-compare.data_seed": SEED,
+        "lv-compare.mfld_step_size": POSITIVE,
+        "lv-compare.vgd_step_size": POSITIVE,
+        "lv-compare.proposal_scale": POSITIVE,
+        "lv-compare.refine_rounds": SEED,
+        "lv-compare.true_x2": REALS,
+    }
+
+    @pytest.mark.parametrize("case, name, parse", LEAVES, ids=[case for case, _, _ in LEAVES])
+    def test_value_is_valid_or_a_config_error_naming_the_key(self, case, name, parse):
+        valid = {repr(value) for value in self.VALID.get(case, [])}
+        for value in SWEEP:
+            try:
+                parse(value, name)
+            except ConfigError as exc:
+                assert repr(value) not in valid, f"{name} refuses {value!r}: {exc}"
+                assert name in str(exc), f"{name} given {value!r}: {exc}"
+            else:
+                assert repr(value) in valid, f"{name} accepts {value!r}"
+
+    def test_every_valid_list_names_a_swept_key(self):
+        assert set(self.VALID) <= {case for case, _, _ in LEAVES}
+
+    def test_counts_stop_at_two_to_the_53(self):
+        assert _count(2**53, "n") == 2**53
+        assert _count(1e3, "n") == 1000 and type(_count(1e3, "n")) is int
+        for raw in (2**53 + 1, 1e308, 10**400):
+            with pytest.raises(ConfigError, match="n must be a whole number"):
+                _count(raw, "n")
+
+    # Loop counts are checked through their parsers only: before the bound, a
+    # run with one of them at 1e308 did not end.
+    LOOP_COUNTS = {"steps", "replicates", "mfld_steps", "kgdd_steps", "vi_steps",
+                   "refine_rounds"}
+
+    def test_loop_counts_refuse_huge_values(self):
+        cases = [(f"{path}.{key}" if path else key, parse) for _, path, table in KEY_TABLES
+                 for key, (_, parse) in table.items() if key in self.LOOP_COUNTS]
+        assert {name.rsplit(".", 1)[-1] for name, _ in cases} == self.LOOP_COUNTS
+        for name, parse in cases:
+            for raw in (1e308, 2**53 + 1):
+                with pytest.raises(ConfigError, match=re.escape(name)):
+                    parse(raw, name)
 
 
 class TestParticleFiles:
@@ -706,7 +849,20 @@ class TestInputFaults:
         "nan-coordinate": ("eval", {}, "1,2\nnan,4\n", "particles file"),
         "empty-file": ("eval", {}, "", "particles file"),
         "negative-seed": ("experiment", None, None, "--seed"),
+        # eval builds no sampler, but every section is parsed.
+        "eval-unbuilt-section": ("eval", {"sampler": {"steps": -1}}, "1,2\n", "sampler.steps"),
     }
+
+    @staticmethod
+    def _refused(argv: list[str], key: str, tmp_path: Path, capsys) -> None:
+        """``main(argv)`` is exit 2 with one config-error line naming ``key``,
+        no traceback, and nothing written to ``tmp_path``."""
+        before = set(tmp_path.iterdir())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_is_a_config_error(self, tmp_path, capsys, monkeypatch, case):
@@ -726,17 +882,16 @@ class TestInputFaults:
             else:
                 path.write_text(particles)
             argv += ["--particles", str(path)]
-        before = set(tmp_path.iterdir())
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and key in err
-        assert "Traceback" not in err
-        assert set(tmp_path.iterdir()) == before
+        self._refused(argv, key, tmp_path, capsys)
 
-    # A config file that is not YAML or not a file, and an empty output path,
+    # A config file that is not YAML, not UTF-8 or not a file, and an empty output path,
     # which would otherwise name the working directory.
     PATH_CASES = {
-        "config-not-yaml": (["sample", "--config", "bad.yaml", "--output", "o"], "config file"),
+        "config-not-yaml": (["sample", "--config", "bad.yaml", "--output", "o"],
+                            "config error: config file 'bad.yaml': expected ',' or ']', but got "
+                            "'<stream end>' (line 2, column 1)\n"),
+        "config-not-utf8": (["sample", "--config", "binary.yaml", "--output", "o"],
+                            "config file 'binary.yaml'"),
         "config-directory": (["sample", "--config", "cfgdir", "--output", "o"], "config file"),
         "sample-empty-output": (["sample", "--config", "ok.yaml", "--output", ""], "--output"),
         "run-output-empty": (["sample", "--config", "empty-out.yaml"], "run.output"),
@@ -750,16 +905,50 @@ class TestInputFaults:
         argv, key = self.PATH_CASES[case]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.yaml").write_text("reference: [1, 2\n")
+        (tmp_path / "binary.yaml").write_bytes(b"run: {seed: 1}\n\xff\n")
         (tmp_path / "cfgdir").mkdir()
         _write_config(tmp_path, {"loss": {"family": "zero"}}, "ok.yaml")
         _write_config(tmp_path, {"run": {"output": ""}, "loss": {"family": "zero"}},
                       "empty-out.yaml")
-        before = set(tmp_path.iterdir())
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and key in err
-        assert "Traceback" not in err
-        assert set(tmp_path.iterdir()) == before
+        self._refused(argv, key, tmp_path, capsys)
+
+    # A huge real that a kernel or the predictive loss squares as a Python
+    # float (OverflowError), and a huge count that sizes an array (numpy's
+    # "Maximum allowed dimension exceeded"): both ended in a traceback.
+    HUGE_CASES = {
+        "kernel-lengthscale": ({"kernel": {"lengthscale": 1e308}}, "kernel.lengthscale"),
+        "member-lengthscale": ({"kernel": {"family": "mixture",
+                                           "members": [{"lengthscale": 1e308}]}},
+                               "kernel.members[0].lengthscale"),
+        "weighted-matrix-c": ({"kernel": {"family": "weighted-matrix", "c": 1e308}}, "kernel.c"),
+        "loss-sigma": ({"loss": {"family": "predictive-kernel", "sigma": 1e308}}, "loss.sigma"),
+        "reference-dimension": ({"reference": {"dimension": 1e308}}, "reference.dimension"),
+        "loss-n-data": ({"reference": {"dimension": 4},
+                         "loss": {"family": "mean-field-regression", "n_data": 1e308}},
+                        "loss.n_data"),
+        "sampler-particles": ({"sampler": {"particles": 1e308}}, "sampler.particles"),
+        "sampler-n-candidates": ({"sampler": {"algorithm": "greedy", "n_candidates": 1e308}},
+                                 "sampler.n_candidates"),
+        **{f"{preset}-lengthscale": ((preset, "lengthscale=1e308"), "lengthscale")
+           for preset in ("gauss-identity", "clt-study", "mfnn-stepsize", "mfnn-compare")},
+        "gauss-identity-dimension": (("gauss-identity", "dimension=1e308"), "dimension"),
+        "clt-study-dimensions": (("clt-study", "dimensions=2;1e308"), "dimensions[1]"),
+        "mfnn-stepsize-n-data": (("mfnn-stepsize", "n_data=1e308"), "n_data"),
+        **{f"mfnn-compare-{knob}": (("mfnn-compare", f"{knob}=1e308"), knob)
+           for knob in ("particles", "kgdd_particles", "vi_sample")},
+        "lv-compare-n-candidates": (("lv-compare", "n_candidates=1e308"), "n_candidates"),
+    }
+
+    @pytest.mark.parametrize("case", list(HUGE_CASES))
+    def test_huge_value_is_a_config_error(self, tmp_path, capsys, monkeypatch, case):
+        spec, key = self.HUGE_CASES[case]
+        monkeypatch.chdir(tmp_path)
+        if isinstance(spec, dict):
+            argv = ["sample", "--config", _write_config(tmp_path, spec), "--output", "o"]
+        else:
+            preset, item = spec
+            argv = ["experiment", "--preset", preset, "--set", item, "--output", "o"]
+        self._refused(argv, key, tmp_path, capsys)
 
 
 MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",
