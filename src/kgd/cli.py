@@ -916,6 +916,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a count under its bound can still size an array past memory
+        print(f"config error: the run needs more memory than is available ({exc})",
+              file=sys.stderr)
+        return 2
     except (SamplerDivergence, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -73,24 +73,14 @@ def lv_params(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # where df1/dx1 = u1 alpha (1 - alpha) - u1 u2 beta (1 - alpha) and
 # df1/dx2 = -u1 u2 beta (1 - s2) follow from alpha = sigmoid(x1),
 # beta = alpha sigmoid(x2), s2 = sigmoid(x2). The drift is linear in the
-# state and in five products of it: u1 u2, u1 s10, u1 s11, u2 s00 and
-# u2 s01. ``lv_sensitivities`` keeps its Taylor coefficients as 13 rows
-# x points: rows 0-5 hold the state (u1, u2, s10, s11, s00, s01), row 6 is
-# a constant zero and rows 7-12 the products u1 (u2, s10, s11) and
-# u2 (s00, s01, 0): rows 0-1 times the (2, 3) block of rows 1-6, one
-# broadcast Cauchy product per order (row 12 is never read). Each state
-# row's drift sums at most five terms, coefficient times row, laid out
-# slot-major: _LV_ROWS[slot, output] is the row the term in that slot
-# reads, and an unused slot reads the zero row. ``lv_sensitivities``
-# builds the matching coefficients, (slots, 6, m), in the same layout.
-_LV_ROWS = np.array([
-    # u1 u2 s10 s11 s00 s01
-    [0,  7, 10, 11,  4,  5],
-    [7,  1,  8,  9, 10, 11],
-    [6,  6,  2,  3,  8,  9],
-    [6,  6,  6,  6,  0,  7],
-    [6,  6,  6,  6,  7,  6],
-])
+# state and in three sums of its products, Q = u2 (0, s00, s01) +
+# u1 (u2, s10, s11) = (u1 u2, u2 s00 + u1 s10, u2 s01 + u1 s11):
+#   du1 = alpha u1 - beta Q0,   du2 = delta Q0 - gamma u2,
+#   ds0j = alpha s0j - beta Q(j+1) + df1/dx_j,   ds1j = delta Q(j+1) - gamma s1j.
+# ``lv_sensitivities`` keeps each Taylor order as ten rows x points: a
+# constant zero, then (s00, s01, u2, s10, s11, u1), then Q. Rows (u2, u1)
+# are rows 3 and 6, and rows 0-5 read as (2, 3) are ((0, s00, s01),
+# (u2, s10, s11)), so Q is one Cauchy product of the one with the other.
 # Order of the Taylor series summed per step, and the default step.
 _TAYLOR_ORDER = 12
 _TAYLOR_STEP = 0.1
@@ -107,31 +97,39 @@ def lv_sensitivities(
     with the populations, S(0) = 0, by the fixed-step Taylor method for
     polynomial ODEs (Corliss & Chang 1982; Jorba & Zou 2005). The drift f is
     quadratic in the joint state y, so the Taylor coefficients follow
-    exactly from Cauchy products: f[k] is linear in y[k] and in the five
-    products' coefficients sum_j a[j] b[k - j], and y[k + 1] = f[k] / (k + 1).
-    A step evaluates the order-12 series at h by Horner's rule. Each
-    inter-record segment is covered by round(dt / step) equal steps, so
-    record times are hit exactly. Populations and sensitivities share the
-    steps, so the returned sens is the exact derivative of the discrete map
-    x -> u (up to rounding), not only an approximation of the continuous
-    one. Finite differences of the RK4 solver ``kgd.oracles.lv_solve``
-    check it only to within that solver's own error.
+    exactly from Cauchy products: f[k] is linear in y[k] and in the product
+    sums' coefficients Q[k] = sum_j a[j] b[k - j], and y[k + 1] =
+    f[k] / (k + 1). The coefficients are kept scaled by h^k, which the
+    Cauchy product preserves, so an order costs two calls: one ``einsum``
+    for Q[k], and one contracting the nine rows past the zero row of order
+    k with a per-point (9, 6) drift table prescaled by h / (k + 1) into the
+    six state rows of order k + 1. A step's end is then one sum over the 13
+    orders, the smallest (highest) first. The twelve tables are rebuilt in
+    place when a segment's step length changes, so an irregular grid costs
+    no more memory. Each inter-record segment is covered by round(dt / step)
+    equal steps, so record times are hit exactly. Populations and
+    sensitivities share the steps, so the returned sens is the exact
+    derivative of the discrete map x -> u (up to rounding), not only an
+    approximation of the continuous one. Finite differences of the RK4
+    solver ``kgd.oracles.lv_solve`` check it only to within that solver's
+    own error.
 
-    Every operation is elementwise over the points, with no BLAS call, so a
-    point's u and sens are bitwise the same whatever other points share its
-    call: any split of a batch into calls gives the same bytes. A call makes
-    a fixed number of numpy operations, five per order of each step (600
-    steps of order 12 for t up to 60 at the default step), each a fixed
-    dispatch cost plus work linear in the batch size m. Dispatch dominates
-    small batches: on a 2-vCPU Xeon VM at t up to 60, a call took about
-    0.09 s at m = 4 or 24, 0.26 s at m = 244 and 0.77 s at m = 976. A batch
+    Every operation is elementwise over the points, with no BLAS call
+    (``einsum`` without ``optimize`` is numpy's own loop), so a point's u and
+    sens are bitwise the same whatever other points share its call: any
+    split of a batch into calls gives the same bytes. A call makes a fixed
+    number of numpy operations, two per order of each step (600 steps of
+    order 12 for t up to 60 at the default step), each a fixed dispatch cost
+    plus work linear in the batch size m. Dispatch dominates small batches:
+    on a 2-vCPU Xeon VM at t up to 60, a call took about 0.045 s at m = 4,
+    0.049 s at m = 24, 0.107 s at m = 244 and 0.43 s at m = 976. A batch
     costs far less than its points solved one call each, so callers should
     pass all the points they need in one batch.
 
     Args:
         x: Unconstrained parameters, shape (m, 2).
-        times: Strictly increasing observation times, shape (N,).
-        step: Target Taylor step size.
+        times: Strictly increasing nonnegative observation times, shape (N,), N >= 1.
+        step: Target Taylor step size, positive and finite.
 
     Returns:
         Tuple (u, sens) with shapes (m, N, 2) and (m, N, 2, 2); the trailing
@@ -140,56 +138,54 @@ def lv_sensitivities(
     x = np.asarray(x, dtype=float)
     m = x.shape[0]
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
-        raise ValueError("times must be strictly increasing and nonnegative")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0) or times[0] < 0.0:
+        raise ValueError("times must be a non-empty 1-d array, strictly increasing and nonnegative")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     alpha, beta = lv_params(x)
     s2 = sigmoid(x[..., 1])
-    # a = alpha, b = -beta, d = delta, g = -gamma and z = 0, per point.
-    a, b, d, g, z = alpha, -beta, np.full(m, LV_DELTA), np.full(m, -LV_GAMMA), np.zeros(m)
-    coef = np.stack([
-        a, d, d, d, a, a,
-        b, g, d, d, b, b,
-        z, z, g, g, b, b,
-        z, z, z, z, alpha * (1.0 - alpha), b * (1.0 - s2),
-        z, z, z, z, b * (1.0 - alpha), z,
-    ]).reshape(_LV_ROWS.shape + (m,))
-
-    # Per order k: the Cauchy product's two factors, a[0..k] and b[k..0]
-    # (a reversed view) as (k + 1, 2, m) and (k + 1, 2, 3, m), the (2, 3, m)
-    # product rows it fills, and the rows the drift reads and writes.
+    # drift[r, o]: the coefficient of row r + 1 in the drift of row o + 1.
+    s00, s01, u2, s10, s11, u1, q0, q1, q2 = range(9)
+    drift = np.zeros((9, 6, m))
+    drift[[s00, s01, u1], [s00, s01, u1]] = alpha
+    drift[[u2, s10, s11], [u2, s10, s11]] = -LV_GAMMA
+    drift[[q0, q1, q2], [u2, s10, s11]] = LV_DELTA
+    drift[[q1, q2, q0], [s00, s01, u1]] = -beta
+    drift[u1, s00] = alpha * (1.0 - alpha)
+    drift[q0, s00] = -beta * (1.0 - alpha)
+    drift[q0, s01] = -beta * (1.0 - s2)
     order = _TAYLOR_ORDER
-    series = np.zeros((order + 1, 13, m))
+    tables = np.empty((order,) + drift.shape)
+    series = np.zeros((order + 1, 10, m))
+    # Per order k: the Cauchy product's factors (u2, u1)[0..k] and the
+    # reversed rows 0-5 [k..0], views as (k + 1, 2, m) and (k + 1, 2, 3, m);
+    # the Q rows it fills; the rows the table reads; the next state rows.
     orders = [
-        (series[:k + 1, 0:2], series[k::-1, 1:7].reshape(k + 1, 2, 3, m),
-         series[k, 7:13].reshape(2, 3, m), series[k], series[k + 1, :6], float(k + 1))
+        (series[:k + 1, 3:7:3], series[k::-1, :6].reshape(k + 1, 2, 3, m), series[k, 7:],
+         tables[k], series[k, 1:], series[k + 1, 1:7])
         for k in range(order)
     ]
-    terms = np.empty(_LV_ROWS.shape + (m,))
-    horner = [series[k, :6] for k in range(order - 1, -1, -1)]
-    y = series[0, :6]
-    y[0], y[1] = LV_INIT
+    y = series[0, 1:7]  # the state rows
+    y[5], y[2] = LV_INIT
     u = np.empty((m, times.size, 2))
     sens = np.empty((m, times.size, 4))
-    t_prev = 0.0
+    t_prev, h_tables = 0.0, None
     for n, t_n in enumerate(times):
         dt = t_n - t_prev
         if dt > 0.0:
             n_sub = max(1, int(round(dt / step)))
             h = dt / n_sub
+            if h != h_tables:
+                np.multiply(drift, (h / np.arange(1.0, order + 1.0))[:, None, None, None],
+                            out=tables)
+                h_tables = h
             for _ in range(n_sub):
-                for left, right, prod_out, rows, drift_out, k1 in orders:
-                    np.einsum("kim,kijm->ijm", left, right, out=prod_out)
-                    rows.take(_LV_ROWS, axis=0, out=terms)
-                    terms *= coef
-                    np.add.reduce(terms, axis=0, out=drift_out)
-                    drift_out /= k1
-                step_end = series[order, :6].copy()
-                for c in horner:
-                    step_end *= h
-                    step_end += c
-                y[...] = step_end
-        u[:, n] = y[:2].T
-        sens[:, n] = y[[4, 5, 2, 3]].T
+                for left, right, q_out, table, rows, state_out in orders:
+                    np.einsum("kim,kijm->jm", left, right, out=q_out)
+                    np.einsum("rom,rm->om", table, rows, out=state_out)
+                y[...] = np.add.reduce(series[::-1, 1:7], axis=0)
+        u[:, n] = y[[5, 2]].T
+        sens[:, n] = y[[0, 1, 3, 4]].T
         t_prev = float(t_n)
     return u, sens.reshape(m, -1, 2, 2)
 

@@ -840,6 +840,9 @@ class TestInputFaults:
         "negative-seed": ("experiment", None, None, "--seed"),
         # eval builds no sampler, but every section is parsed.
         "eval-unbuilt-section": ("eval", {"sampler": {"steps": -1}}, "1,2\n", "sampler.steps"),
+        # A count under 2**53 that asks for 64 PiB: numpy refuses it at once, allocating nothing.
+        "reference-dimension-memory": ("eval", {"reference": {"dimension": 2**53}}, "1,2\n",
+                                       "the run needs more memory than is available"),
     }
 
     @staticmethod

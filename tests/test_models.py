@@ -166,6 +166,27 @@ class TestSensitivities:
         u = lv_sensitivities(self.x[None], times)[0][0]
         np.testing.assert_allclose(u, lv_solve(self.x, times, step=0.002), rtol=1e-12)
 
+    # Segments that round to different step lengths (0.11, 0.0957, 0.1,
+    # 0.0991, 0.1005): the drift tables, prescaled by the step, are rebuilt
+    # as the step changes.
+    irregular_times = np.array([0.33, 1.0, 2.7, 4.0, 9.55, 20.0])
+
+    def test_irregular_grid_matches_plain_solver(self):
+        u = lv_sensitivities(self.x[None], self.irregular_times)[0][0]
+        np.testing.assert_allclose(u, lv_solve(self.x, self.irregular_times, step=0.002),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [
+        {"times": np.array([])}, {"times": np.zeros((2, 2))}, {"step": 0.0}, {"step": -0.1},
+        {"step": np.inf},
+    ], ids=["empty-times", "2d-times", "zero-step", "negative-step", "infinite-step"])
+    def test_rejects_bad_times_and_step(self, bad):
+        # An empty grid raised IndexError, a zero step ZeroDivisionError, and
+        # a negative or infinite step silently took one step per segment.
+        kwargs = {"times": np.array([1.0, 2.0]), "step": 0.1} | bad
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            lv_sensitivities(self.x[None], **kwargs)
+
     def test_sens_is_the_derivative_of_the_discrete_map(self):
         # At step 0.5 the discrete map is measurably off the continuous
         # flow: its sens differs from the default step's by 4e-8 of
@@ -209,7 +230,7 @@ class TestSensitivities:
         (1, 2, 4, 7, 9, 221), (240, 4), (4, 240), (122, 122), (7, 9, 228), (2, 2, 240),
         (1, 975), (488, 488), (2, 3, 971),
     ])
-    def test_batch_invariance(self, split):
+    def test_batch_invariance(self, split, times=np.array([0.5, 2.0, 3.0])):
         # Bitwise: a point's solve may not depend on the other points in its
         # call, so batching several callers' points together moves no byte.
         # The batch is the split's total: 244 points (lv-ode's up-front
@@ -217,7 +238,6 @@ class TestSensitivities:
         # loops for the per-order products.
         m = sum(split)
         xs = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(5).standard_normal((m, 2))
-        times = np.array([0.5, 2.0, 3.0])
         u, sens = lv_sensitivities(xs, times)
         lo = 0
         for size in split:
@@ -227,6 +247,10 @@ class TestSensitivities:
         for i in (0, 3, 121, m - 4, m - 1):
             ui, si = lv_sensitivities(xs[i:i + 1], times)
             assert np.array_equal(ui[0], u[i]) and np.array_equal(si[0], sens[i])
+
+    @pytest.mark.parametrize("split", [(122, 122), (1, 243)])
+    def test_batch_invariance_across_step_lengths(self, split):
+        self.test_batch_invariance(split, self.irregular_times)
 
     def test_batched_shapes(self):
         u, s = lv_sensitivities(np.zeros((3, 2)), np.array([1.0, 2.0]))
