@@ -156,12 +156,14 @@ def _positive(raw: Any, name: str, zero: bool = False, square: bool = False) -> 
     """``raw``, the config value ``name``, as a finite positive number, or
     non-negative if ``zero``; with ``square``, its square is finite too (the
     kernels and the predictive loss square a scale as a Python float, which
-    raises OverflowError)."""
+    raises OverflowError), and positive unless ``zero`` (a kernel divides by
+    it)."""
     value = _real(raw)
-    if not (np.isfinite(value * value if square else value)
-            and (value > 0.0 or zero and value == 0.0)):
+    checked = value * value if square else value
+    if not (np.isfinite(checked) and (value >= 0.0 if zero else min(value, checked) > 0.0)):
         sign = "non-negative" if zero else "positive"
-        bound = "with a finite square" if square else "and finite"
+        square_is = "finite" if zero else "finite, non-zero"
+        bound = f"with a {square_is} square" if square else "and finite"
         raise ConfigError(f"{name} must be {sign} {bound}, got {raw!r}")
     return value
 

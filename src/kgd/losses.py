@@ -124,7 +124,7 @@ class InteractionLoss(VariationalLoss):
         return 2.0 * (u - u.mean(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass
 class MeanFieldRegressionLoss(VariationalLoss):
     """Scaled empirical risk of a measure-averaged network predictor.
 
@@ -158,21 +158,20 @@ class MeanFieldRegressionLoss(VariationalLoss):
     covariates: np.ndarray  # (N,)
     responses: np.ndarray  # (N,)
     lam: float = 300.0
-    # [atoms, t, r] for the atoms last fitted (``_fit``): a particle
-    # gradient reads them for the scores and again for the VJP, and a flow's
-    # trace row and its next step score the same atoms through two measures.
-    _last_fit: list = field(default_factory=list, init=False, repr=False, compare=False)
-    fits: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self) -> None:
-        z = np.asarray(self.covariates, dtype=float)
-        y = np.asarray(self.responses, dtype=float)
+        z = self.covariates = np.asarray(self.covariates, dtype=float)
+        y = self.responses = np.asarray(self.responses, dtype=float)
         if z.shape != y.shape or z.ndim != 1:
             raise ValueError("covariates and responses must be matching 1-d arrays")
         if z.size == 0:
             raise ValueError("covariates and responses must hold at least one data point")
-        object.__setattr__(self, "covariates", z)
-        object.__setattr__(self, "responses", y)
+        # The atoms last fitted, with their t and r (``_fit``): a particle
+        # gradient reads them for the scores and again for the VJP, and a
+        # flow's trace row and its next step score the same atoms through two
+        # measures.
+        self._fitted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self.fits = 0
 
     def _activations(self, x: np.ndarray) -> np.ndarray:
         """t = tanh(w1 z + b1) at (m, 4) parameter points, shape (m, N)."""
@@ -181,14 +180,13 @@ class MeanFieldRegressionLoss(VariationalLoss):
     def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
         """Activations t at the atoms, (n, N), and residuals r, (N,):
         computed once per set of atoms."""
-        last = self._last_fit
         atoms = measure.atoms
-        if not (last and np.array_equal(last[0], atoms)):
+        if self._fitted is None or not np.array_equal(self._fitted[0], atoms):
             t = self._activations(atoms)
             preds = np.mean(atoms[:, 2, None] * t + atoms[:, 3, None], axis=0)
-            last[:] = [atoms.copy(), t, self.responses - preds]
-            object.__setattr__(self, "fits", self.fits + 1)
-        return last[1], last[2]
+            self._fitted = (atoms.copy(), t, self.responses - preds)
+            self.fits += 1
+        return self._fitted[1], self._fitted[2]
 
     def value(self, measure: EmpiricalMeasure) -> float:
         _, resid = self._fit(measure)
@@ -251,12 +249,13 @@ def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:
     return np.exp(a, out=a)
 
 
-# Entries of one (rows N, p N) block of a predictive pair block: 32 MB.
+# Entries of the (rows, p, N, N) overlap array of one row chunk of a
+# predictive pair block: 32 MB.
 _PAIR_BLOCK_ENTRIES = 4_000_000
-# Entries of a (rows N, p N) or (rows, N, N) array of one chunk of candidates
-# in ``extension``: 0.25 MB. A block holds two such arrays at once, so a
-# chunk's temporaries stay under the solve of the candidates at lv-compare's
-# shape.
+# Entries of a (rows, p, N, N) or (rows, N, N) overlap array of one chunk of
+# candidates in ``extension``: 0.25 MB. A block holds two such arrays at once,
+# so a chunk's temporaries stay under the solve of the candidates at
+# lv-compare's shape.
 _EXTENSION_ENTRIES = 32_768
 
 
@@ -275,28 +274,31 @@ class PredictiveKernelLoss(VariationalLoss):
     L(Q) = (1/(2 lam n^2)) sum_ij pair(x_i, x_j) up to an additive constant,
     and var_grad(Q, x) = (1/(n lam)) sum_j grad_1 pair(x, x_j).
 
-    The double-expectation term of a pair block is built from (m N, p N)
-    arrays and matrix products. With the trajectories m_x(t_i) of the first
-    argument and m_y(t_j) of the second stacked as (m N, s) and (p N, s)
-    arrays and centred together,
+    The double-expectation term is one double sum over observation times,
+    ``_pair_sums``, on (N, s) trajectories stacked over leading axes that
+    broadcast: (rows, 1) against (p,) in a pair block, (m,) against itself
+    in a self-pair block. With the trajectories m_x(t_i) of the first
+    argument and m_y(t_j) of the second centred,
 
         a_ij = exp(-||m_x(t_i) - m_y(t_j)||^2 / (2 v)),  v = 1 + 2 sigma^2,
 
-    takes s outer differences and one ``exp``. The pair value is
-    v^(-s/2) / N^2 sum_ij a_ij, and its gradient in x is
+    takes s outer differences and one ``exp`` into an (..., N, N) array. The
+    pair value is v^(-s/2) / N^2 sum_ij a_ij, and its gradient in x is
 
         -v^(-s/2) / (v N^2) sum_i S_x(t_i)^T [(sum_j a_ij) m_x(t_i)
                                               - sum_j a_ij m_y(t_j)]
 
     with S_x the (s, d) sensitivity of m_x: the inner sums are one batched
-    product of a with the m_y, the outer sum one batched product with S_x.
-    The squared distances are not taken from the product form
-    |m_x|^2 + |m_y|^2 - 2 m_x.m_y: populations reach a few hundred, and
-    the cancellation there moves the gradients by about 4e-13 of their
-    largest entry, against 1e-14 for the differences. Rows are taken in
-    chunks that keep the (rows N, p N) block within ``_PAIR_BLOCK_ENTRIES``.
-    ``self_pair_block`` gives the diagonal pair(x, x) alone, from (m, N, N)
-    arrays.
+    product of a with the m_y, the outer sum one batched product of the
+    (1, N s) bracket with the (N s, d) sensitivities. The squared distances
+    are not taken from the product form |m_x|^2 + |m_y|^2 - 2 m_x.m_y:
+    populations reach a few hundred, and the cancellation there moves the
+    gradients by about 4e-13 of their largest entry, against 1e-14 for the
+    differences. A pair block centres both arguments on their common mean
+    and takes rows in chunks that keep the (rows, p, N, N) array within
+    ``_PAIR_BLOCK_ENTRIES``. ``self_pair_block`` gives the diagonal
+    pair(x, x) alone, from (m, N, N) arrays, each trajectory centred on its
+    own mean.
 
     A configuration that adds one point c to n atoms scores its atoms from
     sums the atoms already have: with S_i = sum_j grad_1 pair(x_i, x_j) over
@@ -405,39 +407,24 @@ class PredictiveKernelLoss(VariationalLoss):
         inner = np.einsum("mns,mnsd->mnd", scaled, sens)  # (m, N, d)
         return np.mean(prod, axis=-1), np.mean(prod[..., None] * inner, axis=1)
 
-    def _cross_block(
-        self, mx: np.ndarray, sx: np.ndarray, my: np.ndarray
+    def _pair_sums(
+        self, tx: np.ndarray, sx: np.ndarray, ty: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Double-expectation term over all pairs, (m, p), and its gradients
-        (m, p, d), from the solver outputs mx (m, N, s) and sensitivities sx
-        (m, N, s, d) of the first argument and the outputs my (p, N, s) of
-        the second (formulas in the class docstring)."""
-        (m, n_obs, s), p = mx.shape, my.shape[0]
+        """Double-expectation term (...) and its gradient in x (..., d) from
+        stacks that broadcast over their leading axes: the centred outputs tx
+        (..., N, s) and sensitivities sx (..., N, s, d) of the first argument
+        and the centred outputs ty (..., N, s) of the second (formulas in the
+        class docstring)."""
+        *_, n_obs, s = tx.shape
         v = 1.0 + 2.0 * self.sigma**2
-        # Centred together, so that the gradient's (sum_j a_ij) m_x(t_i) -
-        # sum_j a_ij m_y(t_j) cancels on smaller numbers.
-        centre = (mx.sum(axis=(0, 1)) + my.sum(axis=(0, 1))) / ((m + p) * n_obs)
-        tx = (mx - centre).reshape(m * n_obs, s)
-        ty_blocks = my - centre  # (p, N, s)
-        ty = ty_blocks.reshape(p * n_obs, s)
-        values = np.empty((m, p))
-        grads = np.empty((m, p, sx.shape[-1]))
-        chunk = max(1, _PAIR_BLOCK_ENTRIES // max(1, p * n_obs * n_obs))
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            rows = slice(lo * n_obs, hi * n_obs)
-            a = _overlap(tx[rows, None], ty[None], v)
-            a = a.reshape((hi - lo) * n_obs, p, n_obs)  # rows (x, t_i), (y, t_j)
-            weight = a.sum(axis=2)  # sum_j a_ij, (rows, p)
-            values[lo:hi] = weight.reshape(hi - lo, n_obs, p).sum(axis=1)
-            pulled = np.matmul(a.transpose(1, 0, 2), ty_blocks)  # (p, rows, s)
-            inner = weight.T[:, :, None] * tx[rows] - pulled
-            inner = inner.reshape(p, hi - lo, n_obs * s).transpose(1, 0, 2)
-            grads[lo:hi] = inner @ sx[lo:hi].reshape(hi - lo, n_obs * s, -1)
+        a = _overlap(tx[..., :, None, :], ty[..., None, :, :], v)  # (..., N, N)
+        weight = a.sum(axis=-1)  # sum_j a_ij, (..., N)
+        inner = weight[..., None] * tx - a @ ty  # (..., N, s)
         pref = v ** (-0.5 * s) / n_obs**2
-        values *= pref
-        grads *= -pref / v
-        return values, grads
+        # sum_i S_x(t_i)^T inner_i as one product over the (t_i, species) pairs
+        grads = (inner.reshape(*inner.shape[:-2], 1, n_obs * s)
+                 @ sx.reshape(*sx.shape[:-3], n_obs * s, -1))
+        return pref * weight.sum(axis=-1), (-pref / v) * grads[..., 0, :]
 
     def pair_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair values (m, p) and first-argument gradients (m, p, d); each
@@ -445,7 +432,17 @@ class PredictiveKernelLoss(VariationalLoss):
         mx, sx = self._solver_outputs(xs)
         my, _ = self._solver_outputs(ys)
         self.pair_blocks += 1
-        cross, cross_grad = self._cross_block(mx, sx, my)
+        (m, n_obs, _), p = mx.shape, my.shape[0]
+        # Centred together, so that the gradient's (sum_j a_ij) m_x(t_i) -
+        # sum_j a_ij m_y(t_j) cancels on smaller numbers.
+        centre = (mx.sum(axis=(0, 1)) + my.sum(axis=(0, 1))) / ((m + p) * n_obs)
+        tx, ty = mx - centre, my - centre
+        cross = np.empty((m, p))
+        cross_grad = np.empty((m, p, sx.shape[-1]))
+        chunk = max(1, _PAIR_BLOCK_ENTRIES // max(1, p * n_obs * n_obs))
+        for lo in range(0, m, chunk):
+            cross[lo:lo + chunk], cross_grad[lo:lo + chunk] = self._pair_sums(
+                tx[lo:lo + chunk, None], sx[lo:lo + chunk, None], ty)
         dx, gx = self._data_terms(mx, sx)
         dy = np.mean(self._data_fit(my), axis=-1)
         return cross - dx[:, None] - dy[None, :], cross_grad - gx[:, None, :]
@@ -456,15 +453,8 @@ class PredictiveKernelLoss(VariationalLoss):
         from (m, N, N) arrays, each trajectory centred on its own mean."""
         mx, sx = self._solver_outputs(xs)
         self.pair_blocks += 1
-        _, n_obs, s = mx.shape
-        v = 1.0 + 2.0 * self.sigma**2
         t = mx - mx.mean(axis=1, keepdims=True)
-        a = _overlap(t[:, :, None], t[:, None], v)
-        weight = a.sum(axis=2)  # sum_j a_ij, (m, N)
-        inner = weight[:, :, None] * t - a @ t
-        pref = v ** (-0.5 * s) / n_obs**2
-        cross = pref * weight.sum(axis=1)
-        cross_grad = (-pref / v) * np.einsum("mis,misd->md", inner, sx)
+        cross, cross_grad = self._pair_sums(t, sx, t)
         dx, gx = self._data_terms(mx, sx)
         return cross - dx - dx, cross_grad - gx
 

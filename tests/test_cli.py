@@ -317,17 +317,19 @@ LEAVES = ([(f"{label}.{key}", f"{path}.{key}" if path else key, parse)
           + [(f"{path}.{table[0]}", f"{path}.{table[0]}", _selector(table, path))
              for path, table in FAMILY_TABLES.items()])
 SWEEP = [None, True, False, "x", "", [], {}, [1.0], -1, 0, 0.5, 2.5, -0.0,
-         math.nan, math.inf, -math.inf, 1e308, -1e308]
+         math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-200]
 
 
 class TestSweep:
     """Every leaf key of every table gets the same values through its own
     parser. Each is a ConfigError naming the key, unless listed valid here."""
 
-    REALS = [-1, 0, 0.5, 2.5, -0.0, 1e308, -1e308]
+    REALS = [-1, 0, 0.5, 2.5, -0.0, 1e308, -1e308, 1e-200]
     PER_AXIS = REALS + [[1.0]]
-    POSITIVE = [0.5, 2.5, 1e308]
-    SCALE = [0.5, 2.5]  # a kernel or loss squares it: the square must be finite
+    POSITIVE = [0.5, 2.5, 1e308, 1e-200]
+    # A kernel divides by its squared scale: the square must be finite and
+    # non-zero (1e-200 squares to 0.0).
+    SCALE = [0.5, 2.5]
     SEED = [0, -0.0]  # a whole-valued float is a count
     VALID = {
         "run.seed": SEED,
@@ -345,7 +347,7 @@ class TestSweep:
         "loss[mean-field-regression].data_seed": SEED,
         "loss[mean-field-regression].lam": POSITIVE,
         "loss[predictive-kernel].data_seed": SEED,
-        "loss[predictive-kernel].sigma": [0, 0.5, 2.5, -0.0],
+        "loss[predictive-kernel].sigma": [0, 0.5, 2.5, -0.0, 1e-200],  # enters as 1 + sigma^2
         "loss[predictive-kernel].lam": [None] + POSITIVE,
         "sampler[mfld].step_size": POSITIVE,
         "sampler[mfld].init": [None, {}],
@@ -357,7 +359,7 @@ class TestSweep:
         "sampler[greedy].proposal_scale": POSITIVE,
         "sampler[greedy].refine_rounds": SEED,
         "sampler.init[gaussian].mean": PER_AXIS,
-        "sampler.init[gaussian].variance": [0, 0.5, 2.5, -0.0, 1e308, [1.0]],
+        "sampler.init[gaussian].variance": [0, 0.5, 2.5, -0.0, 1e308, 1e-200, [1.0]],
         "gauss-identity.sizes": [[1.0]],
         "gauss-identity.lengthscale": SCALE,
         "clt-study.sizes": [[1.0]],
@@ -843,6 +845,9 @@ class TestInputFaults:
         # A count under 2**53 that asks for 64 PiB: numpy refuses it at once, allocating nothing.
         "reference-dimension-memory": ("eval", {"reference": {"dimension": 2**53}}, "1,2\n",
                                        "the run needs more memory than is available"),
+        # Its square underflows to 0.0, which the kernel divides by.
+        "tiny-lengthscale": ("eval", {"kernel": {"family": "imq", "lengthscale": 1e-200}},
+                             "1,2\n", "kernel.lengthscale"),
     }
 
     @staticmethod
@@ -971,6 +976,7 @@ class TestExperimentVerb:
     @pytest.mark.parametrize(
         "preset, item",
         [("mfnn-compare", "lengthscale=0"), ("clt-study", "lengthscale=0"),
+         ("gauss-identity", "lengthscale=1e-200"),
          ("mfnn-compare", "kgdd_step_size=-1"), ("lv-compare", "vgd_step_size=0"),
          ("mfnn-compare", "mfld_step_size=-1"), ("lv-compare", "mfld_step_size=-1"),
          ("mfnn-compare", "vi_steps=-2"), ("mfnn-stepsize", "lam=0"),

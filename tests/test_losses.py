@@ -369,10 +369,35 @@ def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
+def _data_terms(loss: PredictiveKernelLoss, xs: np.ndarray):
+    """Each point's data term (1/N) sum_i E[kappa(y_i, Y_i(x))], (m,), and
+    its gradient, (m, d), written out from ``gaussian_smooth``."""
+    means, sens = loss.solver(xs, loss.times)
+    fit = np.prod(gaussian_smooth(loss.observations, means, loss.sigma), axis=-1)  # (m, N)
+    scaled = (loss.observations - means) / (1.0 + loss.sigma**2)
+    grads = np.einsum("mn,mns,mnsd->md", fit, scaled, sens) / loss.times.size
+    return fit.mean(axis=1), grads
+
+
 def _cross(loss: PredictiveKernelLoss, xs: np.ndarray, ys: np.ndarray):
-    """The loss's double-expectation block of xs against ys."""
-    mx, sx = loss._solver_outputs(xs)
-    return loss._cross_block(mx, sx, loss._solver_outputs(ys)[0])
+    """The loss's double-expectation block of xs against ys: ``pair_block``
+    with both data terms added back."""
+    values, grads = loss.pair_block(xs, ys)
+    (dx, gx), (dy, _) = _data_terms(loss, xs), _data_terms(loss, ys)
+    return values + dx[:, None] + dy[None, :], grads + gx[:, None, :]
+
+
+def _overlap_sizes(monkeypatch) -> list[int]:
+    """Records the size of every array ``losses._overlap`` returns."""
+    sizes, overlap = [], losses._overlap
+
+    def recorded(*args):
+        a = overlap(*args)
+        sizes.append(a.size)
+        return a
+
+    monkeypatch.setattr(losses, "_overlap", recorded)
+    return sizes
 
 
 class TestPredictiveKernelLoss:
@@ -491,15 +516,15 @@ class TestPredictiveKernelLoss:
         loss = _wave_loss()
         rng = np.random.default_rng(21)
         xs, ys = rng.standard_normal((5, 2)), rng.standard_normal((3, 2))
-        whole_values, whole_grads = _cross(loss, xs, ys)
+        whole = loss.pair_block(xs, ys)
         # Two rows per chunk: chunks of 2, 2 and 1 rows.
         monkeypatch.setattr(losses, "_PAIR_BLOCK_ENTRIES", 2 * 3 * loss.times.size**2)
-        values, grads = _cross(loss, xs, ys)
-        want_values, want_grads = _broadcast_cross(loss, xs, ys)
-        for got, whole, want in ((values, whole_values, want_values),
-                                 (grads, whole_grads, want_grads)):
+        sizes = _overlap_sizes(monkeypatch)
+        for got, want in zip(loss.pair_block(xs, ys), whole):
+            np.testing.assert_array_equal(got, want)
+        assert len(sizes) == 3 and max(sizes) <= losses._PAIR_BLOCK_ENTRIES
+        for got, want in zip(_cross(loss, xs, ys), _broadcast_cross(loss, xs, ys)):
             _assert_close_to_max(got, want, 1e-12)
-            _assert_close_to_max(got, whole, 1e-12)
 
     def test_pair_block_fetches_each_argument_once(self):
         # One read of the solver outputs per argument serves both the cross
@@ -576,8 +601,11 @@ class TestPredictiveKernelLoss:
         # atoms, two cross blocks each and the atoms' own block.
         monkeypatch.setattr(losses, "_EXTENSION_ENTRIES", 2 * max(n, 1) * loss.times.size**2)
         blocks = loss.pair_blocks
-        chunked = loss.extension(atoms)(candidates)
+        grads = loss.extension(atoms)  # takes the atoms' own block, outside any chunk
+        sizes = _overlap_sizes(monkeypatch)
+        chunked = grads(candidates)
         assert loss.pair_blocks - blocks == (1 + 3 * 3 if n else 3)
+        assert max(sizes) <= losses._EXTENSION_ENTRIES
         _assert_close_to_max(chunked, want, 1e-12)
 
 
