@@ -160,7 +160,7 @@ def _positive(raw: Any, name: str, zero: bool = False, square: bool = False) -> 
     it)."""
     value = _real(raw)
     checked = value * value if square else value
-    if not (np.isfinite(checked) and (value >= 0.0 if zero else min(value, checked) > 0.0)):
+    if not (np.isfinite(checked) and (value >= 0.0 if zero else value > 0.0 and checked > 0.0)):
         sign = "non-negative" if zero else "positive"
         square_is = "finite" if zero else "finite, non-zero"
         bound = f"with a {square_is} square" if square else "and finite"
