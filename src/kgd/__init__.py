@@ -7,7 +7,6 @@ from .core import (
     seeded_stream,
 )
 from .discrepancy import (
-    KGDEstimate,
     ScalingStudy,
     clt_scaling_study,
     gen_score,
@@ -54,7 +53,6 @@ __all__ = [
     "DiagonalGaussian",
     "EmpiricalMeasure",
     "seeded_stream",
-    "KGDEstimate",
     "ScalingStudy",
     "clt_scaling_study",
     "gen_score",

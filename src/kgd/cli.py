@@ -236,12 +236,13 @@ _KERNELS = ("family", "imq", _RADIAL[2] | {
     "weighted-matrix": {"c": (1.0, _scale), "exponent": (0.0, _finite),
                         "base": ({}, _family(_RADIAL))},
 })
+# The mean-field loss's keys, also knobs of the two mean-field presets.
+_MEAN_FIELD = {"data_seed": (0, _count0), "n_data": (300, _count), "lam": (300.0, _positive)}
 _LOSSES = ("family", "zero", {
     "zero": {},
     "linear-quadratic": {"center": (0.0, _axes(_finite)), "weights": (1.0, _axes(_finite))},
     "interaction-quadratic": {},
-    "mean-field-regression": {"data_seed": (0, _count0), "n_data": (300, _count),
-                              "lam": (300.0, _positive)},
+    "mean-field-regression": _MEAN_FIELD,
     "predictive-kernel": {"data_seed": (1, _count0), "sigma": (1.0, partial(_scale, zero=True)),
                           "lam": (None, _optional(_positive))},
 })
@@ -475,13 +476,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError(f"particles file '{args.particles}': particle dimension "
                           f"{atoms.shape[1]} != reference dimension {ref.dim}")
     measure = EmpiricalMeasure(atoms)
-    v = kgd_v_squared(kernel, ref, loss, measure)
+    v2 = kgd_v_squared(kernel, ref, loss, measure)
     print(f"n {measure.n}")
-    print(f"kgd_v2 {_fmt(v.value2)}")
-    print(f"kgd_v {_fmt(v.value)}")
+    print(f"kgd_v2 {_fmt(v2)}")
+    print(f"kgd_v {_fmt(math.sqrt(max(v2, 0.0)))}")  # V is nonnegative up to roundoff
     if measure.n >= 2:
-        u = kgd_u_squared(kernel, ref, loss, measure)
-        print(f"kgd_u2 {_fmt(u.value2)}")
+        print(f"kgd_u2 {_fmt(kgd_u_squared(kernel, ref, loss, measure))}")
     return 0
 
 
@@ -610,13 +610,8 @@ def _preset_clt_study(seed: int, knobs: dict) -> tuple[Outputs, dict]:
     return Outputs(["dimension", "n", "sd_v2"], rows, study.largest_draw), slopes
 
 
-def _mfnn_loss(knobs: dict) -> MeanFieldRegressionLoss:
-    data = gen_mfnn_data(knobs["data_seed"], knobs["n_data"])
-    return MeanFieldRegressionLoss(data.covariates, data.responses, lam=knobs["lam"])
-
-
 def _preset_mfnn_stepsize(seed: int, knobs: dict) -> tuple[Outputs, dict]:
-    loss = _mfnn_loss(knobs)
+    loss = build_loss({**knobs, "family": "mean-field-regression"}, 4)
     ref = DiagonalGaussian.standard(4)
     kernel = IMQ(knobs["lengthscale"])
     n = knobs["particles"]
@@ -631,9 +626,8 @@ def _preset_mfnn_stepsize(seed: int, knobs: dict) -> tuple[Outputs, dict]:
                     atoms0, ref, loss, eps, knobs["steps"],
                     seeded_stream(seed, "mfld", idx, rep), trace_kernel=None,
                 )
-                final = kgd_v_squared(
-                    kernel, ref, loss, EmpiricalMeasure(run.atoms)
-                ).value
+                v2 = kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(run.atoms))
+                final = math.sqrt(max(v2, 0.0))
                 final_atoms = run.atoms
             except SamplerDivergence:
                 final = float("inf")
@@ -694,7 +688,7 @@ def _mfnn_arms(seed: int, knobs: dict, loss: MeanFieldRegressionLoss) -> list[tu
 
 
 def _preset_mfnn_compare(seed: int, knobs: dict) -> tuple[Outputs, dict]:
-    loss = _mfnn_loss(knobs)
+    loss = build_loss({**knobs, "family": "mean-field-regression"}, 4)
     outputs, runs, _ = _drive_arms(_mfnn_arms(seed, knobs, loss), loss)
     # Each step scores every particle of its arm once.
     rows = [[arm, step, float(step * len(runs[arm].atoms)), k] for arm, step, k in outputs.rows]
@@ -790,10 +784,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
     ),
     "mfnn-stepsize": (
         _preset_mfnn_stepsize,
-        {
-            "data_seed": (0, _count0),
-            "n_data": (300, _count),
-            "lam": (300.0, _positive),
+        _MEAN_FIELD | {
             "lengthscale": (1.0, _scale),
             "particles": (50, _count),
             "steps": (200, _count),
@@ -803,10 +794,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
     ),
     "mfnn-compare": (
         _preset_mfnn_compare,
-        {
-            "data_seed": (0, _count0),
-            "n_data": (300, _count),
-            "lam": (300.0, _positive),
+        _MEAN_FIELD | {
             "lengthscale": (1.0, _scale),
             "particles": (50, _count),
             "mfld_step_size": (1e-4, _positive),
@@ -814,7 +802,7 @@ _PRESETS: dict[str, tuple[Callable[[int, dict], tuple[Outputs, dict]], Table]] =
             "kgdd_particles": (20, _count),
             "kgdd_step_size": (1e-2, _positive),
             "kgdd_steps": (25, _count),
-            "vi_sample": (50, _count),
+            "vi_sample": (50, partial(_count, least=2)),  # the U-statistic needs two atoms
             "vi_step_size": (1e-3, _positive),
             "vi_steps": (60, _count),
             "trace_every": (10, _count),

@@ -66,8 +66,9 @@ arrays; with beta the shifted scores,
 The diagonal is closed-form: -2 d phi'(0) + phi(0) ||b_i||^2 for a radial
 core, d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2 for the linear one.
 The estimators take sum_ij h = sum_i w_i (h w)_i and the trace
-sum_i w_i^2 h_ii, per term. A non-finite sum falls back to ``stein_gram``,
-whose error names the first non-finite entry.
+sum_i w_i^2 h_ii, per term, and return the statistic as a float. A sum that
+is not finite, or a pass that overflows on the way, falls back to
+``stein_gram``, whose error names the first non-finite entry.
 
 ``particle_grad`` differentiates n^2 V in the atoms on the same slabs. The
 scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
@@ -310,11 +311,16 @@ def _term_rows(kernel, atoms: np.ndarray, scores: np.ndarray, order: int):
 
 def _stein_sums(kernel, atoms: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
     """Sum over all entries and trace of the Stein Gram, summed over the
-    kernel's terms, without forming the Gram."""
+    kernel's terms, without forming the Gram; (nan, nan) if an operation of
+    the pass overflows or is invalid."""
     total = trace = 0.0
-    for coef, _, w, (_, rows, diag, _) in _term_rows(kernel, atoms, scores, 2):
-        total += coef * float(w @ rows)
-        trace += coef * float((w * w) @ diag)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for coef, _, w, (_, rows, diag, _) in _term_rows(kernel, atoms, scores, 2):
+                total += coef * float(w @ rows)
+                trace += coef * float((w * w) @ diag)
+    except FloatingPointError:
+        return math.nan, math.nan
     return total, trace
 
 
@@ -375,18 +381,19 @@ def stein_gram(
     n, d = atoms.shape
     scores = gen_score(ref, loss, measure, atoms)
     gram = np.zeros((n, n))
-    for coef, tilts, core in kernel.terms():
-        w, b = _tilt(tilts, atoms, scores)
-        if core.is_radial:
-            diffs = atoms[:, None, :] - atoms[None, :, :]
-            sq = np.einsum("ijd,ijd->ij", diffs, diffs)
-            phi, dphi, d2phi = core.profile(sq, 2, np.empty((3, n, n)))
-            h = (-2.0 * d * dphi - 4.0 * sq * d2phi + phi * (b @ b.T)
-                 + 2.0 * dphi * np.einsum("ijd,ijd->ij", diffs, b[None] - b[:, None]))
-        else:
-            xb = _rowdot(atoms, b)
-            h = d + xb[:, None] + xb + (core.c**2 + atoms @ atoms.T) * (b @ b.T)
-        gram += coef * np.outer(w, w) * h
+    with np.errstate(over="ignore", invalid="ignore"):  # every entry is checked below
+        for coef, tilts, core in kernel.terms():
+            w, b = _tilt(tilts, atoms, scores)
+            if core.is_radial:
+                diffs = atoms[:, None, :] - atoms[None, :, :]
+                sq = np.einsum("ijd,ijd->ij", diffs, diffs)
+                phi, dphi, d2phi = core.profile(sq, 2, np.empty((3, n, n)))
+                h = (-2.0 * d * dphi - 4.0 * sq * d2phi + phi * (b @ b.T)
+                     + 2.0 * dphi * np.einsum("ijd,ijd->ij", diffs, b[None] - b[:, None]))
+            else:
+                xb = _rowdot(atoms, b)
+                h = d + xb[:, None] + xb + (core.c**2 + atoms @ atoms.T) * (b @ b.T)
+            gram += coef * np.outer(w, w) * h
     if not np.isfinite(gram).all():
         i, j = np.argwhere(~np.isfinite(gram))[0]
         raise FloatingPointError(
@@ -418,27 +425,15 @@ def _gram_sums(
     return total, trace
 
 
-@dataclass(frozen=True)
-class KGDEstimate:
-    """Squared-discrepancy estimate."""
-
-    value2: float
-
-    @property
-    def value(self) -> float:
-        """Nonnegative root; the V-statistic is nonnegative up to roundoff."""
-        return float(np.sqrt(max(self.value2, 0.0)))
-
-
 def kgd_v_squared(
     kernel,
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
-) -> KGDEstimate:
+) -> float:
     """V-statistic (1/n^2) sum_ij h(x_i, x_j); nonnegative for psd kernels."""
     total, _ = _gram_sums(kernel, ref, loss, measure)
-    return KGDEstimate(total / measure.n**2)
+    return total / measure.n**2
 
 
 def kgd_u_squared(
@@ -446,14 +441,14 @@ def kgd_u_squared(
     ref: DiagonalGaussian,
     loss: VariationalLoss,
     measure: EmpiricalMeasure,
-) -> KGDEstimate:
+) -> float:
     """U-statistic over off-diagonal pairs; unbiased at stationarity, can be
     negative."""
     n = measure.n
     if n < 2:
         raise ValueError("the U-statistic needs at least two atoms")
     total, trace = _gram_sums(kernel, ref, loss, measure)
-    return KGDEstimate((total - trace) / (n * (n - 1)))
+    return (total - trace) / (n * (n - 1))
 
 
 @dataclass(frozen=True)

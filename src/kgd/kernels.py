@@ -81,10 +81,16 @@ class ScalarKernel:
         raise NotImplementedError(f"{self.family} kernel is not radial")
 
 
+@dataclass(frozen=True)
 class _RadialKernel(ScalarKernel):
     """k(x, y) = phi(s) with s = ||x - y||^2, read through ``profile``."""
 
+    lengthscale: float = 1.0
     is_radial = True
+
+    def __post_init__(self) -> None:
+        if not self.lengthscale > 0.0:
+            raise ValueError("lengthscale must be positive")
 
     def terms(self) -> tuple[Term, ...]:
         return ((1.0, (), self),)
@@ -94,12 +100,7 @@ class _RadialKernel(ScalarKernel):
 class IMQ(_RadialKernel):
     """Inverse multiquadric k(x, y) = (1 + ||x - y||^2 / lengthscale^2)^(-1/2)."""
 
-    lengthscale: float = 1.0
     family = "imq"
-
-    def __post_init__(self) -> None:
-        if not self.lengthscale > 0.0:
-            raise ValueError("lengthscale must be positive")
 
     def profile(self, sq: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
         # With r = 1 / (1 + s / ell^2), phi = r^(1/2) and each derivative is
@@ -122,12 +123,7 @@ class IMQ(_RadialKernel):
 class Gaussian(_RadialKernel):
     """Squared-exponential k(x, y) = exp(-||x - y||^2 / lengthscale^2)."""
 
-    lengthscale: float = 1.0
     family = "gaussian"
-
-    def __post_init__(self) -> None:
-        if not self.lengthscale > 0.0:
-            raise ValueError("lengthscale must be positive")
 
     def profile(self, sq: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
         ell2 = self.lengthscale**2
@@ -200,14 +196,21 @@ class Linear(ScalarKernel):
         return ((1.0, (), self),)
 
 
+@dataclass(frozen=True)
 class _Tilted(ScalarKernel):
     """k(x, y) = w(x) g(x, y) w(y) with w(x) = (c^2 + ||x||^2)^(power / 2).
 
-    Subclasses give ``c``, ``power`` and the inner kernel ``inner`` = g.
+    Subclasses give ``power`` and the inner kernel ``inner`` = g.
     ``terms`` prepends this tilt to each of g's terms, which is all the Stein
     assembly needs: by the tilt identity (module docstring) it reads only w
     and grad log w, and the particle gradient also Hess log w.
     """
+
+    c: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.c > 0.0:
+            raise ValueError("c must be positive")
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         """w(x) over the last axis of x; shape of x without the last axis."""
@@ -240,13 +243,8 @@ class NormalizedLinear(_Tilted):
     the linear kernel tilted by u, so k(x, x) = 1 for every x. Not radial.
     """
 
-    c: float = 1.0
     family = "normalized-linear"
     power = -1.0
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
 
     @property
     def inner(self) -> Linear:
@@ -265,14 +263,9 @@ class WeightedMatrixKernel(_Tilted):
     base + nlin, and is used like any other scalar kernel.
     """
 
-    c: float = 1.0
     exponent: float = 0.0
     base: ScalarKernel = IMQ()
     family = "weighted-matrix"
-
-    def __post_init__(self) -> None:
-        if not self.c > 0.0:
-            raise ValueError("c must be positive")
 
     @property
     def power(self) -> float:

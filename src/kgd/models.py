@@ -1,9 +1,10 @@
 """Data and forward models behind the data-driven losses: the synthetic
 regression data of the mean-field network, and the Lotka-Volterra
 predator-prey system, solved jointly with its forward sensitivities by a
-fixed-step order-12 Taylor-series method, with its synthetic data. The network itself is the closed
-form of ``kgd.losses.MeanFieldRegressionLoss``; its stacked derivatives,
-the reference for that form, are in ``kgd.oracles``.
+fixed-step order-12 Taylor-series method, with its synthetic data. The
+network itself is the closed form of ``kgd.losses.MeanFieldRegressionLoss``;
+its stacked derivatives, the reference for that form, are in
+``kgd.oracles``.
 """
 
 from __future__ import annotations

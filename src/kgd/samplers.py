@@ -111,8 +111,7 @@ class SamplerRun:
 
 
 def _trace_value(trace_kernel, ref, loss, atoms: np.ndarray) -> float:
-    measure = EmpiricalMeasure(atoms)
-    return kgd_v_squared(trace_kernel, ref, loss, measure).value2
+    return kgd_v_squared(trace_kernel, ref, loss, EmpiricalMeasure(atoms))
 
 
 # ---------------------------------------------------------------------------

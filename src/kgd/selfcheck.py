@@ -63,7 +63,7 @@ def check_classical_equivalence(rng: np.random.Generator) -> Result:
     ref, kern, worst = DiagonalGaussian.standard(3), IMQ(1.0), 0.0
     for _ in range(5):
         atoms, w = rng.normal(size=(12, 3)), rng.uniform(0.5, 1.5, size=3)
-        mine = kgd_v_squared(kern, ref, LinearLoss(np.zeros(3), w), EmpiricalMeasure(atoms)).value2
+        mine = kgd_v_squared(kern, ref, LinearLoss(np.zeros(3), w), EmpiricalMeasure(atoms))
         orc = reference_ksd_squared(lambda X: ref.log_grad(X) - w * X, kern, atoms)
         worst = max(worst, abs(mine - orc) / abs(orc))
     return worst < 1e-12, f"worst rel {worst:.2e}"
@@ -97,7 +97,7 @@ def check_radial_gram(rng: np.random.Generator) -> Result:
     """Radial Gram route on a translated cloud against the classical form."""
     atoms, ref, worst = 1e3 + rng.normal(size=(12, 3)), DiagonalGaussian.standard(3), 0.0
     for kern in (IMQ(0.8), Gaussian(1.5)):
-        mine = kgd_v_squared(kern, ref, InteractionLoss(), EmpiricalMeasure(atoms)).value2
+        mine = kgd_v_squared(kern, ref, InteractionLoss(), EmpiricalMeasure(atoms))
         orc = reference_ksd_squared(lambda X: -X - 2.0 * (X - X.mean(axis=0)), kern, atoms)
         worst = max(worst, abs(mine - orc) / abs(orc))
     return worst < 1e-12, f"worst rel {worst:.2e}"
@@ -112,7 +112,7 @@ def check_tilted_gram(rng: np.random.Generator) -> Result:
     for kern in (WeightedMatrixKernel(c=1.2, exponent=0.5, base=IMQ(0.9)),
                  Mixture((IMQ(1.0), NormalizedLinear(1.2)))):
         h = reference_stein_kernel(kern, score, atoms, atoms)
-        mine = kgd_v_squared(kern, ref, loss, mea).value2
+        mine = kgd_v_squared(kern, ref, loss, mea)
         worst = max(worst, abs(mine - h.mean()) / abs(h.mean()))
         drift = reference_drift(kern, score, atoms)
         err = np.max(np.abs(stein_drift(kern, atoms, score(atoms)) - drift))
@@ -156,7 +156,7 @@ def check_particle_gradient(rng: np.random.Generator) -> Result:
             for loss in cloud_losses:
                 for u_stat, est in ((False, kgd_v_squared), (True, kgd_u_squared)):
                     fd = fd_gradient(lambda f: est(kern, ref, loss, EmpiricalMeasure(
-                        f.reshape(atoms.shape))).value2, atoms.ravel())
+                        f.reshape(atoms.shape))), atoms.ravel())
                     err = np.max(np.abs(particle_grad(kern, ref, loss, atoms, u_stat).ravel() - fd))
                     worst = max(worst, float(err / max(1.0, np.max(np.abs(fd)))))
     return worst < 1e-6, f"worst scaled error {worst:.2e}"
@@ -262,7 +262,7 @@ def check_greedy_incremental(rng: np.random.Generator) -> Result:
         loss.prefetch(np.vstack([atoms, candidates]))
         fast = _objective(assess, ref, loss, atoms)
         slow = lambda pts: np.array([kgd_v_squared(assess, ref, loss, EmpiricalMeasure(
-            np.vstack([atoms, x[None, :]]))).value2 for x in pts])
+            np.vstack([atoms, x[None, :]]))) for x in pts])
         best = candidates[np.argmin(slow(candidates))]
         lines = best + np.linspace(-0.1, 0.1, 9)[:, None, None] * np.eye(2)
         loss.prefetch(lines.reshape(-1, 2))

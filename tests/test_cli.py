@@ -41,7 +41,6 @@ from kgd.cli import (
     _positive,
     _lv_arms,
     _mfnn_arms,
-    _mfnn_loss,
     build_init,
     build_kernel,
     build_loss,
@@ -507,10 +506,8 @@ class TestSampleVerb:
         out = tmp_path / "run2"
         main(["sample", "--config", cfg, "--output", str(out)])
         atoms = read_particles(out / "particles.csv")
-        final = kgd_v_squared(
-            IMQKernel(1.0), DiagonalGaussian.standard(2), ZeroLoss(),
-            EmpiricalMeasure(atoms),
-        ).value2
+        final = kgd_v_squared(IMQKernel(1.0), DiagonalGaussian.standard(2), ZeroLoss(),
+                              EmpiricalMeasure(atoms))
         last = (out / "trace.csv").read_text().splitlines()[-1]
         np.testing.assert_allclose(float(last.split(",")[1]), final, rtol=1e-15)
 
@@ -776,6 +773,13 @@ class TestEvalVerb:
         assert float(lines["kgd_v"]) == pytest.approx(float(lines["kgd_v2"]) ** 0.5)
         assert "kgd_u2" in lines
 
+    def test_root_clips_roundoff_below_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(kgd_cli, "kgd_v_squared", lambda *args: -1e-16)
+        p = tmp_path / "p.csv"
+        write_particles(p, np.array([[0.0, 0.0]]))
+        assert main(["eval", "--config", _write_config(tmp_path, {}), "--particles", str(p)]) == 0
+        assert "kgd_v 0\n" in capsys.readouterr().out
+
     def test_single_particle_skips_the_u_statistic(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
         write_particles(p, np.array([[0.0, 0.0]]))
@@ -791,8 +795,6 @@ class TestEvalVerb:
         assert main(["eval", "--config", cfg, "--particles", str(p)]) == 2
         assert "dimension" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_gram_maps_to_exit_code_three(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         write_particles(p, np.array([[1e200, 0.0], [0.0, 1.0], [1.0, 1.0]]))
@@ -801,6 +803,20 @@ class TestEvalVerb:
         captured = capsys.readouterr()
         assert "non-finite Stein Gram entry (0, 0)" in captured.err
         assert "kgd_v2" not in captured.out
+
+    def test_stein_overflow_is_one_stderr_line(self, tmp_path):
+        # Scores near 1e200 overflow the Stein pass. Run outside pytest's
+        # warning filters, so a numpy warning would print before the message.
+        root = Path(__file__).resolve().parents[1]
+        (tmp_path / "p.csv").write_text("1,2\n3,4\n0.5,1\n")
+        cfg = _write_config(tmp_path, {"reference": {"variance": 1.0e-200}})
+        argv = ["eval", "--config", cfg, "--particles", "p.csv"]
+        out = subprocess.run([sys.executable, "-m", "kgd.cli", *argv], cwd=tmp_path,
+                             env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                             capture_output=True, text=True)
+        assert out.returncode == 3
+        assert out.stderr.startswith("numeric failure: non-finite Stein Gram entry")
+        assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_score_maps_to_exit_code_three(self, tmp_path, capsys):
@@ -839,7 +855,11 @@ class TestInputFaults:
         "directory": ("eval", {}, "", "particles file"),
         "nan-coordinate": ("eval", {}, "1,2\nnan,4\n", "particles file"),
         "empty-file": ("eval", {}, "", "particles file"),
-        "negative-seed": ("experiment", None, None, "--seed"),
+        "negative-seed": ("experiment", ["--preset", "gauss-identity", "--seed", "-1", "--set",
+                                         "sizes=10;20", "--set", "replicates=2"], None, "--seed"),
+        # The parametric arm differentiates the U-statistic; one atom failed mid-run.
+        "vi-sample-one": ("experiment", ["--preset", "mfnn-compare", "--set", "vi_sample=1"], None,
+                          "vi_sample"),
         # eval builds no sampler, but every section is parsed.
         "eval-unbuilt-section": ("eval", {"sampler": {"steps": -1}}, "1,2\n", "sampler.steps"),
         # A count under 2**53 that asks for 64 PiB: numpy refuses it at once, allocating nothing.
@@ -866,8 +886,7 @@ class TestInputFaults:
         verb, body, particles, key = self.CASES[case]
         monkeypatch.chdir(tmp_path)
         if verb == "experiment":
-            argv = ["experiment", "--preset", "gauss-identity", "--seed", "-1",
-                    "--set", "sizes=10;20", "--set", "replicates=2", "--output", "o"]
+            argv = ["experiment", *body, "--output", "o"]
         elif verb == "sample":  # run.output is the output unless --output is given
             argv = ["sample", "--config", _write_config(tmp_path, body)]
             argv += [] if "run" in body else ["--output", "o"]
@@ -1174,7 +1193,7 @@ class TestExperimentVerb:
         knobs = self._meta(out)["knobs"]
         arms, fits = [], 0
         for k in range(3):
-            loss = _mfnn_loss(knobs)
+            loss = build_loss({**knobs, "family": "mean-field-regression"}, 4)
             arm, runs, _ = _drive_arms([_mfnn_arms(3, knobs, loss)[k]], loss)
             (run,) = runs.values()
             rows = [[name, step, float(step * len(run.atoms)), value]
@@ -1197,6 +1216,14 @@ class TestExperimentVerb:
         summary = self._meta(out)["summary"]
         assert summary["ode_solves"] == 252
         assert summary["solver_calls"] == 3 and summary["driver_rounds"] == 3
+
+    def test_mfnn_stepsize_root_clips_roundoff_below_zero(self, tmp_path, monkeypatch):
+        # Each run's final is the clipped root, not a math-domain error.
+        monkeypatch.setattr(kgd_cli, "kgd_v_squared", lambda *args: -1e-16)
+        out = self._run(tmp_path, "mfnn-stepsize", "step_sizes=1e-4", "particles=4", "steps=2",
+                        "replicates=2", "n_data=20")
+        assert (out / "trace.csv").read_text().splitlines()[1].split(",")[1] == "0"
+        assert self._meta(out)["summary"]["median_kgd_by_step_size"] == {"0.0001": 0.0}
 
     def test_seed_is_recorded_and_respected(self, tmp_path):
         out_a = self._run(tmp_path, "gauss-identity", "sizes=10;20", "replicates=2")

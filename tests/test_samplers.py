@@ -117,7 +117,7 @@ class TestMFLD:
         run = mfld_run(atoms, ref, loss, 0.01, k, seeded_stream(3, "fit"),
                        trace_kernel=IMQ(1.0), trace_every=1)
         assert loss.fits == k + 1 and len(run.kgd2) == k + 1
-        final = kgd_v_squared(IMQ(1.0), ref, make(), EmpiricalMeasure(run.atoms)).value2
+        final = kgd_v_squared(IMQ(1.0), ref, make(), EmpiricalMeasure(run.atoms))
         assert run.kgd2[-1] == final
 
     def test_run_iterates_the_step(self):
@@ -145,9 +145,7 @@ class TestMFLD:
         np.testing.assert_array_equal(run.steps, [0, 4, 6])
         assert run.kgd2.shape == run.wall.shape == (3,)
         assert (np.diff(run.wall) >= 0.0).all()
-        final = kgd_v_squared(
-            IMQ(1.0), self.REF, ZeroLoss(), EmpiricalMeasure(run.atoms)
-        ).value2
+        final = kgd_v_squared(IMQ(1.0), self.REF, ZeroLoss(), EmpiricalMeasure(run.atoms))
         np.testing.assert_allclose(run.kgd2[-1], final, rtol=1e-15)
 
     def test_final_trace_row_not_duplicated(self):
@@ -320,7 +318,7 @@ class TestKGDDGradient:
             for u_stat, estimator in ((False, kgd_v_squared), (True, kgd_u_squared)):
                 def objective(flat):
                     measure = EmpiricalMeasure(flat.reshape(atoms.shape))
-                    return estimator(kernel, ref, loss, measure).value2
+                    return estimator(kernel, ref, loss, measure)
 
                 fd = fd_gradient(objective, atoms.ravel(), 1e-5 / (1.0 + offset))
                 if u_stat:
@@ -351,7 +349,7 @@ class TestKGDDGradient:
         g = particle_grad(kernel, ref, loss, push(theta), u_statistic=True)
         chained = np.concatenate([(g.T @ base).ravel(), g.sum(axis=0)])
         fd = fd_gradient(
-            lambda th: kgd_u_squared(kernel, ref, loss, EmpiricalMeasure(push(th))).value2, theta
+            lambda th: kgd_u_squared(kernel, ref, loss, EmpiricalMeasure(push(th))), theta
         )
         np.testing.assert_allclose(chained, fd, atol=GRAD_TOL)
 
@@ -436,7 +434,7 @@ class TestGreedy:
         search = SearchSpec(proposal_mean=np.full(d, 0.5), n_candidates=30,
                             refine_rounds=refine_rounds)
         run = greedy_extend(self.KERNEL, ref, loss, search, 5, seed=3)
-        want = [kgd_v_squared(self.KERNEL, ref, loss, EmpiricalMeasure(run.atoms[:k])).value2
+        want = [kgd_v_squared(self.KERNEL, ref, loss, EmpiricalMeasure(run.atoms[:k]))
                 for k in range(1, 6)]
         np.testing.assert_array_equal(run.kgd2, want)
 
@@ -561,7 +559,7 @@ class TestIncrementalGreedy:
         point."""
         return lambda points: np.array([
             kgd_v_squared(self.KERNEL, self.REF, loss,
-                          EmpiricalMeasure(np.vstack([atoms, x[None, :]]))).value2
+                          EmpiricalMeasure(np.vstack([atoms, x[None, :]])))
             for x in points])
 
     def _pick(self, loss, atoms, candidates):
@@ -600,7 +598,7 @@ class TestIncrementalGreedy:
         series = gen_lv_data(1, times=np.arange(1.0, 11.0))
         loss = PredictiveKernelLoss(series.times, series.observations)
         run = greedy_extend(self.KERNEL, self.REF, loss, self.SEARCH, 3, seed=3)
-        want = [kgd_v_squared(self.KERNEL, self.REF, loss, EmpiricalMeasure(run.atoms[:k])).value2
+        want = [kgd_v_squared(self.KERNEL, self.REF, loss, EmpiricalMeasure(run.atoms[:k]))
                 for k in range(1, 4)]
         np.testing.assert_array_equal(run.kgd2, want)
 
