@@ -13,7 +13,6 @@ from .discrepancy import (
     kgd_u_squared,
     kgd_v_squared,
     particle_grad,
-    stein_gram,
 )
 from .kernels import (
     IMQ,
@@ -30,21 +29,18 @@ from .losses import (
     PredictiveKernelLoss,
     VariationalLoss,
     ZeroLoss,
-    gaussian_smooth,
 )
 from .samplers import (
     OptimizerSpec,
     SamplerDivergence,
     SamplerRun,
     SearchSpec,
-    greedy_extend,
-    greedy_next,
-    kgdd_grad,
-    kgdd_run,
-    mfld_run,
-    mfld_step,
-    vgd_run,
-    vgd_step,
+    drive,
+    flow_stepper,
+    greedy_stepper,
+    kgdd_stepper,
+    mfld_stepper,
+    vgd_stepper,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +55,6 @@ __all__ = [
     "kgd_u_squared",
     "kgd_v_squared",
     "particle_grad",
-    "stein_gram",
     "IMQ",
     "Gaussian",
     "Mixture",
@@ -72,18 +67,15 @@ __all__ = [
     "PredictiveKernelLoss",
     "VariationalLoss",
     "ZeroLoss",
-    "gaussian_smooth",
     "OptimizerSpec",
     "SamplerDivergence",
     "SamplerRun",
     "SearchSpec",
-    "greedy_extend",
-    "greedy_next",
-    "kgdd_grad",
-    "kgdd_run",
-    "mfld_run",
-    "mfld_step",
-    "vgd_run",
-    "vgd_step",
+    "drive",
+    "flow_stepper",
+    "greedy_stepper",
+    "kgdd_stepper",
+    "mfld_stepper",
+    "vgd_stepper",
     "__version__",
 ]

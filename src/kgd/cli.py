@@ -33,7 +33,7 @@ import yaml
 
 from . import __version__
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import (ScalingStudy, clt_scaling_study, kgd_u_squared, kgd_v_squared,
+from .discrepancy import (ScalingStudy, _gram_sums, clt_scaling_study, kgd_v_squared,
                           particle_grad)
 from .kernels import IMQ, Gaussian, Mixture, WeightedMatrixKernel
 from .losses import (
@@ -475,13 +475,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if atoms.shape[1] != ref.dim:
         raise ConfigError(f"particles file '{args.particles}': particle dimension "
                           f"{atoms.shape[1]} != reference dimension {ref.dim}")
-    measure = EmpiricalMeasure(atoms)
-    v2 = kgd_v_squared(kernel, ref, loss, measure)
-    print(f"n {measure.n}")
+    n = atoms.shape[0]
+    # One Stein pass gives both statistics, as in kgd_v_squared and kgd_u_squared.
+    total, trace = _gram_sums(kernel, ref, loss, EmpiricalMeasure(atoms))
+    v2 = total / n**2
+    print(f"n {n}")
     print(f"kgd_v2 {_fmt(v2)}")
     print(f"kgd_v {_fmt(math.sqrt(max(v2, 0.0)))}")  # V is nonnegative up to roundoff
-    if measure.n >= 2:
-        print(f"kgd_u2 {_fmt(kgd_u_squared(kernel, ref, loss, measure))}")
+    if n >= 2:
+        print(f"kgd_u2 {_fmt((total - trace) / (n * (n - 1)))}")
     return 0
 
 

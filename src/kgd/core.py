@@ -34,10 +34,6 @@ class EmpiricalMeasure:
     def n(self) -> int:
         return self.atoms.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
 
 @dataclass(frozen=True)
 class DiagonalGaussian:
@@ -67,10 +63,6 @@ class DiagonalGaussian:
     def log_grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of the log density, broadcasting over leading axes."""
         return -(np.asarray(x, dtype=float) - self.mean) / self.variances
-
-    def log_grad_jacobian(self) -> np.ndarray:
-        """Jacobian of the log-density gradient; constant -diag(1/variances)."""
-        return -np.diag(1.0 / self.variances)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + np.sqrt(self.variances) * rng.standard_normal((n, self.dim))

@@ -361,7 +361,7 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
         for tilt in tilts:
             grad += (coef * w * rows)[:, None] * tilt.log_weight_grad(atoms)
             grad += tilt.log_weight_hvp(atoms, tw)
-    grad += weight @ ref.log_grad_jacobian() - loss.var_grad_vjp(measure, weight)
+    grad += weight * (-1.0 / ref.variances) - loss.var_grad_vjp(measure, weight)
     return grad / (n * (n - 1) if u_statistic else n**2)
 
 

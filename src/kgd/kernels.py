@@ -131,8 +131,9 @@ class Gaussian(_RadialKernel):
         np.negative(sq, out=phi)
         phi /= ell2
         np.exp(phi, out=phi)
+        # Each derivative is the one before over -ell^2: no power of ell^2 to overflow.
         for k in range(1, order + 1):
-            np.divide(phi, (-ell2) ** k, out=out[k])
+            np.divide(out[k - 1], -ell2, out=out[k])
         return out
 
 
@@ -227,7 +228,7 @@ class _Tilted(ScalarKernel):
         power (v / s - 2 x (x.v) / s^2) with s = c^2 + ||x||^2."""
         s = self.c**2 + np.einsum("id,id->i", x, x)
         xv = np.einsum("id,id->i", x, v)
-        return self.power * (v / s[:, None] - (2.0 * xv / s**2)[:, None] * x)
+        return self.power * (v / s[:, None] - (2.0 * xv / s / s)[:, None] * x)
 
     def terms(self) -> tuple[Term, ...]:
         return tuple(

@@ -232,7 +232,8 @@ def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarr
     """E[exp(-(obs - Y)^2 / 2)] for Y ~ N(mean, sigma^2), elementwise."""
     v = 1.0 + sigma**2
     diff = np.asarray(obs, dtype=float) - np.asarray(mean, dtype=float)
-    return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
+    with np.errstate(over="ignore"):  # a square past the float range smooths to 0
+        return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
 
 
 def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:

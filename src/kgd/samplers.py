@@ -110,10 +110,6 @@ class SamplerRun:
     wall: np.ndarray
 
 
-def _trace_value(trace_kernel, ref, loss, atoms: np.ndarray) -> float:
-    return kgd_v_squared(trace_kernel, ref, loss, EmpiricalMeasure(atoms))
-
-
 # ---------------------------------------------------------------------------
 # Steppers and the lockstep driver. A stepper is a generator: it yields the
 # (m, d) points its next evaluation needs, is resumed once the driver has
@@ -187,7 +183,7 @@ def flow_stepper(
             yield atoms
         if traced:
             steps.append(step)
-            kgd2.append(_trace_value(trace_kernel, ref, loss, atoms))
+            kgd2.append(kgd_v_squared(trace_kernel, ref, loss, EmpiricalMeasure(atoms)))
             wall.append(time.perf_counter() - start)
     return SamplerRun(
         atoms, np.asarray(steps, dtype=int), np.asarray(kgd2), np.asarray(wall)
@@ -409,7 +405,7 @@ def _objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.n
         for i, (pts, b) in enumerate(zip(configs, scores)):
             total = _stein_sums(kernel, pts, b)[0] if np.isfinite(b).all() else math.nan
             out[i] = (total / (n + 1) ** 2 if math.isfinite(total)
-                      else _trace_value(kernel, ref, loss, pts))
+                      else kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)))
         return out
 
     return values
@@ -449,7 +445,8 @@ def _greedy_point(
                 best_val = float(line_vals[k])
         # Best grid point sits within one spacing of the line optimum.
         spans = 2.0 * spans / (_REFINE_POINTS - 1)
-    return best, _trace_value(kernel, ref, loss, np.vstack([atoms, best[None, :]]))
+    chosen = EmpiricalMeasure(np.vstack([atoms, best[None, :]]))
+    return best, kgd_v_squared(kernel, ref, loss, chosen)
 
 
 def greedy_next(

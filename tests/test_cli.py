@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 import kgd.cli as kgd_cli
-from kgd import selfcheck
+from kgd import discrepancy, selfcheck
 from kgd.cli import (
     _INITS,
     _KERNELS,
@@ -131,6 +131,14 @@ class TestParseConfig:
         cfg = parse_config(path)
         assert cfg["run"]["seed"] == 3
         assert cfg["reference"]["dimension"] == 1
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    quickstart = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(quickstart, "README.md", "exec"), {})
+    before, after = map(float, capsys.readouterr().out.split(" -> "))
+    assert after < before
 
 
 def _section(name: str, body: dict) -> dict:
@@ -774,11 +782,22 @@ class TestEvalVerb:
         assert "kgd_u2" in lines
 
     def test_root_clips_roundoff_below_zero(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(kgd_cli, "kgd_v_squared", lambda *args: -1e-16)
+        monkeypatch.setattr(kgd_cli, "_gram_sums", lambda *args: (-1e-16, 0.0))
         p = tmp_path / "p.csv"
         write_particles(p, np.array([[0.0, 0.0]]))
         assert main(["eval", "--config", _write_config(tmp_path, {}), "--particles", str(p)]) == 0
         assert "kgd_v 0\n" in capsys.readouterr().out
+
+    def test_both_statistics_come_from_one_stein_pass(self, tmp_path, capsys, monkeypatch):
+        passes = []
+        stein_sums = discrepancy._stein_sums
+        monkeypatch.setattr(discrepancy, "_stein_sums",
+                            lambda *args: passes.append(args) or stein_sums(*args))
+        p = tmp_path / "p.csv"
+        write_particles(p, np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]))
+        assert main(["eval", "--config", _write_config(tmp_path, {}), "--particles", str(p)]) == 0
+        assert "kgd_u2" in capsys.readouterr().out
+        assert len(passes) == 1
 
     def test_single_particle_skips_the_u_statistic(self, tmp_path, capsys):
         p = tmp_path / "one.csv"
@@ -965,6 +984,69 @@ class TestInputFaults:
             preset, item = spec
             argv = ["experiment", "--preset", preset, "--set", item, "--output", "o"]
         self._refused(argv, key, tmp_path, capsys)
+
+
+class TestRunFaults:
+    """Valid extreme values whose runs once ended in a traceback or leaked a
+    numpy warning. Each run is exit 0 with every value of ``trace.csv`` and
+    ``particles.csv`` finite, or exit 2 or 3 with exactly one stderr line;
+    pytest's ``error::RuntimeWarning`` filter fails a leaked warning."""
+
+    SAMPLERS = {
+        "mfld": {"particles": 4, "steps": 2, "step_size": 0.01},
+        "vgd": {"particles": 4, "steps": 2, "step_size": 0.01},
+        "kgdd": {"particles": 4, "steps": 2, "step_size": 0.01},
+        "greedy": {"points": 3, "n_candidates": 8, "refine_rounds": 1},
+    }
+
+    @staticmethod
+    def _ends_cleanly(argv: list[str], out: Path, capsys) -> tuple[int, str]:
+        """``main(argv)``'s exit code and stderr, held to the rule above."""
+        rc = main(argv)
+        err = capsys.readouterr().err
+        if rc == 0:
+            trace = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+            assert np.isfinite(trace).all()
+            assert np.isfinite(np.loadtxt(out / "particles.csv", delimiter=",")).all()
+        else:
+            assert rc in (2, 3) and len(err.splitlines()) == 1, err
+        return rc, err
+
+    def _sample(self, tmp_path, capsys, algorithm: str, kernel: dict,
+                loss: str = "linear-quadratic") -> tuple[int, str]:
+        body = {"kernel": kernel, "loss": {"family": loss},
+                "sampler": {"algorithm": algorithm, **self.SAMPLERS[algorithm]}}
+        argv = ["sample", "--config", _write_config(tmp_path, body), "--output",
+                str(tmp_path / "o")]
+        return self._ends_cleanly(argv, tmp_path / "o", capsys)
+
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_huge_gaussian_lengthscale_runs(self, tmp_path, capsys, algorithm):
+        # Its profile took (-ell^2)^3 as a Python float: OverflowError.
+        kernel = {"family": "gaussian", "lengthscale": 1.0e150}
+        assert self._sample(tmp_path, capsys, algorithm, kernel) == (0, "")
+
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_tiny_gaussian_lengthscale_is_one_line(self, tmp_path, capsys, algorithm):
+        # (-ell^2)^2 underflowed to 0: a divide-by-zero warning came first.
+        kernel = {"family": "gaussian", "lengthscale": 1.0e-150}
+        rc, err = self._sample(tmp_path, capsys, algorithm, kernel)
+        assert rc == 3 and "non-finite Stein Gram entry (0, 0)" in err
+
+    @pytest.mark.parametrize("loss", ["zero", "linear-quadratic", "interaction-quadratic"])
+    def test_huge_tilt_c_under_kgdd_runs(self, tmp_path, capsys, loss):
+        # The tilt's Hessian-vector product squared s = c^2 + |x|^2 past the float range.
+        kernel = {"family": "weighted-matrix", "c": 1.0e150, "exponent": -0.5}
+        assert self._sample(tmp_path, capsys, "kgdd", kernel, loss) == (0, "")
+
+    def test_huge_lv_proposal_scale_is_one_line(self, tmp_path, capsys):
+        # The observation smoothing squared a population difference past the float range.
+        argv = ["experiment", "--preset", "lv-compare", "--output", str(tmp_path / "o")]
+        for item in ("particles=2", "steps=2", "n_candidates=4", "refine_rounds=1",
+                     "proposal_scale=1e150"):
+            argv += ["--set", item]
+        rc, err = self._ends_cleanly(argv, tmp_path / "o", capsys)
+        assert rc == 3 and "non-finite score at atom 0" in err
 
 
 MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",
