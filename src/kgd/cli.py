@@ -95,11 +95,11 @@ def _resolve(raw: Any, path: str, table: Table, chosen: str = "") -> dict:
     each key's value, or else its default, read by the key's parser. Any
     other key is an error naming its path."""
     section = _require_mapping(raw, path or "<top>")
+    prefix = f"{path}." if path else ""
     for key in section:
         if key not in table:
-            raise ConfigError(f"unknown key '{path or '<top>'}.{key}'{chosen}; "
-                              f"available: {sorted(table)}")
-    return {key: parse(section.get(key, default), f"{path}.{key}" if path else key)
+            raise ConfigError(f"unknown key '{prefix}{key}'{chosen}; available: {sorted(table)}")
+    return {key: parse(section.get(key, default), prefix + key)
             for key, (default, parse) in table.items()}
 
 

@@ -29,11 +29,13 @@ and both are linear in k, so the terms add.
 
 A radial g = phi(s) is read on slabs of ``_BLOCK`` rows of the squared
 distances s_ij = ||x_i - x_j||^2 between the centred atoms X
-(``_radial_slabs``, the one place they are computed). The atoms are centred
-because every radial term is translation-invariant but the product form of
-s is not: on a cloud far from the origin it subtracts large, nearly equal
-numbers. With B the shifted scores, c_i = x_i.b_i and (phi' v)_i =
-sum_j phi'_ij v_j,
+(``_radial_slabs``, the one place they are computed). Each slab is one
+matrix product: with L = [X | ||x||^2 | 1] and R = [-2X | 1 | ||x||^2],
+built once per pass (``_distance_factors``), s = L R^T, clamped at zero.
+The atoms are centred because every radial term is translation-invariant
+but the product form of s is not: on a cloud far from the origin it
+subtracts large, nearly equal numbers. With B the shifted scores,
+c_i = x_i.b_i and (phi' v)_i = sum_j phi'_ij v_j,
 
     h = -2 d phi'(s) - 4 s phi''(s) + 2 phi'(s) (x_i.b_j + x_j.b_i - c_i - c_j)
         + phi(s) b_i.b_j,
@@ -155,33 +157,47 @@ def _slabs(count: int, rows: int, cols: int) -> np.ndarray:
     return _workspace[:size].reshape(count, rows, cols)
 
 
-def _radial_slabs(core, x: np.ndarray, order: int):
+def _distance_factors(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The centred atoms x and the factors L = [x | |x|^2 | 1] and
+    R = [-2x | 1 | |x|^2], two views of one (n, 2d + 4) buffer, whose product
+    L R^T is the squared distances s_ij = -2 x_i.x_j + |x_i|^2 + |x_j|^2
+    (``_radial_slabs``)."""
+    n, d = atoms.shape
+    factors = np.ones((n, 2 * d + 4))
+    x = atoms - atoms.sum(axis=0) / n
+    factors[:, :d] = x
+    np.einsum("id,id->i", x, x, out=factors[:, d])
+    np.multiply(x, -2.0, out=factors[:, d + 2 : 2 * d + 2])
+    factors[:, -1] = factors[:, d]
+    return x, factors[:, : d + 2], factors[:, d + 2 :]
+
+
+def _radial_slabs(core, left: np.ndarray, right: np.ndarray, order: int):
     """Yield (lo, hi, sq, profile, scratch) for blocks of ``_BLOCK`` rows
-    lo:hi of the centred atoms x, over the upper block triangle: the
-    squared distances sq from rows lo:hi to atoms lo:n, which the consumer
-    may overwrite; the profile up to ``order`` on them, order + 1 slabs;
-    and, at order 3, two scratch slabs for the positional sums (none
-    below). Every slab is a (hi - lo, n - lo) view of the module workspace,
-    reused from block to block and from pass to pass, and holds the block's
-    zeroed diagonal in its first hi - lo columns: row r at column r. The
-    pairs left of column lo belong to earlier blocks, so a consumer reads
-    each slab for its own rows and, transposed, for rows hi:n
-    (``_symmetric_add``).
+    lo:hi of the centred atoms, over the upper block triangle: the squared
+    distances sq from rows lo:hi to atoms lo:n, which the consumer may
+    overwrite; the profile up to ``order`` on them, order + 1 slabs; and, at
+    order 3, two scratch slabs for the positional sums (none below). sq is
+    one matrix product of the ``_distance_factors`` left[lo:hi] and
+    right[lo:], clamped at zero against a zero row (a scalar bound takes a
+    slower loop) and with the block's diagonal zeroed. Every slab is a
+    (hi - lo, n - lo) view of the module workspace, reused from block to
+    block and from pass to pass, and holds the block's zeroed diagonal in
+    its first hi - lo columns: row r at column r. The pairs left of column
+    lo belong to earlier blocks, so a consumer reads each slab for its own
+    rows and, transposed, for rows hi:n (``_symmetric_add``).
 
     So one pass runs at a time: no consumer starts a second pass while it
     iterates one, and nothing a consumer returns may alias a slab."""
-    n = x.shape[0]
-    norms = np.einsum("id,id->i", x, x)
+    n = left.shape[0]
+    zeros = np.zeros(n)
     count = order + 2 + (2 if order > 2 else 0)
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
         block = _slabs(count, hi - lo, n - lo)
         sq = block[0]
-        np.matmul(x[lo:hi], x[lo:].T, out=sq)
-        sq *= -2.0
-        sq += norms[lo:hi, None]
-        sq += norms[lo:]
-        np.maximum(sq, 0.0, out=sq)
+        np.matmul(left[lo:hi], right[lo:].T, out=sq)
+        np.maximum(sq, zeros[lo:], out=sq)
         np.fill_diagonal(sq[:, : hi - lo], 0.0)
         yield (lo, hi, sq, core.profile(sq, order, block[1 : order + 2]),
                block[order + 2 :])
@@ -209,7 +225,7 @@ def _radial_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, ord
     sum_j w_j dh_ij/dx_i and the derivatives of h_ii in b_i and in x_i.
     Lower orders give None for the rest."""
     n, d = atoms.shape
-    x = atoms - atoms.sum(axis=0) / n
+    x, *factors = _distance_factors(atoms)
     wb = w[:, None] * scores
     # phi' is read against [wB | wX | w | wc] from order 2, against [wX | w]
     # for the drift alone; k is where wX starts.
@@ -230,7 +246,7 @@ def _radial_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, ord
     if order > 2:
         bx = np.concatenate([scores, x], axis=1)
         cd = c + (d + 2.0)
-    for lo, hi, sq, profile, scratch in _radial_slabs(core, x, order):
+    for lo, hi, sq, profile, scratch in _radial_slabs(core, *factors, order):
         phi, dphi = profile[:2]
         _symmetric_add(pb, phi, wb, lo, hi)
         _symmetric_add(pd, dphi, right, lo, hi)

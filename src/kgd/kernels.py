@@ -103,15 +103,15 @@ class IMQ(_RadialKernel):
     family = "imq"
 
     def profile(self, sq: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
-        # With r = 1 / (1 + s / ell^2), phi = r^(1/2) and each derivative is
-        # the one before times -(k + 1/2) r / ell^2: one reciprocal and one
-        # square root instead of four fractional powers. r lives in
-        # out[order], whose last product overwrites it in place.
+        # With r = 1 / (1 + s / ell^2) = ell^2 / (s + ell^2), phi = r^(1/2)
+        # and each derivative is the one before times -(k + 1/2) r / ell^2:
+        # one addition, one division and one square root instead of four
+        # fractional powers. r lives in out[order], whose last product
+        # overwrites it in place.
         ell2 = self.lengthscale**2
         r = out[order]
-        np.divide(sq, ell2, out=r)
-        r += 1.0
-        np.reciprocal(r, out=r)
+        np.add(sq, ell2, out=r)
+        np.divide(ell2, r, out=r)
         np.sqrt(r, out=out[0])
         for k in range(order):
             np.multiply(out[k], r, out=out[k + 1])

@@ -98,7 +98,7 @@ class TestParseConfig:
         assert cfg["sampler"]["steps"] == 100  # untouched default
 
     def test_unknown_top_level_key(self):
-        with pytest.raises(ConfigError, match=r"'<top>\.kernell'"):
+        with pytest.raises(ConfigError, match=r"unknown key 'kernell'; "):
             parse_config({"kernell": {}})
 
     def test_unknown_nested_keys_name_their_path(self):
@@ -630,6 +630,12 @@ class TestSampleVerb:
         assert err.startswith("config error") and f"'{key}'" in err
         assert not out.exists()
 
+    def test_unknown_top_level_section_is_named_bare(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"bogus": {}})
+        assert main(["sample", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unknown key 'bogus'; available: " in err, err
+
     def test_missing_output_is_a_config_error(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         assert main(["sample", "--config", cfg]) == 2
@@ -1033,6 +1039,19 @@ class TestRunFaults:
         rc, err = self._sample(tmp_path, capsys, algorithm, kernel)
         assert rc == 3 and "non-finite Stein Gram entry (0, 0)" in err
 
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_huge_imq_lengthscale_runs(self, tmp_path, capsys, algorithm):
+        # r = ell^2 / (s + ell^2) is 1 to rounding; the derivatives underflow.
+        kernel = {"family": "imq", "lengthscale": 1.0e150}
+        assert self._sample(tmp_path, capsys, algorithm, kernel) == (0, "")
+
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_tiny_imq_lengthscale_is_one_line(self, tmp_path, capsys, algorithm):
+        # phi''(0) = 3 / (4 ell^4) overflows, and s phi''(s) at s = 0 is nan.
+        kernel = {"family": "imq", "lengthscale": 1.0e-150}
+        rc, err = self._sample(tmp_path, capsys, algorithm, kernel)
+        assert rc == 3 and "non-finite Stein Gram entry (0, 0)" in err
+
     @pytest.mark.parametrize("loss", ["zero", "linear-quadratic", "interaction-quadratic"])
     def test_huge_tilt_c_under_kgdd_runs(self, tmp_path, capsys, loss):
         # The tilt's Hessian-vector product squared s = c^2 + |x|^2 past the float range.
@@ -1064,6 +1083,13 @@ class TestExperimentVerb:
              str(tmp_path / "o"), "--set", "szies=10"]
         )
         assert rc == 2
+
+    def test_unknown_knob_is_named_bare(self, tmp_path, capsys):
+        argv = ["experiment", "--preset", "lv-compare", "--output", str(tmp_path / "o"),
+                "--set", "bogus=1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "unknown key 'bogus'; available: " in err, err
 
     @pytest.mark.parametrize("preset", ["gauss-identity", "clt-study"])
     @pytest.mark.parametrize("item", ["sizes=1;25", "replicates=1", "sizes=10", "sizes=10;10"])

@@ -10,8 +10,9 @@ without interaction, and that oracle Stein kernel. The row-block pass behind
 the estimators, the drift and the particle gradient, and the term-built
 ``stein_gram``, are held against the oracle (a skewed ``profile`` must show),
 the pass against itself with slabs of three rows, bitwise against itself on
-a workspace filled with nan before every pass, and by the entries it hands
-to ``profile`` (the upper block triangle, not the square). The estimator algebra
+a workspace filled with nan before every pass, by the entries it hands to
+``profile`` (the upper block triangle, not the square), and by its squared
+distances against direct differences. The estimator algebra
 (V/U identity, permutation invariance, substream addressing) is checked
 exactly.
 """
@@ -23,6 +24,8 @@ from kgd import discrepancy
 from kgd.core import DiagonalGaussian, EmpiricalMeasure
 from kgd.discrepancy import (
     _BLOCK,
+    _distance_factors,
+    _radial_slabs,
     _stein_sums,
     clt_scaling_study,
     gen_score,
@@ -301,6 +304,35 @@ class TestSteinSums:
         triangle = sum((min(lo + _BLOCK, n) - lo) * (n - lo) for lo in range(0, n, _BLOCK))
         assert {o for o, _ in seen} == {order}
         assert sum(size for _, size in seen) == triangle
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3], ids=["origin", "offset"])
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_slab_distances_match_direct_differences(self, d, offset):
+        # A pass reads s_ij as one product L R^T of the centred atoms. Each
+        # s_ij sums d + 2 products whose absolute values add up to at most
+        # 2 (|x_i|^2 + |x_j|^2), over norms that are dot products of d terms,
+        # so the standard dot-product bound caps its rounding at
+        # (3 d + 4) eps (|x_i|^2 + |x_j|^2); the differences are summed in
+        # long double. The centring keeps that scale at the spread of the
+        # cloud, not at the offset. Every atom appears twice, in other
+        # blocks, so the product form rounds some off-diagonal zeros below
+        # zero before the clamp.
+        n = 2 * _BLOCK + 3
+        rng = np.random.default_rng(15)
+        atoms = offset + rng.standard_normal((n, d)) * np.linspace(0.5, 3.0, d)
+        atoms[n // 2 :] = atoms[: n - n // 2]
+        x, *factors = _distance_factors(atoms)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(x, atoms - atoms.mean(axis=0), rtol=0.0,
+                                   atol=16 * eps * np.abs(atoms).max())
+        xl = x.astype(np.longdouble)
+        direct = np.sum((xl[:, None] - xl[None]) ** 2, axis=-1)
+        norms = np.sum(xl**2, axis=-1)
+        for lo, hi, sq, _, _ in _radial_slabs(IMQ(1.0), *factors, 1):
+            assert np.all(np.diag(sq[:, : hi - lo]) == 0.0)
+            assert np.all(sq >= 0.0)
+            bound = (3 * d + 4) * eps * (norms[lo:hi, None] + norms[lo:])
+            assert np.all(np.abs(sq - direct[lo:hi, lo:]) <= bound)
 
     def test_overflowing_sum_of_finite_entries_raises(self):
         # Two equal atoms with ||b||^2 = 1.44e308: every entry is finite, the

@@ -155,6 +155,21 @@ def test_profile_into_reused_slabs_matches_fresh_slabs(kernel, order):
         np.testing.assert_array_equal(got, _profile(kernel, ragged, order))
 
 
+@pytest.mark.parametrize("ell", [np.sqrt(0.03), 1.0, 7.0])
+def test_imq_profile_matches_its_closed_form(ell):
+    # phi(s) = (1 + s / ell^2)^(-1/2), so its k-th derivative is
+    # prod_{j < k} -(j + 1/2) / ell^2 times (1 + s / ell^2)^(-1/2 - k),
+    # here in long double.
+    s = np.concatenate([[0.0], np.logspace(-8, 6, 57)])
+    base = 1 + s.astype(np.longdouble) / np.longdouble(ell) ** 2
+    got = _profile(IMQ(ell), s)
+    coef = np.longdouble(1.0)
+    for k in range(4):
+        want = coef * base ** (-0.5 - k)
+        np.testing.assert_allclose(got[k], want.astype(float), rtol=1e-14, atol=0.0)
+        coef *= -(k + 0.5) / np.longdouble(ell) ** 2
+
+
 @pytest.mark.parametrize("kernel", RADIAL)
 def test_profile_third_derivative(kernel):
     # phi''' backs the analytic particle gradient; check it against a central
