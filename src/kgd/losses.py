@@ -130,15 +130,16 @@ class MeanFieldRegressionLoss(VariationalLoss):
 
     L(Q) = (lam / N) sum_l r_l^2 with residuals r_l = y_l - E_Q[Phi(z_l, .)]
     of the two-layer network Phi(z, x) = w2 tanh(w1 z + b1) + b2,
-    x = (w1, b1, w2, b2). Every read goes through one fit of the atoms:
-    t = tanh(w1 z + b1), shape (n, N), and r, shape (N,). With
-    s = 1 - t^2, grad_x Phi(z_l, x) = (w2 s_l z_l, w2 s_l, t_l, 1), so the
-    first-variation gradient -(2 lam / N) sum_l r_l grad_x Phi(z_l, x) is
+    x = (w1, b1, w2, b2). Every read goes through one fit of the atoms, one
+    network pass that keeps t = tanh(w1 z + b1) and s = 1 - t^2, each
+    (n, N), and r, (N,). As grad_x Phi(z_l, x) = (w2 s_l z_l, w2 s_l, t_l, 1),
+    the first-variation gradient -(2 lam / N) sum_l r_l grad_x Phi(z_l, x) is
     -(2 lam / N) times the four contractions
 
-        w2 sum_l r_l s_l z_l,   w2 sum_l r_l s_l,   sum_l r_l t_l,   sum_l r_l.
+        w2 sum_l s_l (r_l z_l),   w2 sum_l s_l r_l,   sum_l t_l r_l,   sum_l r_l:
 
-    Off the atoms, t is that of the points and r that of the fit. The
+    at the atoms, three row contractions of the kept s and t against
+    N-vectors; off the atoms, the same on the points' own t and s. The
     vector-Jacobian product at atom x_m is
 
         (2 lam / N) sum_l [a_l grad Phi(z_l, x_m) - r_l Hess Phi(z_l, x_m) u_m],
@@ -149,10 +150,12 @@ class MeanFieldRegressionLoss(VariationalLoss):
     Hess Phi(z_l, x_m) u_m = (z_l h_ml, h_ml, s_ml q_ml, 0) with
     h_ml = s_ml (u_m3 - 2 w2_m t_ml q_ml), it is (2 lam / N) times
 
-        sum_l c_ml z_l,   sum_l c_ml,   sum_l (a_l t_ml - r_l s_ml q_ml),   sum_l a_l,
+        sum_l c_ml z_l,   sum_l c_ml,   sum_l (t_ml a_l - s_ml q_ml r_l),   sum_l a_l,
 
-    with c_ml = w2_m s_ml a_l - r_l h_ml: (n, N) arrays and (N,) vectors, and
-    one tanh per fit. ``fits`` counts the fits made.
+    with c_ml = w2_m s_ml a_l - r_l h_ml: a_l is taken by column
+    contractions of the kept s and t, and it builds two (n, N) arrays, q
+    (whose buffer h takes over once q is read) and c. ``fits`` counts the
+    fits made.
     """
 
     covariates: np.ndarray  # (N,)
@@ -166,64 +169,81 @@ class MeanFieldRegressionLoss(VariationalLoss):
             raise ValueError("covariates and responses must be matching 1-d arrays")
         if z.size == 0:
             raise ValueError("covariates and responses must hold at least one data point")
-        # The atoms last fitted, with their t and r (``_fit``): a particle
+        # The atoms last fitted, with their t, s and r (``_fit``): a particle
         # gradient reads them for the scores and again for the VJP, and a
         # flow's trace row and its next step score the same atoms through two
         # measures.
-        self._fitted: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._fitted: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
         self.fits = 0
 
-    def _activations(self, x: np.ndarray) -> np.ndarray:
-        """t = tanh(w1 z + b1) at (m, 4) parameter points, shape (m, N)."""
-        return np.tanh(x[:, 0, None] * self.covariates + x[:, 1, None])
+    def _activations(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """t = tanh(w1 z + b1) and s = 1 - t^2 at (m, 4) parameter points,
+        each (m, N), both made in place."""
+        t = np.multiply(x[:, 0, None], self.covariates)
+        t += x[:, 1, None]
+        np.tanh(t, out=t)
+        s = np.multiply(t, t)
+        np.subtract(1.0, s, out=s)
+        return t, s
 
-    def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray]:
-        """Activations t at the atoms, (n, N), and residuals r, (N,):
+    def _fit(self, measure: EmpiricalMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """t and s at the atoms, (n, N), and the residuals r, (N,):
         computed once per set of atoms."""
         atoms = measure.atoms
         if self._fitted is None or not np.array_equal(self._fitted[0], atoms):
-            t = self._activations(atoms)
-            preds = np.mean(atoms[:, 2, None] * t + atoms[:, 3, None], axis=0)
-            self._fitted = (atoms.copy(), t, self.responses - preds)
+            t, s = self._activations(atoms)
+            preds = np.einsum("m,ml->l", atoms[:, 2], t)
+            preds += np.sum(atoms[:, 3])
+            preds /= measure.n
+            self._fitted = (atoms.copy(), t, s, np.subtract(self.responses, preds, out=preds))
             self.fits += 1
-        return self._fitted[1], self._fitted[2]
+        return self._fitted[1:]
 
     def value(self, measure: EmpiricalMeasure) -> float:
-        _, resid = self._fit(measure)
+        resid = self._fit(measure)[2]
         return float(self.lam / self.covariates.size * np.sum(resid**2))
 
     def var_grad(self, measure: EmpiricalMeasure, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        t, resid = self._fit(measure)
+        t, s, resid = self._fit(measure)
         if not np.array_equal(x, measure.atoms):
-            t = self._activations(x)
-        # Row sums, not matrix products: a point's score is then bitwise the
-        # same in any batch.
-        rs = resid * (1.0 - t**2)  # (m, N)
-        w2 = x[:, 2]
-        out = np.stack([
-            w2 * np.sum(rs * self.covariates, axis=1),
-            w2 * np.sum(rs, axis=1),
-            np.sum(resid * t, axis=1),
-            np.full(x.shape[0], np.sum(resid)),
-        ], axis=1)
+            t, s = self._activations(x)
+        # ``einsum`` without ``optimize`` runs numpy's own loops, one row at a
+        # time, and calls no BLAS: a point's score is bitwise the same in any
+        # batch, and the atoms' scores build no (n, N) array.
+        out = np.empty((x.shape[0], 4))
+        np.einsum("ml,l->m", s, resid * self.covariates, out=out[:, 0])
+        np.einsum("ml,l->m", s, resid, out=out[:, 1])
+        np.einsum("ml,l->m", t, resid, out=out[:, 2])
+        out[:, :2] *= x[:, 2, None]
+        out[:, 3] = np.sum(resid)
         out *= -2.0 * self.lam / self.covariates.size
         return out
 
     def var_grad_vjp(self, measure: EmpiricalMeasure, u: np.ndarray) -> np.ndarray:
         atoms, z = measure.atoms, self.covariates
-        t, resid = self._fit(measure)  # (n, N), (N,)
-        w2 = atoms[:, 2, None]
-        s = 1.0 - t**2
-        q = z * u[:, 0, None] + u[:, 1, None]  # (n, N)
-        along = np.sum(w2 * s * q + t * u[:, 2, None] + u[:, 3, None], axis=0) / measure.n  # a_l
-        c = w2 * s * along - resid * s * (u[:, 2, None] - 2.0 * w2 * t * q)  # c_ml
-        out = np.stack([
-            np.sum(c * z, axis=1),
-            np.sum(c, axis=1),
-            np.sum(along * t - resid * s * q, axis=1),
-            np.full(measure.n, np.sum(along)),
-        ], axis=1)
+        t, s, resid = self._fit(measure)  # (n, N), (n, N), (N,)
+        w2 = atoms[:, 2]
+        q = np.multiply(u[:, 0, None], z)
+        q += u[:, 1, None]  # q_ml, (n, N)
+        along = np.einsum("m,ml,ml->l", w2, s, q)
+        along += np.einsum("m,ml->l", u[:, 2], t)
+        along += np.sum(u[:, 3])
+        along /= measure.n  # a_l
+        out = np.empty((measure.n, 4))
+        np.einsum("ml,l->m", t, along, out=out[:, 2])
+        out[:, 2] -= np.einsum("ml,ml,l->m", s, q, resid)
+        h = np.multiply(q, t, out=q)  # q's last read was the line above
+        h *= -2.0 * w2[:, None]
+        h += u[:, 2, None]
+        h *= s  # h_ml
+        h *= resid  # r_l h_ml
+        c = np.multiply(s, along)
+        c *= w2[:, None]
+        c -= h  # c_ml
+        np.einsum("ml,l->m", c, z, out=out[:, 0])
+        np.einsum("ml->m", c, out=out[:, 1])
+        out[:, 3] = np.sum(along)
         out *= 2.0 * self.lam / self.covariates.size
         return out
 

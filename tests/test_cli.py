@@ -1019,9 +1019,11 @@ class TestRunFaults:
         return rc, err
 
     def _sample(self, tmp_path, capsys, algorithm: str, kernel: dict,
-                loss: str = "linear-quadratic") -> tuple[int, str]:
-        body = {"kernel": kernel, "loss": {"family": loss},
-                "sampler": {"algorithm": algorithm, **self.SAMPLERS[algorithm]}}
+                loss: str | dict = "linear-quadratic", **sections) -> tuple[int, str]:
+        """``kgd sample`` on the loss family named, or the loss section
+        given, and any further config sections."""
+        body = {"kernel": kernel, "loss": loss if isinstance(loss, dict) else {"family": loss},
+                "sampler": {"algorithm": algorithm, **self.SAMPLERS[algorithm]}, **sections}
         argv = ["sample", "--config", _write_config(tmp_path, body), "--output",
                 str(tmp_path / "o")]
         return self._ends_cleanly(argv, tmp_path / "o", capsys)
@@ -1057,6 +1059,22 @@ class TestRunFaults:
         # The tilt's Hessian-vector product squared s = c^2 + |x|^2 past the float range.
         kernel = {"family": "weighted-matrix", "c": 1.0e150, "exponent": -0.5}
         assert self._sample(tmp_path, capsys, "kgdd", kernel, loss) == (0, "")
+
+    def _mean_field(self, tmp_path, capsys, algorithm: str, lam: float) -> tuple[int, str]:
+        loss = {"family": "mean-field-regression", "n_data": 20, "lam": lam}
+        return self._sample(tmp_path, capsys, algorithm, {"family": "imq", "lengthscale": 1.0},
+                            loss, reference={"dimension": 4})
+
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_huge_mean_field_lam_is_one_line(self, tmp_path, capsys, algorithm):
+        # Scores near 1e300: the Stein Gram's score products overflow.
+        rc, err = self._mean_field(tmp_path, capsys, algorithm, 1.0e300)
+        assert rc == 3 and "non-finite Stein Gram entry" in err
+
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_tiny_mean_field_lam_runs(self, tmp_path, capsys, algorithm):
+        # Scores near 1e-300, whose products in the Stein Gram underflow.
+        assert self._mean_field(tmp_path, capsys, algorithm, 1.0e-300) == (0, "")
 
     def test_huge_lv_proposal_scale_is_one_line(self, tmp_path, capsys):
         # The observation smoothing squared a population difference past the float range.

@@ -6,6 +6,9 @@ kernel loss, Gauss-Hermite quadrature for the noise-averaged kernels, and
 finite differences of the particle objective for the var_grad identity.
 """
 
+import tracemalloc
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -189,15 +192,34 @@ class TestMeanFieldRegression:
             )
             np.testing.assert_allclose(loss.var_grad(measure, x), expected, rtol=1e-12)
 
+    @staticmethod
+    def _preset_shape(seed: int) -> tuple[MeanFieldRegressionLoss, np.ndarray, np.ndarray]:
+        """A loss, atoms and points at mfnn-compare's shape: N = 300 data
+        points and n = 50 atoms drawn 3 N(0, 1), as the preset draws them,
+        so that several percent of the units are saturated (1 - t^2 < 1e-4);
+        7 points off the atoms, drawn alike."""
+        data = gen_mfnn_data(0)
+        rng = np.random.default_rng(seed)
+        atoms, xs = 3.0 * rng.standard_normal((50, 4)), 3.0 * rng.standard_normal((7, 4))
+        t = np.tanh(atoms[:, 0, None] * data.covariates + atoms[:, 1, None])
+        assert np.mean(1.0 - t**2 < 1e-4) > 0.05
+        return MeanFieldRegressionLoss(data.covariates, data.responses), atoms, xs
+
     def test_batched_matches_single(self):
+        # At N = 20 and at mfnn-compare's shape, the atoms' scores, read from
+        # the fit's t and s, and a batch of points off the atoms are bitwise
+        # their rows scored one at a time, each through the off-atom branch.
         data = gen_mfnn_data(0, n_data=20)
-        loss = MeanFieldRegressionLoss(data.covariates, data.responses)
         rng = np.random.default_rng(8)
-        measure = EmpiricalMeasure(rng.standard_normal((4, 4)))
-        xs = rng.standard_normal((5, 4))
-        batch = loss.var_grad(measure, xs)
-        singles = np.vstack([loss.var_grad(measure, xs[i:i + 1]) for i in range(xs.shape[0])])
-        np.testing.assert_array_equal(batch, singles)
+        small = (MeanFieldRegressionLoss(data.covariates, data.responses),
+                 rng.standard_normal((4, 4)), rng.standard_normal((5, 4)))
+        for loss, atoms, xs in (small, self._preset_shape(24)):
+            measure = EmpiricalMeasure(atoms)
+            for x in (atoms, xs):
+                batch = loss.var_grad(measure, x)
+                singles = np.vstack([loss.var_grad(measure, x[i:i + 1]) for i in range(len(x))])
+                np.testing.assert_array_equal(batch, singles)
+            assert loss.fits == 1
 
     def test_vjp_against_finite_differences(self):
         data = gen_mfnn_data(0, n_data=20)
@@ -221,6 +243,47 @@ class TestMeanFieldRegression:
         _, want = reference_mean_field(atoms, data.covariates, data.responses, 3.0, atoms, u)
         np.testing.assert_allclose(loss.var_grad_vjp(EmpiricalMeasure(atoms), u), want,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [25, 26, 27])
+    def test_scores_and_vjp_against_the_reference_at_the_preset_shape(self, seed):
+        # Within 1e-12 of the largest entry (observed: at most 1.6e-15).
+        loss, atoms, xs = self._preset_shape(seed)
+        measure = EmpiricalMeasure(atoms)
+        u = np.random.default_rng(seed + 100).standard_normal(atoms.shape)
+        for x in (atoms, xs):
+            scores, vjp = reference_mean_field(atoms, loss.covariates, loss.responses, loss.lam,
+                                               x, u)
+            for got, want in ((loss.var_grad(measure, x), scores),
+                              (loss.var_grad_vjp(measure, u), vjp)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_warm_reads_build_no_per_call_blocks(self):
+        # Peak traced allocation of a warm read, in units of one (n, N)
+        # block (120 KB at the preset shape, just under glibc's 128 KiB mmap
+        # and trim thresholds, so blocks made per call follow heap layout).
+        # The scores at the atoms contract the fit's t and s and build no
+        # block: bound 1 (observed 0.05; before the row contractions, 2.56).
+        # The VJP builds q, whose buffer h reuses, and c: bound 3 (observed
+        # 2.59; before, 6.58).
+        loss, atoms, _ = self._preset_shape(28)
+        measure = EmpiricalMeasure(atoms)
+        u = np.random.default_rng(128).standard_normal(atoms.shape)
+        block = atoms.shape[0] * loss.covariates.size * 8
+        loss.var_grad(measure, atoms)
+        loss.var_grad_vjp(measure, u)
+
+        def peak_blocks(read: Callable[[], np.ndarray]) -> float:
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                read()
+                return (tracemalloc.get_traced_memory()[1] - before) / block
+            finally:
+                tracemalloc.stop()
+
+        assert peak_blocks(lambda: loss.var_grad(measure, atoms)) < 1.0
+        assert peak_blocks(lambda: loss.var_grad_vjp(measure, u)) <= 3.0
+        assert loss.fits == 1
 
     def test_scores_and_vjp_share_one_network_pass(self):
         # The scores at the atoms and the VJP of one measure (a particle
