@@ -236,14 +236,14 @@ def _radial_rows(core, atoms: np.ndarray, scores: np.ndarray, w: np.ndarray, ord
         xb = np.concatenate([x, scores], axis=1)
         right = [wb] + right + [(w * c)[:, None]]
         k = d
+        ps = np.zeros(n)
     right = np.concatenate(right, axis=1)
-    # The products summed over the pass: phi wB, phi' right, (s o phi'') w
-    # and, at order 3, a [wX | w].
+    # The products summed over the pass: phi wB, phi' right and, from order
+    # 2, (s o phi'') w (ps) and, at order 3, a [wX | w] (pa).
     pb = np.zeros((n, d))
     pd = np.zeros(right.shape)
-    ps = np.zeros(n)
-    pa = np.zeros((n, d + 1))
     if order > 2:
+        pa = np.zeros((n, d + 1))
         bx = np.concatenate([scores, x], axis=1)
         cd = c + (d + 2.0)
     for lo, hi, sq, profile, scratch in _radial_slabs(core, *factors, order):

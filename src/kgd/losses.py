@@ -248,14 +248,6 @@ class MeanFieldRegressionLoss(VariationalLoss):
         return out
 
 
-def gaussian_smooth(obs: np.ndarray, mean: np.ndarray, sigma: float) -> np.ndarray:
-    """E[exp(-(obs - Y)^2 / 2)] for Y ~ N(mean, sigma^2), elementwise."""
-    v = 1.0 + sigma**2
-    diff = np.asarray(obs, dtype=float) - np.asarray(mean, dtype=float)
-    with np.errstate(over="ignore"):  # a square past the float range smooths to 0
-        return v**-0.5 * np.exp(-(diff**2) / (2.0 * v))
-
-
 def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:
     """exp(-||x - y||^2 / (2 v)) over the last axis of arrays that broadcast
     against each other, built in place from per-species differences."""
@@ -270,6 +262,8 @@ def _overlap(x: np.ndarray, y: np.ndarray, v: float) -> np.ndarray:
     return np.exp(a, out=a)
 
 
+# A solved point's outputs (N, s), sensitivities (N, s, d), data term and its gradient (d,).
+_Record = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # Entries of the (rows, p, N, N) overlap array of one row chunk of a
 # predictive pair block: 32 MB.
 _PAIR_BLOCK_ENTRIES = 4_000_000
@@ -333,17 +327,18 @@ class PredictiveKernelLoss(VariationalLoss):
     the atoms and one self-pair block, in the order of the sums ``var_grad``
     takes over the configuration.
 
-    Solver outputs and sensitivities are cached per parameter point, so
-    repeated evaluations at the same atoms (samplers, greedy search) only
-    pay for the kernel algebra. ``prefetch`` solves every distinct uncached
-    point in one batched call. The cache holds at most ``max_cache`` points
-    and is cleared when a solve would overfill it; ``cache_hits``,
-    ``cache_misses`` (requested points not in the cache) and ``cache_clears``
-    count its use, ``n_solves`` the points passed to the solver and
-    ``solver_calls`` the calls that passed them, the unit of solver cost.
-    ``pair_blocks`` counts the pair-block calls, self-pair blocks included.
-    There is no ``var_grad_vjp``: it would need second-order ODE
-    sensitivities.
+    Each solve gives every point a record: its outputs, sensitivities, data
+    term (1/N) sum_i E[kappa(y_i, Y_i(x))] and that term's gradient, which
+    pair blocks read. Records are cached per parameter point, so repeated
+    evaluations at the same atoms (samplers, greedy search) only pay for the
+    double sums. ``prefetch`` solves every distinct uncached point in one
+    batched call. The cache holds at most ``max_cache`` points and is
+    cleared when a solve would overfill it; ``cache_hits``, ``cache_misses``
+    (requested points not in the cache) and ``cache_clears`` count its use,
+    ``n_solves`` the points passed to the solver and ``solver_calls`` the
+    calls that passed them, the unit of solver cost. ``pair_blocks`` counts
+    the pair-block calls, self-pair blocks included. There is no
+    ``var_grad_vjp``: it would need second-order ODE sensitivities.
     """
 
     times: np.ndarray  # (N,)
@@ -364,7 +359,7 @@ class PredictiveKernelLoss(VariationalLoss):
             self.lam = 0.1 / self.times.size
         if self.solver is None:
             self.solver = lv_sensitivities
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[bytes, _Record] = {}
         self.n_solves = 0
         self.solver_calls = 0
         self.cache_hits = 0
@@ -378,17 +373,19 @@ class PredictiveKernelLoss(VariationalLoss):
         """Solve the distinct uncached points of (m, d) points in one call; cache what fits."""
         self._lookup(points)
 
-    def _solver_outputs(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solver outputs for (m, d) points as stacks (m, N, s), (m, N, s, d)."""
-        means, sens = zip(*self._lookup(points))
-        return np.stack(means), np.stack(sens)
+    def _solver_outputs(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The records of (m, d) points as stacks: solver outputs (m, N, s),
+        sensitivities (m, N, s, d), data terms (m,) and their gradients (m, d)."""
+        means, sens, fit, fit_grad = zip(*self._lookup(points))
+        return np.stack(means), np.stack(sens), np.stack(fit), np.stack(fit_grad)
 
-    def _lookup(self, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each point's solver outputs: cached, or from one batched solve of
-        the distinct missing points, returned even if the cache is full."""
+    def _lookup(self, points: np.ndarray) -> list[_Record]:
+        """Each point's record: cached, or from one batched solve of the
+        distinct missing points and one ``_data_terms`` call on that solve,
+        returned even if the cache is full."""
         pts = np.asarray(points, dtype=float)
         keys = [p.tobytes() for p in pts]
-        found: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+        found: dict[bytes, _Record] = {}
         missing: dict[bytes, np.ndarray] = {}
         for key, p in zip(keys, pts):
             hit = self._cache.get(key)
@@ -405,28 +402,28 @@ class PredictiveKernelLoss(VariationalLoss):
             if self._cache and len(self._cache) + len(missing) > self.max_cache:
                 self._cache.clear()
                 self.cache_clears += 1
-            for key, m, s in zip(missing, means, sens):
-                found[key] = (m, s)
+            fit, fit_grad = self._data_terms(means, sens)
+            for key, record in zip(missing, zip(means, sens, fit, fit_grad)):
+                found[key] = record
                 if len(self._cache) < self.max_cache:
-                    self._cache[key] = (m, s)
+                    self._cache[key] = record
         return [found[key] for key in keys]
 
     # -- pair terms ----------------------------------------------------------
 
-    def _data_fit(self, means: np.ndarray) -> np.ndarray:
-        """Per-point, per-time data fit, (m, N), from the points' solver
-        outputs (m, N, s); its mean over times is the data term."""
-        obs = self.observations[None, :, :]
-        return np.prod(gaussian_smooth(obs, means, self.sigma), axis=-1)
-
     def _data_terms(self, means: np.ndarray, sens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point data term and its gradient, (m,) and (m, d), from the
-        points' solver outputs (m, N, s) and sensitivities (m, N, s, d)."""
-        prod = self._data_fit(means)
-        # d/dx of the product: product * sum_s (obs - m_s)/(1 + sigma^2) * dm_s/dx
-        scaled = (self.observations[None, :, :] - means) / (1.0 + self.sigma**2)
-        inner = np.einsum("mns,mnsd->mnd", scaled, sens)  # (m, N, d)
-        return np.mean(prod, axis=-1), np.mean(prod[..., None] * inner, axis=1)
+        """Per-point data term (1/N) sum_i E[kappa(y_i, Y_i(x))] and its
+        gradient, (m,) and (m, d), from the points' solver outputs (m, N, s)
+        and sensitivities (m, N, s, d). Every operation is elementwise or a
+        reduction within one point, with no BLAS call, so a point's terms are
+        bitwise the same in any batch it is solved in."""
+        v = 1.0 + self.sigma**2
+        diff = self.observations - means  # (m, N, s)
+        with np.errstate(over="ignore"):  # a square past the float range smooths to 0
+            fit = np.prod(v**-0.5 * np.exp(-(diff**2) / (2.0 * v)), axis=-1)  # (m, N)
+        # d/dx of the product: fit * sum_s (obs - m_s) / v * dm_s/dx
+        inner = np.einsum("mns,mnsd->mnd", diff / v, sens)  # (m, N, d)
+        return np.mean(fit, axis=-1), np.mean(fit[..., None] * inner, axis=1)
 
     def _pair_sums(
         self, tx: np.ndarray, sx: np.ndarray, ty: np.ndarray
@@ -449,9 +446,9 @@ class PredictiveKernelLoss(VariationalLoss):
 
     def pair_block(self, xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pair values (m, p) and first-argument gradients (m, p, d); each
-        argument's solver outputs are fetched once."""
-        mx, sx = self._solver_outputs(xs)
-        my, _ = self._solver_outputs(ys)
+        argument's records are fetched once."""
+        mx, sx, dx, gx = self._solver_outputs(xs)
+        my, _, dy, _ = self._solver_outputs(ys)
         self.pair_blocks += 1
         (m, n_obs, _), p = mx.shape, my.shape[0]
         # Centred together, so that the gradient's (sum_j a_ij) m_x(t_i) -
@@ -464,19 +461,16 @@ class PredictiveKernelLoss(VariationalLoss):
         for lo in range(0, m, chunk):
             cross[lo:lo + chunk], cross_grad[lo:lo + chunk] = self._pair_sums(
                 tx[lo:lo + chunk, None], sx[lo:lo + chunk, None], ty)
-        dx, gx = self._data_terms(mx, sx)
-        dy = np.mean(self._data_fit(my), axis=-1)
         return cross - dx[:, None] - dy[None, :], cross_grad - gx[:, None, :]
 
     def self_pair_block(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Self-pair values pair(x, x), (m,), and first-argument gradients
         grad_1 pair(x, x), (m, d): the diagonal of ``pair_block(xs, xs)``,
         from (m, N, N) arrays, each trajectory centred on its own mean."""
-        mx, sx = self._solver_outputs(xs)
+        mx, sx, dx, gx = self._solver_outputs(xs)
         self.pair_blocks += 1
         t = mx - mx.mean(axis=1, keepdims=True)
         cross, cross_grad = self._pair_sums(t, sx, t)
-        dx, gx = self._data_terms(mx, sx)
         return cross - dx - dx, cross_grad - gx
 
     def extension(self, atoms: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -235,12 +235,13 @@ def check_ode_step_doubling(_rng: np.random.Generator) -> Result:
 def check_predictive_pair_block(rng: np.random.Generator) -> Result:
     """Predictive pair blocks on LV trajectories against the oracle's double
     sum over (time, time) pairs and the data-fit terms, relative to the
-    largest value and gradient; the self-pair block against its diagonal."""
+    largest value and gradient; the self-pair block against its diagonal;
+    the data terms and gradients the solve cache keeps against the data fit."""
     loss = PredictiveKernelLoss(*gen_lv_data(1)[:2])  # the data's times and observations
     pts = np.array([-1.0, 1.6]) + 0.3 * rng.normal(size=(4, 2))
     values, grads = loss.pair_block(pts, pts)
     self_values, self_grads = loss.self_pair_block(pts)
-    means, sens = loss._solver_outputs(pts)
+    means, sens, terms, term_grads = loss._solver_outputs(pts)
     cross, cross_grad = reference_cross_term(means, sens, means, loss.sigma)
     var = 1.0 + loss.sigma**2
     resid = loss.observations - means  # (m, N, s)
@@ -250,7 +251,8 @@ def check_predictive_pair_block(rng: np.random.Generator) -> Result:
     want_grad = cross_grad - fit_grad[:, None, :]
     worst = max(float(np.max(np.abs(got - w)) / np.max(np.abs(w)))
                 for got, w in ((values, want), (grads, want_grad), (self_values, np.diagonal(want)),
-                               (self_grads, np.diagonal(want_grad).T)))
+                               (self_grads, np.diagonal(want_grad).T),
+                               (terms, fit.mean(axis=1)), (term_grads, fit_grad)))
     return worst < 1e-12, f"worst rel {worst:.2e}"
 
 

@@ -21,9 +21,8 @@ from kgd.losses import (
     PredictiveKernelLoss,
     VariationalLoss,
     ZeroLoss,
-    gaussian_smooth,
     )
-from kgd.models import gen_mfnn_data
+from kgd.models import gen_lv_data, gen_mfnn_data
 from kgd.oracles import (euclid_identity_check, fd_gradient, gauss_hermite_2d, gaussian_overlap,
                          reference_cross_term, reference_mean_field)
 
@@ -347,26 +346,6 @@ class TestGaussianOverlap:
         np.testing.assert_array_equal(fwd, gaussian_overlap(b, a, 0.8))
 
 
-class TestGaussianSmooth:
-    def test_matches_quadrature(self):
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            obs, mean = rng.standard_normal(2)
-            sigma = rng.uniform(0.1, 2.0)
-            quad = gauss_hermite_2d(
-                lambda y, yp: np.exp(-0.5 * (obs - y) ** 2), (mean, 0.0), sigma, order=60
-            )
-            assert abs(gaussian_smooth(obs, mean, sigma) - quad) < QUAD_TOL
-
-    def test_hand_values(self):
-        np.testing.assert_allclose(
-            gaussian_smooth(1.3, 1.3, 2.0), 1.0 / np.sqrt(5.0), rtol=1e-15
-        )
-        np.testing.assert_allclose(
-            gaussian_smooth(1.0, 0.0, 0.0), np.exp(-0.5), rtol=1e-15
-        )
-
-
 def _wave_solver(points: np.ndarray, times: np.ndarray):
     """Closed-form two-species trajectories with exact sensitivities.
 
@@ -394,6 +373,12 @@ def _wave_loss(sigma: float = 0.7, lam: float = 0.05) -> PredictiveKernelLoss:
     return PredictiveKernelLoss(times, obs, sigma=sigma, lam=lam, solver=_wave_solver)
 
 
+def _smooth(obs, mean, sigma: float):
+    """E[kappa(obs, Y)] for Y ~ N(mean, sigma^2): the oracle's overlap of two
+    noisy values with the noise variance split between them."""
+    return gaussian_overlap(obs, mean, sigma / np.sqrt(2.0))
+
+
 def _brute_pair(loss: PredictiveKernelLoss, x: np.ndarray, y: np.ndarray) -> float:
     """Pair function assembled with explicit loops over times and species."""
     mx = loss.solver(x[None, :], loss.times)[0][0]  # (N, s)
@@ -414,7 +399,7 @@ def _brute_pair(loss: PredictiveKernelLoss, x: np.ndarray, y: np.ndarray) -> flo
         for i in range(n_obs):
             term = 1.0
             for s in range(n_species):
-                term *= gaussian_smooth(obs[i, s], m[i, s], loss.sigma)
+                term *= _smooth(obs[i, s], m[i, s], loss.sigma)
             total += term
         fits.append(total / n_obs)
     return cross - fits[0] - fits[1]
@@ -434,9 +419,9 @@ def _assert_close_to_max(got: np.ndarray, want: np.ndarray, rel: float) -> None:
 
 def _data_terms(loss: PredictiveKernelLoss, xs: np.ndarray):
     """Each point's data term (1/N) sum_i E[kappa(y_i, Y_i(x))], (m,), and
-    its gradient, (m, d), written out from ``gaussian_smooth``."""
+    its gradient, (m, d), written out from ``_smooth``."""
     means, sens = loss.solver(xs, loss.times)
-    fit = np.prod(gaussian_smooth(loss.observations, means, loss.sigma), axis=-1)  # (m, N)
+    fit = np.prod(_smooth(loss.observations, means, loss.sigma), axis=-1)  # (m, N)
     scaled = (loss.observations - means) / (1.0 + loss.sigma**2)
     grads = np.einsum("mn,mns,mnsd->md", fit, scaled, sens) / loss.times.size
     return fit.mean(axis=1), grads
@@ -615,7 +600,7 @@ class TestPredictiveKernelLoss:
 
         loss = PredictiveKernelLoss(np.array([0.5, 1.5]), np.zeros((2, 2)), solver=counting_solver)
         pts = np.array([[0.3, -0.2], [0.3, -0.2], [1.0, 0.5]])
-        means, sens = loss._solver_outputs(pts)
+        means, sens, _, _ = loss._solver_outputs(pts)
         assert calls == [2] and loss.n_solves == 2
         assert (loss.cache_misses, loss.cache_hits) == (3, 0)
         want_means, want_sens = _wave_solver(pts, loss.times)
@@ -629,7 +614,7 @@ class TestPredictiveKernelLoss:
         loss.max_cache = 2
         pts = np.random.default_rng(22).standard_normal((5, 2))
         # Points the full cache cannot keep are served from the call's solve.
-        means, _ = loss._solver_outputs(pts)
+        means = loss._solver_outputs(pts)[0]
         assert len(loss._cache) == 2 and loss.n_solves == 5 and loss.cache_clears == 0
         np.testing.assert_array_equal(means, _wave_solver(pts, loss.times)[0])
         loss.prefetch(pts[::-1] + 1.0)  # overflows the full cache: one clear
@@ -670,6 +655,81 @@ class TestPredictiveKernelLoss:
         assert loss.pair_blocks - blocks == (1 + 3 * 3 if n else 3)
         assert max(sizes) <= losses._EXTENSION_ENTRIES
         _assert_close_to_max(chunked, want, 1e-12)
+
+
+def _identity_solver(points: np.ndarray, times: np.ndarray):
+    """One time, two species: each (2,) point is its own solver output, with
+    identity sensitivities."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None, :].copy(), np.broadcast_to(np.eye(2), (len(pts), 1, 2, 2)).copy()
+
+
+class TestSolveRecords:
+    """Each solved point's record: outputs, sensitivities, data term and its
+    gradient, taken once per solve and bitwise the same in any batch."""
+
+    @staticmethod
+    def _term(obs, mean, sigma: float) -> float:
+        loss = PredictiveKernelLoss(np.array([1.0]), np.atleast_2d(obs), sigma=sigma,
+                                    solver=_identity_solver)
+        return loss._solver_outputs(np.atleast_2d(mean))[2][0]
+
+    def test_data_term_matches_quadrature(self):
+        rng = np.random.default_rng(10)
+        for _ in range(5):
+            obs, mean = rng.standard_normal((2, 2))
+            sigma = rng.uniform(0.1, 2.0)
+            quad = gauss_hermite_2d(
+                lambda y, yp: np.exp(-0.5 * (obs[0] - y) ** 2 - 0.5 * (obs[1] - yp) ** 2),
+                tuple(mean), sigma, order=60,
+            )
+            assert abs(self._term(obs, mean, sigma) - quad) < QUAD_TOL
+
+    def test_data_term_hand_values(self):
+        # v = 1 + sigma^2 = 5 per species at the observation; the bare
+        # kernel at sigma = 0.
+        np.testing.assert_allclose(self._term([1.3, -0.4], [1.3, -0.4], 2.0), 0.2, rtol=1e-15)
+        np.testing.assert_allclose(self._term([1.0, 2.0], [0.0, 2.0], 0.0), np.exp(-0.5),
+                                   rtol=1e-15)
+
+    def test_records_are_batch_invariant(self):
+        times, obs = gen_lv_data(1)[:2]
+        pts = np.array([-1.0, 1.6]) + 0.5 * np.random.default_rng(27).standard_normal((8, 2))
+        whole = PredictiveKernelLoss(times, obs)
+        whole.prefetch(pts)
+        want = whole._solver_outputs(pts)
+        split = PredictiveKernelLoss(times, obs)
+        for part in np.split(pts, [1, 4]):  # 1, 3 and 4 points
+            split.prefetch(part)
+        assert split.solver_calls == 3
+        for got, w in zip(split._solver_outputs(pts), want):
+            np.testing.assert_array_equal(got, w)
+        for i in (0, 5):
+            alone = PredictiveKernelLoss(times, obs)._solver_outputs(pts[i:i + 1])
+            for got, w in zip(alone, want):
+                np.testing.assert_array_equal(got[0], w[i])
+
+    def test_data_terms_once_per_solve(self, monkeypatch):
+        calls, data_terms = [], PredictiveKernelLoss._data_terms
+
+        def counted(self, means, sens):
+            calls.append(len(means))
+            return data_terms(self, means, sens)
+
+        monkeypatch.setattr(PredictiveKernelLoss, "_data_terms", counted)
+        loss = _wave_loss()
+        rng = np.random.default_rng(28)
+        atoms, candidates = rng.standard_normal((3, 2)), rng.standard_normal((5, 2))
+        loss.prefetch(np.vstack([atoms, candidates]))
+        assert calls == [8]
+        measure = EmpiricalMeasure(atoms)
+        loss.var_grad(measure, candidates)
+        loss.value(measure)
+        loss.self_pair_block(candidates)
+        loss.extension(atoms)(candidates)
+        assert calls == [8] and loss.solver_calls == 1 and loss.pair_blocks == 7
+        loss.var_grad(measure, np.array([[9.0, 9.0]]))
+        assert calls == [8, 1] and loss.solver_calls == 2
 
 
 class TestDefaultExtension:
