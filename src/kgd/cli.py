@@ -33,8 +33,8 @@ import yaml
 
 from . import __version__
 from .core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
-from .discrepancy import (ScalingStudy, _gram_sums, clt_scaling_study, kgd_v_squared,
-                          particle_grad)
+from .discrepancy import (ScalingStudy, _stein_sums, clt_scaling_study, gen_score,
+                          kgd_v_squared, particle_grad)
 from .kernels import IMQ, Gaussian, Mixture, WeightedMatrixKernel
 from .losses import (
     InteractionLoss,
@@ -475,9 +475,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if atoms.shape[1] != ref.dim:
         raise ConfigError(f"particles file '{args.particles}': particle dimension "
                           f"{atoms.shape[1]} != reference dimension {ref.dim}")
-    n = atoms.shape[0]
+    measure = EmpiricalMeasure(atoms)
+    n, atoms = measure.n, measure.atoms
     # One Stein pass gives both statistics, as in kgd_v_squared and kgd_u_squared.
-    total, trace = _gram_sums(kernel, ref, loss, EmpiricalMeasure(atoms))
+    total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
     v2 = total / n**2
     print(f"n {n}")
     print(f"kgd_v2 {_fmt(v2)}")

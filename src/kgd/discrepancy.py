@@ -69,8 +69,8 @@ The diagonal is closed-form: -2 d phi'(0) + phi(0) ||b_i||^2 for a radial
 core, d + 2 x_i.beta_i + (c^2 + ||x_i||^2) ||beta_i||^2 for the linear one.
 The estimators take sum_ij h = sum_i w_i (h w)_i and the trace
 sum_i w_i^2 h_ii, per term, and return the statistic as a float. A sum that
-is not finite, or a pass that overflows on the way, falls back to
-``stein_gram``, whose error names the first non-finite entry.
+is not finite, or a pass that overflows on the way, is an error that
+``_stein_sums`` names through ``_gram``: the first non-finite score or entry.
 
 ``particle_grad`` differentiates n^2 V in the atoms on the same slabs. The
 scores move through grad log q0 and ``loss.var_grad_vjp``, weighted by
@@ -82,10 +82,10 @@ radial core, sum_j w_j dh_ij/dx_i = x_i (a w)_i - (a wX)_i + 2 (phi' wB)_i
 ``_radial_rows``. The U-statistic also drops the diagonal w_i^2 h(x_i, x_i)
 above.
 
-``stein_gram`` forms the n x n Gram from the same ``terms()``, entry by
-entry from the h formulas above (on the differences x_i - x_j, not the
-product form), to name the first non-finite entry when a sum is not finite;
-no estimator, sampler or preset calls it on a finite run. The definition
+``_gram`` forms the n x n Gram from the same ``terms()``, entry by entry
+from the h formulas above (on the differences x_i - x_j, not the product
+form); ``stein_gram`` is ``_gram`` under the generalised scores. No
+estimator, sampler or preset builds it on a finite run. The definition
 that both are held against is not here: the kernels' closed-form derivative
 table and the Stein kernel built on it live in ``kgd.oracles``
 (``kernel_derivatives``, ``reference_stein_kernel``), which shares no code
@@ -129,11 +129,17 @@ def gen_score(
     Raises FloatingPointError, naming the first atom, when a score is not
     finite.
     """
-    score = ref.log_grad(x) - loss.var_grad(measure, x)
-    if not np.isfinite(score).all():
-        i = int(np.argmin(np.isfinite(score).all(axis=1)))
-        raise FloatingPointError(f"non-finite score at atom {i}: {score[i]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # named just below
+        score = ref.log_grad(x) - loss.var_grad(measure, x)
+    _check_scores(score)
     return score
+
+
+def _check_scores(scores: np.ndarray) -> None:
+    """Raise FloatingPointError naming the first non-finite score."""
+    if not np.isfinite(scores).all():
+        i = int(np.argmin(np.isfinite(scores).all(axis=1)))
+        raise FloatingPointError(f"non-finite score at atom {i}: {scores[i]}")
 
 
 def _tilt(tilts: tuple, atoms: np.ndarray, scores: np.ndarray):
@@ -327,8 +333,9 @@ def _term_rows(kernel, atoms: np.ndarray, scores: np.ndarray, order: int):
 
 def _stein_sums(kernel, atoms: np.ndarray, scores: np.ndarray) -> tuple[float, float]:
     """Sum over all entries and trace of the Stein Gram, summed over the
-    kernel's terms, without forming the Gram; (nan, nan) if an operation of
-    the pass overflows or is invalid."""
+    kernel's terms, without forming the Gram; both finite. If the pass
+    overflows or a sum is not finite, raises ``_gram``'s FloatingPointError,
+    or, if every score and entry is finite, one saying that a sum overflowed."""
     total = trace = 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -336,8 +343,13 @@ def _stein_sums(kernel, atoms: np.ndarray, scores: np.ndarray) -> tuple[float, f
                 total += coef * float(w @ rows)
                 trace += coef * float((w * w) @ diag)
     except FloatingPointError:
-        return math.nan, math.nan
-    return total, trace
+        total = trace = math.nan
+    if math.isfinite(total) and math.isfinite(trace):
+        return total, trace
+    _gram(kernel, atoms, scores)
+    raise FloatingPointError(
+        f"Stein Gram sum {total} or trace {trace} overflowed; every entry is finite"
+    )
 
 
 def stein_drift(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -377,7 +389,8 @@ def particle_grad(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: n
         for tilt in tilts:
             grad += (coef * w * rows)[:, None] * tilt.log_weight_grad(atoms)
             grad += tilt.log_weight_hvp(atoms, tw)
-    grad += weight * (-1.0 / ref.variances) - loss.var_grad_vjp(measure, weight)
+    with np.errstate(over="ignore", invalid="ignore"):  # kgdd's _check_finite names it
+        grad += weight * (-1.0 / ref.variances) - loss.var_grad_vjp(measure, weight)
     return grad / (n * (n - 1) if u_statistic else n**2)
 
 
@@ -390,12 +403,18 @@ def stein_gram(
     """Stein kernel Gram matrix over the atoms of the measure, shape (n, n),
     summed over the kernel's terms (module docstring).
 
-    Raises FloatingPointError, naming the first offending pair, when an
-    entry is not finite.
+    Raises FloatingPointError, naming the first offending atom or pair, when
+    a score or an entry is not finite.
     """
     atoms = measure.atoms
+    return _gram(kernel, atoms, gen_score(ref, loss, measure, atoms))
+
+
+def _gram(kernel, atoms: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """``stein_gram`` under the given scores, entry by entry; raises
+    FloatingPointError naming the first non-finite score or entry."""
+    _check_scores(scores)
     n, d = atoms.shape
-    scores = gen_score(ref, loss, measure, atoms)
     gram = np.zeros((n, n))
     with np.errstate(over="ignore", invalid="ignore"):  # every entry is checked below
         for coef, tilts, core in kernel.terms():
@@ -419,28 +438,6 @@ def stein_gram(
     return gram
 
 
-def _gram_sums(
-    kernel,
-    ref: DiagonalGaussian,
-    loss: VariationalLoss,
-    measure: EmpiricalMeasure,
-) -> tuple[float, float]:
-    """Sum over all entries and trace of the Stein Gram over the atoms.
-
-    Raises FloatingPointError when either is not finite: ``stein_gram``'s,
-    naming the first non-finite entry, or, if every entry is finite, one
-    saying that the sum overflowed.
-    """
-    atoms = measure.atoms
-    total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
-    if not (math.isfinite(total) and math.isfinite(trace)):
-        stein_gram(kernel, ref, loss, measure)
-        raise FloatingPointError(
-            f"Stein Gram sum {total} or trace {trace} overflowed; every entry is finite"
-        )
-    return total, trace
-
-
 def kgd_v_squared(
     kernel,
     ref: DiagonalGaussian,
@@ -448,7 +445,8 @@ def kgd_v_squared(
     measure: EmpiricalMeasure,
 ) -> float:
     """V-statistic (1/n^2) sum_ij h(x_i, x_j); nonnegative for psd kernels."""
-    total, _ = _gram_sums(kernel, ref, loss, measure)
+    atoms = measure.atoms
+    total, _ = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
     return total / measure.n**2
 
 
@@ -463,7 +461,8 @@ def kgd_u_squared(
     n = measure.n
     if n < 2:
         raise ValueError("the U-statistic needs at least two atoms")
-    total, trace = _gram_sums(kernel, ref, loss, measure)
+    atoms = measure.atoms
+    total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
     return (total - trace) / (n * (n - 1))
 
 
@@ -537,9 +536,10 @@ def clt_scaling_study(
         for r in range(n_reps):
             rng = seeded_stream(seed, "scaling", int(n), int(r))
             measure = EmpiricalMeasure(np.asarray(sample(rng, int(n)), dtype=float))
+            atoms = measure.atoms
             if r == 0:
-                largest_draw = measure.atoms
-            total, trace = _gram_sums(kernel, ref, loss, measure)
+                largest_draw = atoms
+            total, trace = _stein_sums(kernel, atoms, gen_score(ref, loss, measure, atoms))
             v_values[i, r] = total / n**2
             u_values[i, r] = (total - trace) / (n * (n - 1))
     v_mean = v_values.mean(axis=1)

@@ -10,7 +10,6 @@ functions) or in lockstep with others that share its loss.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Sequence
@@ -83,7 +82,11 @@ class OptimizerSpec:
         ``shape``; per-coordinate preconditioned when the method is adam."""
         step_size = self.step_size
         if self.method == "euler":
-            return lambda direction: step_size * direction
+            def euler(direction: np.ndarray) -> np.ndarray:
+                with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names it
+                    return step_size * direction
+
+            return euler
         m, v, t = np.zeros(shape), np.zeros(shape), 0
 
         def adam(direction: np.ndarray) -> np.ndarray:
@@ -93,7 +96,8 @@ class OptimizerSpec:
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * direction**2
             m_hat = m / (1.0 - ADAM_BETA1**t)
             v_hat = v / (1.0 - ADAM_BETA2**t)
-            return step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names it
+                return step_size * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         return adam
 
@@ -210,7 +214,8 @@ def mfld_step(
     measure = EmpiricalMeasure(atoms)
     scores = gen_score(ref, loss, measure, atoms)
     noise = rng.standard_normal(atoms.shape)
-    return atoms + step_size * scores + np.sqrt(2.0 * step_size) * noise
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names it
+        return atoms + step_size * scores + np.sqrt(2.0 * step_size) * noise
 
 
 def mfld_stepper(
@@ -375,10 +380,17 @@ class SearchSpec:
     refine_rounds: int = 4
 
     def candidate_set(self, rng: np.random.Generator) -> np.ndarray:
+        """``n_candidates`` draws from ``rng``; raises FloatingPointError,
+        naming the first, when a draw overflows."""
         mean = np.atleast_1d(np.asarray(self.proposal_mean, dtype=float))
-        return mean + self.proposal_scale * rng.standard_normal(
-            (self.n_candidates, mean.size)
-        )
+        z = rng.standard_normal((self.n_candidates, mean.size))
+        with np.errstate(over="ignore", invalid="ignore"):  # named just below
+            draws = mean + self.proposal_scale * z
+        if not np.isfinite(draws).all():
+            i = int(np.argmin(np.isfinite(draws).all(axis=1)))
+            raise FloatingPointError(f"non-finite candidate {i}: {draws[i]}; "
+                                     "the proposal overflows")
+        return draws
 
     def spans(self, candidates: np.ndarray) -> np.ndarray:
         c, d = candidates.shape
@@ -391,8 +403,7 @@ def _objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.n
     """The greedy objective at each of (m, d) points x, (m,): the V-statistic
     of ``atoms`` with x. The scores of every configuration come from the
     loss's ``extension``, and each configuration takes one pass of Stein
-    sums. A point whose scores or sum are not finite is left to the
-    estimator, which names the non-finite score or Gram entry."""
+    sums, which names a non-finite score or Gram entry (``_stein_sums``)."""
     grads = loss.extension(atoms)
     n = atoms.shape[0]
 
@@ -400,13 +411,10 @@ def _objective(kernel, ref: DiagonalGaussian, loss: VariationalLoss, atoms: np.n
         configs = np.empty((points.shape[0], n + 1, points.shape[1]))
         configs[:, :n] = atoms
         configs[:, n] = points
-        scores = ref.log_grad(configs) - grads(points)
-        out = np.empty(points.shape[0])
-        for i, (pts, b) in enumerate(zip(configs, scores)):
-            total = _stein_sums(kernel, pts, b)[0] if np.isfinite(b).all() else math.nan
-            out[i] = (total / (n + 1) ** 2 if math.isfinite(total)
-                      else kgd_v_squared(kernel, ref, loss, EmpiricalMeasure(pts)))
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # _stein_sums names them
+            scores = ref.log_grad(configs) - grads(points)
+        totals = [_stein_sums(kernel, pts, b)[0] for pts, b in zip(configs, scores)]
+        return np.asarray(totals) / (n + 1) ** 2
 
     return values
 

@@ -21,7 +21,7 @@ import pytest
 import yaml
 
 import kgd.cli as kgd_cli
-from kgd import discrepancy, selfcheck
+from kgd import selfcheck
 from kgd.cli import (
     _INITS,
     _KERNELS,
@@ -788,7 +788,7 @@ class TestEvalVerb:
         assert "kgd_u2" in lines
 
     def test_root_clips_roundoff_below_zero(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(kgd_cli, "_gram_sums", lambda *args: (-1e-16, 0.0))
+        monkeypatch.setattr(kgd_cli, "_stein_sums", lambda *args: (-1e-16, 0.0))
         p = tmp_path / "p.csv"
         write_particles(p, np.array([[0.0, 0.0]]))
         assert main(["eval", "--config", _write_config(tmp_path, {}), "--particles", str(p)]) == 0
@@ -796,8 +796,8 @@ class TestEvalVerb:
 
     def test_both_statistics_come_from_one_stein_pass(self, tmp_path, capsys, monkeypatch):
         passes = []
-        stein_sums = discrepancy._stein_sums
-        monkeypatch.setattr(discrepancy, "_stein_sums",
+        stein_sums = kgd_cli._stein_sums
+        monkeypatch.setattr(kgd_cli, "_stein_sums",
                             lambda *args: passes.append(args) or stein_sums(*args))
         p = tmp_path / "p.csv"
         write_particles(p, np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]]))
@@ -843,7 +843,6 @@ class TestEvalVerb:
         assert out.stderr.startswith("numeric failure: non-finite Stein Gram entry")
         assert len(out.stderr.splitlines()) == 1 and out.stdout == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_score_maps_to_exit_code_three(self, tmp_path, capsys):
         # The potential's gradient overflows at the first atom: the score is
         # named before any Stein entry is built from it.
@@ -1084,6 +1083,160 @@ class TestRunFaults:
             argv += ["--set", item]
         rc, err = self._ends_cleanly(argv, tmp_path / "o", capsys)
         assert rc == 3 and "non-finite score at atom 0" in err
+
+    def test_tiny_reference_variance_under_kgdd_is_one_line(self, tmp_path, capsys):
+        # The gradient's reference term -weight / 1e-300 overflowed before
+        # the divergence check named the particle.
+        rc, err = self._sample(tmp_path, capsys, "kgdd", {"family": "imq"}, "zero",
+                               reference={"variance": 1.0e-300})
+        assert rc == 3 and "particles diverged at step 1" in err
+
+    @pytest.mark.parametrize("algorithm, optimizer", [("mfld", None), ("vgd", "euler"),
+                                                      ("vgd", "adam"), ("kgdd", "euler"),
+                                                      ("kgdd", "adam")])
+    def test_huge_step_size_is_one_line(self, tmp_path, capsys, algorithm, optimizer):
+        # The update step_size * direction overflowed before the divergence
+        # check named the particle.
+        sampler = {"algorithm": algorithm, **self.SAMPLERS[algorithm], "step_size": 1.7e308}
+        if optimizer:
+            sampler["optimizer"] = optimizer
+        rc, err = self._sample(tmp_path, capsys, algorithm, {"family": "weighted-matrix"},
+                               sampler=sampler)
+        assert rc == 3 and "particles diverged at step 1" in err
+
+    @pytest.mark.parametrize("scale", [1.7e308, 1.0e308])
+    def test_huge_proposal_scale_is_one_line(self, tmp_path, capsys, scale):
+        # A draw overflowed to inf, and the measure refused it: a traceback.
+        rc, err = self._sample(tmp_path, capsys, "greedy", {"family": "imq"}, "zero",
+                               sampler={"algorithm": "greedy", **self.SAMPLERS["greedy"],
+                                        "proposal_scale": scale})
+        assert rc == 3 and "non-finite candidate" in err
+
+    @pytest.mark.parametrize("mean", [1.7e308, -1.7e308])
+    def test_huge_proposal_mean_is_one_line(self, tmp_path, capsys, mean):
+        # The candidates' scores overflowed in the greedy objective and in
+        # the estimator before the score was named.
+        rc, err = self._sample(tmp_path, capsys, "greedy", {"family": "imq"},
+                               sampler={"algorithm": "greedy", **self.SAMPLERS["greedy"],
+                                        "proposal_mean": mean})
+        assert rc == 3 and "non-finite score at atom 0" in err
+
+    @pytest.mark.parametrize("weights", [1.7e308, -1.7e308])
+    @pytest.mark.parametrize("algorithm", list(SAMPLERS))
+    def test_huge_loss_weights_are_one_line(self, tmp_path, capsys, algorithm, weights):
+        # The loss's gradient overflowed inside the score.
+        loss = {"family": "linear-quadratic", "weights": weights}
+        rc, err = self._sample(tmp_path, capsys, algorithm, {"family": "imq"}, loss)
+        assert rc == 3 and "non-finite" in err
+
+
+# The run-level sweep: every sampler with every simple loss and kernel, and
+# with the two model losses, one numeric key at a time set to each of these
+# extremes that its parser accepts.
+SWEEP_SIZES = {"mfld": {"particles": 3, "steps": 1}, "vgd": {"particles": 3, "steps": 1},
+               "kgdd": {"particles": 3, "steps": 1},
+               "greedy": {"points": 2, "n_candidates": 4, "refine_rounds": 1}}
+EXTREMES = [1e150, -1e150, 1e-150, 1e300, 1e-300, 0.0, 1.7e308, -1.7e308]
+
+
+def _sweep_bases():
+    """Every sampler with each simple loss and kernel, with the mean-field
+    loss, and, for the flows, with a Gaussian init; the predictive loss,
+    whose runs solve ODEs, with the sampler that solves the fewest."""
+    for algorithm, sizes in SWEEP_SIZES.items():
+        sampler = {"algorithm": algorithm, **sizes}
+        for loss in ("zero", "linear-quadratic", "interaction-quadratic"):
+            for kernel in ("imq", "gaussian", "weighted-matrix"):
+                yield {"kernel": {"family": kernel}, "loss": {"family": loss}, "sampler": sampler}
+        yield {"reference": {"dimension": 4}, "sampler": sampler,
+               "loss": {"family": "mean-field-regression", "n_data": 20}}
+        if algorithm != "greedy":
+            yield {"loss": {"family": "linear-quadratic"},
+                   "sampler": sampler | {"init": {"kind": "gaussian"}}}
+        if algorithm == "mfld":
+            yield {"loss": {"family": "predictive-kernel"}, "sampler": sampler}
+
+
+def _numeric_keys(body: dict):
+    """(path, family, key) of each key of the body's sections, for the
+    families it picks, whose parser takes a number that is not whole."""
+    cfg = parse_config(body)
+    tables = [("reference", "", _REFERENCE)]
+    for path, (selector, _, families) in FAMILY_TABLES.items():
+        section = cfg
+        for part in path.split("."):
+            section = section.get(part, {})
+        if section:
+            tables.append((path, section[selector], families[section[selector]]))
+    for path, family, table in tables:
+        for key, (_, parse) in table.items():
+            try:
+                parse(0.5, key)
+            except ConfigError:
+                continue
+            yield path, family, key
+
+
+def _sweep_cases() -> dict[str, dict]:
+    """One config per slot (sampler, section, family, key, value), by its
+    id: the value set on one of the bases that have the key, taken in turn.
+    The predictive loss sweeps only its own keys, each at the least and the
+    greatest value it accepts."""
+    slots: dict[tuple, list[dict]] = {}
+    for body in _sweep_bases():
+        predictive = body["loss"]["family"] == "predictive-kernel"
+        for path, family, key in _numeric_keys(body):
+            if predictive and path != "loss":
+                continue
+            accepted = {}
+            for value in EXTREMES:
+                case = json.loads(json.dumps(body))
+                section = case
+                for part in path.split("."):
+                    section = section.setdefault(part, {})
+                section[key] = value
+                try:
+                    parse_config(case)
+                except ConfigError:
+                    continue
+                accepted[value] = case
+            if predictive:
+                accepted = {v: accepted[v] for v in (min(accepted), max(accepted))}
+            for value, case in accepted.items():
+                slot = (case["sampler"]["algorithm"], path, family, key, value)
+                slots.setdefault(slot, []).append(case)
+    cases = {}
+    for i, ((_, path, family, key, value), bodies) in enumerate(slots.items()):
+        body = bodies[i % len(bodies)]
+        where = "-".join(body.get(part, {}).get("family", "imq") for part in ("loss", "kernel"))
+        name = f"{path}[{family}]" if family else path
+        cases[f"{body['sampler']['algorithm']}-{where}-{name}.{key}={value:g}"] = body
+    return cases
+
+
+SWEEP_CASES = _sweep_cases()
+
+
+class TestRunSweep:
+    """Generated from the config tables: each run through ``main`` ends as
+    ``TestRunFaults`` asks, and so does ``kgd eval`` on the particles a
+    finished run writes, with every statistic it prints finite."""
+
+    @pytest.mark.parametrize("body", SWEEP_CASES.values(), ids=SWEEP_CASES)
+    def test_extreme_value_ends_cleanly(self, tmp_path, capsys, body):
+        cfg = _write_config(tmp_path, body)
+        out = tmp_path / "o"
+        rc, _ = TestRunFaults._ends_cleanly(["sample", "--config", cfg, "--output", str(out)],
+                                            out, capsys)
+        if rc:
+            return
+        rc = main(["eval", "--config", cfg, "--particles", str(out / "particles.csv")])
+        printed, err = capsys.readouterr()
+        if rc == 0:
+            values = [float(line.split()[1]) for line in printed.splitlines()]
+            assert np.isfinite(values).all() and err == "", printed + err
+        else:
+            assert rc in (2, 3) and len(err.splitlines()) == 1, err
 
 
 MFNN_SMALL = ("particles=6", "mfld_steps=4", "kgdd_particles=3", "kgdd_steps=2", "vi_sample=6",

@@ -343,6 +343,20 @@ class TestSteinSums:
         with pytest.raises(FloatingPointError, match="overflowed"):
             kgd_u_squared(IMQ(1.0), ref, ZeroLoss(), measure)
 
+    # _stein_sums returns finite sums or names the fault itself, from the
+    # scores it is given: a non-finite score, else a non-finite Gram entry,
+    # else the sum.
+    @pytest.mark.parametrize("atoms, scores, message", [
+        ([[0.0, 0.0], [1.0, 0.5]], [[0.5, 1.0], [np.nan, 0.0]], "non-finite score at atom 1"),
+        ([[0.0, 0.0], [1.0, 0.5]], [[1e200, 0.0], [0.0, 1.0]],
+         r"non-finite Stein Gram entry \(0, 0\)"),
+        ([[1.2e154, 0.0], [1.2e154, 0.0]], [[-1.2e154, 0.0], [-1.2e154, 0.0]],
+         "Stein Gram sum nan or trace nan overflowed; every entry is finite"),
+    ], ids=["score", "entry", "sum"])
+    def test_stein_sums_name_their_own_faults(self, atoms, scores, message):
+        with pytest.raises(FloatingPointError, match=message):
+            _stein_sums(IMQ(1.0), np.array(atoms), np.array(scores))
+
 
 class TestClassicalEquivalence:
     @pytest.mark.parametrize("seed", range(5))
@@ -422,7 +436,7 @@ class TestMatrixConsistency:
 
     def test_huge_atoms_raise_for_the_weighted_kernel(self):
         # c^2 + ||x||^2 overflows, so the weights and the linear core do too.
-        # The estimators' sums fall back to the Gram to name the entry.
+        # The Stein sums build the Gram entry by entry to name the entry.
         kernel = WeightedMatrixKernel(c=1.0, exponent=0.5, base=IMQ(1.0))
         measure = EmpiricalMeasure(np.array([[1e200, 0.0], [0.0, 1e200]]))
         for evaluate in (stein_gram, kgd_v_squared):

@@ -9,6 +9,7 @@ wall times) is verified on short runs.
 import numpy as np
 import pytest
 
+from kgd import samplers
 from kgd.core import DiagonalGaussian, EmpiricalMeasure, seeded_stream
 from kgd.discrepancy import gen_score, kgd_u_squared, kgd_v_squared, particle_grad, stein_drift
 from kgd.kernels import IMQ, Gaussian, Mixture, NormalizedLinear, WeightedMatrixKernel
@@ -602,19 +603,21 @@ class TestIncrementalGreedy:
                 for k in range(1, 4)]
         np.testing.assert_array_equal(run.kgd2, want)
 
-    def test_non_finite_scores_are_left_to_the_estimator(self):
-        # A candidate whose configuration has a non-finite score gets the
-        # estimator's error, which names the atom.
-        times = np.array([1.0, 2.0])
-
+    @staticmethod
+    def _blowing_up_loss() -> PredictiveKernelLoss:
+        """A predictive loss whose solver's outputs are infinite beyond x_1 = 5."""
         def blowing_up(points, times):
             means = np.where(points[:, :1, None] > 5.0, np.inf, 1.0) * np.ones((1, 2, 2))
             return means, np.ones(means.shape + (2,))
 
-        loss = PredictiveKernelLoss(times, np.zeros((2, 2)), solver=blowing_up)
+        return PredictiveKernelLoss(np.array([1.0, 2.0]), np.zeros((2, 2)), solver=blowing_up)
+
+    def test_non_finite_scores_are_named_by_the_stein_sums(self):
+        # A candidate whose configuration has a non-finite score gets the
+        # Stein sums' error, which names the atom.
+        loss = self._blowing_up_loss()
         objective = _objective(self.KERNEL, self.REF, loss, np.zeros((1, 2)))
-        with pytest.raises(FloatingPointError, match="non-finite score at atom"), \
-                np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite score at atom"):
             objective(np.array([[0.5, 0.0], [6.0, 0.0]]))
 
         class Steep(LinearLoss):
@@ -629,6 +632,31 @@ class TestIncrementalGreedy:
         np.testing.assert_array_equal(objective(finite), self._estimator(steep, atoms)(finite))
         with pytest.raises(FloatingPointError, match="non-finite score at atom 1"):
             objective(np.array([[0.5, 0.0], [6.0, 0.0]]))
+
+    def test_non_finite_scores_take_no_second_scoring_route(self, monkeypatch):
+        # The objective scores each configuration by the extension's scores
+        # and one pass of Stein sums, which raises; it does not re-score the
+        # configuration through var_grad and the estimator.
+        calls = []
+        stein_sums = samplers._stein_sums
+
+        def counted(*args):
+            calls.append("_stein_sums")
+            try:
+                return stein_sums(*args)
+            except FloatingPointError:
+                calls.append("raised")
+                raise
+
+        monkeypatch.setattr(samplers, "_stein_sums", counted)
+        monkeypatch.setattr(samplers, "kgd_v_squared", lambda *a: calls.append("kgd_v_squared"))
+        var_grad = PredictiveKernelLoss.var_grad
+        monkeypatch.setattr(PredictiveKernelLoss, "var_grad",
+                            lambda *a: calls.append("var_grad") or var_grad(*a))
+        objective = _objective(self.KERNEL, self.REF, self._blowing_up_loss(), np.zeros((1, 2)))
+        with pytest.raises(FloatingPointError, match="non-finite score at atom"):
+            objective(np.array([[6.0, 0.0]]))
+        assert calls == ["_stein_sums", "raised"]
 
 
 class TestDrive:
